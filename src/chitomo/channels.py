@@ -89,7 +89,12 @@ def pauli_basis(n: int) -> np.ndarray:
     """Stack of all 4**n Hermitian Pauli matrices, shape (4**n, D, D)."""
     if n > DENSE_QUBIT_CAP:
         raise DenseCapError(f"dense basis limited to n <= {DENSE_QUBIT_CAP}")
-    return np.stack([pauli_matrix(a) for a in all_labels(n)])
+    single = np.stack([pauli_matrix(a) for a in all_labels(1)])
+    basis = np.ones((1, 1, 1), dtype=complex)
+    for _ in range(n):  # one batched kron per qubit, the new qubit least significant
+        d = 2 * basis.shape[1]
+        basis = (basis[:, None, :, None, :, None] * single[:, None, :, None, :]).reshape(-1, d, d)
+    return basis
 
 
 def _kraus_stack(k: KrausSet) -> np.ndarray:
@@ -198,7 +203,7 @@ def modified_channel_diag(channel: Channel, m: PauliLabel) -> KrausSet:
 def modified_channel_offdiag(
     channel: Channel, m: PauliLabel, n_label: PauliLabel
 ) -> KrausSet:
-    """Ancilla-assisted channel on n+1 qubits for off-diagonal estimation.
+    """Ancilla-assisted channel on n+1 qubits (the oracle's off-diagonal check).
 
     The ancilla is qubit 0 (most significant factor).  The pre-channel
     unitary is: Hadamard on the ancilla, E_m^dag on the main register

@@ -36,6 +36,7 @@ from .channels import (
 )
 from .estimator import (
     EstimatorConfig,
+    SingleBaseError,
     TripletLogError,
     estimate_chi_diag,
     estimate_chi_offdiag,
@@ -91,7 +92,7 @@ def _manifest(command: str, channel_hash: str | None, config: dict) -> dict:
 
 
 def _emit(document: dict, out_path: str | None) -> None:
-    text = json.dumps(document, indent=2)
+    text = json.dumps(document, indent=2, allow_nan=False)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
@@ -208,10 +209,8 @@ def cmd_sieve(args) -> int:
     stats: dict = {}
     try:
         found = sieve_large_diagonals(triplets, args.threshold, stats=stats)
-    except ValueError as exc:
-        if "distinct bases" in str(exc):
-            raise CliError(EXIT_SINGLE_BASE, "single_base", str(exc)) from exc
-        raise
+    except SingleBaseError as exc:
+        raise CliError(EXIT_SINGLE_BASE, "single_base", str(exc)) from exc
     entries = [("sieve", m, None, est) for m, est in found]
     oracles = [
         None if chi is None else complex(chi.entry(m, m).real) for m, _ in found

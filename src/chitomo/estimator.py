@@ -28,9 +28,15 @@ from typing import Iterable
 
 import numpy as np
 
-from .channels import Channel, apply_channel, modified_channel_diag, modified_channel_offdiag
-from .mub import base_probabilities, design_basis
-from .pauli import PauliLabel, commutation_vector, mub_class, solve_label_from_constraints
+from .channels import Channel, as_kraus
+from .mub import as_distribution, design_basis
+from .pauli import (
+    PauliLabel,
+    commutation_vector,
+    mub_class,
+    pauli_matrix,
+    solve_label_from_constraints,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -48,14 +54,12 @@ PAIR_SUBSAMPLE_TARGET = 12_500_000
 
 TRIPLET_LOG_VERSION = "seqpt-triplets v1"
 
-_SIGMA = {
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-}
-
-
 class TripletLogError(ValueError):
     """Malformed triplet log file."""
+
+
+class SingleBaseError(ValueError):
+    """The sieve was given triplets from fewer than two distinct bases."""
 
 
 def required_sample_size(epsilon: float, kind: str) -> int:
@@ -145,12 +149,48 @@ def _sample_states(
     return js, ks
 
 
-def _per_state_values(js, ks, d, func) -> np.ndarray:
-    """Evaluate func(J, k) once per distinct sampled state, broadcast back."""
-    flat = js * d + ks
-    uniq, inverse = np.unique(flat, return_inverse=True)
-    vals = np.array([func(int(f // d), int(f % d)) for f in uniq])
-    return vals[inverse]
+def _campaign(
+    n: int, cfg: EstimatorConfig, tag: int, kind: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """(J, k) per experiment and the outcome draws, None unless sampled;
+    under enumerate_design, every design state once."""
+    d = 2**n
+    if cfg.enumerate_design:
+        return np.repeat(np.arange(d + 1), d), np.tile(np.arange(d), d + 1), None
+    m_count = cfg.sample_size(kind)
+    rng = _campaign_rng(cfg.seed, tag)
+    js, ks = _sample_states(rng, n, m_count)
+    us = rng.random(m_count)
+    return js, ks, us if cfg.mode == "sampled" else None
+
+
+def _distinct_states(
+    js: np.ndarray, ks: np.ndarray, d: int
+) -> tuple[list[tuple[int, slice]], np.ndarray, np.ndarray]:
+    """Distinct (J, k) states sorted by base: the slice of each base J among
+    them, their k's, and the distinct-state index of every experiment."""
+    uniq, inverse = np.unique(js * d + ks, return_inverse=True)
+    bases, starts = np.unique(uniq // d, return_index=True)
+    stops = np.append(starts[1:], len(uniq))
+    return [(int(j), slice(*ab)) for j, *ab in zip(bases, starts, stops)], uniq % d, inverse
+
+
+def _amplitudes(
+    ops: np.ndarray, n: int, J: int, ks: np.ndarray, pre: np.ndarray | None = None
+) -> np.ndarray:
+    """a[s, i, k'] = <v_k'| A_i P |v_ks[s]> in base J, P = pre or the identity.
+
+    Every protocol is a readout of these blocks; E_m |v_k> is, up to a
+    phase, v_{k XOR p_m(J)} in the same base.  Cost K D^2 per state.
+    """
+    b = design_basis(n, J)
+    cols = b[:, ks] if pre is None else pre @ b[:, ks]
+    return np.moveaxis(b.conj().T @ (ops @ cols), 2, 0)
+
+
+def _transition_rows(ops: np.ndarray, n: int, J: int, ks: np.ndarray) -> np.ndarray:
+    """T[s, k'] = sum_i |<v_k'|A_i|v_ks[s]>|^2: state ks[s] of base J read as k'."""
+    return np.sum(np.abs(_amplitudes(ops, n, J, ks)) ** 2, axis=1)
 
 
 def _finish(stats: np.ndarray, m_count: int) -> Estimate:
@@ -162,32 +202,24 @@ def _finish(stats: np.ndarray, m_count: int) -> Estimate:
 def estimate_chi_diag(channel: Channel, m: PauliLabel, cfg: EstimatorConfig) -> Estimate:
     """Estimate chi_mm from survivals of the E_m-modified channel.
 
-    Per experiment: prepare a design state, apply the channel followed by
-    E_m^dag, test survival of the initial state.  The survival frequency
-    F-hat inverts to chi-hat = ((D+1) F-hat - 1)/D.
+    Per experiment: prepare design state k of base J, apply the channel followed
+    by E_m^dag, test survival, i.e. the transition k -> k XOR p_m(J).  The
+    survival frequency F-hat inverts to chi-hat = ((D+1) F-hat - 1)/D.
     """
     if m.n != channel.n:
         raise ValueError("label and channel qubit counts differ")
-    mod = modified_channel_diag(channel, m)
-    d = 2**channel.n
-
-    def survival(j: int, k: int) -> float:
-        v = design_basis(channel.n, j)[:, k]
-        out = apply_channel(mod, np.outer(v, v.conj()))
-        return float((v.conj() @ out @ v).real)
-
-    if cfg.enumerate_design:
-        probs = [survival(j, k) for j in range(d + 1) for k in range(d)]
-        f_hat = float(np.mean(probs))
-        return Estimate(((d + 1) * f_hat - 1) / d, 0.0, len(probs))
-
-    m_count = cfg.sample_size("fidelity")
-    rng = _campaign_rng(cfg.seed, _TAG_DIAG)
-    js, ks = _sample_states(rng, channel.n, m_count)
-    us = rng.random(m_count)
-    probs = _per_state_values(js, ks, d, survival)
-    outcomes = probs if cfg.mode == "exact" else (us < probs).astype(float)
-    return _finish(((d + 1) * outcomes - 1) / d, m_count)
+    n, d = channel.n, 2**channel.n
+    js, ks, us = _campaign(n, cfg, _TAG_DIAG, "fidelity")
+    bases, uk, inverse = _distinct_states(js, ks, d)
+    ops = np.stack(as_kraus(channel).operators)
+    survival = np.empty(len(uk))
+    for j, sl in bases:
+        rows = _transition_rows(ops, n, j, uk[sl])
+        survival[sl] = rows[np.arange(len(rows)), uk[sl] ^ commutation_vector(m, mub_class(n, j))]
+    probs = survival[inverse]
+    outcomes = probs if us is None else (us < probs).astype(float)
+    est = _finish(((d + 1) * outcomes - 1) / d, len(probs))
+    return Estimate(est.value, 0.0, est.M) if cfg.enumerate_design else est
 
 
 def estimate_chi_offdiag(
@@ -195,65 +227,38 @@ def estimate_chi_offdiag(
 ) -> Estimate:
     """Estimate complex chi_mn from ancilla polarizations.
 
-    Two campaigns of M experiments run on the ancilla-extended channel; each
-    experiment has three outcomes (0 on survival failure, otherwise the
-    +/-1 ancilla polarization along sigma_x or sigma_y).  The campaign means
-    invert to Re chi = ((D+1) mean_x - delta_mn)/D and
-    Im chi = (D+1) mean_y / D.
+    Two campaigns of M experiments feed (|0> E_n^dag|psi> + |1> E_m^dag|psi>)/sqrt 2
+    to the channel; each has three outcomes (0 on survival failure, otherwise the
+    +/-1 ancilla polarization along sigma_x or sigma_y, whose mean is Re / Im of
+    sum_i conj(x_n) x_m with x_m = <psi|A_i E_m^dag|psi>).  The campaign means
+    invert to Re chi = ((D+1) mean_x - delta_mn)/D and Im chi = (D+1) mean_y / D.
     """
     if m.n != channel.n or n_label.n != channel.n:
         raise ValueError("labels and channel qubit counts differ")
-    mod = modified_channel_offdiag(channel, m, n_label)
-    d = 2**channel.n
+    n, d = channel.n, 2**channel.n
     delta = 1.0 if m == n_label else 0.0
-    anc_in = np.array([[1, 0], [0, 0]], dtype=complex)
-
-    out_cache: dict[tuple[int, int], np.ndarray] = {}
-
-    def channel_output(j: int, k: int) -> np.ndarray:
-        if (j, k) not in out_cache:
-            v = design_basis(channel.n, j)[:, k]
-            out_cache[j, k] = apply_channel(mod, np.kron(anc_in, np.outer(v, v.conj())))
-        return out_cache[j, k]
-
-    def moments(axis: str, j: int, k: int) -> tuple[float, float]:
-        """(survival probability, polarization expectation) for one state."""
-        v = design_basis(channel.n, j)[:, k]
-        p_psi = np.outer(v, v.conj())
-        out = channel_output(j, k)
-        pol = float(np.trace(np.kron(_SIGMA[axis], p_psi) @ out).real)
-        surv = float(np.trace(np.kron(np.eye(2), p_psi) @ out).real)
-        return surv, pol
-
-    def campaign(axis: str, tag: int) -> np.ndarray:
-        if cfg.enumerate_design:
-            return np.array(
-                [moments(axis, j, k)[1] for j in range(d + 1) for k in range(d)]
-            )
-        m_count = cfg.sample_size("offdiagonal")
-        rng = _campaign_rng(cfg.seed, tag)
-        js, ks = _sample_states(rng, channel.n, m_count)
-        us = rng.random(m_count)
-        if cfg.mode == "exact":
-            return _per_state_values(js, ks, d, lambda j, k: moments(axis, j, k)[1])
-
-        def plus_prob(j, k):
-            surv, pol = moments(axis, j, k)
-            return (surv + pol) / 2
-
-        def minus_prob(j, k):
-            surv, pol = moments(axis, j, k)
-            return (surv - pol) / 2
-
-        p_plus = _per_state_values(js, ks, d, plus_prob)
-        p_minus = _per_state_values(js, ks, d, minus_prob)
-        return np.where(us < p_plus, 1.0, np.where(us < p_plus + p_minus, -1.0, 0.0))
-
-    out_x = campaign("x", _TAG_OFFDIAG_X)
-    out_y = campaign("y", _TAG_OFFDIAG_Y)
-    re_stats = ((d + 1) * out_x - delta) / d
-    im_stats = (d + 1) * out_y / d
-    m_count = len(out_x)
+    jx, kx, ux = _campaign(n, cfg, _TAG_OFFDIAG_X, "offdiagonal")
+    jy, ky, uy = _campaign(n, cfg, _TAG_OFFDIAG_Y, "offdiagonal")
+    bases, uk, inverse = _distinct_states(np.append(jx, jy), np.append(kx, ky), d)
+    ops = np.stack(as_kraus(channel).operators)
+    em_dag, en_dag = pauli_matrix(m).conj().T, pauli_matrix(n_label).conj().T
+    survival = np.empty(len(uk))
+    pol = np.empty(len(uk), dtype=complex)
+    for j, sl in bases:
+        own = (np.arange(sl.stop - sl.start), slice(None), uk[sl])
+        x_m = _amplitudes(ops, n, j, uk[sl], em_dag)[own]
+        x_n = _amplitudes(ops, n, j, uk[sl], en_dag)[own]
+        pol[sl] = np.sum(x_n.conj() * x_m, axis=1)
+        survival[sl] = np.sum(np.abs(x_m) ** 2 + np.abs(x_n) ** 2, axis=1) / 2
+    # the x campaign reads Re, the y campaign Im of the polarization
+    m_count = len(jx)
+    survival = survival[inverse]
+    out = np.append(pol[inverse[:m_count]].real, pol[inverse[m_count:]].imag)
+    if ux is not None:
+        us, p_plus, p_minus = np.append(ux, uy), (survival + out) / 2, (survival - out) / 2
+        out = np.where(us < p_plus, 1.0, np.where(us < p_plus + p_minus, -1.0, 0.0))
+    re_stats = ((d + 1) * out[:m_count] - delta) / d
+    im_stats = (d + 1) * out[m_count:] / d
     value = complex(np.mean(re_stats), np.mean(im_stats))
     if cfg.enumerate_design or m_count < 2:
         return Estimate(value, 0.0, m_count)
@@ -270,33 +275,17 @@ def run_triplet_experiments(channel: Channel, cfg: EstimatorConfig) -> list[Trip
     """
     if cfg.mode != "sampled" or cfg.enumerate_design:
         raise ValueError("triplet experiments require mode='sampled'")
-    d = 2**channel.n
-    m_count = cfg.sample_size("fidelity")
-    rng = _campaign_rng(cfg.seed, _TAG_TRIPLETS)
-    js, ks = _sample_states(rng, channel.n, m_count)
-    us = rng.random(m_count)
-
-    cum_cache: dict[tuple[int, int], np.ndarray] = {}
-
-    def cumulative(j: int, k: int) -> np.ndarray:
-        if (j, k) not in cum_cache:
-            v = design_basis(channel.n, j)[:, k]
-            out = apply_channel(channel, np.outer(v, v.conj()))
-            cum_cache[j, k] = np.cumsum(base_probabilities(out, j))
-        return cum_cache[j, k]
-
-    k_primes = np.empty(m_count, dtype=np.int64)
-    flat = js * d + ks
-    for f in np.unique(flat):
-        mask = flat == f
-        cum = cumulative(int(f // d), int(f % d))
-        k_primes[mask] = np.minimum(
-            np.searchsorted(cum, us[mask], side="right"), d - 1
-        )
-    return [
-        Triplet(channel.n, int(j), int(k), int(kp))
-        for j, k, kp in zip(js, ks, k_primes)
-    ]
+    n, d = channel.n, 2**channel.n
+    js, ks, us = _campaign(n, cfg, _TAG_TRIPLETS, "fidelity")
+    bases, uk, inverse = _distinct_states(js, ks, d)
+    experiments = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
+    ops = np.stack(as_kraus(channel).operators)
+    k_primes = np.empty(len(js), dtype=np.int64)
+    for j, sl in bases:
+        cum = np.cumsum(as_distribution(_transition_rows(ops, n, j, uk[sl]), j), axis=1)
+        for row, idx in zip(cum, experiments[sl]):
+            k_primes[idx] = np.minimum(np.searchsorted(row, us[idx], side="right"), d - 1)
+    return [Triplet(n, int(j), int(k), int(kp)) for j, k, kp in zip(js, ks, k_primes)]
 
 
 def _triplet_arrays(triplets: list[Triplet]) -> tuple[int, np.ndarray, np.ndarray]:
@@ -353,7 +342,7 @@ def sieve_large_diagonals(
         raise ValueError("threshold must be positive")
     n, js, xors = _triplet_arrays(triplets)
     if len(set(js.tolist())) < 2:
-        raise ValueError("sieve needs triplets from at least two distinct bases")
+        raise SingleBaseError("sieve needs triplets from at least two distinct bases")
 
     groups = Counter(zip(js.tolist(), xors.tolist()))
     items = sorted(groups.items())
@@ -408,10 +397,12 @@ def sieve_large_diagonals(
 # ---------------------------------------------------------------------------
 # Reports
 
-def _z_score(diff: float, std_error: float) -> float:
+def _z_score(diff: float, std_error: float) -> float | None:
+    """diff in standard errors; None (JSON null) when an exact estimate
+    (std_error 0) misses its oracle, where no finite score exists."""
     if std_error > 0:
         return diff / std_error
-    return 0.0 if abs(diff) <= 1e-9 else math.inf
+    return 0.0 if abs(diff) <= 1e-9 else None
 
 
 def estimation_report(
@@ -424,7 +415,8 @@ def estimation_report(
     Each entry is (protocol, m, n_label-or-None, Estimate); oracle_values,
     when given, pairs up with entries and populates the comparison columns.
     The z-score is signed for real estimates and a magnitude for complex
-    ones; an exact estimate (std_error 0) matching its oracle scores 0.
+    ones; an exact estimate (std_error 0) scores 0 when it matches its
+    oracle and None when it does not.
     """
     entries = list(entries)
     oracles = list(oracle_values) if oracle_values is not None else [None] * len(entries)
@@ -487,7 +479,7 @@ def write_triplet_log(
 
 
 _HEADER_RE = re.compile(
-    r"# seqpt-triplets v1 n=(\d+) seed=(\d+) M=(\d+) channel=([0-9a-f]{64})$"
+    r"# seqpt-triplets v1 n=(\d+) seed=(-?\d+) M=(\d+) channel=([0-9a-f]{64})$"
 )
 
 

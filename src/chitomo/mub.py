@@ -120,27 +120,29 @@ def transition_target(sid: DesignStateId, a: PauliLabel) -> DesignStateId:
 
 
 def base_probabilities(rho: np.ndarray, J: int) -> np.ndarray:
-    """Outcome distribution over the D states of base J for a state rho.
-
-    Clamps tiny negative probabilities to zero and renormalizes; deviations
-    beyond 1e-6 raise, smaller ones are logged.
-    """
+    """Outcome distribution over the D states of base J for a state rho."""
     d = rho.shape[0]
     n = d.bit_length() - 1
     b = design_basis(n, J)
-    probs = np.einsum("ik,ij,jk->k", b.conj(), rho, b, optimize=True).real
-    mass = float(np.sum(probs))
-    if abs(mass - 1) > 1e-6 or float(np.min(probs)) < -1e-6:
-        raise ValueError(
-            f"base-{J} probabilities are not a distribution (mass {mass!r})"
-        )
-    if abs(mass - 1) > 1e-9:
-        logger.debug("base-%d probability mass deviates by %.3e", J, mass - 1)
+    return as_distribution(np.einsum("ik,ij,jk->k", b.conj(), rho, b, optimize=True).real, J)
+
+
+def as_distribution(probs: np.ndarray, J: int) -> np.ndarray:
+    """Check and tidy base-J outcome probabilities (one row per last axis).
+
+    Clamps tiny negative probabilities to zero and renormalizes each row;
+    deviations beyond 1e-6 raise, smaller ones are logged.
+    """
+    worst = float(np.max(np.abs(np.sum(probs, axis=-1) - 1)))
+    if worst > 1e-6 or float(np.min(probs)) < -1e-6:
+        raise ValueError(f"base-{J} probabilities are not a distribution (mass off by {worst:.3e})")
+    if worst > 1e-9:
+        logger.debug("base-%d probability mass deviates by %.3e", J, worst)
     clamped = np.clip(probs, 0.0, None)
     clip_mag = float(np.sum(clamped - probs))
     if clip_mag > 0:
         logger.debug("clamped negative probability mass %.3e in base %d", clip_mag, J)
-    return clamped / np.sum(clamped)
+    return clamped / np.sum(clamped, axis=-1, keepdims=True)
 
 
 def measure_in_base(rho: np.ndarray, J: int, rng: np.random.Generator) -> int:

@@ -334,6 +334,8 @@ class TestSpecDocuments:
             load_channel_spec(arr)
 
     def test_pauli_basis_matches_label_order(self):
-        b = pauli_basis(2)
-        for a in all_labels(2):
-            np.testing.assert_array_equal(b[label_index(a)], pauli_matrix(a))
+        for n in range(1, 5):
+            b = pauli_basis(n)
+            assert b.shape == (4**n, 2**n, 2**n)
+            for a in all_labels(n):
+                np.testing.assert_array_equal(b[label_index(a)], pauli_matrix(a))

@@ -154,6 +154,23 @@ class TestEstimateOffdiag:
         row = json.loads(out)["rows"][0]
         assert abs(row["value_re"] - 0.05) < 5 * row["std_error"]
 
+    def test_six_qubit_mixture_within_five_sigma(self, capsys, tmp_path):
+        weights = {"IIIIII": 0.7, "XIIIII": 0.12, "ZZIIII": 0.1, "IIYIXZ": 0.08}
+        path, _ = write_spec(
+            tmp_path, "mix6.json", {"n": 6, "kind": "pauli_mixture", "weights": weights}
+        )
+        for m, n_label, want in (("XIIIII", "XIIIII", 0.12), ("IIIIII", "ZZIIII", 0.0)):
+            code, out, _ = run(
+                capsys, "estimate-offdiag", "--channel", path, "--m", m,
+                "--n-label", n_label, "--M", "2000", "--seed", "4",
+            )
+            assert code == 0
+            row = json.loads(out)["rows"][0]
+            assert row["oracle_re"] is None
+            value = complex(row["value_re"], row["value_im"])
+            assert 0 < row["std_error"] < 0.05
+            assert abs(value - want) < 5 * row["std_error"]
+
 
 class TestTripletsAndLogs:
     def test_identity_log_preserves_state(self, capsys, specs, tmp_path):
@@ -213,6 +230,20 @@ class TestTripletsAndLogs:
         )
         assert code == 5
         assert json.loads(err)["error"] == "hash_mismatch"
+
+    def test_negative_seed_round_trip(self, capsys, specs, tmp_path):
+        path, _ = specs["dep"]
+        log = tmp_path / "neg.log"
+        code, _, _ = run(
+            capsys, "triplets", "--channel", path, "--M", "200", "--seed", "-3",
+            "--out", str(log),
+        )
+        assert code == 0
+        code, out, _ = run(capsys, "diag-from-log", "--log", str(log), "--m", "I,Z")
+        assert code == 0
+        report = json.loads(out)
+        assert report["config"]["seed"] == -3
+        assert [r["m"] for r in report["rows"]] == ["I", "Z"]
 
     def test_truncated_log_exits_2(self, capsys, specs, tmp_path):
         path, _ = specs["dep"]

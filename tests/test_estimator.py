@@ -1,12 +1,13 @@
 """Monte Carlo estimators against the exact oracle, plus the triplet sieve."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from chitomo.channels import channel_factory
+from chitomo.channels import channel_factory, matrix_to_json, modified_channel_diag
 from chitomo.estimator import (
     Estimate,
     EstimatorConfig,
@@ -24,7 +25,13 @@ from chitomo.estimator import (
     sieve_large_diagonals,
     write_triplet_log,
 )
-from chitomo.oracle import exact_chi, random_channel, random_label
+from chitomo.oracle import (
+    exact_ancilla_polarization,
+    exact_average_fidelity,
+    exact_chi,
+    random_channel,
+    random_label,
+)
 from chitomo.pauli import PauliLabel, commutation_vector, mub_class
 
 
@@ -180,6 +187,64 @@ class TestEnumerateModeIsUnbiased:
             m, n_label = random_label(n, rng), random_label(n, rng)
             est = estimate_chi_offdiag(k, m, n_label, ENUMERATE)
             assert abs(est.value - chi.entry(m, n_label)) < 1e-9
+
+
+def seven_kinds(n):
+    """One channel spec of each factory kind on n qubits."""
+    d = 2**n
+    q = 0.15
+    phases = np.diag(np.exp(1j * np.linspace(0.3, 2.0, d)))
+    flip = np.kron(np.array([[0, 1], [1, 0]]), np.eye(d // 2))
+    rot = {"n": n, "kind": "unitary", "generator": "Y" + "X" * (n - 1), "theta": 0.9}
+    return {
+        "identity": {"n": n, "kind": "identity"},
+        "depolarizing": {"n": n, "kind": "depolarizing", "p": 0.3},
+        "pauli_mixture": {
+            "n": n,
+            "kind": "pauli_mixture",
+            "weights": {"I" * n: 0.6, "X" + "Z" * (n - 1): 0.25, "Y" * n: 0.15},
+        },
+        "unitary": rot,
+        "amplitude_damping": {"n": n, "kind": "amplitude_damping", "gamma": 0.25},
+        "kraus": {
+            "n": n,
+            "kind": "kraus",
+            "operators": [
+                matrix_to_json(np.sqrt(1 - q) * phases),
+                matrix_to_json(np.sqrt(q) * flip),
+            ],
+        },
+        "compose": {
+            "n": n,
+            "kind": "compose",
+            "children": [{"n": n, "kind": "amplitude_damping", "gamma": 0.2}, rot],
+        },
+    }
+
+
+class TestAmplitudeCoreMatchesOracle:
+    """Exact-mode readouts of the amplitude core equal the oracle's
+    brute-force per-state simulations of the modified channels."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("kind", list(seven_kinds(1)))
+    def test_diagonal_and_ancilla_polarizations(self, n, kind):
+        channel = channel_factory(seven_kinds(n)[kind])
+        d = 2**n
+        rng = np.random.default_rng(n)
+        for _ in range(2):
+            m, n_label = random_label(n, rng), random_label(n, rng)
+            diag = estimate_chi_diag(channel, m, ENUMERATE)
+            fidelity = exact_average_fidelity(modified_channel_diag(channel, m))
+            assert abs((d * diag.value + 1) / (d + 1) - fidelity) < 1e-12
+            # (I, generator) carries the rotation's imaginary chi entry
+            for a, b in ((m, n_label), (m, m), (L("I" * n), L("Y" + "X" * (n - 1)))):
+                off = estimate_chi_offdiag(channel, a, b, ENUMERATE)
+                delta = 1.0 if a == b else 0.0
+                pol_x = (d * off.value.real + delta) / (d + 1)
+                pol_y = d * off.value.imag / (d + 1)
+                assert abs(pol_x - exact_ancilla_polarization(channel, a, b, "x")) < 1e-12
+                assert abs(pol_y - exact_ancilla_polarization(channel, a, b, "y")) < 1e-12
 
 
 class TestStatisticalBehaviour:
@@ -344,6 +409,12 @@ class TestEstimationReport:
         est = Estimate(1.0, 0.0, 6)
         report = estimation_report({}, [("diag", L("I"), None, est)], [1.0])
         assert report["rows"][0]["z_score"] == 0.0
+
+    def test_exact_row_missing_oracle_scores_null(self):
+        est = Estimate(0.5, 0.0, 6)
+        report = estimation_report({}, [("diag", L("I"), None, est)], [1.0])
+        assert report["rows"][0]["z_score"] is None
+        assert '"z_score": null' in json.dumps(report, allow_nan=False)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
