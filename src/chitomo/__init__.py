@@ -52,8 +52,8 @@ from .mub import (
 from .estimator import (
     Estimate,
     EstimatorConfig,
-    Triplet,
     TripletLogError,
+    TripletRecord,
     estimate_chi_diag,
     estimate_chi_offdiag,
     estimate_diag_from_triplets,

@@ -281,12 +281,6 @@ def _require_n(spec: dict) -> int:
     return n
 
 
-def _embed_single_qubit(op: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    left = np.eye(2**qubit, dtype=complex)
-    right = np.eye(2 ** (n - qubit - 1), dtype=complex)
-    return np.kron(np.kron(left, op), right)
-
-
 def _mixture_kraus(n: int, weights: dict[PauliLabel, float]) -> KrausSet:
     ops = tuple(
         np.sqrt(w) * pauli_matrix(a) for a, w in weights.items() if w > 0

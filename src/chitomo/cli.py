@@ -14,7 +14,7 @@ Every run is fully determined by its flags and --seed.  Errors are emitted
 as one JSON object on stderr with a stable exit code:
 
     1 verification failure      4 dense cap exceeded
-    2 malformed spec or log     5 channel hash mismatch
+    2 malformed spec/log/args   5 channel hash mismatch
     3 invalid Pauli label       6 sieve needs more than one base
 """
 
@@ -126,7 +126,10 @@ def _config_from_args(args) -> EstimatorConfig:
         raise CliError(
             EXIT_MALFORMED, "bad_arguments", "sampled mode needs --M or --epsilon"
         )
-    return EstimatorConfig(M=args.M, epsilon=args.epsilon, seed=args.seed)
+    try:
+        return EstimatorConfig(M=args.M, epsilon=args.epsilon, seed=args.seed)
+    except ValueError as exc:
+        raise CliError(EXIT_MALFORMED, "bad_arguments", str(exc)) from exc
 
 
 def _oracle_chi(channel):
@@ -164,14 +167,14 @@ def cmd_estimate_offdiag(args) -> int:
 
 def cmd_triplets(args) -> int:
     spec, channel = _load_channel(args.channel)
-    cfg = EstimatorConfig(M=args.M, epsilon=args.epsilon, seed=args.seed)
-    triplets = run_triplet_experiments(channel, cfg)
-    write_triplet_log(args.out, triplets, args.seed, channel_spec_sha256(spec))
+    cfg = _config_from_args(args)
+    record = run_triplet_experiments(channel, cfg)
+    write_triplet_log(args.out, record, args.seed, channel_spec_sha256(spec))
     return EXIT_OK
 
 
 def _load_log_with_optional_channel(args):
-    triplets, meta = read_triplet_log(args.log)
+    record, meta = read_triplet_log(args.log)
     chi = None
     if args.channel is not None:
         spec, channel = _load_channel(args.channel)
@@ -184,19 +187,16 @@ def _load_log_with_optional_channel(args):
                 f"spec hashes to {digest[:12]}...",
             )
         chi = _oracle_chi(channel)
-    return triplets, meta, chi
+    return record, meta, chi
 
 
 def cmd_diag_from_log(args) -> int:
-    triplets, meta, chi = _load_log_with_optional_channel(args)
+    record, meta, chi = _load_log_with_optional_channel(args)
     labels = [
         _parse_label(text, meta["n"]) for arg in args.m for text in arg.split(",")
     ]
-    entries = []
-    oracles = []
-    for m in labels:
-        entries.append(("triplet_diag", m, None, estimate_diag_from_triplets(triplets, m)))
-        oracles.append(None if chi is None else complex(chi.entry(m, m).real))
+    entries = [("triplet_diag", m, None, estimate_diag_from_triplets(record, m)) for m in labels]
+    oracles = [None if chi is None else complex(chi.entry(m, m).real) for m in labels]
     config = {"log": args.log, **meta}
     report = estimation_report(config, entries, oracles)
     report["manifest"] = _manifest("diag-from-log", meta["channel"], config)
@@ -205,10 +205,12 @@ def cmd_diag_from_log(args) -> int:
 
 
 def cmd_sieve(args) -> int:
-    triplets, meta, chi = _load_log_with_optional_channel(args)
+    if not args.threshold > 0:
+        raise CliError(EXIT_MALFORMED, "bad_arguments", "--threshold must be positive")
+    record, meta, chi = _load_log_with_optional_channel(args)
     stats: dict = {}
     try:
-        found = sieve_large_diagonals(triplets, args.threshold, stats=stats)
+        found = sieve_large_diagonals(record, args.threshold, stats=stats)
     except SingleBaseError as exc:
         raise CliError(EXIT_SINGLE_BASE, "single_base", str(exc)) from exc
     entries = [("sieve", m, None, est) for m, est in found]
@@ -307,6 +309,8 @@ def _verify_rows(n: int, level: str, seed: int) -> list[dict]:
 
 
 def cmd_verify(args) -> int:
+    if args.n < 1:
+        raise CliError(EXIT_MALFORMED, "bad_arguments", f"--n must be >= 1, got {args.n}")
     if args.n > DENSE_QUBIT_CAP or (args.verify_level == "full" and args.n > ORACLE_QUBIT_CAP):
         raise CliError(
             EXIT_DENSE_CAP,
@@ -366,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--channel", required=True)
     _add_sampling_flags(p, mode=False)
     p.add_argument("--out", required=True, help="triplet log path")
-    p.set_defaults(func=cmd_triplets)
+    p.set_defaults(func=cmd_triplets, mode="sampled")
 
     p = sub.add_parser("diag-from-log", help="estimate diagonals from a triplet log")
     p.add_argument("--log", required=True)

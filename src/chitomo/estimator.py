@@ -22,8 +22,7 @@ from __future__ import annotations
 import logging
 import math
 import re
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable
 
 import numpy as np
@@ -31,11 +30,14 @@ import numpy as np
 from .channels import Channel, as_kraus
 from .mub import as_distribution, design_basis
 from .pauli import (
+    MUB_QUBIT_CAP,
     PauliLabel,
+    commutation_columns,
     commutation_vector,
+    constraint_solutions,
+    gf2_apply,
     mub_class,
     pauli_matrix,
-    solve_label_from_constraints,
 )
 
 logger = logging.getLogger(__name__)
@@ -95,6 +97,8 @@ class EstimatorConfig:
             raise ValueError(f"mode must be 'sampled' or 'exact', got {self.mode!r}")
         if self.M is not None and self.M < 1:
             raise ValueError("M must be >= 1")
+        if self.epsilon is not None and not 0 < self.epsilon <= 1:
+            raise ValueError(f"epsilon must be in (0, 1], got {self.epsilon!r}")
         if self.M is not None and self.epsilon is not None:
             raise ValueError("supply exactly one of M or epsilon")
         if self.enumerate_design and self.mode != "exact":
@@ -108,23 +112,39 @@ class EstimatorConfig:
         raise ValueError("supply exactly one of M or epsilon")
 
     def echo(self) -> dict:
-        return {
-            "M": self.M,
-            "epsilon": self.epsilon,
-            "seed": self.seed,
-            "mode": self.mode,
-            "enumerate_design": self.enumerate_design,
-        }
+        return asdict(self)
 
 
-@dataclass(frozen=True)
-class Triplet:
-    """One experiment record: base J, prepared bits k, measured bits k'."""
+@dataclass(frozen=True, eq=False)
+class TripletRecord:
+    """M experiment records as int64 columns: base J, prepared bits k and
+    measured bits k' of n-qubit design states."""
 
     n: int
-    J: int
-    k: int
-    k_prime: int
+    J: np.ndarray
+    k: np.ndarray
+    k_prime: np.ndarray
+
+    def __post_init__(self):
+        if not 1 <= self.n <= MUB_QUBIT_CAP:
+            raise ValueError(f"triplet records need 1 <= n <= {MUB_QUBIT_CAP}, got n={self.n}")
+        for name, top in (("J", 2**self.n), ("k", 2**self.n - 1), ("k_prime", 2**self.n - 1)):
+            col = np.asarray(getattr(self, name), dtype=np.int64)
+            object.__setattr__(self, name, col)
+            if col.ndim != 1 or col.shape != self.J.shape or not col.size:
+                raise ValueError("triplet columns must be non-empty, 1-D and of equal length")
+            bad = np.flatnonzero((col < 0) | (col > top))
+            if len(bad):
+                raise ValueError(f"record {bad[0] + 1}: {name}={col[bad[0]]} out of range")
+
+    def __len__(self) -> int:
+        return len(self.J)
+
+    def __eq__(self, other) -> bool:
+        cols = ("n", "J", "k", "k_prime")
+        return isinstance(other, TripletRecord) and all(
+            np.array_equal(getattr(self, c), getattr(other, c)) for c in cols
+        )
 
 
 @dataclass(frozen=True)
@@ -169,7 +189,10 @@ def _distinct_states(
 ) -> tuple[list[tuple[int, slice]], np.ndarray, np.ndarray]:
     """Distinct (J, k) states sorted by base: the slice of each base J among
     them, their k's, and the distinct-state index of every experiment."""
-    uniq, inverse = np.unique(js * d + ks, return_inverse=True)
+    keys = js * d + ks
+    present = np.bincount(keys, minlength=d * (d + 1)) > 0
+    uniq = np.flatnonzero(present)
+    inverse = (np.cumsum(present) - 1)[keys]
     bases, starts = np.unique(uniq // d, return_index=True)
     stops = np.append(starts[1:], len(uniq))
     return [(int(j), slice(*ab)) for j, *ab in zip(bases, starts, stops)], uniq % d, inverse
@@ -268,7 +291,7 @@ def estimate_chi_offdiag(
     return Estimate(value, se, m_count)
 
 
-def run_triplet_experiments(channel: Channel, cfg: EstimatorConfig) -> list[Triplet]:
+def run_triplet_experiments(channel: Channel, cfg: EstimatorConfig) -> TripletRecord:
     """Sample M (J, k, k') records: prepare, apply the channel, measure in J.
 
     Only sampled mode makes sense here — a triplet is a discrete event.
@@ -278,119 +301,115 @@ def run_triplet_experiments(channel: Channel, cfg: EstimatorConfig) -> list[Trip
     n, d = channel.n, 2**channel.n
     js, ks, us = _campaign(n, cfg, _TAG_TRIPLETS, "fidelity")
     bases, uk, inverse = _distinct_states(js, ks, d)
-    experiments = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
     ops = np.stack(as_kraus(channel).operators)
     k_primes = np.empty(len(js), dtype=np.int64)
     for j, sl in bases:
         cum = np.cumsum(as_distribution(_transition_rows(ops, n, j, uk[sl]), j), axis=1)
-        for row, idx in zip(cum, experiments[sl]):
-            k_primes[idx] = np.minimum(np.searchsorted(row, us[idx], side="right"), d - 1)
-    return [Triplet(n, int(j), int(k), int(kp)) for j, k, kp in zip(js, ks, k_primes)]
+        mine = np.flatnonzero(js == j)
+        # the outcome is the first k' whose cumulative probability exceeds u
+        below = np.sum(cum[inverse[mine] - sl.start] <= us[mine, None], axis=1)
+        k_primes[mine] = np.minimum(below, d - 1)
+    return TripletRecord(n, js, ks, k_primes)
 
 
-def _triplet_arrays(triplets: list[Triplet]) -> tuple[int, np.ndarray, np.ndarray]:
-    if not triplets:
-        raise ValueError("empty triplet list")
-    n = triplets[0].n
-    if any(t.n != n for t in triplets):
-        raise ValueError("triplets mix qubit counts")
-    js = np.fromiter((t.J for t in triplets), dtype=np.int64, count=len(triplets))
-    xors = np.fromiter(
-        (t.k ^ t.k_prime for t in triplets), dtype=np.int64, count=len(triplets)
-    )
-    return n, js, xors
+def _count_table(record: TripletRecord) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nonzero cells (J, x), sorted, of N[J, x] = #records with k XOR k' = x, and N."""
+    d = 2**record.n
+    keys, counts = np.unique(record.J * d + (record.k ^ record.k_prime), return_counts=True)
+    return keys // d, keys % d, counts
 
 
-def _diag_from_arrays(
-    n: int, js: np.ndarray, xors: np.ndarray, m: PauliLabel
-) -> Estimate:
+def _diag_readout(n: int, table: tuple, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """chi-hat and its standard error for packed labels (x_bits | z_bits << n).
+
+    Record r contributes the statistic ((D+1) [k_r XOR k'_r = p_m(J_r)] - 1)/D,
+    so its mean and standard error follow from the hits sum_J N[J, p_m(J)].
+    """
     d = 2**n
-    p_by_base = np.empty(d + 2, dtype=np.int64)
-    for j in np.unique(js):
-        p_by_base[j] = commutation_vector(m, mub_class(n, int(j)))
-    matches = (xors == p_by_base[js]).astype(float)
-    return _finish(((d + 1) * matches - 1) / d, len(matches))
+    js, xs, counts = table
+    bases, starts = np.unique(js, return_index=True)
+    cols = commutation_columns([mub_class(n, int(j)) for j in bases])
+    hits = np.zeros(len(labels), dtype=np.int64)
+    for base_cols, cells in zip(cols, np.split(np.arange(len(js)), starts[1:])):
+        row = np.zeros(d, dtype=np.int64)  # N[J, .] of this base
+        row[xs[cells]] = counts[cells]
+        hits += row[gf2_apply(base_cols, labels)]
+    m_count = int(np.sum(counts))
+    variance = hits * (m_count - hits) / (m_count * max(m_count - 1, 1))
+    return ((d + 1) * hits / m_count - 1) / d, (d + 1) / d * np.sqrt(variance / m_count)
 
 
-def estimate_diag_from_triplets(triplets: list[Triplet], m: PauliLabel) -> Estimate:
+def estimate_diag_from_triplets(record: TripletRecord, m: PauliLabel) -> Estimate:
     """chi_mm from a shared triplet log: frequency of k XOR k' = p_m(J).
 
-    Cost is O(n^2 M): one commutation vector per base plus a linear scan.
+    A readout of the record's (J, k XOR k') count table: O(M log M) to build
+    the table, then one commutation vector per base.
     """
-    n, js, xors = _triplet_arrays(triplets)
-    if m.n != n:
+    if m.n != record.n:
         raise ValueError("label and triplet qubit counts differ")
-    return _diag_from_arrays(n, js, xors, m)
+    packed = np.array([m.x_bits | (m.z_bits << m.n)])
+    values, errors = _diag_readout(record.n, _count_table(record), packed)
+    return Estimate(float(values[0]), float(errors[0]), len(record))
 
 
 def sieve_large_diagonals(
-    triplets: list[Triplet],
+    record: TripletRecord,
     threshold: float,
     stats: dict | None = None,
 ) -> list[tuple[PauliLabel, Estimate]]:
     """Find every Pauli label whose chi_mm estimate exceeds the threshold.
 
-    Each pair of triplets from distinct bases pins down the unique label
+    Each pair of records from distinct bases pins down the unique label
     consistent with both transition patterns; tallying those candidates and
     re-estimating each one from the full log recovers the heavy support of a
-    sparse channel.  All pairs are processed up to SIEVE_FULL_PAIR_LIMIT
-    triplets; beyond that pairs are uniformly subsampled (deterministically)
-    down to PAIR_SUBSAMPLE_TARGET.  ``stats``, if given, is filled with
-    pair-stage counters.
+    sparse channel.  Pairs are visited as pairs of count-table cells, weighted
+    by the product of their counts.  All pairs are processed up to
+    SIEVE_FULL_PAIR_LIMIT records; beyond that pairs are uniformly
+    subsampled (deterministically) down to PAIR_SUBSAMPLE_TARGET.
+    ``stats``, if given, is filled with pair-stage counters.
     """
-    if threshold <= 0:
+    if not threshold > 0:
         raise ValueError("threshold must be positive")
-    n, js, xors = _triplet_arrays(triplets)
-    if len(set(js.tolist())) < 2:
+    n, m_count = record.n, len(record)
+    js, xs, counts = table = _count_table(record)
+    bases, starts = np.unique(js, return_index=True)
+    if len(bases) < 2:
         raise SingleBaseError("sieve needs triplets from at least two distinct bases")
-
-    groups = Counter(zip(js.tolist(), xors.tolist()))
-    items = sorted(groups.items())
-
-    total_pairs = 0
-    for i, ((ja, _), ca) in enumerate(items):
-        for (jb, _), cb in items[i + 1 :]:
-            if ja != jb:
-                total_pairs += ca * cb
-
+    total_pairs = (m_count**2 - int(np.sum(np.add.reduceat(counts, starts) ** 2))) // 2
     keep_fraction = 1.0
-    if len(triplets) > SIEVE_FULL_PAIR_LIMIT and total_pairs > PAIR_SUBSAMPLE_TARGET:
+    if m_count > SIEVE_FULL_PAIR_LIMIT and total_pairs > PAIR_SUBSAMPLE_TARGET:
         keep_fraction = PAIR_SUBSAMPLE_TARGET / total_pairs
-        logger.info(
-            "sieve subsampling %.3g%% of %d pairs", 100 * keep_fraction, total_pairs
-        )
+        logger.info("sieve subsampling %.3g%% of %d pairs", 100 * keep_fraction, total_pairs)
     sub_rng = _campaign_rng(0, _TAG_SIEVE_SUBSAMPLE)
 
-    votes: Counter[PauliLabel] = Counter()
-    pairs_processed = 0
-    for i, ((ja, pa), ca) in enumerate(items):
-        cls_a = mub_class(n, ja)
-        for (jb, pb), cb in items[i + 1 :]:
-            if ja == jb:
-                continue
-            weight = ca * cb
-            if keep_fraction < 1.0:
-                weight = int(sub_rng.binomial(weight, keep_fraction))
-                if weight == 0:
-                    continue
-            label = solve_label_from_constraints(cls_a, pa, mub_class(n, jb), pb)
-            votes[label] += weight
-            pairs_processed += weight
+    # The cells of each base paired with every later cell, which lies in a
+    # later base; pairs are numbered in that (anchor cell, later cell) order.
+    tallies, numbered = [], 0
+    for ja, start, stop in zip(bases[:-1], starts, starts[1:]):
+        later, system = np.unique(js[stop:], return_inverse=True)
+        sols = constraint_solutions(mub_class(n, int(ja)), [mub_class(n, int(j)) for j in later])
+        labels = gf2_apply(sols[system], xs[start:stop, None] | (xs[None, stop:] << n)).ravel()
+        weights = (counts[start:stop, None] * counts[None, stop:]).ravel()
+        if keep_fraction < 1.0:
+            weights = sub_rng.binomial(weights, keep_fraction)
+        kept = np.flatnonzero(weights)
+        uniq, first, inverse = np.unique(labels[kept], return_index=True, return_inverse=True)
+        tallies.append((uniq, np.bincount(inverse, weights[kept]), numbered + kept[first]))
+        numbered += len(labels)
+    labels, votes, first = (np.concatenate(col) for col in zip(*tallies))
+    candidates, earliest, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    votes = np.bincount(inverse, votes)
 
-    results = []
-    for label, _ in votes.most_common():
-        est = _diag_from_arrays(n, js, xors, label)
-        if est.value > threshold:
-            results.append((label, est))
-    results.sort(key=lambda pair: pair[1].value, reverse=True)
-
+    values, errors = _diag_readout(n, table, candidates)
+    order = np.lexsort((first[earliest], -votes, -values))  # by value, votes, first vote
+    results = [
+        (PauliLabel(n, int(v) & (2**n - 1), int(v) >> n), Estimate(float(x), float(e), m_count))
+        for v, x, e in zip(candidates[order], values[order], errors[order])
+        if x > threshold
+    ]
     if stats is not None:
-        stats.update(
-            pairs_processed=pairs_processed,
-            total_pairs=total_pairs,
-            candidates=len(votes),
-            subsampled=keep_fraction < 1.0,
-        )
+        stats.update(pairs_processed=int(np.sum(votes)), total_pairs=total_pairs,
+                     candidates=len(candidates), subsampled=keep_fraction < 1.0)
     return results
 
 
@@ -462,20 +481,13 @@ def parse_bits(text: str, n: int) -> int:
     return sum(1 << i for i, c in enumerate(text) if c == "1")
 
 
-def triplet_log_header(n: int, seed: int, m_count: int, channel_hash: str) -> str:
-    return (
-        f"# {TRIPLET_LOG_VERSION} n={n} seed={seed} M={m_count} channel={channel_hash}"
-    )
-
-
-def write_triplet_log(
-    path, triplets: list[Triplet], seed: int, channel_hash: str
-) -> None:
-    n, _, _ = _triplet_arrays(triplets)
+def write_triplet_log(path, record: TripletRecord, seed: int, channel_hash: str) -> None:
+    n = record.n
+    header = f"# {TRIPLET_LOG_VERSION} n={n} seed={seed} M={len(record)} channel={channel_hash}"
     with open(path, "w") as fh:
-        fh.write(triplet_log_header(n, seed, len(triplets), channel_hash) + "\n")
-        for t in triplets:
-            fh.write(f"{t.J}\t{format_bits(t.k, n)}\t{format_bits(t.k_prime, n)}\n")
+        fh.write(header + "\n")
+        for j, k, kp in zip(record.J.tolist(), record.k.tolist(), record.k_prime.tolist()):
+            fh.write(f"{j}\t{format_bits(k, n)}\t{format_bits(kp, n)}\n")
 
 
 _HEADER_RE = re.compile(
@@ -483,8 +495,8 @@ _HEADER_RE = re.compile(
 )
 
 
-def read_triplet_log(path) -> tuple[list[Triplet], dict]:
-    """Parse a triplet log; returns (triplets, header metadata)."""
+def read_triplet_log(path) -> tuple[TripletRecord, dict]:
+    """Parse a triplet log; returns (record, header metadata)."""
     try:
         with open(path) as fh:
             lines = fh.read().splitlines()
@@ -495,23 +507,21 @@ def read_triplet_log(path) -> tuple[list[Triplet], dict]:
     match = _HEADER_RE.match(lines[0])
     if not match:
         raise TripletLogError(f"bad triplet log header: {lines[0]!r}")
-    n, seed, m_count = (int(g) for g in match.groups()[:3])
+    try:  # int() refuses more than sys.get_int_max_str_digits() digits
+        n, seed, m_count = (int(g) for g in match.groups()[:3])
+    except ValueError as exc:
+        raise TripletLogError(f"bad triplet log header: {exc}") from exc
     meta = {"n": n, "seed": seed, "M": m_count, "channel": match.group(4)}
-    d = 2**n
-    triplets = []
+    if len(lines) - 1 != m_count:
+        raise TripletLogError(f"log claims M={m_count} but has {len(lines) - 1} triplets")
+    rows = []
     for i, line in enumerate(lines[1:], start=2):
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise TripletLogError(f"line {i}: expected J<TAB>k<TAB>k'")
         try:
-            j = int(parts[0])
-        except ValueError as exc:
-            raise TripletLogError(f"line {i}: bad base index {parts[0]!r}") from exc
-        if not 0 <= j <= d:
-            raise TripletLogError(f"line {i}: base index {j} out of range")
-        triplets.append(Triplet(n, j, parse_bits(parts[1], n), parse_bits(parts[2], n)))
-    if len(triplets) != m_count:
-        raise TripletLogError(
-            f"log claims M={m_count} but has {len(triplets)} triplets"
-        )
-    return triplets, meta
+            j, k, k_prime = line.split("\t")
+            rows.append((int(j), parse_bits(k, n), parse_bits(k_prime, n)))
+        except ValueError as exc:  # also a wrong number of fields
+            raise TripletLogError(f"line {i}: expected J<TAB>k<TAB>k' ({exc})") from exc
+    try:
+        return TripletRecord(n, *np.array(rows, dtype=np.int64).reshape(-1, 3).T), meta
+    except (ValueError, OverflowError) as exc:
+        raise TripletLogError(f"bad triplet log: {exc}") from exc

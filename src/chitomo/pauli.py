@@ -290,42 +290,68 @@ def commutation_vector(a: PauliLabel, cls: MubClass) -> int:
     return p
 
 
+def gf2_apply(cols: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Images of bit vectors under GF(2)-linear maps given by the images of
+    the unit vectors: XOR of cols[..., b] over the set bits b of each vector.
+    cols (..., w) and vectors (...) broadcast against each other."""
+    out = np.zeros(np.broadcast_shapes(cols.shape[:-1], np.shape(vectors)), dtype=np.int64)
+    for b in range(cols.shape[-1]):
+        out ^= ((vectors >> b) & 1) * cols[..., b]
+    return out
+
+
+def commutation_columns(classes: list[MubClass]) -> np.ndarray:
+    """cols[c, b]: commutation vector w.r.t. classes[c] of the b-th unit packed label.
+
+    A packed label holds x_bits in its low n bits and z_bits above them; it
+    anticommutes with generator g iff parity(label & (g.z_bits | g.x_bits << n))
+    is 1, and ``gf2_apply(cols[c], label)`` is its commutation vector.
+    """
+    n = classes[0].n
+    rows = np.array([[g.z_bits | (g.x_bits << n) for g in cls.generators] for cls in classes])
+    bits = (rows[:, None, :] >> np.arange(2 * n)[:, None]) & 1
+    return np.sum(bits << np.arange(n), axis=-1)
+
+
+def constraint_solutions(class_a: MubClass, classes_b: list[MubClass]) -> np.ndarray:
+    """Solvers of the commutation constraints of class_a paired with each of classes_b.
+
+    sols[s, r] is the packed label whose commutation vectors are e_r w.r.t.
+    class_a (r < n) or e_(r-n) w.r.t. classes_b[s] (r >= n), so the label
+    with vectors p_a and p_b is ``gf2_apply(sols[s], p_a | p_b << n)``.
+    The 2n generators of two distinct classes span the symplectic space, so
+    each map label -> (p_a, p_b) is invertible; all are inverted together by
+    one batched Gauss-Jordan elimination.  A singular system indicates
+    corrupted classes and raises RuntimeError.
+    """
+    n, w = class_a.n, 2 * class_a.n
+    if any(cls.J == class_a.J for cls in classes_b):
+        raise ValueError("constraint classes must be distinct")
+    cols = commutation_columns([class_a, *classes_b])
+    # Row b: the image p_a | p_b << n of unit label b, tagged with b at bit w + b.
+    # Row operations keep every tag the label of its row's image.
+    aug = cols[:1] | (cols[1:] << n) | (1 << (w + np.arange(w)))
+    systems = np.arange(len(aug))
+    for col in range(w):
+        free = (aug[:, col:] >> col) & 1
+        if not np.all(np.any(free, axis=1)):
+            raise RuntimeError("singular commutation-constraint system; MUB class "
+                               "generators failed to span the symplectic space")
+        pivot_at = col + np.argmax(free, axis=1)
+        pivot = aug[systems, pivot_at]
+        aug[systems, pivot_at] = aug[:, col]
+        aug ^= ((aug >> col) & 1) * pivot[:, None]
+        aug[:, col] = pivot
+    return aug >> w
+
+
 def solve_label_from_constraints(
     class_a: MubClass, p_a: int, class_b: MubClass, p_b: int
 ) -> PauliLabel:
     """Unique label with commutation vector p_a w.r.t. class_a and p_b w.r.t. class_b.
 
-    The 2n generators of two distinct classes span the symplectic space, so
-    the 2n x 2n GF(2) system always has exactly one solution; a singular
-    system indicates corrupted classes and raises RuntimeError.
+    The single-system case of :func:`constraint_solutions`.
     """
-    if class_a.J == class_b.J:
-        raise ValueError("constraint classes must be distinct")
     n = class_a.n
-    if class_b.n != n:
-        raise ValueError(f"mismatched qubit counts: {n} vs {class_b.n}")
-    w = 2 * n
-    # Unknown v packs x_bits in the low n bits and z_bits in the high n bits;
-    # the equation for generator g reads <v, g.z | g.x> = p bit.
-    rows = []
-    for cls, p in ((class_a, p_a), (class_b, p_b)):
-        for i, g in enumerate(cls.generators):
-            rows.append(g.z_bits | (g.x_bits << n) | (((p >> i) & 1) << w))
-    pivots: dict[int, int] = {}
-    for col in range(w):
-        bit = 1 << col
-        idx = next((i for i, r in enumerate(rows) if r & bit), None)
-        if idx is None:
-            raise RuntimeError(
-                "singular commutation-constraint system; MUB class generators "
-                "failed to span the symplectic space"
-            )
-        piv = rows.pop(idx)
-        rows = [r ^ piv if r & bit else r for r in rows]
-        pivots = {c: (r ^ piv if r & bit else r) for c, r in pivots.items()}
-        pivots[col] = piv
-    v = 0
-    for col, r in pivots.items():
-        v |= ((r >> w) & 1) << col
-    mask = (1 << n) - 1
-    return PauliLabel(n, v & mask, v >> n)
+    v = int(gf2_apply(constraint_solutions(class_a, [class_b])[0], p_a | (p_b << n)))
+    return PauliLabel(n, v & ((1 << n) - 1), v >> n)

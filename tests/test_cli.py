@@ -284,6 +284,51 @@ class TestSieveCommand:
         assert json.loads(err)["error"] == "single_base"
 
 
+def _log_with_header(tmp_path, name, n, m_count, body=""):
+    log = tmp_path / name
+    log.write_text(
+        f"# seqpt-triplets v1 n={n} seed=0 M={m_count} channel={'0' * 64}\n{body}"
+    )
+    return str(log)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate-diag", "--channel", "{dep}", "--m", "Z", "--M", "0"],
+        ["estimate-diag", "--channel", "{dep}", "--m", "Z", "--M", "-5"],
+        ["estimate-diag", "--channel", "{dep}", "--m", "Z", "--epsilon", "0"],
+        ["estimate-offdiag", "--channel", "{dep}", "--m", "Z", "--n-label", "X",
+         "--epsilon", "2"],
+        ["triplets", "--channel", "{dep}", "--out", "{out}"],
+        ["triplets", "--channel", "{dep}", "--M", "0", "--out", "{out}"],
+        ["sieve", "--log", "{log}", "--threshold", "0"],
+        ["verify", "--n", "0"],
+        ["diag-from-log", "--log", "{m0}", "--m", "Z"],
+        ["diag-from-log", "--log", "{n13}", "--m", "I" * 13],
+        ["diag-from-log", "--log", "{n0}", "--m", "I"],
+        ["diag-from-log", "--log", "{huge_n}", "--m", "I"],
+    ],
+)
+def test_bad_arguments_and_logs_exit_2(capsys, specs, tmp_path, argv):
+    log = tmp_path / "ok.log"
+    run(capsys, "triplets", "--channel", specs["dep"][0], "--M", "20", "--out", str(log))
+    paths = {
+        "dep": specs["dep"][0],
+        "out": str(tmp_path / "new.log"),
+        "log": str(log),
+        "m0": _log_with_header(tmp_path, "m0.log", 1, 0),
+        "n13": _log_with_header(
+            tmp_path, "n13.log", 13, 1, "0\t" + "0" * 13 + "\t" + "0" * 13 + "\n"
+        ),
+        "n0": _log_with_header(tmp_path, "n0.log", 0, 1, "0\t\t\n"),
+        "huge_n": _log_with_header(tmp_path, "huge.log", "1" * 5000, 1, "0\t0\t0\n"),
+    }
+    code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 2
+    assert json.loads(err)["error"] in ("bad_arguments", "malformed_input")
+
+
 class TestVerify:
     def test_quick_single_qubit(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "1")

@@ -11,8 +11,8 @@ from chitomo.channels import channel_factory, matrix_to_json, modified_channel_d
 from chitomo.estimator import (
     Estimate,
     EstimatorConfig,
-    Triplet,
     TripletLogError,
+    TripletRecord,
     estimate_chi_diag,
     estimate_chi_offdiag,
     estimate_diag_from_triplets,
@@ -24,6 +24,7 @@ from chitomo.estimator import (
     run_triplet_experiments,
     sieve_large_diagonals,
     write_triplet_log,
+    _distinct_states,
 )
 from chitomo.oracle import (
     exact_ancilla_polarization,
@@ -32,7 +33,7 @@ from chitomo.oracle import (
     random_channel,
     random_label,
 )
-from chitomo.pauli import PauliLabel, commutation_vector, mub_class
+from chitomo.pauli import PauliLabel, all_labels, commutation_vector, mub_class
 
 
 def L(s):
@@ -269,26 +270,38 @@ class TestStatisticalBehaviour:
         assert 0.375 < ratio < 0.625
 
 
+def test_distinct_states_match_sorting_reference():
+    rng = np.random.default_rng(3)
+    for d, m_count in ((2, 1), (2, 500), (8, 100), (16, 5000)):
+        js = rng.integers(0, d + 1, size=m_count)
+        ks = rng.integers(0, d, size=m_count)
+        bases, uk, inverse = _distinct_states(js, ks, d)
+        uniq, want_inverse = np.unique(js * d + ks, return_inverse=True)
+        assert np.array_equal(uk, uniq % d)
+        assert np.array_equal(inverse, want_inverse)
+        assert [j for j, _ in bases] == np.unique(js).tolist()
+        for j, sl in bases:
+            assert np.all(uniq[sl] // d == j)
+
+
 class TestTripletExperiments:
     def test_identity_channel_returns_prepared_state(self):
         trips = run_triplet_experiments(IDENT1, EstimatorConfig(M=200, seed=1))
         assert len(trips) == 200
-        assert all(t.k_prime == t.k for t in trips)
+        assert np.array_equal(trips.k_prime, trips.k)
 
     def test_bit_flip_channel_shifts_by_commutation_vector(self):
         flip = channel_factory({"n": 1, "kind": "pauli_mixture", "weights": {"X": 1.0}})
         trips = run_triplet_experiments(flip, EstimatorConfig(M=200, seed=2))
         x = L("X")
-        for t in trips:
-            p = commutation_vector(x, mub_class(1, t.J))
-            assert t.k_prime == t.k ^ p
+        for j, k, k_prime in zip(trips.J, trips.k, trips.k_prime):
+            p = commutation_vector(x, mub_class(1, int(j)))
+            assert k_prime == k ^ p
 
     def test_full_depolarizing_is_uniform_given_state(self):
         dep = channel_factory({"n": 2, "kind": "depolarizing", "p": 1.0})
         trips = run_triplet_experiments(dep, EstimatorConfig(M=10_000, seed=3))
-        counts = np.zeros(4)
-        for t in trips:
-            counts[t.k_prime] += 1
+        counts = np.bincount(trips.k_prime, minlength=4)
         assert stats.chisquare(counts).pvalue > 0.001
 
     def test_deterministic_under_seed(self):
@@ -314,6 +327,21 @@ class TestDiagFromTriplets:
             est = estimate_diag_from_triplets(trips, L(label))
             assert abs(est.value - weight) < 5 * est.std_error
 
+    def test_count_table_matches_record_scan(self):
+        """Every label at n=2 against a per-record scan of the same record."""
+        channel = random_channel(2, np.random.default_rng(31))
+        trips = run_triplet_experiments(channel, EstimatorConfig(M=700, seed=31))
+        d = 4
+        for label in all_labels(2):
+            stats_ = [
+                ((d + 1) * (k ^ kp == commutation_vector(label, mub_class(2, int(j)))) - 1) / d
+                for j, k, kp in zip(trips.J, trips.k, trips.k_prime)
+            ]
+            est = estimate_diag_from_triplets(trips, label)
+            assert abs(est.value - np.mean(stats_)) < 1e-12
+            assert abs(est.std_error - np.std(stats_, ddof=1) / math.sqrt(700)) < 1e-12
+            assert est.M == 700
+
     def test_agrees_with_direct_estimator(self):
         trips = run_triplet_experiments(MIX2, EstimatorConfig(M=30_000, seed=6))
         direct = estimate_chi_diag(MIX2, L("XI"), EstimatorConfig(M=30_000, seed=7))
@@ -323,12 +351,25 @@ class TestDiagFromTriplets:
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            estimate_diag_from_triplets([], L("I"))
-        mixed = [Triplet(1, 0, 0, 0), Triplet(2, 0, 0, 0)]
+            TripletRecord(1, [], [], [])
         with pytest.raises(ValueError):
-            estimate_diag_from_triplets(mixed, L("I"))
+            estimate_diag_from_triplets(TripletRecord(1, [0], [0], [0]), L("XX"))
+
+    @pytest.mark.parametrize(
+        "n, columns",
+        [
+            (1, ([0, 1], [0], [0, 0])),  # unequal lengths
+            (0, ([0], [0], [0])),
+            (13, ([0], [0], [0])),
+            (1, ([3], [0], [0])),  # J > D
+            (1, ([-1], [0], [0])),
+            (2, ([0], [4], [0])),  # k >= D
+            (2, ([0], [0], [-1])),
+        ],
+    )
+    def test_record_rejects_bad_columns(self, n, columns):
         with pytest.raises(ValueError):
-            estimate_diag_from_triplets([Triplet(1, 0, 0, 0)], L("XX"))
+            TripletRecord(n, *columns)
 
 
 class TestSieve:
@@ -375,13 +416,31 @@ class TestSieve:
         assert stats_out["pairs_processed"] <= 13_000_000
         assert {str(lbl) for lbl, _ in found} == {"I", "X"}
 
+    def test_synthetic_pauli_log_above_dense_cap(self):
+        """n=7 records drawn from a Pauli channel with commutation vectors only."""
+        n, m_count = 7, 1500
+        weights = {"I" * n: 0.6, "X" + "I" * (n - 1): 0.25, "IZZ" + "I" * (n - 3): 0.15}
+        labels = [L(a) for a in weights]
+        rng = np.random.default_rng(70)
+        js = rng.integers(0, 2**n + 1, size=m_count)
+        ks = rng.integers(0, 2**n, size=m_count)
+        drawn = rng.choice(len(labels), size=m_count, p=list(weights.values()))
+        k_primes = [
+            k ^ commutation_vector(labels[a], mub_class(n, int(j)))
+            for j, k, a in zip(js, ks, drawn)
+        ]
+        stats_out: dict = {}
+        found = sieve_large_diagonals(TripletRecord(n, js, ks, k_primes), 0.08, stats_out)
+        assert [str(lbl) for lbl, _ in found] == list(weights)
+        for (_, est), weight in zip(found, weights.values()):
+            assert abs(est.value - weight) < 5 * est.std_error
+        assert not stats_out["subsampled"]
+
     def test_input_validation(self):
-        single = [Triplet(1, 0, 0, 0), Triplet(1, 0, 1, 1)]
+        single = TripletRecord(1, [0, 0], [0, 1], [0, 1])
         with pytest.raises(ValueError):
             sieve_large_diagonals(single, 0.5)
-        with pytest.raises(ValueError):
-            sieve_large_diagonals([], 0.5)
-        both = [Triplet(1, 0, 0, 0), Triplet(1, 1, 0, 0)]
+        both = TripletRecord(1, [0, 1], [0, 0], [0, 0])
         with pytest.raises(ValueError):
             sieve_large_diagonals(both, 0.0)
 
@@ -455,5 +514,9 @@ class TestTripletLogs:
         path.write_text(header + "0\t0\t0\n0 0 0\n")  # wrong separator
         with pytest.raises(TripletLogError):
             read_triplet_log(path)
+        for bits in ("2", "01", ""):  # not a 1-bit string
+            path.write_text(header + f"0\t0\t0\n1\t{bits}\t0\n")
+            with pytest.raises(TripletLogError):
+                read_triplet_log(path)
         with pytest.raises(TripletLogError):
             read_triplet_log(tmp_path / "missing.log")
