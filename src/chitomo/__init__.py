@@ -40,15 +40,7 @@ from .channels import (
     modified_channel_offdiag,
     validate_chi,
 )
-from .mub import (
-    DesignStateId,
-    design_average_survival,
-    design_basis,
-    measure_in_base,
-    mub_state,
-    sample_design_state,
-    transition_target,
-)
+from .mub import design_average_survival, design_basis
 from .estimator import (
     Estimate,
     EstimatorConfig,

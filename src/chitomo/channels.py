@@ -252,7 +252,7 @@ def matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
 def canonical_spec_bytes(spec: dict) -> bytes:
     """Canonical serialization used for hashing and log headers."""
     try:
-        return json.dumps(spec, sort_keys=True, separators=(",", ":")).encode()
+        return json.dumps(spec, sort_keys=True, separators=(",", ":"), allow_nan=False).encode()
     except (TypeError, ValueError) as exc:
         raise ChannelSpecError(f"spec is not JSON-serializable: {exc}") from exc
 
@@ -271,6 +271,7 @@ def load_channel_spec(path) -> dict:
         raise ChannelSpecError(f"channel spec is not valid JSON: {exc}") from exc
     if not isinstance(spec, dict):
         raise ChannelSpecError("channel spec must be a JSON object")
+    canonical_spec_bytes(spec)  # refuses NaN, Infinity and numbers that overflow to them
     return spec
 
 
@@ -324,11 +325,11 @@ def channel_factory(spec: dict) -> KrausSet:
                 raise ChannelSpecError(f"bad Pauli string {key!r}: {exc}") from exc
             if a.n != n:
                 raise ChannelSpecError(f"weight key {key!r} has wrong qubit count")
-            if not isinstance(w, (int, float)) or w < 0:
+            if not isinstance(w, (int, float)) or not w >= 0:
                 raise ChannelSpecError(f"weight for {key!r} must be >= 0")
             weights[a] = float(w)
         total = sum(weights.values())
-        if abs(total - 1) > 1e-9:
+        if not abs(total - 1) <= 1e-9:
             raise ChannelSpecError(f"mixture weights sum to {total!r}, expected 1")
         return _mixture_kraus(n, weights)
 
@@ -345,14 +346,14 @@ def channel_factory(spec: dict) -> KrausSet:
             if g.n != n:
                 raise ChannelSpecError("generator has wrong qubit count")
             theta = spec.get("theta")
-            if not isinstance(theta, (int, float)):
-                raise ChannelSpecError("unitary generator needs numeric 'theta'")
+            if not isinstance(theta, (int, float)) or not np.isfinite(theta):
+                raise ChannelSpecError("unitary generator needs a finite numeric 'theta'")
             # exp(-i theta P / 2) for an involutory generator P
             u = np.cos(theta / 2) * np.eye(d) - 1j * np.sin(theta / 2) * pauli_matrix(g)
         else:
             raise ChannelSpecError("unitary needs 'matrix' or 'generator'")
         dev = float(np.max(np.abs(u @ u.conj().T - np.eye(d))))
-        if dev > 1e-9:
+        if not dev <= 1e-9:
             raise ChannelSpecError(f"matrix is not unitary (deviation {dev:.3e})")
         return KrausSet(n, (u,))
 
@@ -380,7 +381,7 @@ def channel_factory(spec: dict) -> KrausSet:
         )
         k = KrausSet(n, ops)
         dev = kraus_completeness_deviation(k)
-        if dev > 1e-6:
+        if not dev <= 1e-6:
             raise ChannelSpecError(f"Kraus set not complete (deviation {dev:.3e})")
         return k
 

@@ -7,11 +7,12 @@ Four protocols:
   sigma_x for the real part, sigma_y for the imaginary part),
 * batched diagonal from a shared triplet log (no per-coefficient hardware),
 * the sieve, which recovers every heavy diagonal of a sparse channel from
-  pairwise commutation constraints.
+  the commutation constraints of every pair of records.
 
 Randomness is counter-based: each campaign owns a Philox stream keyed by
 (seed, campaign tag) and draws a fixed layout per experiment index, so runs
-are reproducible and order-independent regardless of evaluation order.
+are reproducible and order-independent regardless of evaluation order.  The
+two log protocols draw nothing: they are deterministic readouts of the log.
 
 Estimates are never clipped or projected; a slightly negative chi-hat is
 honest shot noise and callers decide what to do with it.
@@ -19,7 +20,6 @@ honest shot noise and callers decide what to do with it.
 
 from __future__ import annotations
 
-import logging
 import math
 import re
 from dataclasses import asdict, dataclass
@@ -40,19 +40,11 @@ from .pauli import (
     pauli_matrix,
 )
 
-logger = logging.getLogger(__name__)
-
 # Campaign tags keying the per-protocol Philox streams.
 _TAG_DIAG = 1
 _TAG_OFFDIAG_X = 2
 _TAG_OFFDIAG_Y = 3
 _TAG_TRIPLETS = 4
-_TAG_SIEVE_SUBSAMPLE = 5
-
-# Above this many triplets the sieve's pair stage subsamples down to
-# PAIR_SUBSAMPLE_TARGET pairs instead of processing every pair.
-SIEVE_FULL_PAIR_LIMIT = 5000
-PAIR_SUBSAMPLE_TARGET = 12_500_000
 
 TRIPLET_LOG_VERSION = "seqpt-triplets v1"
 
@@ -362,11 +354,10 @@ def sieve_large_diagonals(
     Each pair of records from distinct bases pins down the unique label
     consistent with both transition patterns; tallying those candidates and
     re-estimating each one from the full log recovers the heavy support of a
-    sparse channel.  Pairs are visited as pairs of count-table cells, weighted
-    by the product of their counts.  All pairs are processed up to
-    SIEVE_FULL_PAIR_LIMIT records; beyond that pairs are uniformly
-    subsampled (deterministically) down to PAIR_SUBSAMPLE_TARGET.
-    ``stats``, if given, is filled with pair-stage counters.
+    sparse channel.  Pairs are visited as pairs of count-table cells: every
+    cell pair votes for its label with the product of the two counts, so every
+    record pair is counted and none is sampled.  ``stats``, if given, is
+    filled with pair-stage counters.
     """
     if not threshold > 0:
         raise ValueError("threshold must be positive")
@@ -376,11 +367,6 @@ def sieve_large_diagonals(
     if len(bases) < 2:
         raise SingleBaseError("sieve needs triplets from at least two distinct bases")
     total_pairs = (m_count**2 - int(np.sum(np.add.reduceat(counts, starts) ** 2))) // 2
-    keep_fraction = 1.0
-    if m_count > SIEVE_FULL_PAIR_LIMIT and total_pairs > PAIR_SUBSAMPLE_TARGET:
-        keep_fraction = PAIR_SUBSAMPLE_TARGET / total_pairs
-        logger.info("sieve subsampling %.3g%% of %d pairs", 100 * keep_fraction, total_pairs)
-    sub_rng = _campaign_rng(0, _TAG_SIEVE_SUBSAMPLE)
 
     # The cells of each base paired with every later cell, which lies in a
     # later base; pairs are numbered in that (anchor cell, later cell) order.
@@ -390,11 +376,8 @@ def sieve_large_diagonals(
         sols = constraint_solutions(mub_class(n, int(ja)), [mub_class(n, int(j)) for j in later])
         labels = gf2_apply(sols[system], xs[start:stop, None] | (xs[None, stop:] << n)).ravel()
         weights = (counts[start:stop, None] * counts[None, stop:]).ravel()
-        if keep_fraction < 1.0:
-            weights = sub_rng.binomial(weights, keep_fraction)
-        kept = np.flatnonzero(weights)
-        uniq, first, inverse = np.unique(labels[kept], return_index=True, return_inverse=True)
-        tallies.append((uniq, np.bincount(inverse, weights[kept]), numbered + kept[first]))
+        uniq, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+        tallies.append((uniq, np.bincount(inverse, weights), numbered + first))
         numbered += len(labels)
     labels, votes, first = (np.concatenate(col) for col in zip(*tallies))
     candidates, earliest, inverse = np.unique(labels, return_index=True, return_inverse=True)
@@ -409,7 +392,7 @@ def sieve_large_diagonals(
     ]
     if stats is not None:
         stats.update(pairs_processed=int(np.sum(votes)), total_pairs=total_pairs,
-                     candidates=len(candidates), subsampled=keep_fraction < 1.0)
+                     candidates=len(candidates))
     return results
 
 

@@ -12,40 +12,16 @@ from __future__ import annotations
 
 import functools
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import (
-    DENSE_QUBIT_CAP,
-    DenseCapError,
-    PauliLabel,
-    commutation_vector,
-    mub_class,
-    pauli_matrix,
-)
+from .pauli import DENSE_QUBIT_CAP, DenseCapError, mub_class, pauli_matrix
 
 logger = logging.getLogger(__name__)
 
 # A design-state amplitude is either ~0 or at least 1/sqrt(D), so anything
 # above this threshold is a genuine nonzero entry.
 _AMPLITUDE_EPS = 1e-8
-
-
-@dataclass(frozen=True)
-class DesignStateId:
-    """One of the D(D+1) design states: base J (0..D), eigenvalue bits k."""
-
-    n: int
-    J: int
-    k: int
-
-    def __post_init__(self):
-        d = 2**self.n
-        if not 0 <= self.J <= d:
-            raise ValueError(f"base index J={self.J} out of range for n={self.n}")
-        if not 0 <= self.k < d:
-            raise ValueError(f"state index k={self.k} out of range for n={self.n}")
 
 
 @functools.lru_cache(maxsize=64)
@@ -79,11 +55,6 @@ def _build_state(gens: list[np.ndarray], k: int, d: int) -> np.ndarray:
     raise RuntimeError(f"no fiducial survives the projectors for k={k}")
 
 
-def mub_state(sid: DesignStateId) -> np.ndarray:
-    """The unit state vector for a design-state id (phase-fixed)."""
-    return design_basis(sid.n, sid.J)[:, sid.k].copy()
-
-
 def design_average_survival(op1: np.ndarray, op2: np.ndarray) -> complex:
     """Average of <psi|op1|psi><psi|op2|psi> over the full design.
 
@@ -105,28 +76,6 @@ def design_average_survival(op1: np.ndarray, op2: np.ndarray) -> complex:
     return complex(total / (d * (d + 1)))
 
 
-def sample_design_state(n: int, rng: np.random.Generator) -> DesignStateId:
-    """Uniform draw over all D(D+1) design states; never builds vectors."""
-    d = 2**n
-    return DesignStateId(n, int(rng.integers(0, d + 1)), int(rng.integers(0, d)))
-
-
-def transition_target(sid: DesignStateId, a: PauliLabel) -> DesignStateId:
-    """Where a Pauli sends a design state: same base, k XOR p (up to phase)."""
-    if a.n != sid.n:
-        raise ValueError("label and state qubit counts differ")
-    p = commutation_vector(a, mub_class(sid.n, sid.J))
-    return DesignStateId(sid.n, sid.J, sid.k ^ p)
-
-
-def base_probabilities(rho: np.ndarray, J: int) -> np.ndarray:
-    """Outcome distribution over the D states of base J for a state rho."""
-    d = rho.shape[0]
-    n = d.bit_length() - 1
-    b = design_basis(n, J)
-    return as_distribution(np.einsum("ik,ij,jk->k", b.conj(), rho, b, optimize=True).real, J)
-
-
 def as_distribution(probs: np.ndarray, J: int) -> np.ndarray:
     """Check and tidy base-J outcome probabilities (one row per last axis).
 
@@ -143,9 +92,3 @@ def as_distribution(probs: np.ndarray, J: int) -> np.ndarray:
     if clip_mag > 0:
         logger.debug("clamped negative probability mass %.3e in base %d", clip_mag, J)
     return clamped / np.sum(clamped, axis=-1, keepdims=True)
-
-
-def measure_in_base(rho: np.ndarray, J: int, rng: np.random.Generator) -> int:
-    """Sample a measurement outcome k' in base J from a density matrix."""
-    probs = base_probabilities(rho, J)
-    return int(rng.choice(len(probs), p=probs))

@@ -278,12 +278,20 @@ class TestChannelFactory:
             {"n": 1, "kind": "pauli_mixture", "weights": {"XX": 1.0}},
             {"n": 1, "kind": "pauli_mixture", "weights": {"X": 0.6, "Z": 0.6}},
             {"n": 1, "kind": "pauli_mixture", "weights": {"X": 1.5, "Z": -0.5}},
+            {"n": 1, "kind": "pauli_mixture", "weights": {"I": float("nan"), "X": 1.0}},
             {"n": 1, "kind": "unitary"},
             {"n": 1, "kind": "unitary", "generator": "X"},
+            {"n": 1, "kind": "unitary", "generator": "X", "theta": float("nan")},
+            {"n": 1, "kind": "unitary", "generator": "X", "theta": float("inf")},
             {"n": 1, "kind": "unitary", "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]},
             {"n": 1, "kind": "amplitude_damping", "gamma": -0.1},
             {"n": 1, "kind": "kraus", "operators": []},
             {"n": 1, "kind": "kraus", "operators": [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]]]},
+            {
+                "n": 1,
+                "kind": "kraus",
+                "operators": [[[[1, 0], [0, 0]], [[0, 0], [float("nan"), 0]]]],
+            },
             {"n": 1, "kind": "compose", "children": []},
             {
                 "n": 2,

@@ -329,6 +329,26 @@ def test_bad_arguments_and_logs_exit_2(capsys, specs, tmp_path, argv):
     assert json.loads(err)["error"] in ("bad_arguments", "malformed_input")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": 1, "kind": "pauli_mixture", "weights": {"I": NaN, "X": 1.0}}',
+        '{"n": 1, "kind": "unitary", "generator": "X", "theta": NaN}',
+        '{"n": 1, "kind": "kraus", "operators": [[[[1, 0], [0, 0]], [[0, 0], [NaN, 0]]]]}',
+        '{"n": 1, "kind": "unitary", "generator": "X", "theta": Infinity}',
+        '{"n": 1, "kind": "unitary", "generator": "Z", "theta": 1e400}',
+    ],
+    ids=["nan-weight", "nan-theta", "nan-kraus-entry", "infinity-theta", "overflowing-theta"],
+)
+def test_non_finite_spec_numbers_exit_2(capsys, tmp_path, text):
+    """json.load accepts NaN, Infinity and overflowing literals; the CLI must not."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(text)
+    code, _, err = run(capsys, "estimate-diag", "--channel", str(spec), "--m", "X", "--M", "50")
+    assert code == 2
+    assert json.loads(err)["error"] == "malformed_input"
+
+
 class TestVerify:
     def test_quick_single_qubit(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "1")

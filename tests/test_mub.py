@@ -2,22 +2,13 @@
 
 import numpy as np
 import pytest
-from scipy import stats
 
-from chitomo.mub import (
-    DesignStateId,
-    base_probabilities,
-    design_average_survival,
-    design_basis,
-    measure_in_base,
-    mub_state,
-    sample_design_state,
-    transition_target,
-)
+from chitomo.mub import as_distribution, design_average_survival, design_basis
 from chitomo.oracle import haar_closed_form
 from chitomo.pauli import (
     DenseCapError,
     PauliLabel,
+    commutation_vector,
     label_from_index,
     mub_class,
     pauli_matrix,
@@ -26,11 +17,11 @@ from chitomo.pauli import (
 
 class TestStateConstruction:
     def test_computational_base_is_j0(self):
-        np.testing.assert_allclose(mub_state(DesignStateId(1, 0, 0)), [1, 0], atol=1e-15)
-        np.testing.assert_allclose(mub_state(DesignStateId(1, 0, 1)), [0, 1], atol=1e-15)
+        np.testing.assert_allclose(design_basis(1, 0)[:, 0], [1, 0], atol=1e-15)
+        np.testing.assert_allclose(design_basis(1, 0)[:, 1], [0, 1], atol=1e-15)
 
     def test_x_base_plus_state(self):
-        v = mub_state(DesignStateId(1, 1, 0))
+        v = design_basis(1, 1)[:, 0]
         np.testing.assert_allclose(v, [1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -40,7 +31,7 @@ class TestStateConstruction:
         for j in range(d + 1):
             gens = [pauli_matrix(g) for g in mub_class(n, j).generators]
             for k in range(d):
-                v = mub_state(DesignStateId(n, j, k))
+                v = design_basis(n, j)[:, k]
                 for i, g in enumerate(gens):
                     sign = -1.0 if (k >> i) & 1 else 1.0
                     np.testing.assert_allclose(g @ v, sign * v, atol=1e-10)
@@ -50,15 +41,13 @@ class TestStateConstruction:
         d = 2**n
         for j in range(d + 1):
             for k in range(d):
-                v = mub_state(DesignStateId(n, j, k))
+                v = design_basis(n, j)[:, k]
                 assert abs(np.linalg.norm(v) - 1) < 1e-12
                 first = v[np.argmax(np.abs(v) > 1e-8)]
                 assert first.real > 0 and abs(first.imag) < 1e-12
 
     def test_all_twenty_states_cross_unbiased_at_n2(self):
-        states = [
-            mub_state(DesignStateId(2, j, k)) for j in range(5) for k in range(4)
-        ]
+        states = [design_basis(2, j)[:, k] for j in range(5) for k in range(4)]
         for a in range(20):
             for b in range(20):
                 if a // 4 == b // 4:
@@ -73,13 +62,11 @@ class TestStateConstruction:
             b = design_basis(n, j)
             np.testing.assert_allclose(b.conj().T @ b, np.eye(d), atol=1e-10)
 
-    def test_invalid_ids_rejected(self):
+    def test_base_index_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            DesignStateId(1, 3, 0)
+            design_basis(1, 3)
         with pytest.raises(ValueError):
-            DesignStateId(1, 0, 2)
-        with pytest.raises(ValueError):
-            DesignStateId(2, -1, 0)
+            design_basis(2, -1)
 
     def test_dense_cap(self):
         with pytest.raises(DenseCapError):
@@ -110,85 +97,61 @@ class TestDesignAverage:
             design_average_survival(np.eye(2), np.eye(4))
 
 
-class TestSampling:
-    def test_uniform_over_six_single_qubit_states(self):
-        rng = np.random.default_rng(123)
-        counts = np.zeros(6)
-        for _ in range(60000):
-            sid = sample_design_state(1, rng)
-            counts[sid.J * 2 + sid.k] += 1
-        assert stats.chisquare(counts).pvalue > 0.001
-
-    def test_deterministic_under_seed(self):
-        draws = [
-            [sample_design_state(2, np.random.default_rng(42)) for _ in range(50)]
-            for _ in range(2)
-        ]
-        assert draws[0] == draws[1]
-
-    def test_large_n_never_builds_states(self):
-        rng = np.random.default_rng(0)
-        sid = sample_design_state(10, rng)
-        assert 0 <= sid.J <= 1024 and 0 <= sid.k < 1024
-
-
-class TestTransitionTarget:
-    def test_identity_fixes_everything(self):
-        sid = DesignStateId(2, 3, 2)
-        assert transition_target(sid, PauliLabel.identity(2)) == sid
-
+class TestPauliAction:
     def test_x_flips_computational_bit(self):
-        sid = DesignStateId(1, 0, 0)
-        out = transition_target(sid, PauliLabel.from_string("X"))
-        assert (out.J, out.k) == (0, 1)
+        b = design_basis(1, 0)
+        assert commutation_vector(PauliLabel.from_string("X"), mub_class(1, 0)) == 1
+        np.testing.assert_allclose(pauli_matrix(PauliLabel.from_string("X")) @ b[:, 0], b[:, 1])
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_matches_matrix_action_up_to_phase(self, n):
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_pauli_moves_state_within_its_base(self, n):
+        """P_a B_J[:, k] is, up to a phase, B_J[:, k XOR p_a(J)]: the identity
+        every protocol reads its survivals and transitions from."""
         rng = np.random.default_rng(n + 40)
         d = 2**n
-        for _ in range(70):
-            sid = DesignStateId(n, int(rng.integers(0, d + 1)), int(rng.integers(0, d)))
+        ks = np.arange(d)
+        for _ in range(24):
+            j = int(rng.integers(0, d + 1))
             a = label_from_index(n, int(rng.integers(0, 4**n)))
-            moved = pauli_matrix(a) @ mub_state(sid)
-            target = mub_state(transition_target(sid, a))
-            assert abs(abs(np.vdot(moved, target)) - 1) < 1e-10
+            b = design_basis(n, j)
+            target = b[:, ks ^ commutation_vector(a, mub_class(n, j))]
+            overlaps = np.abs(np.sum(target.conj() * (pauli_matrix(a) @ b), axis=0))
+            np.testing.assert_allclose(overlaps, 1, atol=1e-10)
 
-    def test_mismatched_n_rejected(self):
+
+def _base_probabilities(rho, n, j):
+    b = design_basis(n, j)
+    return np.einsum("ik,ij,jk->k", b.conj(), rho, b).real
+
+
+class TestAsDistribution:
+    def test_non_distribution_rejected(self):
         with pytest.raises(ValueError):
-            transition_target(DesignStateId(2, 0, 0), PauliLabel.from_string("X"))
-
-
-class TestMeasureInBase:
-    def test_eigenstate_measured_in_own_base(self):
-        rng = np.random.default_rng(5)
-        for j in range(5):
-            for k in range(4):
-                v = mub_state(DesignStateId(2, j, k))
-                rho = np.outer(v, v.conj())
-                assert all(measure_in_base(rho, j, rng) == k for _ in range(5))
-
-    def test_maximally_mixed_is_uniform(self):
-        rng = np.random.default_rng(6)
-        counts = np.zeros(4)
-        for _ in range(10000):
-            counts[measure_in_base(np.eye(4) / 4, 2, rng)] += 1
-        assert stats.chisquare(counts).pvalue > 0.001
-
-    def test_flipped_state_in_computational_base(self):
-        rng = np.random.default_rng(7)
-        rho = np.diag([0.0, 1.0]).astype(complex)  # X|0><0|X
-        assert all(measure_in_base(rho, 0, rng) == 1 for _ in range(10))
-
-    def test_invalid_density_matrix_rejected(self):
+            as_distribution(_base_probabilities(2 * np.eye(2), 1, 0), 0)
         with pytest.raises(ValueError):
-            base_probabilities(2 * np.eye(2), 0)
+            as_distribution(np.array([1.1, -0.1]), 0)
+        with pytest.raises(ValueError):
+            as_distribution(np.array([[0.5, 0.5], [0.7, 0.7]]), 0)
 
-    def test_distribution_sums_to_one(self):
+    def test_rows_sum_to_one(self):
         rng = np.random.default_rng(8)
         g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         rho = g @ g.conj().T
         rho /= np.trace(rho)
         for j in range(5):
-            probs = base_probabilities(rho, j)
-            assert abs(probs.sum() - 1) < 1e-12
+            rows = np.stack([
+                _base_probabilities(rho, 2, j),
+                _base_probabilities(np.eye(4) / 4, 2, j),
+                *(_base_probabilities(np.outer(v, v.conj()), 2, j) for v in design_basis(2, j).T),
+            ])
+            probs = as_distribution(rows, j)
+            np.testing.assert_allclose(probs.sum(axis=1), 1, atol=1e-12)
             assert probs.min() >= 0
+            np.testing.assert_allclose(probs[1], 0.25, atol=1e-12)
+            np.testing.assert_allclose(probs[2:], np.eye(4), atol=1e-12)
+
+    def test_tiny_negative_entries_clamped(self):
+        probs = as_distribution(np.array([[1 + 4e-8, -4e-8], [0.5, 0.5]]), 0)
+        assert probs.min() >= 0
+        np.testing.assert_allclose(probs, [[1, 0], [0.5, 0.5]], atol=1e-15)
+        np.testing.assert_allclose(probs.sum(axis=1), 1, atol=1e-15)

@@ -7,7 +7,14 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from chitomo.estimator import TripletRecord, read_triplet_log, write_triplet_log  # noqa: E402
-from chitomo.pauli import MUB_QUBIT_CAP, label_from_index, label_index  # noqa: E402
+from chitomo.pauli import (  # noqa: E402
+    MUB_QUBIT_CAP,
+    commutation_vector,
+    label_from_index,
+    label_index,
+    mub_class,
+    solve_label_from_constraints,
+)
 
 
 @st.composite
@@ -40,3 +47,14 @@ def test_label_index_round_trip(data, n):
     label = label_from_index(n, idx)
     assert label.n == n
     assert label_index(label) == idx
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(1, MUB_QUBIT_CAP))
+def test_label_recovered_from_two_bases(data, n):
+    """Two commutation vectors from distinct bases pin down the label (the sieve's pair step)."""
+    label = label_from_index(n, data.draw(st.integers(0, 4**n - 1)))
+    j_a, j_b = data.draw(st.lists(st.integers(0, 2**n), min_size=2, max_size=2, unique=True))
+    class_a, class_b = mub_class(n, j_a), mub_class(n, j_b)
+    p_a, p_b = commutation_vector(label, class_a), commutation_vector(label, class_b)
+    assert solve_label_from_constraints(class_a, p_a, class_b, p_b) == label
