@@ -40,7 +40,7 @@ from .estimator import (
     TripletLogError,
     estimate_chi_diag,
     estimate_chi_offdiag,
-    estimate_diag_from_triplets,
+    estimate_diags_from_triplets,
     estimation_report,
     read_triplet_log,
     run_triplet_experiments,
@@ -195,7 +195,8 @@ def cmd_diag_from_log(args) -> int:
     labels = [
         _parse_label(text, meta["n"]) for arg in args.m for text in arg.split(",")
     ]
-    entries = [("triplet_diag", m, None, estimate_diag_from_triplets(record, m)) for m in labels]
+    estimates = estimate_diags_from_triplets(record, labels)
+    entries = [("triplet_diag", m, None, est) for m, est in zip(labels, estimates)]
     oracles = [None if chi is None else complex(chi.entry(m, m).real) for m in labels]
     config = {"log": args.log, **meta}
     report = estimation_report(config, entries, oracles)

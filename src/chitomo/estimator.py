@@ -331,17 +331,25 @@ def _diag_readout(n: int, table: tuple, labels: np.ndarray) -> tuple[np.ndarray,
     return ((d + 1) * hits / m_count - 1) / d, (d + 1) / d * np.sqrt(variance / m_count)
 
 
-def estimate_diag_from_triplets(record: TripletRecord, m: PauliLabel) -> Estimate:
-    """chi_mm from a shared triplet log: frequency of k XOR k' = p_m(J).
+def estimate_diags_from_triplets(
+    record: TripletRecord, labels: list[PauliLabel]
+) -> list[Estimate]:
+    """chi_mm for each label from a shared triplet log: frequency of k XOR k' = p_m(J).
 
-    A readout of the record's (J, k XOR k') count table: O(M log M) to build
-    the table, then one commutation vector per base.
+    One readout of the record's (J, k XOR k') count table: O(M log M) to
+    build the table, then one pass per base over all labels.
     """
-    if m.n != record.n:
+    if any(m.n != record.n for m in labels):
         raise ValueError("label and triplet qubit counts differ")
-    packed = np.array([m.x_bits | (m.z_bits << m.n)])
+    packed = np.array([m.x_bits | (m.z_bits << m.n) for m in labels], dtype=np.int64)
     values, errors = _diag_readout(record.n, _count_table(record), packed)
-    return Estimate(float(values[0]), float(errors[0]), len(record))
+    return [Estimate(float(v), float(e), len(record)) for v, e in zip(values, errors)]
+
+
+def estimate_diag_from_triplets(record: TripletRecord, m: PauliLabel) -> Estimate:
+    """chi_mm from a shared triplet log; the one-label case of
+    :func:`estimate_diags_from_triplets`."""
+    return estimate_diags_from_triplets(record, [m])[0]
 
 
 def sieve_large_diagonals(

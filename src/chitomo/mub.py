@@ -2,10 +2,12 @@
 
 The D+1 bases produced by :func:`chitomo.pauli.mub_classes` are realized here
 as concrete unit vectors.  State k of base J is the simultaneous eigenvector
-of the class-J generators with eigenvalue (-1)^{k_i} for generator i, built
-by applying the n sign projectors to a computational fiducial vector.  The
-full set of D(D+1) states is an exact state 2-design, which is what makes
-design averages interchangeable with Haar averages.
+of the class-J generators with eigenvalue (-1)^{k_i} for generator i.  Each
+base is written down in closed form: base 0 is a permutation of the
+computational basis, and every other base is one stabilizer vector times a
+D x D sign matrix, O(D^2) work per base.  The full set of D(D+1) states is an
+exact state 2-design, which is what makes design averages interchangeable
+with Haar averages.
 """
 
 from __future__ import annotations
@@ -15,44 +17,48 @@ import logging
 
 import numpy as np
 
-from .pauli import DENSE_QUBIT_CAP, DenseCapError, mub_class, pauli_matrix
+from .pauli import DENSE_QUBIT_CAP, DenseCapError, mub_class
 
 logger = logging.getLogger(__name__)
 
-# A design-state amplitude is either ~0 or at least 1/sqrt(D), so anything
-# above this threshold is a genuine nonzero entry.
-_AMPLITUDE_EPS = 1e-8
 
-
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=None)
 def design_basis(n: int, J: int) -> np.ndarray:
-    """D x D unitary whose column k is state k of base J."""
+    """D x D unitary whose column k is state k of base J.
+
+    Work is in qubit order q (bit i = qubit i); row x of the result is
+    q = rev(x), the bit reversal, because qubit 0 is the most significant
+    tensor factor.  Base 0 is the permutation with column k = |rev(k)>.  For
+    J >= 1 generator i has X only on qubit i, so Z on qubit i flips the sign
+    of generator i alone: state 0 is the n projectors (I + g_i)/2 applied to
+    |0> and normalized, and column k is Z^k applied to it, a sign
+    (-1)^{|q AND k|} per row.  State 0 has full support, so every column's
+    first amplitude is the positive real one at x = 0.  O(D^2) per base;
+    the cache holds every base up to the dense cap (about 4.4 MB).
+    """
     if n > DENSE_QUBIT_CAP:
         raise DenseCapError(f"dense states limited to n <= {DENSE_QUBIT_CAP}")
     d = 2**n
     if not 0 <= J <= d:
         raise ValueError(f"base index J={J} out of range for n={n}")
-    gens = [pauli_matrix(g) for g in mub_class(n, J).generators]
-    basis = np.empty((d, d), dtype=complex)
-    for k in range(d):
-        basis[:, k] = _build_state(gens, k, d)
-    return basis
-
-
-def _build_state(gens: list[np.ndarray], k: int, d: int) -> np.ndarray:
-    for fiducial in range(d):
-        v = np.zeros(d, dtype=complex)
-        v[fiducial] = 1.0
-        for i, g in enumerate(gens):
-            sign = -1.0 if (k >> i) & 1 else 1.0
-            v = (v + sign * (g @ v)) / 2
-        norm = np.linalg.norm(v)
-        if norm > 1e-6:
-            v /= norm
-            first = int(np.argmax(np.abs(v) > _AMPLITUDE_EPS))
-            v *= np.abs(v[first]) / v[first]
-            return v
-    raise RuntimeError(f"no fiducial survives the projectors for k={k}")
+    generators = mub_class(n, J).generators  # also rejects n < 1
+    q = np.arange(d)
+    rev = np.zeros(d, dtype=np.int64)
+    parity = np.zeros(d, dtype=np.int64)
+    for b in range(n):
+        rev |= ((q >> b) & 1) << (n - 1 - b)
+        parity ^= (q >> b) & 1
+    if J == 0:
+        return np.eye(d, dtype=complex)[rev]
+    v = np.zeros(d, dtype=complex)
+    v[0] = 1.0
+    for g in generators:
+        # g|q> = i^{|x AND z|} (-1)^{|z AND q|} |q XOR x>, read at row q XOR x
+        src = q ^ g.x_bits
+        phase = 1j ** (g.x_bits & g.z_bits).bit_count()
+        v = (v + phase * (1 - 2 * parity[g.z_bits & src]) * v[src]) / 2
+    v /= np.linalg.norm(v)
+    return v[rev, None] * (1 - 2 * parity[rev[:, None] & q])
 
 
 def design_average_survival(op1: np.ndarray, op2: np.ndarray) -> complex:

@@ -16,6 +16,7 @@ from chitomo.estimator import (
     estimate_chi_diag,
     estimate_chi_offdiag,
     estimate_diag_from_triplets,
+    estimate_diags_from_triplets,
     estimation_report,
     format_bits,
     parse_bits,
@@ -341,6 +342,16 @@ class TestDiagFromTriplets:
             assert abs(est.value - np.mean(stats_)) < 1e-12
             assert abs(est.std_error - np.std(stats_, ddof=1) / math.sqrt(700)) < 1e-12
             assert est.M == 700
+
+    def test_many_labels_equal_per_label_calls(self):
+        channel = random_channel(3, np.random.default_rng(32))
+        trips = run_triplet_experiments(channel, EstimatorConfig(M=2_000, seed=32))
+        labels = all_labels(3)
+        assert estimate_diags_from_triplets(trips, labels) == [
+            estimate_diag_from_triplets(trips, m) for m in labels
+        ]
+        with pytest.raises(ValueError):
+            estimate_diags_from_triplets(trips, [L("XYZ"), L("XY")])
 
     def test_agrees_with_direct_estimator(self):
         trips = run_triplet_experiments(MIX2, EstimatorConfig(M=30_000, seed=6))

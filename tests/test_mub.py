@@ -24,19 +24,18 @@ class TestStateConstruction:
         v = design_basis(1, 1)[:, 0]
         np.testing.assert_allclose(v, [1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-12)
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_generator_eigenvalue_labels(self, n):
         """P^J_i |psi^J_k> = (-1)^{k_i} |psi^J_k> for every state."""
         d = 2**n
+        ks = np.arange(d)
         for j in range(d + 1):
-            gens = [pauli_matrix(g) for g in mub_class(n, j).generators]
-            for k in range(d):
-                v = design_basis(n, j)[:, k]
-                for i, g in enumerate(gens):
-                    sign = -1.0 if (k >> i) & 1 else 1.0
-                    np.testing.assert_allclose(g @ v, sign * v, atol=1e-10)
+            b = design_basis(n, j)
+            for i, g in enumerate(mub_class(n, j).generators):
+                signs = 1 - 2 * ((ks >> i) & 1)
+                np.testing.assert_allclose(pauli_matrix(g) @ b, b * signs, atol=1e-10)
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_unit_norm_and_phase_convention(self, n):
         d = 2**n
         for j in range(d + 1):
@@ -45,6 +44,17 @@ class TestStateConstruction:
                 assert abs(np.linalg.norm(v) - 1) < 1e-12
                 first = v[np.argmax(np.abs(v) > 1e-8)]
                 assert first.real > 0 and abs(first.imag) < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_matches_projector_reference(self, n):
+        """Bit for bit the per-state construction: the first computational
+        fiducial that survives the n sign projectors, normalized, with its
+        first nonzero amplitude made real positive."""
+        d = 2**n
+        for j in range(d + 1):
+            gens = [pauli_matrix(g) for g in mub_class(n, j).generators]
+            reference = np.stack([_projected_fiducial(gens, k, d) for k in range(d)], axis=1)
+            assert np.array_equal(design_basis(n, j), reference)
 
     def test_all_twenty_states_cross_unbiased_at_n2(self):
         states = [design_basis(2, j)[:, k] for j in range(5) for k in range(4)]
@@ -55,7 +65,7 @@ class TestStateConstruction:
                 overlap = abs(np.vdot(states[a], states[b])) ** 2
                 assert abs(overlap - 0.25) < 1e-10
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_bases_are_orthonormal(self, n):
         d = 2**n
         for j in range(d + 1):
@@ -71,6 +81,30 @@ class TestStateConstruction:
     def test_dense_cap(self):
         with pytest.raises(DenseCapError):
             design_basis(7, 0)
+
+    def test_cache_holds_every_base_at_the_dense_cap(self):
+        d = 2**6
+        design_basis.cache_clear()
+        for _ in range(2):
+            for j in range(d + 1):
+                design_basis(6, j)
+        info = design_basis.cache_info()
+        assert (info.hits, info.misses) == (d + 1, d + 1)
+
+
+def _projected_fiducial(gens, k, d):
+    for fiducial in range(d):
+        v = np.zeros(d, dtype=complex)
+        v[fiducial] = 1.0
+        for i, g in enumerate(gens):
+            sign = -1.0 if (k >> i) & 1 else 1.0
+            v = (v + sign * (g @ v)) / 2
+        norm = np.linalg.norm(v)
+        if norm > 1e-6:
+            v /= norm
+            first = int(np.argmax(np.abs(v) > 1e-8))
+            return v * (np.abs(v[first]) / v[first])
+    raise AssertionError(f"no fiducial survives the projectors for k={k}")
 
 
 class TestDesignAverage:
