@@ -6,8 +6,8 @@ Four protocols:
 * per-coefficient off-diagonal (ancilla polarization, two campaigns:
   sigma_x for the real part, sigma_y for the imaginary part),
 * batched diagonal from a shared triplet log (no per-coefficient hardware),
-* the sieve, which recovers every heavy diagonal of a sparse channel from
-  the commutation constraints of every pair of records.
+* the sieve, which recovers every heavy diagonal of a sparse channel by
+  spreading each count-table cell over the labels consistent with it.
 
 Randomness is counter-based: each campaign owns a Philox stream keyed by
 (seed, campaign tag) and draws a fixed layout per experiment index, so runs
@@ -34,7 +34,6 @@ from .pauli import (
     PauliLabel,
     commutation_columns,
     commutation_vector,
-    constraint_solutions,
     gf2_apply,
     mub_class,
     pauli_matrix,
@@ -311,22 +310,9 @@ def _count_table(record: TripletRecord) -> tuple[np.ndarray, np.ndarray, np.ndar
     return keys // d, keys % d, counts
 
 
-def _diag_readout(n: int, table: tuple, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """chi-hat and its standard error for packed labels (x_bits | z_bits << n).
-
-    Record r contributes the statistic ((D+1) [k_r XOR k'_r = p_m(J_r)] - 1)/D,
-    so its mean and standard error follow from the hits sum_J N[J, p_m(J)].
-    """
-    d = 2**n
-    js, xs, counts = table
-    bases, starts = np.unique(js, return_index=True)
-    cols = commutation_columns([mub_class(n, int(j)) for j in bases])
-    hits = np.zeros(len(labels), dtype=np.int64)
-    for base_cols, cells in zip(cols, np.split(np.arange(len(js)), starts[1:])):
-        row = np.zeros(d, dtype=np.int64)  # N[J, .] of this base
-        row[xs[cells]] = counts[cells]
-        hits += row[gf2_apply(base_cols, labels)]
-    m_count = int(np.sum(counts))
+def _chi_from_hits(d: int, hits: np.ndarray, m_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error of the statistics ((D+1) [k XOR k' = p_m(J)] - 1)/D
+    of m_count records, of which hits = sum_J N[J, p_m(J)] are 1."""
     variance = hits * (m_count - hits) / (m_count * max(m_count - 1, 1))
     return ((d + 1) * hits / m_count - 1) / d, (d + 1) / d * np.sqrt(variance / m_count)
 
@@ -341,8 +327,17 @@ def estimate_diags_from_triplets(
     """
     if any(m.n != record.n for m in labels):
         raise ValueError("label and triplet qubit counts differ")
-    packed = np.array([m.x_bits | (m.z_bits << m.n) for m in labels], dtype=np.int64)
-    values, errors = _diag_readout(record.n, _count_table(record), packed)
+    n, d = record.n, 2**record.n
+    packed = np.array([m.x_bits | (m.z_bits << n) for m in labels], dtype=np.int64)
+    js, xs, counts = _count_table(record)
+    bases, starts = np.unique(js, return_index=True)
+    cols = commutation_columns([mub_class(n, int(j)) for j in bases])
+    hits = np.zeros(len(labels), dtype=np.int64)
+    for base_cols, cells in zip(cols, np.split(np.arange(len(js)), starts[1:])):
+        row = np.zeros(d, dtype=np.int64)  # N[J, .] of this base
+        row[xs[cells]] = counts[cells]
+        hits += row[gf2_apply(base_cols, packed)]
+    values, errors = _chi_from_hits(d, hits, len(record))
     return [Estimate(float(v), float(e), len(record)) for v, e in zip(values, errors)]
 
 
@@ -352,6 +347,11 @@ def estimate_diag_from_triplets(record: TripletRecord, m: PauliLabel) -> Estimat
     return estimate_diags_from_triplets(record, [m])[0]
 
 
+# Coset entries the sieve spreads at once; larger count tables are spread in
+# slices of the labels' X parts, which bounds its memory.
+_SPREAD_ENTRIES = 1 << 17
+
+
 def sieve_large_diagonals(
     record: TripletRecord,
     threshold: float,
@@ -359,49 +359,62 @@ def sieve_large_diagonals(
 ) -> list[tuple[PauliLabel, Estimate]]:
     """Find every Pauli label whose chi_mm estimate exceeds the threshold.
 
-    Each pair of records from distinct bases pins down the unique label
-    consistent with both transition patterns; tallying those candidates and
-    re-estimating each one from the full log recovers the heavy support of a
-    sparse channel.  Pairs are visited as pairs of count-table cells: every
-    cell pair votes for its label with the product of the two counts, so every
-    record pair is counted and none is sampled.  ``stats``, if given, is
-    filled with pair-stage counters.
+    The records of cell (J, x) of the count table are consistent with the D
+    labels of commutation vector x in base J: the coset s + C_J of the group
+    C_J spanned by the class-J generators, s = X^x for J = 0 and Z^x for
+    J >= 1 (generator i of class J >= 1 has its only X on qubit i).  Spreading
+    every cell's count over its coset gives each label its hits h_J =
+    N[J, p_m(J)], one cell per base: their sum is the readout of
+    :func:`estimate_diags_from_triplets`, and (hits^2 - sum_J h_J^2)/2 are its
+    votes, the record pairs from distinct bases consistent with it.  Every
+    such pair votes for one label; none is sampled.  Candidates are the labels
+    hit in two bases or more, ordered by value, votes and then first vote,
+    their earliest pair of cells in table order.  ``stats``, if given, is
+    filled with the pair counters.
     """
     if not threshold > 0:
         raise ValueError("threshold must be positive")
-    n, m_count = record.n, len(record)
-    js, xs, counts = table = _count_table(record)
-    bases, starts = np.unique(js, return_index=True)
+    n, d, m_count = record.n, 2**record.n, len(record)
+    js, xs, counts = _count_table(record)
+    bases, starts, base_of = np.unique(js, return_index=True, return_inverse=True)
     if len(bases) < 2:
         raise SingleBaseError("sieve needs triplets from at least two distinct bases")
     total_pairs = (m_count**2 - int(np.sum(np.add.reduceat(counts, starts) ** 2))) // 2
 
-    # The cells of each base paired with every later cell, which lies in a
-    # later base; pairs are numbered in that (anchor cell, later cell) order.
-    tallies, numbered = [], 0
-    for ja, start, stop in zip(bases[:-1], starts, starts[1:]):
-        later, system = np.unique(js[stop:], return_inverse=True)
-        sols = constraint_solutions(mub_class(n, int(ja)), [mub_class(n, int(j)) for j in later])
-        labels = gf2_apply(sols[system], xs[start:stop, None] | (xs[None, stop:] << n)).ravel()
-        weights = (counts[start:stop, None] * counts[None, stop:]).ravel()
-        uniq, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
-        tallies.append((uniq, np.bincount(inverse, weights), numbered + first))
-        numbered += len(labels)
-    labels, votes, first = (np.concatenate(col) for col in zip(*tallies))
-    candidates, earliest, inverse = np.unique(labels, return_index=True, return_inverse=True)
-    votes = np.bincount(inverse, votes)
+    n_cells, rest = len(js), np.flatnonzero(js > 0)
+    gens = np.array([[g.x_bits | (g.z_bits << n) for g in mub_class(n, int(j)).generators]
+                     for j in bases])
+    width = max(1, _SPREAD_ENTRIES // n_cells)
+    found, candidates, pairs = [], 0, 0
+    for a0 in range(0, d, width):
+        # The coset members whose X part is in [a0, a0 + width), so that all
+        # cells of a label meet in one slice: member a of C_J has X part a for
+        # J >= 1, and all members of a J = 0 cell's coset have X part x.
+        a = np.arange(a0, min(a0 + width, d))
+        cells0 = np.flatnonzero((js == 0) & (xs >= a0) & (xs < a0 + width))
+        keys0 = (xs[cells0, None] | (np.arange(d) << n)) * n_cells + cells0[:, None]
+        cosets = gf2_apply(gens[:, None, :], a)[base_of[rest]] ^ (xs[rest, None] << n)
+        # (label, cell) keys, sorted: grouped by label, each group's cells in table order
+        keys = np.sort(np.append(keys0, cosets * n_cells + rest[:, None]))
+        labels, cells = np.divmod(keys, n_cells)
+        groups = np.flatnonzero(np.diff(labels, prepend=-1))
+        hit = counts[cells]
+        hits = np.add.reduceat(hit, groups)
+        votes = (hits**2 - np.add.reduceat(hit**2, groups)) // 2
+        values, errors = _chi_from_hits(d, hits, m_count)
+        heavy = np.flatnonzero((votes > 0) & (values > threshold))
+        first = groups[heavy]
+        found.append((labels[first], values[heavy], errors[heavy], votes[heavy],
+                      cells[first] * n_cells + cells[first + 1]))
+        candidates += int(np.count_nonzero(votes))
+        pairs += int(np.sum(votes))
 
-    values, errors = _diag_readout(n, table, candidates)
-    order = np.lexsort((first[earliest], -votes, -values))  # by value, votes, first vote
-    results = [
-        (PauliLabel(n, int(v) & (2**n - 1), int(v) >> n), Estimate(float(x), float(e), m_count))
-        for v, x, e in zip(candidates[order], values[order], errors[order])
-        if x > threshold
-    ]
+    labels, values, errors, votes, first = (np.concatenate(col) for col in zip(*found))
+    order = np.lexsort((first, -votes, -values))  # by value, votes, first vote
     if stats is not None:
-        stats.update(pairs_processed=int(np.sum(votes)), total_pairs=total_pairs,
-                     candidates=len(candidates))
-    return results
+        stats.update(pairs_processed=pairs, total_pairs=total_pairs, candidates=candidates)
+    return [(PauliLabel(n, int(v) & (d - 1), int(v) >> n), Estimate(float(x), float(e), m_count))
+            for v, x, e in zip(labels[order], values[order], errors[order])]
 
 
 # ---------------------------------------------------------------------------

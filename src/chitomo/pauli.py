@@ -313,45 +313,31 @@ def commutation_columns(classes: list[MubClass]) -> np.ndarray:
     return np.sum(bits << np.arange(n), axis=-1)
 
 
-def constraint_solutions(class_a: MubClass, classes_b: list[MubClass]) -> np.ndarray:
-    """Solvers of the commutation constraints of class_a paired with each of classes_b.
-
-    sols[s, r] is the packed label whose commutation vectors are e_r w.r.t.
-    class_a (r < n) or e_(r-n) w.r.t. classes_b[s] (r >= n), so the label
-    with vectors p_a and p_b is ``gf2_apply(sols[s], p_a | p_b << n)``.
-    The 2n generators of two distinct classes span the symplectic space, so
-    each map label -> (p_a, p_b) is invertible; all are inverted together by
-    one batched Gauss-Jordan elimination.  A singular system indicates
-    corrupted classes and raises RuntimeError.
-    """
-    n, w = class_a.n, 2 * class_a.n
-    if any(cls.J == class_a.J for cls in classes_b):
-        raise ValueError("constraint classes must be distinct")
-    cols = commutation_columns([class_a, *classes_b])
-    # Row b: the image p_a | p_b << n of unit label b, tagged with b at bit w + b.
-    # Row operations keep every tag the label of its row's image.
-    aug = cols[:1] | (cols[1:] << n) | (1 << (w + np.arange(w)))
-    systems = np.arange(len(aug))
-    for col in range(w):
-        free = (aug[:, col:] >> col) & 1
-        if not np.all(np.any(free, axis=1)):
-            raise RuntimeError("singular commutation-constraint system; MUB class "
-                               "generators failed to span the symplectic space")
-        pivot_at = col + np.argmax(free, axis=1)
-        pivot = aug[systems, pivot_at]
-        aug[systems, pivot_at] = aug[:, col]
-        aug ^= ((aug >> col) & 1) * pivot[:, None]
-        aug[:, col] = pivot
-    return aug >> w
-
-
 def solve_label_from_constraints(
     class_a: MubClass, p_a: int, class_b: MubClass, p_b: int
 ) -> PauliLabel:
     """Unique label with commutation vector p_a w.r.t. class_a and p_b w.r.t. class_b.
 
-    The single-system case of :func:`constraint_solutions`.
+    The 2n generators of two distinct classes span the symplectic space, so
+    the 2n commutation constraints have one solution, found by one
+    Gauss-Jordan elimination over GF(2).  A singular system indicates
+    corrupted classes and raises RuntimeError.
     """
-    n = class_a.n
-    v = int(gf2_apply(constraint_solutions(class_a, [class_b])[0], p_a | (p_b << n)))
+    n, w = class_a.n, 2 * class_a.n
+    if class_a.J == class_b.J:
+        raise ValueError("constraint classes must be distinct")
+    # Row i: generator i of class_a, then of class_b, as a mask whose parity
+    # against a packed label is their symplectic product, with the required
+    # product, bit i of p_a | p_b << n, at bit w.
+    target = p_a | (p_b << n)
+    rows = [g.z_bits | (g.x_bits << n) | ((target >> i & 1) << w)
+            for i, g in enumerate(class_a.generators + class_b.generators)]
+    for col in range(w):
+        pivot = next((i for i in range(col, w) if rows[i] >> col & 1), None)
+        if pivot is None:
+            raise RuntimeError("singular commutation-constraint system; MUB class "
+                               "generators failed to span the symplectic space")
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows = [r ^ rows[col] if r >> col & 1 and i != col else r for i, r in enumerate(rows)]
+    v = sum((r >> w) << col for col, r in enumerate(rows))  # row col is now bit col
     return PauliLabel(n, v & ((1 << n) - 1), v >> n)

@@ -2,6 +2,7 @@
 
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -34,7 +35,14 @@ from chitomo.oracle import (
     random_channel,
     random_label,
 )
-from chitomo.pauli import PauliLabel, all_labels, commutation_vector, mub_class
+from chitomo.pauli import (
+    PauliLabel,
+    all_labels,
+    commutation_vector,
+    gf2_apply,
+    mub_class,
+    solve_label_from_constraints,
+)
 
 
 def L(s):
@@ -453,6 +461,89 @@ class TestSieve:
         both = TripletRecord(1, [0, 1], [0, 0], [0, 0])
         with pytest.raises(ValueError):
             sieve_large_diagonals(both, 0.0)
+
+
+def _coset(n, J, x):
+    """s + C_J as packed labels: C_J spanned by the class-J generators, s = X^x
+    for J = 0 and Z^x for J >= 1."""
+    gens = np.array([g.x_bits | (g.z_bits << n) for g in mub_class(n, J).generators])
+    return (x if J == 0 else x << n) ^ gf2_apply(gens, np.arange(2**n))
+
+
+class TestCosetIdentity:
+    """The labels of commutation vector x in base J are one coset of C_J."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_exhaustive(self, n):
+        for J in range(2**n + 1):
+            by_vector = {}
+            for m in all_labels(n):
+                packed = m.x_bits | (m.z_bits << n)
+                by_vector.setdefault(commutation_vector(m, mub_class(n, J)), set()).add(packed)
+            for x in range(2**n):
+                coset = _coset(n, J, x).tolist()
+                assert len(set(coset)) == 2**n
+                assert set(coset) == by_vector[x]
+
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_sampled(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            J, x = int(rng.integers(0, 2**n + 1)), int(rng.integers(0, 2**n))
+            members = rng.choice(_coset(n, J, x), size=16, replace=False)
+            for v in members:
+                m = PauliLabel(n, int(v) & (2**n - 1), int(v) >> n)
+                assert commutation_vector(m, mub_class(n, J)) == x
+
+
+def _pair_reference(record, threshold):
+    """Sieve by brute force: every pair of records from distinct bases solves
+    its own label, in count-table order; ordered by value, votes, first vote."""
+    n, d, m_count = record.n, 2**record.n, len(record)
+    rows = sorted(zip(record.J.tolist(), (record.k ^ record.k_prime).tolist()))
+    votes, first, total = Counter(), {}, 0
+    for i, (ja, xa) in enumerate(rows):
+        for jb, xb in rows[i + 1:]:
+            if ja != jb:
+                label = solve_label_from_constraints(mub_class(n, ja), xa, mub_class(n, jb), xb)
+                votes[label] += 1
+                first.setdefault(label, total)
+                total += 1
+    value = {}
+    for m in votes:
+        hits = sum(x == commutation_vector(m, mub_class(n, j)) for j, x in rows)
+        value[m] = ((d + 1) * hits / m_count - 1) / d
+    ranked = sorted(votes, key=lambda m: (-value[m], -votes[m], first[m]))
+    found = [(m, value[m]) for m in ranked if value[m] > threshold]
+    stats_ = {"total_pairs": total, "pairs_processed": sum(votes.values()),
+              "candidates": len(votes)}
+    return found, stats_, [(value[m], votes[m]) for m, _ in found]
+
+
+def _random_record(n, m_count, seed):
+    rng = np.random.default_rng(seed)
+    return TripletRecord(n, rng.integers(0, 2**n + 1, size=m_count),
+                         rng.integers(0, 2**n, size=m_count), rng.integers(0, 2**n, size=m_count))
+
+
+class TestSieveAgainstPairs:
+    @pytest.mark.parametrize("make", [
+        lambda: run_triplet_experiments(MIX2, EstimatorConfig(M=60, seed=21)),
+        lambda: _random_record(2, 50, 22),
+        lambda: _random_record(3, 90, 23),
+        lambda: run_triplet_experiments(
+            channel_factory({"n": 3, "kind": "depolarizing", "p": 0.3}),
+            EstimatorConfig(M=120, seed=24)),
+    ], ids=["mix2", "random2", "random3", "depolarizing3"])
+    def test_matches_brute_force_pairs(self, make):
+        record = make()
+        want, want_stats, keys = _pair_reference(record, 1e-12)
+        assert any(a == b for a, b in zip(keys, keys[1:]))  # ties the first vote breaks
+        stats_out: dict = {}
+        got = sieve_large_diagonals(record, 1e-12, stats_out)
+        assert [m for m, _ in got] == [m for m, _ in want]
+        assert all(abs(est.value - v) < 1e-12 for (_, est), (_, v) in zip(got, want))
+        assert stats_out == want_stats
 
 
 class TestEstimationReport:

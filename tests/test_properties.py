@@ -52,7 +52,7 @@ def test_label_index_round_trip(data, n):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), n=st.integers(1, MUB_QUBIT_CAP))
 def test_label_recovered_from_two_bases(data, n):
-    """Two commutation vectors from distinct bases pin down the label (the sieve's pair step)."""
+    """Two commutation vectors from distinct bases pin down the label: two cosets meet once."""
     label = label_from_index(n, data.draw(st.integers(0, 4**n - 1)))
     j_a, j_b = data.draw(st.lists(st.integers(0, 2**n), min_size=2, max_size=2, unique=True))
     class_a, class_b = mub_class(n, j_a), mub_class(n, j_b)
