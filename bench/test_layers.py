@@ -12,11 +12,20 @@ from chitomo.estimator import (
     EstimatorConfig,
     TripletRecord,
     estimate_diags_from_triplets,
+    read_triplet_log,
     run_triplet_experiments,
     sieve_large_diagonals,
+    write_triplet_log,
 )
 from chitomo.mub import design_basis
-from chitomo.pauli import PauliLabel, commutation_vector, label_from_index, mub_class
+from chitomo.pauli import (
+    PauliLabel,
+    _trace_masks,
+    commutation_vector,
+    label_from_index,
+    mub_class,
+    mub_classes,
+)
 
 
 def _all_bases(n):
@@ -30,6 +39,43 @@ def test_design_basis_all_bases(benchmark, n):
         _all_bases, args=(n,), setup=design_basis.cache_clear, rounds=10, iterations=1
     )
     assert len(bases) == 2**n + 1
+
+
+def _cold_class_caches():
+    mub_class.cache_clear()
+    _trace_masks.cache_clear()
+
+
+@pytest.mark.parametrize("n", [5, 8, 12])
+def test_mub_classes(benchmark, n):
+    """All D+1 commuting classes of n qubits from cold caches."""
+    classes = benchmark.pedantic(
+        mub_classes, args=(n,), setup=_cold_class_caches, rounds=5, iterations=1
+    )
+    assert len(classes) == 2**n + 1
+
+
+def _random_record(n, m_count, seed):
+    rng = np.random.default_rng(seed)
+    d = 2**n
+    return TripletRecord(n, *(rng.integers(0, top, size=m_count) for top in (d + 1, d, d)))
+
+
+def test_write_triplet_log(benchmark, tmp_path):
+    """An n=6, M=2e5 record written as a triplet log."""
+    record = _random_record(6, 200_000, seed=6)
+    path = tmp_path / "t.log"
+    benchmark(write_triplet_log, path, record, 6, "ab" * 32)
+    assert path.stat().st_size > 200_000 * 16
+
+
+def test_read_triplet_log(benchmark, tmp_path):
+    """An n=6, M=2e5 triplet log read back into columns."""
+    record = _random_record(6, 200_000, seed=6)
+    path = tmp_path / "t.log"
+    write_triplet_log(path, record, 6, "ab" * 32)
+    loaded, _ = benchmark(read_triplet_log, path)
+    assert loaded == record
 
 
 def test_estimate_diags_from_triplets(benchmark):

@@ -267,6 +267,8 @@ def load_channel_spec(path) -> dict:
             spec = json.load(fh)
     except OSError as exc:
         raise ChannelSpecError(f"cannot read channel spec: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ChannelSpecError(f"channel spec is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ChannelSpecError(f"channel spec is not valid JSON: {exc}") from exc
     if not isinstance(spec, dict):

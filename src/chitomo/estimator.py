@@ -26,6 +26,7 @@ from dataclasses import asdict, dataclass
 from typing import Iterable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .channels import Channel, as_kraus
 from .mub import as_distribution, design_basis
@@ -475,23 +476,28 @@ def estimation_report(
 # ---------------------------------------------------------------------------
 # Triplet logs
 
-def format_bits(value: int, n: int) -> str:
-    return "".join("1" if (value >> i) & 1 else "0" for i in range(n))
-
-
-def parse_bits(text: str, n: int) -> int:
-    if len(text) != n or set(text) - {"0", "1"}:
-        raise TripletLogError(f"bad bit string {text!r} for n={n}")
-    return sum(1 << i for i, c in enumerate(text) if c == "1")
+# A record line is J<TAB>k<TAB>k'<LF or CRLF>: J as 1 to len(str(D)) ASCII
+# digits, k and k' as n ASCII bits, bit 0 first.  Both functions work on the
+# log's bytes as numpy columns; a line's fields sit at fixed offsets from its end.
+_TAB, _LF, _CR, _ZERO = b"\t\n\r0"
 
 
 def write_triplet_log(path, record: TripletRecord, seed: int, channel_hash: str) -> None:
     n = record.n
-    header = f"# {TRIPLET_LOG_VERSION} n={n} seed={seed} M={len(record)} channel={channel_hash}"
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for j, k, kp in zip(record.J.tolist(), record.k.tolist(), record.k_prime.tolist()):
-            fh.write(f"{j}\t{format_bits(k, n)}\t{format_bits(kp, n)}\n")
+    header = f"# {TRIPLET_LOG_VERSION} n={n} seed={seed} M={len(record)} channel={channel_hash}\n"
+    w = len(str(2**n))
+    powers = 10 ** np.arange(w - 1, -1, -1)
+    bits = np.arange(n)
+    rows = np.empty((len(record), w + 2 * n + 3), dtype=np.uint8)
+    rows[:, :w] = _ZERO + record.J[:, None] // powers % 10
+    rows[:, w] = rows[:, w + n + 1] = _TAB
+    rows[:, w + 1:w + n + 1] = _ZERO + (record.k[:, None] >> bits & 1)
+    rows[:, w + n + 2:-1] = _ZERO + (record.k_prime[:, None] >> bits & 1)
+    rows[:, -1] = _LF
+    keep = np.ones(rows.shape, dtype=bool)
+    keep[:, :w - 1] = record.J[:, None] >= powers[:-1]  # no leading zeros
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + rows[keep].tobytes())
 
 
 _HEADER_RE = re.compile(
@@ -502,30 +508,74 @@ _HEADER_RE = re.compile(
 def read_triplet_log(path) -> tuple[TripletRecord, dict]:
     """Parse a triplet log; returns (record, header metadata)."""
     try:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise TripletLogError(f"cannot read triplet log: {exc}") from exc
-    if not lines:
+    if not data:
         raise TripletLogError("empty triplet log")
-    match = _HEADER_RE.match(lines[0])
+    head, _, body = data.partition(b"\n")
+    try:
+        head = head.removesuffix(b"\r").decode()
+    except UnicodeDecodeError as exc:
+        raise TripletLogError(f"bad triplet log header: {exc}") from exc
+    match = _HEADER_RE.match(head)
     if not match:
-        raise TripletLogError(f"bad triplet log header: {lines[0]!r}")
+        raise TripletLogError(f"bad triplet log header: {head!r}")
     try:  # int() refuses more than sys.get_int_max_str_digits() digits
         n, seed, m_count = (int(g) for g in match.groups()[:3])
     except ValueError as exc:
         raise TripletLogError(f"bad triplet log header: {exc}") from exc
     meta = {"n": n, "seed": seed, "M": m_count, "channel": match.group(4)}
-    if len(lines) - 1 != m_count:
-        raise TripletLogError(f"log claims M={m_count} but has {len(lines) - 1} triplets")
-    rows = []
-    for i, line in enumerate(lines[1:], start=2):
-        try:
-            j, k, k_prime = line.split("\t")
-            rows.append((int(j), parse_bits(k, n), parse_bits(k_prime, n)))
-        except ValueError as exc:  # also a wrong number of fields
-            raise TripletLogError(f"line {i}: expected J<TAB>k<TAB>k' ({exc})") from exc
+    if body and not body.endswith(b"\n"):
+        body += b"\n"
+    lines = body.count(b"\n")
+    if lines != m_count:
+        raise TripletLogError(f"log claims M={m_count} but has {lines} triplets")
+    if not 1 <= n <= MUB_QUBIT_CAP:  # the line shape below grows with n
+        raise TripletLogError(
+            f"bad triplet log: triplet records need 1 <= n <= {MUB_QUBIT_CAP}, got n={n}")
+    columns = _record_columns(body, n)
     try:
-        return TripletRecord(n, *np.array(rows, dtype=np.int64).reshape(-1, 3).T), meta
+        return TripletRecord(n, *columns), meta
     except (ValueError, OverflowError) as exc:
         raise TripletLogError(f"bad triplet log: {exc}") from exc
+
+
+def _record_columns(body: bytes, n: int) -> np.ndarray:
+    """(J, k, k') rows of the record lines in body, which ends in a newline.
+
+    Each line is read through a window of its last w + 2n + 2 bytes (w the
+    digit count of D), which holds J right-aligned when the line is well
+    formed.  A malformed line raises TripletLogError naming the first one.
+    """
+    w = len(str(2**n))
+    width, tabs = w + 2 * n + 2, [w, w + n + 1]  # window width, columns of the tabs
+    place = np.zeros((3, width), dtype=np.int64)  # column place values in J, k, k'
+    place[0, :w] = 10 ** np.arange(w - 1, -1, -1)
+    place[1, w + 1:w + n + 1] = place[2, w + n + 2:] = 1 << np.arange(n)
+    top = np.where(np.arange(width) < w, 9, 1).astype(np.uint8)  # largest digit of each column
+    top[tabs] = 255
+    buf = np.frombuffer(bytes(width) + body, dtype=np.uint8)  # room for every window
+    ends = np.flatnonzero(buf == _LF)
+    starts = np.append(width, ends + 1)[:-1]
+    ends -= buf[ends - 1] == _CR
+    win = sliding_window_view(buf, width)[ends - width]
+    j_len = ends - starts - 2 * n - 2
+    digits = win - _ZERO  # bytes below '0' wrap past 9
+    digits[:, :w] *= np.arange(w) >= w - j_len[:, None]  # zero the columns before J
+    bad = (j_len < 1) | (j_len > w) | np.any(win[:, tabs] != _TAB, axis=1)
+    bad[np.flatnonzero(digits > top) // width] = True
+    if bad.any():
+        i = int(np.argmax(bad))
+        fields, j = np.count_nonzero(buf[starts[i]:ends[i]] == _TAB) + 1, j_len[i]
+        reason = next(why for hit, why in (
+            (fields != 3, f"field count {fields}, not 3"),
+            (j < 0 or np.any(win[i, tabs] != _TAB), f"k and k' must have {n} bits each"),
+            (j == 0, "empty J"),
+            (j > w, f"J has {j} characters, D={2**n} has {w}"),
+            (np.any(digits[i, :w] > 9), "J must be ASCII digits"),
+            (True, "k and k' must be 0s and 1s"),
+        ) if hit)
+        raise TripletLogError(f"line {i + 2}: expected J<TAB>k<TAB>k' ({reason})")
+    return place @ digits.T

@@ -240,18 +240,21 @@ class MubClass:
 
 
 @functools.lru_cache(maxsize=None)
+def _trace_masks(n: int) -> tuple[int, ...]:
+    """mask_e for e = 0 .. 2n-2, bit i = tr(x^(i+e)): the trace is GF(2)-linear,
+    so tr(c x^e) = parity(c & mask_e) for every field element c."""
+    traces = [gf_trace(_polymod(1 << m, _IRREDUCIBLE_POLY[n]), n) for m in range(3 * n - 2)]
+    return tuple(sum(traces[i + e] << i for i in range(n)) for e in range(2 * n - 1))
+
+
 def _symmetric_matrix_columns(n: int, c: int) -> tuple[int, ...]:
-    """Columns (as bit masks) of the symmetric matrix M[s][t] = tr(c x^s x^t)."""
-    poly = _IRREDUCIBLE_POLY[n]
-    # powers x^0 .. x^(2n-2) reduced mod poly
-    powers = [_polymod(1 << e, poly) if e >= n else 1 << e for e in range(2 * n - 1)]
-    cols = []
-    for t in range(n):
-        col = 0
-        for s in range(n):
-            col |= gf_trace(gf_mul(c, powers[s + t], n), n) << s
-        cols.append(col)
-    return tuple(cols)
+    """Columns (as bit masks) of the symmetric matrix M[s][t] = tr(c x^s x^t).
+
+    M[s][t] depends on s+t only: with bit e of h set to tr(c x^e), column t
+    is bits t .. t+n-1 of h.
+    """
+    h = sum(((c & mask).bit_count() & 1) << e for e, mask in enumerate(_trace_masks(n)))
+    return tuple((h >> t) & ((1 << n) - 1) for t in range(n))
 
 
 @functools.lru_cache(maxsize=None)

@@ -349,6 +349,27 @@ def test_non_finite_spec_numbers_exit_2(capsys, tmp_path, text):
     assert json.loads(err)["error"] == "malformed_input"
 
 
+@pytest.mark.parametrize("target", ["log", "log-header", "spec"])
+def test_undecodable_files_exit_2(capsys, specs, tmp_path, target):
+    """A 0xFF byte in a log's bit field or header, or in a spec string, is malformed input."""
+    if target.startswith("log"):
+        log = tmp_path / "t.log"
+        run(capsys, "triplets", "--channel", specs["dep"][0], "--M", "20", "--out", str(log))
+        data = log.read_bytes()
+        if target == "log":
+            log.write_bytes(data[:-2] + b"\xff\n")  # the last bit of the last record
+        else:
+            log.write_bytes(data.replace(b"seed=", b"seed\xff=", 1))
+        argv = ["diag-from-log", "--log", str(log), "--m", "Z"]
+    else:
+        spec = tmp_path / "spec.json"
+        spec.write_bytes(b'{"n": 1, "kind": "unitary", "generator": "X\xff", "theta": 1.0}')
+        argv = ["estimate-diag", "--channel", str(spec), "--m", "X", "--M", "50"]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert json.loads(err)["error"] == "malformed_input"
+
+
 class TestVerify:
     def test_quick_single_qubit(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "1")

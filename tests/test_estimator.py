@@ -19,8 +19,6 @@ from chitomo.estimator import (
     estimate_diag_from_triplets,
     estimate_diags_from_triplets,
     estimation_report,
-    format_bits,
-    parse_bits,
     read_triplet_log,
     required_sample_size,
     run_triplet_experiments,
@@ -581,16 +579,71 @@ class TestEstimationReport:
             estimation_report({}, [("diag", L("I"), None, Estimate(1.0, 0.0, 1))], [1.0, 2.0])
 
 
+# A valid n=4 log (J has up to w=2 digits) and bad lines for its records.
+_LOG4_HEADER = f"# seqpt-triplets v1 n=4 seed=0 M=5 channel={'0' * 64}\n"
+_LOG4_LINES = ["0\t0000\t0000", "16\t1010\t0110", "5\t1111\t0001", "9\t0011\t1100",
+               "12\t0101\t0101"]
+_BAD_LINES = {
+    "missing-field": (4, "16\t1010", "field count 2, not 3"),
+    "extra-field": (4, "16\t1010\t0110\t1", "field count 4, not 3"),
+    "empty-J": (3, "\t1010\t0110", "empty J"),
+    "non-digit-J": (4, "1x\t1010\t0110", "J must be ASCII digits"),
+    "signed-J": (5, "+5\t1010\t0110", "J must be ASCII digits"),
+    "space-padded-J": (5, " 5\t1010\t0110", "J must be ASCII digits"),
+    "J-longer-than-w": (4, "016\t1010\t0110", "J has 3 characters, D=16 has 2"),
+    "short-bits": (6, "16\t101\t0110", "k and k' must have 4 bits each"),
+    "long-bits": (4, "16\t1010\t01101", "k and k' must have 4 bits each"),
+    "non-binary-bits": (3, "16\t1020\t0110", "k and k' must be 0s and 1s"),
+    "blank-mid-file": (4, "", "field count 1, not 3"),
+    "trailing-blank": (6, "", "field count 1, not 3"),  # the file ends in "\n\n"
+}
+
+
 class TestTripletLogs:
-    def test_bit_formatting_round_trip(self):
+    def test_bit_formatting_round_trip(self, tmp_path):
+        """Every k and k' value at n = 1, 3, 5 survives write -> read, bit 0
+        is written first, and bit strings of the wrong shape are refused."""
+        path = tmp_path / "bits.log"
         for n in (1, 3, 5):
-            for value in range(2**n):
-                assert parse_bits(format_bits(value, n), n) == value
-        assert format_bits(0b101, 3) == "101"
-        with pytest.raises(TripletLogError):
-            parse_bits("012", 3)
-        with pytest.raises(TripletLogError):
-            parse_bits("01", 3)
+            values = np.arange(2**n)
+            record = TripletRecord(n, np.zeros_like(values), values, values[::-1])
+            write_triplet_log(path, record, seed=0, channel_hash="ab" * 32)
+            assert read_triplet_log(path)[0] == record
+        write_triplet_log(path, TripletRecord(4, [5, 16], [0b1010, 0], [1, 15]), 0, "ab" * 32)
+        assert path.read_text().splitlines()[1:] == ["5\t0101\t1000", "16\t0000\t1111"]
+        header = f"# seqpt-triplets v1 n=3 seed=0 M=1 channel={'0' * 64}\n"
+        for bits in ("012", "01"):
+            path.write_text(header + f"0\t{bits}\t000\n")
+            with pytest.raises(TripletLogError, match="^line 2: "):
+                read_triplet_log(path)
+
+    @pytest.mark.parametrize("case", list(_BAD_LINES))
+    def test_malformed_line_named(self, tmp_path, case):
+        """One bad line among valid ones is reported with its file line number."""
+        line_no, bad, reason = _BAD_LINES[case]
+        lines = list(_LOG4_LINES)
+        lines[line_no - 2] = bad
+        path = tmp_path / "bad.log"
+        path.write_text(_LOG4_HEADER + "\n".join(lines) + "\n")
+        with pytest.raises(TripletLogError) as info:
+            read_triplet_log(path)
+        assert str(info.value) == f"line {line_no}: expected J<TAB>k<TAB>k' ({reason})"
+
+    @pytest.mark.parametrize("variant", ["crlf", "no-final-newline", "zero-padded-J"])
+    def test_accepted_variants_read_as_original(self, tmp_path, variant):
+        text = _LOG4_HEADER + "\n".join(_LOG4_LINES) + "\n"
+        path = tmp_path / "t.log"
+        path.write_text(text)
+        original = read_triplet_log(path)
+        if variant == "crlf":
+            text = text.replace("\n", "\r\n")
+        elif variant == "no-final-newline":
+            text = text.rstrip("\n")
+        else:
+            text = text.replace("\n5\t", "\n05\t").replace("\n0\t", "\n00\t")
+        path.write_bytes(text.encode())
+        loaded, meta = read_triplet_log(path)
+        assert loaded == original[0] and meta == original[1]
 
     def test_write_read_round_trip(self, tmp_path):
         trips = run_triplet_experiments(MIX2, EstimatorConfig(M=120, seed=21))

@@ -22,6 +22,9 @@ from chitomo.pauli import (
     pauli_mul,
     solve_label_from_constraints,
     symplectic_product,
+    _IRREDUCIBLE_POLY,
+    _polymod,
+    _symmetric_matrix_columns,
 )
 
 
@@ -219,6 +222,21 @@ class TestMubClasses:
                 assert label not in seen, f"{label} in classes {seen.get(label)}, {cls.J}"
                 seen[label] = cls.J
         assert len(seen) == 4**n - 1  # cover
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 12])
+    def test_columns_match_trace_reference(self, n):
+        """The trace-mask columns equal the n^2 field traces tr(c x^(s+t)),
+        for every field element c up to n=8 and 300 sampled ones at n=12."""
+        powers = [_polymod(1 << e, _IRREDUCIBLE_POLY[n]) for e in range(2 * n - 1)]
+
+        def reference(c):
+            return tuple(sum(gf_trace(gf_mul(c, powers[s + t], n), n) << s for s in range(n))
+                         for t in range(n))
+
+        rng = np.random.default_rng(n)
+        elements = range(2**n) if n <= 8 else rng.choice(2**n, size=300, replace=False)
+        for c in map(int, elements):
+            assert _symmetric_matrix_columns(n, c) == reference(c), c
 
     def test_on_demand_class_matches_list(self):
         for n in (1, 2, 3):

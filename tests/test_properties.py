@@ -6,7 +6,12 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from chitomo.estimator import TripletRecord, read_triplet_log, write_triplet_log  # noqa: E402
+from chitomo.estimator import (  # noqa: E402
+    TripletLogError,
+    TripletRecord,
+    read_triplet_log,
+    write_triplet_log,
+)
 from chitomo.pauli import (  # noqa: E402
     MUB_QUBIT_CAP,
     commutation_vector,
@@ -38,6 +43,34 @@ def test_log_write_read_round_trip(tmp_path_factory, record, seed):
     assert loaded == record
     assert meta == {"n": record.n, "seed": seed, "M": len(record), "channel": "ab" * 32}
     assert all(col.dtype == np.int64 for col in (loaded.J, loaded.k, loaded.k_prime))
+
+
+# Bytes that no field of a record line may hold; a lone CR, form feed and
+# \x1c were line separators to Python's universal newlines.
+_FOREIGN = [b"x", b" ", b"+", b"_", b"\t", b"\r", b"\x0c", b"\x1c", b"\xff", "é".encode()]
+
+
+@settings(max_examples=40, deadline=None)
+@given(record=records(), data=st.data())
+def test_corrupted_log_line_named(tmp_path_factory, record, data):
+    """Corrupting one record line of a valid log makes the reader name that line."""
+    path = tmp_path_factory.mktemp("logs") / "t.log"
+    write_triplet_log(path, record, 0, "ab" * 32)
+    lines = path.read_bytes().split(b"\n")
+    i = data.draw(st.integers(1, len(record)), label="line index")
+    line = lines[i]
+    how = data.draw(st.sampled_from(["insert", "drop-last", "blank"]), label="corruption")
+    if how == "insert":  # anywhere but the end, where a CR would read as CRLF
+        at = data.draw(st.integers(0, len(line) - 1), label="position")
+        line = line[:at] + data.draw(st.sampled_from(_FOREIGN), label="byte") + line[at:]
+    elif how == "drop-last":
+        line = line[:-1]
+    else:
+        line = b""
+    lines[i] = line
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(TripletLogError, match=f"^line {i + 1}: "):
+        read_triplet_log(path)
 
 
 @settings(max_examples=50, deadline=None)
