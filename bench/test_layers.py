@@ -7,7 +7,7 @@
 import numpy as np
 import pytest
 
-from chitomo.channels import channel_factory
+from chitomo.channels import apply_channel, channel_factory
 from chitomo.estimator import (
     EstimatorConfig,
     TripletRecord,
@@ -17,14 +17,17 @@ from chitomo.estimator import (
     sieve_large_diagonals,
     write_triplet_log,
 )
-from chitomo.mub import design_basis
+from chitomo.mub import design_basis, design_states
+from chitomo.oracle import exact_chi, exact_chi_entries, oracle_report
 from chitomo.pauli import (
     PauliLabel,
     _trace_masks,
+    all_labels,
     commutation_vector,
     label_from_index,
     mub_class,
     mub_classes,
+    pauli_matrix,
 )
 
 
@@ -109,3 +112,52 @@ def test_sieve_large_diagonals(benchmark, n, m_count):
     record = _synthetic_pauli_log(n, m_count, weights, seed=n)
     found = benchmark(sieve_large_diagonals, record, 0.08)
     assert [str(label) for label, _ in found] == list(weights)
+
+
+def _mixture_spec(n, count):
+    """An equal-weight Pauli mixture over the first `count` labels."""
+    return {"n": n, "kind": "pauli_mixture",
+            "weights": {str(a): 1 / count for a in all_labels(n)[:count]}}
+
+
+def test_pauli_matrix_all_labels(benchmark):
+    """All 256 dense Pauli matrices of n=4."""
+    labels = all_labels(4)
+    mats = benchmark(lambda: [pauli_matrix(a) for a in labels])
+    assert len(mats) == 256
+
+
+def test_channel_factory_mixture(benchmark):
+    """A 64-label Pauli mixture at n=4, one Kraus operator per label."""
+    channel = benchmark(channel_factory, _mixture_spec(4, 64))
+    assert len(channel.operators) == 64
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_apply_channel_design_stack(benchmark, n):
+    """A depolarizing channel (4^n Kraus operators) on all D(D+1) design projectors."""
+    v = design_states(n)
+    stack = v[:, :, None] * v[:, None, :].conj()
+    channel = channel_factory({"n": n, "kind": "depolarizing", "p": 0.3})
+    out = benchmark(apply_channel, channel, stack)
+    assert out.shape == stack.shape
+
+
+@pytest.mark.parametrize("how", ["entries", "full"])
+def test_oracle_one_pair(benchmark, how):
+    """One chi entry of a 64-label n=4 mixture: exact_chi_entries, or all of exact_chi."""
+    channel = channel_factory(_mixture_spec(4, 64))
+    m, n_label = label_from_index(4, 5), label_from_index(4, 9)
+    if how == "entries":
+        value = benchmark(lambda: exact_chi_entries(channel, [(m, n_label)])[0])
+    else:
+        value = benchmark(lambda: exact_chi(channel).entry(m, n_label))
+    assert abs(value) < 1e-12
+
+
+def test_oracle_report(benchmark):
+    """The full identity report of verify --verify-level full, for one n=3 channel."""
+    channel = channel_factory({"n": 3, "kind": "depolarizing", "p": 0.3})
+    rep = benchmark.pedantic(oracle_report, args=(channel,), kwargs={"samples": 3},
+                             rounds=3, iterations=1)
+    assert rep.max_residual < 1e-9

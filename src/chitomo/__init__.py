@@ -61,6 +61,7 @@ from .oracle import (
     OracleReport,
     exact_average_fidelity,
     exact_chi,
+    exact_chi_entries,
     exact_offdiag_average,
     haar_closed_form,
     oracle_report,

@@ -3,8 +3,8 @@
 Channels come in two interchangeable forms: a chi matrix over the canonical
 Pauli operator basis (see :func:`chitomo.pauli.label_index` for the ordering)
 or a Kraus operator-sum set.  Every constructor here validates its output;
-:func:`apply_channel` acts linearly on any input matrix, which downstream
-oracles rely on.
+:func:`apply_channel` acts linearly on any input matrix, or stack of them,
+which downstream oracles rely on.
 
 The JSON channel-spec format accepted by :func:`channel_factory`:
 
@@ -102,18 +102,26 @@ def _kraus_stack(k: KrausSet) -> np.ndarray:
 
 
 def apply_channel(channel: Channel, rho: np.ndarray) -> np.ndarray:
-    """Apply a channel to a matrix (linear action; rho need not be a state)."""
+    """Apply a channel to a matrix or a stack of matrices, shape (..., D, D).
+
+    The action is linear, so rho need not be a state.  The terms
+    L_k rho R_k^dag are accumulated one operator pair at a time: L = R = the
+    Kraus operators, or for a chi matrix L_m = E_m and
+    R_m = sum_n conj(chi_mn) E_n.
+    """
     d = 2**channel.n
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (d, d):
+    if rho.shape[-2:] != (d, d):
         raise ValueError(f"state shape {rho.shape} does not match channel D={d}")
     if isinstance(channel, KrausSet):
-        ops = _kraus_stack(channel)
-        return np.einsum("kij,jl,kml->im", ops, rho, ops.conj(), optimize=True)
-    b = pauli_basis(channel.n)
-    return np.einsum(
-        "mn,mij,jl,nkl->ik", channel.mat, b, rho, b.conj(), optimize=True
-    )
+        left = right = channel.operators
+    else:
+        left = pauli_basis(channel.n)
+        right = (channel.mat.conj() @ left.reshape(len(left), -1)).reshape(left.shape)
+    out = np.zeros(rho.shape, dtype=complex)
+    for a, b in zip(left, right):
+        out += a @ rho @ b.conj().T
+    return out
 
 
 @dataclass(frozen=True)
@@ -152,13 +160,14 @@ def kraus_completeness_deviation(k: KrausSet) -> float:
     return float(np.max(np.abs(s - np.eye(2**k.n))))
 
 
+def pauli_coefficients(k: KrausSet, basis: np.ndarray) -> np.ndarray:
+    """c[k, m] = Tr(E_m^dag A_k) / D for the Pauli matrices E_m stacked in basis."""
+    return np.einsum("mji,kji->km", basis.conj(), _kraus_stack(k)) / 2**k.n
+
+
 def kraus_to_chi(k: KrausSet) -> ChiMatrix:
     """Expand Kraus operators in the Pauli basis and accumulate chi."""
-    b = pauli_basis(k.n)
-    ops = _kraus_stack(k)
-    d = 2**k.n
-    # c[k, m] = Tr(E_m^dag A_k) / D
-    c = np.einsum("mji,kji->km", b.conj(), ops) / d
+    c = pauli_coefficients(k, pauli_basis(k.n))
     return ChiMatrix(k.n, np.einsum("km,kn->mn", c, c.conj()))
 
 
@@ -277,9 +286,14 @@ def load_channel_spec(path) -> dict:
     return spec
 
 
+def _is_number(x) -> bool:
+    """A JSON number; bool is an int subclass, but true and false are not numbers."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _require_n(spec: dict) -> int:
     n = spec.get("n")
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ChannelSpecError("spec field 'n' must be a positive integer")
     return n
 
@@ -308,7 +322,7 @@ def channel_factory(spec: dict) -> KrausSet:
 
     if kind == "depolarizing":
         p = spec.get("p")
-        if not isinstance(p, (int, float)) or not 0 <= p <= 1:
+        if not _is_number(p) or not 0 <= p <= 1:
             raise ChannelSpecError("depolarizing needs 'p' in [0, 1]")
         labels = all_labels(n)
         weights = {a: p / d**2 for a in labels}
@@ -327,7 +341,7 @@ def channel_factory(spec: dict) -> KrausSet:
                 raise ChannelSpecError(f"bad Pauli string {key!r}: {exc}") from exc
             if a.n != n:
                 raise ChannelSpecError(f"weight key {key!r} has wrong qubit count")
-            if not isinstance(w, (int, float)) or not w >= 0:
+            if not _is_number(w) or not w >= 0:
                 raise ChannelSpecError(f"weight for {key!r} must be >= 0")
             weights[a] = float(w)
         total = sum(weights.values())
@@ -348,7 +362,7 @@ def channel_factory(spec: dict) -> KrausSet:
             if g.n != n:
                 raise ChannelSpecError("generator has wrong qubit count")
             theta = spec.get("theta")
-            if not isinstance(theta, (int, float)) or not np.isfinite(theta):
+            if not _is_number(theta) or not np.isfinite(theta):
                 raise ChannelSpecError("unitary generator needs a finite numeric 'theta'")
             # exp(-i theta P / 2) for an involutory generator P
             u = np.cos(theta / 2) * np.eye(d) - 1j * np.sin(theta / 2) * pauli_matrix(g)
@@ -361,7 +375,7 @@ def channel_factory(spec: dict) -> KrausSet:
 
     if kind == "amplitude_damping":
         gamma = spec.get("gamma")
-        if not isinstance(gamma, (int, float)) or not 0 <= gamma <= 1:
+        if not _is_number(gamma) or not 0 <= gamma <= 1:
             raise ChannelSpecError("amplitude_damping needs 'gamma' in [0, 1]")
         a0 = np.array([[1, 0], [0, np.sqrt(1 - gamma)]], dtype=complex)
         a1 = np.array([[0, np.sqrt(gamma)], [0, 0]], dtype=complex)

@@ -50,7 +50,7 @@ from .estimator import (
 from .mub import design_average_survival, design_basis
 from .oracle import (
     ORACLE_QUBIT_CAP,
-    exact_chi,
+    exact_chi_entries,
     haar_closed_form,
     oracle_report,
     random_label,
@@ -132,8 +132,16 @@ def _config_from_args(args) -> EstimatorConfig:
         raise CliError(EXIT_MALFORMED, "bad_arguments", str(exc)) from exc
 
 
-def _oracle_chi(channel):
-    return exact_chi(channel) if channel.n <= ORACLE_QUBIT_CAP else None
+def _oracle_column(channel, pairs) -> list:
+    """Exact chi_mn per (m, n) pair for the report, or None above the oracle cap."""
+    if channel is None or channel.n > ORACLE_QUBIT_CAP:
+        return [None] * len(pairs)
+    return exact_chi_entries(channel, pairs)
+
+
+def _oracle_diagonal(channel, labels) -> list:
+    return [None if v is None else complex(v.real)
+            for v in _oracle_column(channel, [(m, m) for m in labels])]
 
 
 def cmd_estimate_diag(args) -> int:
@@ -141,8 +149,7 @@ def cmd_estimate_diag(args) -> int:
     m = _parse_label(args.m, channel.n)
     cfg = _config_from_args(args)
     est = estimate_chi_diag(channel, m, cfg)
-    chi = _oracle_chi(channel)
-    oracles = [None if chi is None else complex(chi.entry(m, m).real)]
+    oracles = _oracle_diagonal(channel, [m])
     report = estimation_report(cfg.echo(), [("diag", m, None, est)], oracles)
     report["manifest"] = _manifest("estimate-diag", channel_spec_sha256(spec), cfg.echo())
     _emit(report, args.out)
@@ -155,8 +162,7 @@ def cmd_estimate_offdiag(args) -> int:
     n_label = _parse_label(args.n_label, channel.n)
     cfg = _config_from_args(args)
     est = estimate_chi_offdiag(channel, m, n_label, cfg)
-    chi = _oracle_chi(channel)
-    oracles = [None if chi is None else chi.entry(m, n_label)]
+    oracles = _oracle_column(channel, [(m, n_label)])
     report = estimation_report(cfg.echo(), [("offdiag", m, n_label, est)], oracles)
     report["manifest"] = _manifest(
         "estimate-offdiag", channel_spec_sha256(spec), cfg.echo()
@@ -175,7 +181,7 @@ def cmd_triplets(args) -> int:
 
 def _load_log_with_optional_channel(args):
     record, meta = read_triplet_log(args.log)
-    chi = None
+    channel = None
     if args.channel is not None:
         spec, channel = _load_channel(args.channel)
         digest = channel_spec_sha256(spec)
@@ -186,18 +192,17 @@ def _load_log_with_optional_channel(args):
                 f"log was produced for channel {meta['channel'][:12]}..., "
                 f"spec hashes to {digest[:12]}...",
             )
-        chi = _oracle_chi(channel)
-    return record, meta, chi
+    return record, meta, channel
 
 
 def cmd_diag_from_log(args) -> int:
-    record, meta, chi = _load_log_with_optional_channel(args)
+    record, meta, channel = _load_log_with_optional_channel(args)
     labels = [
         _parse_label(text, meta["n"]) for arg in args.m for text in arg.split(",")
     ]
     estimates = estimate_diags_from_triplets(record, labels)
     entries = [("triplet_diag", m, None, est) for m, est in zip(labels, estimates)]
-    oracles = [None if chi is None else complex(chi.entry(m, m).real) for m in labels]
+    oracles = _oracle_diagonal(channel, labels)
     config = {"log": args.log, **meta}
     report = estimation_report(config, entries, oracles)
     report["manifest"] = _manifest("diag-from-log", meta["channel"], config)
@@ -208,16 +213,14 @@ def cmd_diag_from_log(args) -> int:
 def cmd_sieve(args) -> int:
     if not args.threshold > 0:
         raise CliError(EXIT_MALFORMED, "bad_arguments", "--threshold must be positive")
-    record, meta, chi = _load_log_with_optional_channel(args)
+    record, meta, channel = _load_log_with_optional_channel(args)
     stats: dict = {}
     try:
         found = sieve_large_diagonals(record, args.threshold, stats=stats)
     except SingleBaseError as exc:
         raise CliError(EXIT_SINGLE_BASE, "single_base", str(exc)) from exc
     entries = [("sieve", m, None, est) for m, est in found]
-    oracles = [
-        None if chi is None else complex(chi.entry(m, m).real) for m, _ in found
-    ]
+    oracles = _oracle_diagonal(channel, [m for m, _ in found])
     config = {"log": args.log, "threshold": args.threshold, **meta}
     report = estimation_report(config, entries, oracles)
     report["manifest"] = _manifest("sieve", meta["channel"], config)

@@ -17,7 +17,7 @@ import logging
 
 import numpy as np
 
-from .pauli import DENSE_QUBIT_CAP, DenseCapError, mub_class
+from .pauli import DENSE_QUBIT_CAP, DenseCapError, index_bit_tables, mub_class, pauli_action
 
 logger = logging.getLogger(__name__)
 
@@ -26,15 +26,16 @@ logger = logging.getLogger(__name__)
 def design_basis(n: int, J: int) -> np.ndarray:
     """D x D unitary whose column k is state k of base J.
 
-    Work is in qubit order q (bit i = qubit i); row x of the result is
-    q = rev(x), the bit reversal, because qubit 0 is the most significant
+    Row x of the result is qubit-order basis state q = rev(x) (bit i =
+    qubit i), the bit reversal, because qubit 0 is the most significant
     tensor factor.  Base 0 is the permutation with column k = |rev(k)>.  For
     J >= 1 generator i has X only on qubit i, so Z on qubit i flips the sign
     of generator i alone: state 0 is the n projectors (I + g_i)/2 applied to
-    |0> and normalized, and column k is Z^k applied to it, a sign
-    (-1)^{|q AND k|} per row.  State 0 has full support, so every column's
-    first amplitude is the positive real one at x = 0.  O(D^2) per base;
-    the cache holds every base up to the dense cap (about 4.4 MB).
+    |0> and normalized (each g_i applied as the signed permutation of
+    :func:`chitomo.pauli.pauli_action`), and column k is Z^k applied to it,
+    a sign (-1)^{|rev(x) AND k|} per row.  State 0 has full support, so every
+    column's first amplitude is the positive real one at x = 0.  O(D^2) per
+    base; the cache holds every base up to the dense cap (about 4.4 MB).
     """
     if n > DENSE_QUBIT_CAP:
         raise DenseCapError(f"dense states limited to n <= {DENSE_QUBIT_CAP}")
@@ -42,23 +43,27 @@ def design_basis(n: int, J: int) -> np.ndarray:
     if not 0 <= J <= d:
         raise ValueError(f"base index J={J} out of range for n={n}")
     generators = mub_class(n, J).generators  # also rejects n < 1
-    q = np.arange(d)
-    rev = np.zeros(d, dtype=np.int64)
-    parity = np.zeros(d, dtype=np.int64)
-    for b in range(n):
-        rev |= ((q >> b) & 1) << (n - 1 - b)
-        parity ^= (q >> b) & 1
+    rev, parity = index_bit_tables(n)
     if J == 0:
         return np.eye(d, dtype=complex)[rev]
     v = np.zeros(d, dtype=complex)
     v[0] = 1.0
     for g in generators:
-        # g|q> = i^{|x AND z|} (-1)^{|z AND q|} |q XOR x>, read at row q XOR x
-        src = q ^ g.x_bits
-        phase = 1j ** (g.x_bits & g.z_bits).bit_count()
-        v = (v + phase * (1 - 2 * parity[g.z_bits & src]) * v[src]) / 2
+        src, w = pauli_action(g)
+        v = (v + w * v[src]) / 2
     v /= np.linalg.norm(v)
-    return v[rev, None] * (1 - 2 * parity[rev[:, None] & q])
+    return v[:, None] * (1 - 2 * parity[rev[:, None] & np.arange(d)])
+
+
+@functools.lru_cache(maxsize=None)
+def design_states(n: int) -> np.ndarray:
+    """All D(D+1) design states as rows, base J's state k at row J*D + k.
+
+    Read-only; the cache holds every n up to the dense cap (about 4.4 MB).
+    """
+    v = np.concatenate([design_basis(n, J).T for J in range(2**n + 1)])
+    v.setflags(write=False)
+    return v
 
 
 def design_average_survival(op1: np.ndarray, op2: np.ndarray) -> complex:
@@ -73,13 +78,10 @@ def design_average_survival(op1: np.ndarray, op2: np.ndarray) -> complex:
     n = d.bit_length() - 1
     if op1.shape != (d, d) or op2.shape != (d, d) or 2**n != d:
         raise ValueError("operators must be square with power-of-two dimension")
-    total = 0.0 + 0.0j
-    for J in range(d + 1):
-        b = design_basis(n, J)
-        e1 = np.einsum("ik,ij,jk->k", b.conj(), op1, b, optimize=True)
-        e2 = np.einsum("ik,ij,jk->k", b.conj(), op2, b, optimize=True)
-        total += np.sum(e1 * e2)
-    return complex(total / (d * (d + 1)))
+    v = design_states(n)
+    e1 = np.sum((v.conj() @ op1) * v, axis=1)
+    e2 = np.sum((v.conj() @ op2) * v, axis=1)
+    return complex(e1 @ e2) / len(v)
 
 
 def as_distribution(probs: np.ndarray, J: int) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Brute-force ground truth for everything the estimators target.
 
 Everything here is exact (dense linear algebra, full design enumeration) and
-deliberately slow-but-simple; it exists to pin down the Monte Carlo paths.
+deliberately simple: each design sum applies the channel to every design
+state and every Kraus operator, batched as one stack of states rather than
+one call per state.  It exists to pin down the Monte Carlo paths.
 Desk-scale only: chi matrices are 4**n x 4**n, so the default cap is n = 4
 with an explicit opt-in for n = 5.
 """
@@ -22,14 +24,14 @@ from .channels import (
     kraus_to_chi,
     modified_channel_diag,
     modified_channel_offdiag,
+    pauli_coefficients,
 )
-from .mub import design_basis, design_average_survival
+from .mub import design_average_survival, design_states
 from .pauli import (
     DenseCapError,
     PauliLabel,
     all_labels,
     label_from_index,
-    label_index,
     pauli_matrix,
 )
 
@@ -37,6 +39,9 @@ logger = logging.getLogger(__name__)
 
 ORACLE_QUBIT_CAP = 4
 ORACLE_QUBIT_HARD_CAP = 5
+
+# trace_identity_residual applies the channel to this many matrix entries at a time
+_STACK_ENTRIES = 2**20
 
 _SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 _SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -61,18 +66,36 @@ def exact_chi(channel: Channel, max_n: int = ORACLE_QUBIT_CAP) -> ChiMatrix:
     return kraus_to_chi(as_kraus(channel))
 
 
+def exact_chi_entries(
+    channel: Channel, pairs: list[tuple[PauliLabel, PauliLabel]]
+) -> list[complex]:
+    """chi_mn for each (m, n) pair, without building the rest of chi.
+
+    The Kraus operators are expanded over the distinct labels of the pairs
+    only: c_km = Tr(E_m^dag A_k) / D and chi_mn = sum_k c_km conj(c_kn), the
+    same sums :func:`exact_chi` does for every label.  O(K D^2) per distinct
+    label, so no oracle cap applies beyond the dense one of ``pauli_matrix``.
+    """
+    if not pairs:
+        return []
+    labels = list(dict.fromkeys(a for pair in pairs for a in pair))
+    col = {a: i for i, a in enumerate(labels)}
+    c = pauli_coefficients(as_kraus(channel), np.stack([pauli_matrix(a) for a in labels]))
+    return [complex(c[:, col[m]] @ c[:, col[n_label]].conj()) for m, n_label in pairs]
+
+
+def _design_projectors(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """All D(D+1) design states as rows of V, and their projectors |v><v|."""
+    v = design_states(n)
+    return v, v[:, :, None] * v[:, None, :].conj()
+
+
 def exact_average_fidelity(channel: Channel, max_n: int = ORACLE_QUBIT_CAP) -> float:
     """Average survival probability, enumerated over the full state design."""
     _check_oracle_cap(channel.n, max_n)
-    d = 2**channel.n
-    total = 0.0
-    for J in range(d + 1):
-        b = design_basis(channel.n, J)
-        for k in range(d):
-            v = b[:, k]
-            out = apply_channel(channel, np.outer(v, v.conj()))
-            total += float((v.conj() @ out @ v).real)
-    return total / (d * (d + 1))
+    v, proj = _design_projectors(channel.n)
+    out = apply_channel(channel, proj)
+    return float(np.einsum("si,sij,sj->", v.conj(), out, v).real) / len(v)
 
 
 def exact_offdiag_average(
@@ -86,17 +109,9 @@ def exact_offdiag_average(
     Equals (D chi_mn + delta_mn) / (D + 1) for a valid channel.
     """
     _check_oracle_cap(channel.n, max_n)
-    d = 2**channel.n
-    em_dag = pauli_matrix(m).conj().T
-    en = pauli_matrix(n_label)
-    total = 0.0 + 0.0j
-    for J in range(d + 1):
-        b = design_basis(channel.n, J)
-        for k in range(d):
-            v = b[:, k]
-            op = em_dag @ np.outer(v, v.conj()) @ en
-            total += v.conj() @ apply_channel(channel, op) @ v
-    return complex(total / (d * (d + 1)))
+    v, proj = _design_projectors(channel.n)
+    out = apply_channel(channel, pauli_matrix(m).conj().T @ proj @ pauli_matrix(n_label))
+    return complex(np.einsum("si,sij,sj->", v.conj(), out, v)) / len(v)
 
 
 def exact_ancilla_polarization(
@@ -117,18 +132,14 @@ def exact_ancilla_polarization(
         raise ValueError("axis must be 'x' or 'y'")
     sigma = _SIGMA_X if axis == "x" else _SIGMA_Y
     mod = modified_channel_offdiag(channel, m, n_label)
-    d = 2**channel.n
-    anc_in = np.array([[1, 0], [0, 0]], dtype=complex)
-    total = 0.0
-    for J in range(d + 1):
-        b = design_basis(channel.n, J)
-        for k in range(d):
-            v = b[:, k]
-            p_psi = np.outer(v, v.conj())
-            out = apply_channel(mod, np.kron(anc_in, p_psi))
-            obs = np.kron(sigma, p_psi)
-            total += float(np.trace(obs @ out).real)
-    return total / (d * (d + 1))
+    _, proj = _design_projectors(channel.n)
+    s, d = proj.shape[:2]
+    # |0><0| (x) P_psi on the ancilla-extended register, and sigma (x) P_psi
+    inp = np.zeros((s, 2 * d, 2 * d), dtype=complex)
+    inp[:, :d, :d] = proj
+    out = apply_channel(mod, inp)
+    obs = np.einsum("ab,sij->saibj", sigma, proj).reshape(s, 2 * d, 2 * d)
+    return float(np.einsum("sij,sji->", obs, out).real) / s
 
 
 def haar_closed_form(op1: np.ndarray, op2: np.ndarray) -> complex:
@@ -149,18 +160,23 @@ def trace_identity_residual(
     """Max deviation of Tr[E(E_m^dag E_n)] from D*delta_mn over label pairs.
 
     This is the trace-preservation condition contracted against chi; pairs
-    defaults to all label pairs (quadratic in 4**n — keep n small).
+    defaults to all label pairs (quadratic in 4**n — keep n small).  The
+    channel is applied to the operators of at most 2**20 matrix entries of
+    pairs at a time, so memory stays flat however many pairs there are.
     """
     d = 2**channel.n
     if pairs is None:
         labels = all_labels(channel.n)
         pairs = [(a, b) for a in labels for b in labels]
+    mats = {a: pauli_matrix(a) for pair in pairs for a in pair}
+    step = max(1, _STACK_ENTRIES // d**2)
     worst = 0.0
-    for m, n_label in pairs:
-        op = pauli_matrix(m).conj().T @ pauli_matrix(n_label)
-        val = complex(np.trace(apply_channel(channel, op)))
-        want = d if m == n_label else 0.0
-        worst = max(worst, abs(val - want))
+    for start in range(0, len(pairs), step):
+        chunk = pairs[start:start + step]
+        ops = np.stack([mats[m].conj().T @ mats[n_label] for m, n_label in chunk])
+        vals = np.trace(apply_channel(channel, ops), axis1=-2, axis2=-1)
+        want = np.array([d if m == n_label else 0.0 for m, n_label in chunk])
+        worst = max(worst, float(np.max(np.abs(vals - want))))
     return worst
 
 

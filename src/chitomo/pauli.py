@@ -28,13 +28,6 @@ DENSE_QUBIT_CAP = 6
 # MUB classes need GF(2**n); the irreducible-polynomial table below limits n.
 MUB_QUBIT_CAP = 12
 
-_SINGLE_QUBIT = {
-    (0, 0): np.eye(2, dtype=complex),
-    (1, 0): np.array([[0, 1], [1, 0]], dtype=complex),
-    (1, 1): np.array([[0, -1j], [1j, 0]], dtype=complex),
-    (0, 1): np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
 _CHAR_TO_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_TO_CHAR = {v: k for k, v in _CHAR_TO_BITS.items()}
 
@@ -177,15 +170,45 @@ def symplectic_product(a: PauliLabel, b: PauliLabel) -> int:
     return ((a.x_bits & b.z_bits).bit_count() + (a.z_bits & b.x_bits).bit_count()) & 1
 
 
-def pauli_matrix(a: PauliLabel) -> np.ndarray:
-    """Dense Hermitian representative matrix of a label (2**n x 2**n)."""
+@functools.lru_cache(maxsize=None)
+def index_bit_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rev, parity) over the 2**n indices: rev[c] is c with its n bits
+    reversed, parity[c] is the parity of c's bit count.  Read-only."""
+    c = np.arange(1 << n)
+    rev = np.zeros_like(c)
+    parity = np.zeros_like(c)
+    for b in range(n):
+        rev |= ((c >> b) & 1) << (n - 1 - b)
+        parity ^= (c >> b) & 1
+    rev.setflags(write=False)
+    parity.setflags(write=False)
+    return rev, parity
+
+
+def pauli_action(a: PauliLabel) -> tuple[np.ndarray, np.ndarray]:
+    """A label's matrix as a signed permutation: (P v)[r] = w[r] * v[src[r]].
+
+    P|q> = i^{|x AND z|} (-1)^{|z AND q|} |q XOR x> in qubit order q (bit i
+    = qubit i).  Matrix index c is q = rev(c), because qubit 0 is the most
+    significant tensor factor, so row r reads src = r XOR rev(x) with weight
+    i^{|x AND z|} (-1)^{|rev(z) AND src|}.
+    """
     if a.n > DENSE_QUBIT_CAP:
         raise DenseCapError(
             f"dense matrices limited to n <= {DENSE_QUBIT_CAP}, got n={a.n}"
         )
-    m = np.ones((1, 1), dtype=complex)
-    for i in range(a.n):
-        m = np.kron(m, _SINGLE_QUBIT[(a.x_bits >> i) & 1, (a.z_bits >> i) & 1])
+    rev, parity = index_bit_tables(a.n)
+    src = np.arange(1 << a.n) ^ rev[a.x_bits]
+    phase = 1j ** (a.x_bits & a.z_bits).bit_count()
+    return src, phase * (1 - 2 * parity[rev[a.z_bits] & src])
+
+
+def pauli_matrix(a: PauliLabel) -> np.ndarray:
+    """Dense Hermitian representative matrix of a label (2**n x 2**n),
+    built from :func:`pauli_action`."""
+    src, w = pauli_action(a)
+    m = np.zeros((src.size, src.size), dtype=complex)
+    m[np.arange(src.size), src] = w
     return m
 
 

@@ -135,6 +135,39 @@ class TestApplyChannel:
         with pytest.raises(ValueError):
             apply_channel(channel_factory({"n": 2, "kind": "identity"}), np.eye(2))
 
+    @pytest.mark.parametrize("form", ["kraus", "chi"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_stack_matches_per_matrix(self, form, n):
+        """A (S, D, D) stack, and a (2, 3, D, D) one, map matrix by matrix."""
+        rng = np.random.default_rng(20 + n)
+        k = random_kraus_channel(n, rng)
+        channel = k if form == "kraus" else kraus_to_chi(k)
+        d = 2**n
+        stack = rng.normal(size=(6, d, d)) + 1j * rng.normal(size=(6, d, d))
+        want = np.stack([apply_channel(channel, rho) for rho in stack])
+        np.testing.assert_allclose(apply_channel(channel, stack), want, atol=1e-12)
+        np.testing.assert_allclose(
+            apply_channel(channel, stack.reshape(2, 3, d, d)), want.reshape(2, 3, d, d),
+            atol=1e-12,
+        )
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_matches_operator_sum_reference(self, n):
+        """Every Kraus operator, and every chi entry, contributes."""
+        rng = np.random.default_rng(30 + n)
+        k = random_kraus_channel(n, rng, ops=4)
+        chi = kraus_to_chi(k)
+        d = 2**n
+        rho = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        want = sum(a @ rho @ a.conj().T for a in k.operators)
+        np.testing.assert_allclose(apply_channel(k, rho), want, atol=1e-12)
+        b = pauli_basis(n)
+        want_chi = sum(
+            chi.mat[i, j] * b[i] @ rho @ b[j].conj().T
+            for i in range(4**n) for j in range(4**n)
+        )
+        np.testing.assert_allclose(apply_channel(chi, rho), want_chi, atol=1e-12)
+
 
 class TestValidateChi:
     def test_factory_channels_pass(self):

@@ -5,7 +5,9 @@ import json
 import pytest
 
 from chitomo import cli
-from chitomo.channels import channel_spec_sha256
+from chitomo.channels import channel_factory, channel_spec_sha256
+from chitomo.oracle import exact_chi
+from chitomo.pauli import PauliLabel
 
 
 def run(capsys, *argv):
@@ -349,6 +351,25 @@ def test_non_finite_spec_numbers_exit_2(capsys, tmp_path, text):
     assert json.loads(err)["error"] == "malformed_input"
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"n": True, "kind": "identity"},
+        {"n": 1, "kind": "depolarizing", "p": True},
+        {"n": 1, "kind": "unitary", "generator": "X", "theta": False},
+        {"n": 1, "kind": "amplitude_damping", "gamma": True},
+        {"n": 1, "kind": "pauli_mixture", "weights": {"X": True}},
+    ],
+    ids=["n", "p", "theta", "gamma", "weight"],
+)
+def test_boolean_spec_numbers_exit_2(capsys, tmp_path, spec):
+    """JSON true and false are not numbers, although Python's bool is an int."""
+    path, _ = write_spec(tmp_path, "spec.json", spec)
+    code, _, err = run(capsys, "estimate-diag", "--channel", path, "--m", "X", "--M", "50")
+    assert code == 2
+    assert json.loads(err)["error"] == "malformed_input"
+
+
 @pytest.mark.parametrize("target", ["log", "log-header", "spec"])
 def test_undecodable_files_exit_2(capsys, specs, tmp_path, target):
     """A 0xFF byte in a log's bit field or header, or in a spec string, is malformed input."""
@@ -368,6 +389,43 @@ def test_undecodable_files_exit_2(capsys, specs, tmp_path, target):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert json.loads(err)["error"] == "malformed_input"
+
+
+class TestOracleColumns:
+    def test_every_command_matches_exact_chi(self, capsys, tmp_path):
+        """Oracle columns of all four reporting commands equal entries of exact_chi."""
+        spec = {"n": 2, "kind": "compose", "children": [
+            {"n": 2, "kind": "pauli_mixture", "weights": {"II": 0.8, "XZ": 0.2}},
+            {"n": 2, "kind": "unitary", "generator": "YI", "theta": 0.6}]}
+        path, _ = write_spec(tmp_path, "c.json", spec)
+        chi = exact_chi(channel_factory(spec))
+        log = str(tmp_path / "c.log")
+        run(capsys, "triplets", "--channel", path, "--M", "3000", "--seed", "2", "--out", log)
+        commands = [
+            ["estimate-diag", "--channel", path, "--m", "XZ", "--M", "200"],
+            ["estimate-offdiag", "--channel", path, "--m", "II", "--n-label", "YI",
+             "--M", "200"],
+            ["estimate-offdiag", "--channel", path, "--m", "YI", "--n-label", "XZ",
+             "--mode", "exact"],
+            ["diag-from-log", "--log", log, "--channel", path, "--m", "II,XZ,YI", "--m", "ZY"],
+            ["sieve", "--log", log, "--channel", path, "--threshold", "0.05"],
+        ]
+        checked = 0
+        for argv in commands:
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            rows = json.loads(out)["rows"]
+            assert rows
+            for row in rows:
+                m = PauliLabel.from_string(row["m"])
+                n_label = m if row["n_label"] is None else PauliLabel.from_string(row["n_label"])
+                want = chi.entry(m, n_label)
+                if row["n_label"] is None:
+                    want = complex(want.real)
+                got = complex(row["oracle_re"], row["oracle_im"])
+                assert abs(got - want) < 1e-12, (argv[0], row["m"])
+                checked += 1
+        assert checked >= 9
 
 
 class TestVerify:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from chitomo.mub import as_distribution, design_average_survival, design_basis
+from chitomo.mub import as_distribution, design_average_survival, design_basis, design_states
 from chitomo.oracle import haar_closed_form
 from chitomo.pauli import (
     DenseCapError,
@@ -90,6 +90,14 @@ class TestStateConstruction:
                 design_basis(6, j)
         info = design_basis.cache_info()
         assert (info.hits, info.misses) == (d + 1, d + 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_design_states_are_the_base_columns_in_order(self, n):
+        d = 2**n
+        v = design_states(n)
+        assert v.shape == (d * (d + 1), d) and not v.flags.writeable
+        for j in range(d + 1):
+            np.testing.assert_array_equal(v[j * d:(j + 1) * d], design_basis(n, j).T)
 
 
 def _projected_fiducial(gens, k, d):

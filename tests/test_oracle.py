@@ -3,16 +3,22 @@
 import numpy as np
 import pytest
 
+import chitomo.oracle as oracle_module
 from chitomo.channels import (
     KrausSet,
+    apply_channel,
     channel_factory,
     kraus_to_chi,
+    matrix_to_json,
     modified_channel_diag,
+    modified_channel_offdiag,
 )
+from chitomo.mub import design_average_survival, design_basis
 from chitomo.oracle import (
     exact_ancilla_polarization,
     exact_average_fidelity,
     exact_chi,
+    exact_chi_entries,
     exact_offdiag_average,
     haar_closed_form,
     oracle_report,
@@ -21,7 +27,7 @@ from chitomo.oracle import (
     random_label,
     trace_identity_residual,
 )
-from chitomo.pauli import DenseCapError, PauliLabel, all_labels
+from chitomo.pauli import DenseCapError, PauliLabel, all_labels, pauli_matrix
 
 
 def L(s):
@@ -232,3 +238,170 @@ class TestOracleReport:
         k = channel_factory({"n": 1, "kind": "amplitude_damping", "gamma": 0.5})
         rep = oracle_report(k, samples=2, seed=0)
         np.testing.assert_allclose(rep.chi.mat, kraus_to_chi(k).mat, atol=1e-13)
+
+
+def seven_kinds(n):
+    """One spec of each channel-spec kind at n qubits."""
+    d = 2**n
+    flip = pauli_matrix(PauliLabel(n, 1, 0))
+    return {
+        "identity": {"n": n, "kind": "identity"},
+        "depolarizing": {"n": n, "kind": "depolarizing", "p": 0.3},
+        "pauli_mixture": {"n": n, "kind": "pauli_mixture",
+                          "weights": {"I" * n: 0.6, "X" * n: 0.25, "Y" + "Z" * (n - 1): 0.15}},
+        "unitary": {"n": n, "kind": "unitary", "generator": "Y" + "X" * (n - 1), "theta": 0.7},
+        "amplitude_damping": {"n": n, "kind": "amplitude_damping", "gamma": 0.25},
+        "kraus": {"n": n, "kind": "kraus", "operators": [
+            matrix_to_json(np.sqrt(0.9) * np.eye(d)), matrix_to_json(np.sqrt(0.1) * flip)]},
+        "compose": {"n": n, "kind": "compose", "children": [
+            {"n": n, "kind": "depolarizing", "p": 0.2},
+            {"n": n, "kind": "unitary", "generator": "Z" * n, "theta": 0.4}]},
+    }
+
+
+def label_pairs(n, rng):
+    """Every label pair at n <= 2, and 200 sampled pairs above."""
+    if n <= 2:
+        labels = all_labels(n)
+        return [(a, b) for a in labels for b in labels]
+    return [(random_label(n, rng), random_label(n, rng)) for _ in range(200)]
+
+
+class TestExactChiEntries:
+    @pytest.mark.parametrize("kind", list(seven_kinds(1)))
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_full_chi(self, n, kind):
+        channel = channel_factory(seven_kinds(n)[kind])
+        chi = exact_chi(channel)
+        pairs = label_pairs(n, np.random.default_rng(n))
+        got = exact_chi_entries(channel, pairs)
+        want = [chi.entry(m, n_label) for m, n_label in pairs]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_chi_matrix_input(self, n):
+        rng = np.random.default_rng(n + 40)
+        chi = kraus_to_chi(random_channel(n, rng))
+        pairs = label_pairs(n, rng)
+        got = exact_chi_entries(chi, pairs)
+        full = exact_chi(chi)
+        want = [full.entry(m, n_label) for m, n_label in pairs]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_repeated_labels_and_order(self):
+        channel = channel_factory(seven_kinds(2)["compose"])
+        chi = exact_chi(channel)
+        pairs = [(L("XZ"), L("II")), (L("II"), L("XZ")), (L("XZ"), L("XZ")), (L("II"), L("XZ"))]
+        got = exact_chi_entries(channel, pairs)
+        np.testing.assert_allclose(got, [chi.entry(m, n) for m, n in pairs], atol=1e-12)
+        assert exact_chi_entries(channel, []) == []
+
+
+# Per-state loops of the design sums, one apply_channel call per design state:
+# the batched oracle must agree with them.
+
+def _states(n):
+    for J in range(2**n + 1):
+        b = design_basis(n, J)
+        for k in range(2**n):
+            yield b[:, k]
+
+
+def loop_average_fidelity(channel):
+    d = 2**channel.n
+    total = 0.0
+    for v in _states(channel.n):
+        out = apply_channel(channel, np.outer(v, v.conj()))
+        total += float((v.conj() @ out @ v).real)
+    return total / (d * (d + 1))
+
+
+def loop_offdiag_average(channel, m, n_label):
+    d = 2**channel.n
+    em_dag = pauli_matrix(m).conj().T
+    en = pauli_matrix(n_label)
+    total = 0.0 + 0.0j
+    for v in _states(channel.n):
+        op = em_dag @ np.outer(v, v.conj()) @ en
+        total += v.conj() @ apply_channel(channel, op) @ v
+    return complex(total / (d * (d + 1)))
+
+
+def loop_ancilla_polarization(channel, m, n_label, axis):
+    sigma = np.array([[0, 1], [1, 0]] if axis == "x" else [[0, -1j], [1j, 0]], dtype=complex)
+    mod = modified_channel_offdiag(channel, m, n_label)
+    d = 2**channel.n
+    anc_in = np.array([[1, 0], [0, 0]], dtype=complex)
+    total = 0.0
+    for v in _states(channel.n):
+        p_psi = np.outer(v, v.conj())
+        out = apply_channel(mod, np.kron(anc_in, p_psi))
+        total += float(np.trace(np.kron(sigma, p_psi) @ out).real)
+    return total / (d * (d + 1))
+
+
+def loop_trace_identity_residual(channel, pairs):
+    d = 2**channel.n
+    worst = 0.0
+    for m, n_label in pairs:
+        op = pauli_matrix(m).conj().T @ pauli_matrix(n_label)
+        val = complex(np.trace(apply_channel(channel, op)))
+        worst = max(worst, abs(val - (d if m == n_label else 0.0)))
+    return worst
+
+
+def loop_design_average_survival(op1, op2):
+    d = op1.shape[0]
+    n = d.bit_length() - 1
+    total = 0.0 + 0.0j
+    for v in _states(n):
+        total += (v.conj() @ op1 @ v) * (v.conj() @ op2 @ v)
+    return complex(total / (d * (d + 1)))
+
+
+class TestBatchedDesignSums:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_design_sums_match_per_state_loops(self, n):
+        rng = np.random.default_rng(n + 100)
+        for channel in (random_channel(n, rng), kraus_to_chi(random_channel(n, rng))):
+            m, n_label = random_label(n, rng), random_label(n, rng)
+            assert abs(exact_average_fidelity(channel) - loop_average_fidelity(channel)) < 1e-12
+            mod = modified_channel_diag(channel, m)
+            assert abs(exact_average_fidelity(mod) - loop_average_fidelity(mod)) < 1e-12
+            assert abs(exact_offdiag_average(channel, m, n_label)
+                       - loop_offdiag_average(channel, m, n_label)) < 1e-12
+            for axis in ("x", "y"):
+                assert abs(exact_ancilla_polarization(channel, m, n_label, axis)
+                           - loop_ancilla_polarization(channel, m, n_label, axis)) < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_trace_identity_residual_matches_per_pair_loop(self, n):
+        rng = np.random.default_rng(n + 110)
+        # A non-trace-preserving map, so the residual is far from 0.
+        k = random_channel(n, rng)
+        scaled = KrausSet(n, tuple(1.1 * a for a in k.operators))
+        pairs = label_pairs(n, rng)
+        for channel in (k, scaled):
+            assert abs(trace_identity_residual(channel, pairs)
+                       - loop_trace_identity_residual(channel, pairs)) < 1e-12
+        if n <= 2:
+            assert trace_identity_residual(scaled) == trace_identity_residual(scaled, pairs)
+        assert trace_identity_residual(k, []) == 0.0
+
+    def test_trace_identity_residual_in_chunks(self, monkeypatch):
+        rng = np.random.default_rng(115)
+        scaled = KrausSet(2, tuple(1.1 * a for a in random_channel(2, rng).operators))
+        pairs = label_pairs(2, rng)
+        whole = trace_identity_residual(scaled, pairs)
+        monkeypatch.setattr(oracle_module, "_STACK_ENTRIES", 3 * 4**2)  # 3 pairs a chunk
+        assert abs(trace_identity_residual(scaled, pairs) - whole) < 1e-12
+        assert abs(whole - loop_trace_identity_residual(scaled, pairs)) < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_design_average_survival_matches_per_state_loop(self, n):
+        rng = np.random.default_rng(n + 120)
+        d = 2**n
+        for _ in range(3):
+            o1 = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            o2 = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            assert abs(design_average_survival(o1, o2) - loop_design_average_survival(o1, o2)) < 1e-12

@@ -32,6 +32,22 @@ def L(s):
     return PauliLabel.from_string(s)
 
 
+_KRON_FACTORS = {
+    (0, 0): np.eye(2, dtype=complex),
+    (1, 0): np.array([[0, 1], [1, 0]], dtype=complex),
+    (1, 1): np.array([[0, -1j], [1j, 0]], dtype=complex),
+    (0, 1): np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def kron_reference(a):
+    """The tensor product of the single-qubit factors, qubit 0 leftmost."""
+    m = np.ones((1, 1), dtype=complex)
+    for i in range(a.n):
+        m = np.kron(m, _KRON_FACTORS[(a.x_bits >> i) & 1, (a.z_bits >> i) & 1])
+    return m
+
+
 class TestLabelBasics:
     def test_string_round_trip(self):
         for s in ("I", "X", "Y", "Z", "XIZ", "YYXZ", "IIII"):
@@ -169,6 +185,18 @@ class TestPauliMatrix:
     def test_dense_cap(self):
         with pytest.raises(DenseCapError):
             pauli_matrix(PauliLabel.identity(7))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_closed_form_matches_kron_for_every_label(self, n):
+        for a in all_labels(n):
+            np.testing.assert_array_equal(pauli_matrix(a), kron_reference(a), err_msg=str(a))
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_closed_form_matches_kron_for_sampled_labels(self, n):
+        rng = np.random.default_rng(n)
+        for idx in rng.integers(0, 4**n, size=100):
+            a = label_from_index(n, int(idx))
+            np.testing.assert_array_equal(pauli_matrix(a), kron_reference(a), err_msg=str(a))
 
 
 class TestGaloisField:
