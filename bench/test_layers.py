@@ -7,7 +7,7 @@
 import numpy as np
 import pytest
 
-from chitomo.channels import apply_channel, channel_factory
+from chitomo.channels import apply_channel, channel_factory, superoperator
 from chitomo.estimator import (
     EstimatorConfig,
     TripletRecord,
@@ -143,6 +143,14 @@ def test_apply_channel_design_stack(benchmark, n):
     assert out.shape == stack.shape
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_superoperator_depolarizing(benchmark, n):
+    """The D^2 x D^2 superoperator of a depolarizing channel (4^n Kraus operators)."""
+    channel = channel_factory({"n": n, "kind": "depolarizing", "p": 0.3})
+    sop = benchmark(superoperator, channel)
+    assert sop.shape == (4**n, 4**n)
+
+
 @pytest.mark.parametrize("how", ["entries", "full"])
 def test_oracle_one_pair(benchmark, how):
     """One chi entry of a 64-label n=4 mixture: exact_chi_entries, or all of exact_chi."""
@@ -155,9 +163,10 @@ def test_oracle_one_pair(benchmark, how):
     assert abs(value) < 1e-12
 
 
-def test_oracle_report(benchmark):
-    """The full identity report of verify --verify-level full, for one n=3 channel."""
-    channel = channel_factory({"n": 3, "kind": "depolarizing", "p": 0.3})
+@pytest.mark.parametrize("n", [3, 4])
+def test_oracle_report(benchmark, n):
+    """The full identity report of verify --verify-level full, for one channel."""
+    channel = channel_factory({"n": n, "kind": "depolarizing", "p": 0.3})
     rep = benchmark.pedantic(oracle_report, args=(channel,), kwargs={"samples": 3},
                              rounds=3, iterations=1)
     assert rep.max_residual < 1e-9

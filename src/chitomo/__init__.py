@@ -38,6 +38,7 @@ from .channels import (
     load_channel_spec,
     modified_channel_diag,
     modified_channel_offdiag,
+    superoperator,
     validate_chi,
 )
 from .mub import design_average_survival, design_basis

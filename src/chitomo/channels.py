@@ -3,8 +3,11 @@
 Channels come in two interchangeable forms: a chi matrix over the canonical
 Pauli operator basis (see :func:`chitomo.pauli.label_index` for the ordering)
 or a Kraus operator-sum set.  Every constructor here validates its output;
-:func:`apply_channel` acts linearly on any input matrix, or stack of them,
-which downstream oracles rely on.
+:func:`apply_channel` acts linearly on any input matrix, or stack of them.
+:func:`superoperator` builds the same action as one D**2 x D**2 matrix from
+every Kraus operator (or chi entry).  ``apply_channel`` maps a large stack,
+such as the oracle's D(D+1) design states, through it with one matrix
+product, and a single matrix or a small stack one operator at a time.
 
 The JSON channel-spec format accepted by :func:`channel_factory`:
 
@@ -39,6 +42,10 @@ from .pauli import (
 logger = logging.getLogger(__name__)
 
 DEFAULT_TOL = 1e-9
+
+# apply_channel maps a stack through the superoperator only while S takes at
+# most this many bytes (D <= 32, so the n = 4 ancilla register at 16 MB).
+_SUPEROPERATOR_BYTES = 2**25
 
 # Eigenvalues of chi below this fraction of the largest one are dropped when
 # extracting Kraus operators; the loss is logged, never renormalized away.
@@ -101,27 +108,60 @@ def _kraus_stack(k: KrausSet) -> np.ndarray:
     return np.stack(k.operators)
 
 
+def _operator_pairs(channel: Channel) -> tuple:
+    """Operator pairs (L_k, R_k) with E(rho) = sum_k L_k rho R_k^dag: L = R =
+    the Kraus operators, or for a chi matrix L_m = E_m and
+    R_m = sum_n conj(chi_mn) E_n."""
+    if isinstance(channel, KrausSet):
+        return channel.operators, channel.operators
+    left = pauli_basis(channel.n)
+    right = (channel.mat.conj() @ left.reshape(len(left), -1)).reshape(left.shape)
+    return left, right
+
+
 def apply_channel(channel: Channel, rho: np.ndarray) -> np.ndarray:
     """Apply a channel to a matrix or a stack of matrices, shape (..., D, D).
 
-    The action is linear, so rho need not be a state.  The terms
-    L_k rho R_k^dag are accumulated one operator pair at a time: L = R = the
-    Kraus operators, or for a chi matrix L_m = E_m and
-    R_m = sum_n conj(chi_mn) E_n.
+    The action is linear, so rho need not be a state.  For s matrices and K
+    operator pairs (:func:`_operator_pairs`), accumulating the terms
+    L_k rho R_k^dag one pair at a time costs 2 K s D**3 multiply-adds;
+    building the superoperator and mapping the stack with one matrix product
+    costs (K + s) D**4.  The cheaper of the two runs, the superoperator only
+    while it takes at most ``_SUPEROPERATOR_BYTES``.
     """
     d = 2**channel.n
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (d, d):
         raise ValueError(f"state shape {rho.shape} does not match channel D={d}")
-    if isinstance(channel, KrausSet):
-        left = right = channel.operators
-    else:
-        left = pauli_basis(channel.n)
-        right = (channel.mat.conj() @ left.reshape(len(left), -1)).reshape(left.shape)
+    left, right = _operator_pairs(channel)
+    k, s = len(left), rho.size // (d * d)
+    if 16 * d**4 <= _SUPEROPERATOR_BYTES and (k + s) * d < 2 * k * s:
+        sop = _liouville(left, right)
+        return (rho.reshape(-1, d * d) @ sop.T).reshape(rho.shape)
     out = np.zeros(rho.shape, dtype=complex)
     for a, b in zip(left, right):
         out += a @ rho @ b.conj().T
     return out
+
+
+def _liouville(left, right) -> np.ndarray:
+    d = left[0].shape[0]
+    lt = np.ascontiguousarray(np.transpose(left, (1, 2, 0)))  # [i, a, k]
+    rt = np.ascontiguousarray(np.transpose(np.conj(right), (1, 0, 2)))  # [j, k, b]
+    return (lt[:, None] @ rt[None]).reshape(d * d, d * d)
+
+
+def superoperator(channel: Channel) -> np.ndarray:
+    """Liouville matrix S of the channel, shape (D**2, D**2).
+
+    S[(i, j), (a, b)] = sum_k L_k[i, a] conj(R_k[j, b]) over every operator
+    pair of :func:`_operator_pairs`, so for row-major flattening
+    E(rho).reshape(-1) = S @ rho.reshape(-1), and a stack maps as
+    rho.reshape(-1, D**2) @ S.T.  One batched matrix product over the Kraus
+    index writes S in this layout directly, with no transposed D**4 copy;
+    S takes D**4 * 16 bytes.
+    """
+    return _liouville(*_operator_pairs(channel))
 
 
 @dataclass(frozen=True)
@@ -227,14 +267,16 @@ def modified_channel_offdiag(
             f"ancilla-extended channel needs n+1 <= {DENSE_QUBIT_CAP}"
         )
     d = 2**k.n
-    em_dag = pauli_matrix(m).conj().T
-    en_dag = pauli_matrix(n_label).conj().T
-    p0 = np.array([[1, 0], [0, 0]], dtype=complex)
-    p1 = np.array([[0, 0], [0, 1]], dtype=complex)
-    h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-    v = (np.kron(p0, en_dag) + np.kron(p1, em_dag)) @ np.kron(h, np.eye(d))
-    eye2 = np.eye(2, dtype=complex)
-    return KrausSet(k.n + 1, tuple(np.kron(eye2, a) @ v for a in k.operators))
+    h = 1 / np.sqrt(2)
+    # (I (x) A_k) V = [[A_k E_n^dag, A_k E_n^dag], [A_k E_m^dag, -A_k E_m^dag]] / sqrt(2)
+    ops = _kraus_stack(k)
+    top = ops @ (h * pauli_matrix(n_label).conj().T)
+    bottom = ops @ (h * pauli_matrix(m).conj().T)
+    out = np.empty((len(ops), 2 * d, 2 * d), dtype=complex)
+    out[:, :d, :d] = out[:, :d, d:] = top
+    out[:, d:, :d] = bottom
+    out[:, d:, d:] = -bottom
+    return KrausSet(k.n + 1, tuple(out))
 
 
 # ---------------------------------------------------------------------------

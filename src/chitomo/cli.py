@@ -44,6 +44,7 @@ from .estimator import (
     estimation_report,
     read_triplet_log,
     run_triplet_experiments,
+    seed_key,
     sieve_large_diagonals,
     write_triplet_log,
 )
@@ -120,13 +121,13 @@ def _parse_label(text: str, n: int) -> PauliLabel:
 
 
 def _config_from_args(args) -> EstimatorConfig:
-    if args.mode == "exact":
-        return EstimatorConfig(seed=args.seed, mode="exact", enumerate_design=True)
-    if args.M is None and args.epsilon is None:
+    if args.mode != "exact" and args.M is None and args.epsilon is None:
         raise CliError(
             EXIT_MALFORMED, "bad_arguments", "sampled mode needs --M or --epsilon"
         )
     try:
+        if args.mode == "exact":
+            return EstimatorConfig(seed=args.seed, mode="exact", enumerate_design=True)
         return EstimatorConfig(M=args.M, epsilon=args.epsilon, seed=args.seed)
     except ValueError as exc:
         raise CliError(EXIT_MALFORMED, "bad_arguments", str(exc)) from exc
@@ -321,7 +322,15 @@ def cmd_verify(args) -> int:
             "dense_cap",
             f"verify level {args.verify_level!r} is dense-only; n={args.n} exceeds the cap",
         )
-    rows = _verify_rows(args.n, args.verify_level, args.seed)
+    try:
+        key = seed_key(args.seed)
+    except ValueError as exc:
+        raise CliError(
+            EXIT_MALFORMED,
+            "bad_arguments",
+            f"--seed must be in [-2**63, 2**63), got {args.seed}",
+        ) from exc
+    rows = _verify_rows(args.n, args.verify_level, key)
     width = max(len(r["check"]) for r in rows)
     for r in rows:
         status = "ok  " if r["ok"] else "FAIL"

@@ -10,9 +10,10 @@ Four protocols:
   spreading each count-table cell over the labels consistent with it.
 
 Randomness is counter-based: each campaign owns a Philox stream keyed by
-(seed, campaign tag) and draws a fixed layout per experiment index, so runs
-are reproducible and order-independent regardless of evaluation order.  The
-two log protocols draw nothing: they are deterministic readouts of the log.
+(seed, campaign tag), the signed 64-bit seed taken as its two's complement,
+and draws a fixed layout per experiment index, so runs are reproducible and
+order-independent regardless of evaluation order.  The two log protocols
+draw nothing: they are deterministic readouts of the log.
 
 Estimates are never clipped or projected; a slightly negative chi-hat is
 honest shot noise and callers decide what to do with it.
@@ -68,6 +69,14 @@ def required_sample_size(epsilon: float, kind: str) -> int:
     raise ValueError(f"unknown sample-size kind {kind!r}")
 
 
+def seed_key(seed: int) -> int:
+    """A seed in [-2**63, 2**63) as the unsigned 64-bit two's complement that
+    keys its streams; seeds outside the range raise ValueError."""
+    if not -(2**63) <= seed < 2**63:
+        raise ValueError(f"seed must be in [-2**63, 2**63), got {seed}")
+    return seed % 2**64
+
+
 @dataclass(frozen=True)
 class EstimatorConfig:
     """How to run a campaign: sample count (or target precision), seed, mode.
@@ -76,6 +85,7 @@ class EstimatorConfig:
     outcome with its exact expectation value.  enumerate_design additionally
     replaces state sampling with one pass over the full design, which makes
     exact-mode estimates deterministic equalities (and requires mode="exact").
+    The seed must lie in [-2**63, 2**63) (see :func:`seed_key`).
     """
 
     M: int | None = None
@@ -95,6 +105,7 @@ class EstimatorConfig:
             raise ValueError("supply exactly one of M or epsilon")
         if self.enumerate_design and self.mode != "exact":
             raise ValueError("enumerate_design requires mode='exact'")
+        seed_key(self.seed)
 
     def sample_size(self, kind: str) -> int:
         if self.M is not None:
@@ -149,7 +160,8 @@ class Estimate:
 
 
 def _campaign_rng(seed: int, tag: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed, tag]))
+    key = np.array([seed_key(seed), tag], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _sample_states(

@@ -5,11 +5,13 @@ import json
 import numpy as np
 import pytest
 
+from chitomo import channels
 from chitomo.channels import (
     ChannelSpecError,
     ChiMatrix,
     KrausSet,
     apply_channel,
+    as_kraus,
     canonical_spec_bytes,
     channel_factory,
     channel_spec_sha256,
@@ -22,6 +24,7 @@ from chitomo.channels import (
     modified_channel_diag,
     modified_channel_offdiag,
     pauli_basis,
+    superoperator,
     validate_chi,
 )
 from chitomo.pauli import DenseCapError, PauliLabel, all_labels, label_index, pauli_matrix
@@ -169,6 +172,110 @@ class TestApplyChannel:
         np.testing.assert_allclose(apply_channel(chi, rho), want_chi, atol=1e-12)
 
 
+def random_matrices(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def operator_sum(channel, stack):
+    """sum_k A_k rho A_k^dag, or sum_mn chi_mn E_m rho E_n^dag, term by term."""
+    if isinstance(channel, KrausSet):
+        return sum(a @ stack @ a.conj().T for a in channel.operators)
+    b = pauli_basis(channel.n)
+    return sum(
+        channel.mat[i, j] * b[i] @ stack @ b[j].conj().T
+        for i in range(4**channel.n) for j in range(4**channel.n)
+    )
+
+
+def kron_superoperator(channel):
+    """S = sum_k L_k (x) conj(R_k) from the operator sum, for row-major vec."""
+    if isinstance(channel, KrausSet):
+        return sum(np.kron(a, a.conj()) for a in channel.operators)
+    b = pauli_basis(channel.n)
+    return sum(
+        channel.mat[i, j] * np.kron(b[i], b[j].conj())
+        for i in range(4**channel.n) for j in range(4**channel.n)
+    )
+
+
+def apply_superoperator(sop, stack):
+    d2 = len(sop)
+    return (stack.reshape(-1, d2) @ sop.T).reshape(stack.shape)
+
+
+class TestApplyChannelPaths:
+    @pytest.mark.parametrize("form", ["kraus", "chi"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_both_paths_match_operator_sum(self, form, n, monkeypatch):
+        """One matrix goes operator by operator, the D(D+1) design-sized stack
+        through the superoperator, or operator by operator with no room for S."""
+        rng = np.random.default_rng(70 + n)
+        k = random_kraus_channel(n, rng, ops=4)
+        channel = k if form == "kraus" else kraus_to_chi(k)
+        d = 2**n
+        stack = random_matrices(rng, d * (d + 1), d, d)
+        want = operator_sum(channel, stack)
+        np.testing.assert_allclose(apply_channel(channel, stack[0]), want[0], atol=1e-12)
+        np.testing.assert_allclose(apply_channel(channel, stack), want, atol=1e-12)
+        monkeypatch.setattr(channels, "_SUPEROPERATOR_BYTES", 0)
+        monkeypatch.setattr(channels, "_liouville", None)  # must not be reached
+        np.testing.assert_allclose(apply_channel(channel, stack), want, atol=1e-12)
+
+    def test_superoperator_only_when_cheaper(self, monkeypatch):
+        """One matrix, or a unitary's stack, never builds S; a design stack
+        through a many-Kraus channel does."""
+        built = []
+        liouville = channels._liouville
+        monkeypatch.setattr(
+            channels, "_liouville", lambda *a: built.append(1) or liouville(*a)
+        )
+        u = channel_factory({"n": 3, "kind": "unitary", "generator": "XYZ", "theta": 0.4})
+        dep = channel_factory({"n": 3, "kind": "depolarizing", "p": 0.3})
+        apply_channel(u, np.zeros((72, 8, 8)))
+        apply_channel(dep, np.eye(8))
+        assert built == []
+        apply_channel(dep, np.zeros((72, 8, 8)))
+        assert built == [1]
+
+
+class TestSuperoperator:
+    @pytest.mark.parametrize("form", ["kraus", "chi", "linear"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_stack_matches_operator_sum(self, form, n):
+        """Non-Hermitian (S, D, D) and (2, 3, D, D) stacks map as the operator
+        sum maps them.  "linear" is a non-Hermitian chi, whose operator pairs
+        differ from their swap (for a valid chi, L and R swapped give the same
+        map)."""
+        rng = np.random.default_rng(40 + n)
+        k = random_kraus_channel(n, rng, ops=4)
+        channel = {
+            "kraus": k,
+            "chi": kraus_to_chi(k),
+            "linear": ChiMatrix(n, random_matrices(rng, 4**n, 4**n)),
+        }[form]
+        d = 2**n
+        sop = superoperator(channel)
+        assert sop.shape == (d * d, d * d)
+        stack = random_matrices(rng, 6, d, d)
+        want = operator_sum(channel, stack)
+        np.testing.assert_allclose(apply_superoperator(sop, stack), want, atol=1e-12)
+        four_d = stack.reshape(2, 3, d, d)
+        np.testing.assert_allclose(
+            apply_superoperator(sop, four_d), want.reshape(2, 3, d, d), atol=1e-12
+        )
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_matches_kron_operator_sum(self, n):
+        """S equals sum_k A_k (x) conj(A_k), and sum_mn chi_mn E_m (x) conj(E_n)."""
+        rng = np.random.default_rng(50 + n)
+        k = random_kraus_channel(n, rng, ops=3)
+        linear = ChiMatrix(n, random_matrices(rng, 4**n, 4**n))
+        for channel in (k, kraus_to_chi(k), linear):
+            np.testing.assert_allclose(
+                superoperator(channel), kron_superoperator(channel), atol=1e-12
+            )
+
+
 class TestValidateChi:
     def test_factory_channels_pass(self):
         specs = [
@@ -217,6 +324,29 @@ class TestModifiedChannels:
         mod = modified_channel_offdiag(k, L("XI"), L("ZZ"))
         assert mod.n == 3
         assert kraus_completeness_deviation(mod) < 1e-12
+
+    @pytest.mark.parametrize("form", ["kraus", "chi"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_offdiag_blocks_match_kron_construction(self, form, n):
+        """Operator by operator, in order, the blockwise build equals
+        (I (x) A_k) V with V = (|0><0| (x) E_n^dag + |1><1| (x) E_m^dag)(H (x) I)."""
+        rng = np.random.default_rng(60 + n)
+        k = random_kraus_channel(n, rng)
+        channel = k if form == "kraus" else kraus_to_chi(k)
+        labels = all_labels(n)
+        for _ in range(3):
+            m, n_label = (labels[i] for i in rng.integers(0, 4**n, size=2))
+            em_dag = pauli_matrix(m).conj().T
+            en_dag = pauli_matrix(n_label).conj().T
+            p0 = np.array([[1, 0], [0, 0]], dtype=complex)
+            p1 = np.array([[0, 0], [0, 1]], dtype=complex)
+            h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+            v = (np.kron(p0, en_dag) + np.kron(p1, em_dag)) @ np.kron(h, np.eye(2**n))
+            want = [np.kron(np.eye(2), a) @ v for a in as_kraus(channel).operators]
+            got = modified_channel_offdiag(channel, m, n_label)
+            assert got.n == n + 1 and len(got.operators) == len(want)
+            for a, b in zip(got.operators, want):
+                np.testing.assert_array_equal(a, b)
 
     def test_label_mismatch_rejected(self):
         k = channel_factory({"n": 2, "kind": "identity"})

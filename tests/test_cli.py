@@ -440,11 +440,51 @@ class TestVerify:
         assert "19/19 checks passed" in out
         assert "FAIL" not in out
 
+    def test_full_three_qubit(self, capsys):
+        code, out, _ = run(capsys, "verify", "--n", "3", "--verify-level", "full")
+        assert code == 0
+        assert "19/19 checks passed" in out
+        rows = out.splitlines()[:-1]
+        assert len(rows) == 19 and all(line.startswith("ok  ") for line in rows)
+
+    def test_negative_seed_runs(self, capsys):
+        code, out, _ = run(capsys, "verify", "--n", "2", "--verify-level", "full",
+                           "--seed", "-1")
+        assert code == 0
+        assert "19/19 checks passed" in out
+
     def test_above_cap_exits_4(self, capsys):
         code, _, err = run(capsys, "verify", "--n", "7")
         assert code == 4
         assert json.loads(err)["error"] == "dense_cap"
         assert run(capsys, "verify", "--n", "5", "--verify-level", "full")[0] == 4
+
+
+SEED_ARGV = {
+    "estimate-diag": ["estimate-diag", "--channel", "{dep}", "--m", "Z", "--M", "50"],
+    "estimate-diag-exact": ["estimate-diag", "--channel", "{dep}", "--m", "Z",
+                            "--mode", "exact"],
+    "estimate-offdiag": ["estimate-offdiag", "--channel", "{dep}", "--m", "Z",
+                         "--n-label", "X", "--M", "50"],
+    "triplets": ["triplets", "--channel", "{dep}", "--M", "50", "--out", "{out}"],
+    "verify": ["verify", "--n", "1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SEED_ARGV))
+@pytest.mark.parametrize(
+    "seed, code",
+    [(-(2**63), 0), (2**63 - 1, 0), (-(2**63) - 1, 2), (2**63, 2), (2**64 - 1, 2)],
+)
+def test_seed_range(capsys, specs, tmp_path, command, seed, code):
+    """--seed is a signed 64-bit integer for every command; outside, exit 2."""
+    paths = {"dep": specs["dep"][0], "out": str(tmp_path / "t.log")}
+    argv = [arg.format(**paths) for arg in SEED_ARGV[command]]
+    got, _, err = run(capsys, *argv, "--seed", str(seed))
+    assert got == code
+    if code:
+        assert json.loads(err)["error"] == "bad_arguments"
+        assert not (tmp_path / "t.log").exists()
 
 
 def strip_timestamp(report_text):

@@ -24,6 +24,7 @@ from chitomo.estimator import (
     run_triplet_experiments,
     sieve_large_diagonals,
     write_triplet_log,
+    _campaign_rng,
     _distinct_states,
 )
 from chitomo.oracle import (
@@ -86,6 +87,23 @@ class TestEstimatorConfig:
             EstimatorConfig(M=1, mode="sampled", enumerate_design=True)
         with pytest.raises(ValueError):
             EstimatorConfig(M=0)
+
+    def test_seed_range(self):
+        for seed in (-(2**63), 2**63 - 1):
+            assert EstimatorConfig(M=1, seed=seed).seed == seed
+        for seed in (-(2**63) - 1, 2**63, 2**64 - 1):
+            with pytest.raises(ValueError):
+                EstimatorConfig(M=1, seed=seed)
+
+    def test_negative_seed_keys_its_twos_complement(self):
+        """A negative seed draws the stream of its unsigned 64-bit two's
+        complement, the key numpy's own cast of a signed [seed, tag] gives."""
+        for seed in (-1, -3, -(2**63)):
+            want = np.random.Generator(np.random.Philox(key=[seed, 4]))
+            np.testing.assert_array_equal(
+                _campaign_rng(seed, 4).integers(0, 2**62, size=8),
+                want.integers(0, 2**62, size=8),
+            )
 
     def test_epsilon_derives_sample_size(self):
         cfg = EstimatorConfig(epsilon=0.1)
