@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import json
 import logging
 from dataclasses import dataclass
@@ -36,6 +35,7 @@ from .pauli import (
     PauliLabel,
     all_labels,
     label_index,
+    pauli_action,
     pauli_matrix,
 )
 
@@ -74,21 +74,35 @@ class ChiMatrix:
 
 @dataclass(frozen=True, eq=False)
 class KrausSet:
-    """Operator-sum form: a tuple of D x D matrices with sum A^dag A = I."""
+    """Operator-sum form: K operators A_i with sum A^dag A = I, held as one
+    (K, D, D) complex array; any sequence of D x D matrices is accepted."""
 
     n: int
-    operators: tuple[np.ndarray, ...]
+    operators: np.ndarray
 
     def __post_init__(self):
         d = 2**self.n
-        if not self.operators:
-            raise ValueError("KrausSet needs at least one operator")
-        for a in self.operators:
-            if a.shape != (d, d):
-                raise ValueError(f"Kraus operators for n={self.n} must be {d}x{d}")
+        try:
+            ops = np.asarray(self.operators, dtype=complex)
+        except ValueError:  # ragged input, which fails the shape test below
+            ops = np.empty(0)
+        if ops.ndim != 3 or ops.shape[1:] != (d, d) or not len(ops):
+            raise ValueError(f"KrausSet for n={self.n} needs one or more {d}x{d} operators")
+        object.__setattr__(self, "operators", ops)
 
 
 Channel = ChiMatrix | KrausSet
+
+
+def _tensor_powers(single: np.ndarray, n: int) -> np.ndarray:
+    """All n-fold tensor products of a stack of 2 x 2 factors, shape
+    (len(single)**n, D, D), ordered by the factor indices with qubit 0's, the
+    most significant tensor factor, varying slowest."""
+    out = np.ones((1, 1, 1), dtype=complex)
+    for _ in range(n):  # one batched kron per qubit, the new qubit least significant
+        d = 2 * out.shape[1]
+        out = (out[:, None, :, None, :, None] * single[:, None, :, None, :]).reshape(-1, d, d)
+    return out
 
 
 @functools.lru_cache(maxsize=8)
@@ -96,16 +110,7 @@ def pauli_basis(n: int) -> np.ndarray:
     """Stack of all 4**n Hermitian Pauli matrices, shape (4**n, D, D)."""
     if n > DENSE_QUBIT_CAP:
         raise DenseCapError(f"dense basis limited to n <= {DENSE_QUBIT_CAP}")
-    single = np.stack([pauli_matrix(a) for a in all_labels(1)])
-    basis = np.ones((1, 1, 1), dtype=complex)
-    for _ in range(n):  # one batched kron per qubit, the new qubit least significant
-        d = 2 * basis.shape[1]
-        basis = (basis[:, None, :, None, :, None] * single[:, None, :, None, :]).reshape(-1, d, d)
-    return basis
-
-
-def _kraus_stack(k: KrausSet) -> np.ndarray:
-    return np.stack(k.operators)
+    return _tensor_powers(np.stack([pauli_matrix(a) for a in all_labels(1)]), n)
 
 
 def _operator_pairs(channel: Channel) -> tuple:
@@ -195,14 +200,13 @@ def validate_chi(chi: ChiMatrix, tol: float = DEFAULT_TOL) -> ChiValidationRepor
 
 def kraus_completeness_deviation(k: KrausSet) -> float:
     """Max-norm deviation of sum A^dag A from the identity."""
-    ops = _kraus_stack(k)
-    s = np.einsum("kji,kjl->il", ops.conj(), ops)
+    s = np.einsum("kji,kjl->il", k.operators.conj(), k.operators)
     return float(np.max(np.abs(s - np.eye(2**k.n))))
 
 
 def pauli_coefficients(k: KrausSet, basis: np.ndarray) -> np.ndarray:
     """c[k, m] = Tr(E_m^dag A_k) / D for the Pauli matrices E_m stacked in basis."""
-    return np.einsum("mji,kji->km", basis.conj(), _kraus_stack(k)) / 2**k.n
+    return np.einsum("mji,kji->km", basis.conj(), k.operators) / 2**k.n
 
 
 def kraus_to_chi(k: KrausSet) -> ChiMatrix:
@@ -228,12 +232,8 @@ def chi_to_kraus(chi: ChiMatrix, tol: float = DEFAULT_TOL) -> KrausSet:
     dropped = float(np.sum(np.abs(vals[~keep])))
     if dropped > 0:
         logger.debug("chi_to_kraus dropped eigenvalue weight %.3e", dropped)
-    b = pauli_basis(chi.n)
-    ops = tuple(
-        np.einsum("m,mij->ij", np.sqrt(vals[j]) * vecs[:, j], b)
-        for j in np.nonzero(keep)[0]
-    )
-    return KrausSet(chi.n, ops)
+    weights = np.sqrt(vals[keep]) * vecs[:, keep]
+    return KrausSet(chi.n, np.einsum("mj,mab->jab", weights, pauli_basis(chi.n)))
 
 
 def as_kraus(channel: Channel) -> KrausSet:
@@ -246,7 +246,7 @@ def modified_channel_diag(channel: Channel, m: PauliLabel) -> KrausSet:
     if m.n != k.n:
         raise ValueError(f"label n={m.n} does not match channel n={k.n}")
     em_dag = pauli_matrix(m).conj().T
-    return KrausSet(k.n, tuple(em_dag @ a for a in k.operators))
+    return KrausSet(k.n, em_dag @ k.operators)
 
 
 def modified_channel_offdiag(
@@ -269,14 +269,13 @@ def modified_channel_offdiag(
     d = 2**k.n
     h = 1 / np.sqrt(2)
     # (I (x) A_k) V = [[A_k E_n^dag, A_k E_n^dag], [A_k E_m^dag, -A_k E_m^dag]] / sqrt(2)
-    ops = _kraus_stack(k)
-    top = ops @ (h * pauli_matrix(n_label).conj().T)
-    bottom = ops @ (h * pauli_matrix(m).conj().T)
-    out = np.empty((len(ops), 2 * d, 2 * d), dtype=complex)
+    top = k.operators @ (h * pauli_matrix(n_label).conj().T)
+    bottom = k.operators @ (h * pauli_matrix(m).conj().T)
+    out = np.empty((len(k.operators), 2 * d, 2 * d), dtype=complex)
     out[:, :d, :d] = out[:, :d, d:] = top
     out[:, d:, :d] = bottom
     out[:, d:, d:] = -bottom
-    return KrausSet(k.n + 1, tuple(out))
+    return KrausSet(k.n + 1, out)
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +340,13 @@ def _require_n(spec: dict) -> int:
 
 
 def _mixture_kraus(n: int, weights: dict[PauliLabel, float]) -> KrausSet:
-    ops = tuple(
-        np.sqrt(w) * pauli_matrix(a) for a, w in weights.items() if w > 0
-    )
+    """sqrt(w) E_a per label of positive weight, each a signed permutation."""
+    kept = [(a, w) for a, w in weights.items() if w > 0]
+    ops = np.zeros((len(kept), 2**n, 2**n), dtype=complex)
+    rows = np.arange(2**n)
+    for op, (a, w) in zip(ops, kept):
+        src, phase = pauli_action(a)
+        op[rows, src] = np.sqrt(w) * phase
     return KrausSet(n, ops)
 
 
@@ -419,25 +422,20 @@ def channel_factory(spec: dict) -> KrausSet:
         gamma = spec.get("gamma")
         if not _is_number(gamma) or not 0 <= gamma <= 1:
             raise ChannelSpecError("amplitude_damping needs 'gamma' in [0, 1]")
-        a0 = np.array([[1, 0], [0, np.sqrt(1 - gamma)]], dtype=complex)
-        a1 = np.array([[0, np.sqrt(gamma)], [0, 0]], dtype=complex)
-        ops = []
-        for combo in itertools.product((a0, a1), repeat=n):
-            op = np.ones((1, 1), dtype=complex)
-            for factor in combo:
-                op = np.kron(op, factor)
-            if np.any(op):
-                ops.append(op)
-        return KrausSet(n, tuple(ops))
+        single = np.array([[[1, 0], [0, np.sqrt(1 - gamma)]],
+                           [[0, np.sqrt(gamma)], [0, 0]]], dtype=complex)
+        ops = _tensor_powers(single, n)
+        return KrausSet(n, ops[np.any(ops, axis=(1, 2))])
 
     if kind == "kraus":
         raw_ops = spec.get("operators")
         if not isinstance(raw_ops, list) or not raw_ops:
             raise ChannelSpecError("kraus needs a non-empty 'operators' list")
-        ops = tuple(
-            matrix_from_json(o, f"Kraus operator {i}") for i, o in enumerate(raw_ops)
-        )
-        k = KrausSet(n, ops)
+        ops = [matrix_from_json(o, f"Kraus operator {i}") for i, o in enumerate(raw_ops)]
+        try:
+            k = KrausSet(n, ops)
+        except ValueError as exc:
+            raise ChannelSpecError(str(exc)) from exc
         dev = kraus_completeness_deviation(k)
         if not dev <= 1e-6:
             raise ChannelSpecError(f"Kraus set not complete (deviation {dev:.3e})")
@@ -450,10 +448,10 @@ def channel_factory(spec: dict) -> KrausSet:
         built = [channel_factory(c) for c in children]
         if any(c.n != n for c in built):
             raise ChannelSpecError("compose children must share the parent 'n'")
-        # first listed acts first
+        # first listed acts first: B_j A_i at index j * len(A) + i
         ops = built[0].operators
         for nxt in built[1:]:
-            ops = tuple(b @ a for b in nxt.operators for a in ops)
+            ops = (nxt.operators[:, None] @ ops).reshape(-1, d, d)
         return KrausSet(n, ops)
 
     raise ChannelSpecError(f"unknown channel kind {kind!r}")

@@ -202,22 +202,15 @@ def _distinct_states(
     return [(int(j), slice(*ab)) for j, *ab in zip(bases, starts, stops)], uniq % d, inverse
 
 
-def _amplitudes(
-    ops: np.ndarray, n: int, J: int, ks: np.ndarray, pre: np.ndarray | None = None
-) -> np.ndarray:
-    """a[s, i, k'] = <v_k'| A_i P |v_ks[s]> in base J, P = pre or the identity.
+def _transition_rows(ops: np.ndarray, n: int, J: int, ks: np.ndarray) -> np.ndarray:
+    """T[s, k'] = sum_i |<v_k'|A_i|v_ks[s]>|^2: state ks[s] of base J read as k'.
 
-    Every protocol is a readout of these blocks; E_m |v_k> is, up to a
-    phase, v_{k XOR p_m(J)} in the same base.  Cost K D^2 per state.
+    The diagonal and triplet protocols are readouts of these rows; E_m |v_k>
+    is, up to a phase, v_{k XOR p_m(J)} in the same base.  Cost K D^2 per state.
     """
     b = design_basis(n, J)
-    cols = b[:, ks] if pre is None else pre @ b[:, ks]
-    return np.moveaxis(b.conj().T @ (ops @ cols), 2, 0)
-
-
-def _transition_rows(ops: np.ndarray, n: int, J: int, ks: np.ndarray) -> np.ndarray:
-    """T[s, k'] = sum_i |<v_k'|A_i|v_ks[s]>|^2: state ks[s] of base J read as k'."""
-    return np.sum(np.abs(_amplitudes(ops, n, J, ks)) ** 2, axis=1)
+    amps = b.conj().T @ (ops @ b[:, ks])  # [i, k', s]
+    return np.sum(np.abs(amps) ** 2, axis=0).T
 
 
 def _finish(stats: np.ndarray, m_count: int) -> Estimate:
@@ -238,7 +231,7 @@ def estimate_chi_diag(channel: Channel, m: PauliLabel, cfg: EstimatorConfig) -> 
     n, d = channel.n, 2**channel.n
     js, ks, us = _campaign(n, cfg, _TAG_DIAG, "fidelity")
     bases, uk, inverse = _distinct_states(js, ks, d)
-    ops = np.stack(as_kraus(channel).operators)
+    ops = as_kraus(channel).operators
     survival = np.empty(len(uk))
     for j, sl in bases:
         rows = _transition_rows(ops, n, j, uk[sl])
@@ -267,14 +260,14 @@ def estimate_chi_offdiag(
     jx, kx, ux = _campaign(n, cfg, _TAG_OFFDIAG_X, "offdiagonal")
     jy, ky, uy = _campaign(n, cfg, _TAG_OFFDIAG_Y, "offdiagonal")
     bases, uk, inverse = _distinct_states(np.append(jx, jy), np.append(kx, ky), d)
-    ops = np.stack(as_kraus(channel).operators)
+    ops = as_kraus(channel).operators
     em_dag, en_dag = pauli_matrix(m).conj().T, pauli_matrix(n_label).conj().T
     survival = np.empty(len(uk))
     pol = np.empty(len(uk), dtype=complex)
     for j, sl in bases:
-        own = (np.arange(sl.stop - sl.start), slice(None), uk[sl])
-        x_m = _amplitudes(ops, n, j, uk[sl], em_dag)[own]
-        x_n = _amplitudes(ops, n, j, uk[sl], en_dag)[own]
+        v = design_basis(n, j)[:, uk[sl]]
+        # x[s, i] = <v_k|A_i E^dag|v_k>, each state read in its own k only
+        x_m, x_n = (np.einsum("as,ias->si", v.conj(), ops @ (e @ v)) for e in (em_dag, en_dag))
         pol[sl] = np.sum(x_n.conj() * x_m, axis=1)
         survival[sl] = np.sum(np.abs(x_m) ** 2 + np.abs(x_n) ** 2, axis=1) / 2
     # the x campaign reads Re, the y campaign Im of the polarization
@@ -305,7 +298,7 @@ def run_triplet_experiments(channel: Channel, cfg: EstimatorConfig) -> TripletRe
     n, d = channel.n, 2**channel.n
     js, ks, us = _campaign(n, cfg, _TAG_TRIPLETS, "fidelity")
     bases, uk, inverse = _distinct_states(js, ks, d)
-    ops = np.stack(as_kraus(channel).operators)
+    ops = as_kraus(channel).operators
     k_primes = np.empty(len(js), dtype=np.int64)
     for j, sl in bases:
         cum = np.cumsum(as_distribution(_transition_rows(ops, n, j, uk[sl]), j), axis=1)

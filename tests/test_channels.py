@@ -1,5 +1,6 @@
 """Channel representations, conversions, and the channel-spec factory."""
 
+import itertools
 import json
 
 import numpy as np
@@ -450,6 +451,13 @@ class TestChannelFactory:
             {"n": 1, "kind": "amplitude_damping", "gamma": -0.1},
             {"n": 1, "kind": "kraus", "operators": []},
             {"n": 1, "kind": "kraus", "operators": [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]]]},
+            {"n": 1, "kind": "kraus", "operators": [matrix_to_json(np.eye(4))]},
+            {
+                "n": 1,
+                "kind": "kraus",
+                "operators": [matrix_to_json(np.eye(2)), matrix_to_json(np.eye(4))],
+            },
+            {"n": 1, "kind": "kraus", "operators": [[[[1, 0], [0, 0]], [[0, 0]]]]},
             {
                 "n": 1,
                 "kind": "kraus",
@@ -470,6 +478,92 @@ class TestChannelFactory:
     def test_dense_cap(self):
         with pytest.raises(DenseCapError):
             channel_factory({"n": 7, "kind": "identity"})
+
+
+def _kron_loop_operators(factors, n):
+    """Every n-fold kron product of the factors, itertools.product order, zeros dropped."""
+    ops = []
+    for combo in itertools.product(factors, repeat=n):
+        op = np.ones((1, 1), dtype=complex)
+        for factor in combo:
+            op = np.kron(op, factor)
+        if np.any(op):
+            ops.append(op)
+    return np.stack(ops)
+
+
+def _bits(a):
+    return a.view(np.uint64)
+
+
+class TestKrausArray:
+    """KrausSet holds one (K, D, D) complex array, and each spec kind builds it
+    with the same bits as the per-operator loops it replaces."""
+
+    def test_accepts_tuple_list_or_array(self):
+        ops = [np.eye(2), np.array([[0, 1], [1, 0]])]
+        for given in (tuple(ops), ops, np.stack(ops)):
+            k = KrausSet(1, given)
+            assert isinstance(k.operators, np.ndarray)
+            assert k.operators.dtype == complex and k.operators.shape == (2, 2, 2)
+            np.testing.assert_array_equal(k.operators, np.stack(ops))
+
+    @pytest.mark.parametrize(
+        "ops",
+        [
+            (np.eye(2), np.eye(4)),
+            [np.eye(2), np.ones((2, 3))],
+            (np.eye(4),),
+            np.eye(2),
+            np.ones((1, 2, 3)),
+            np.ones((0, 2, 2)),
+            [],
+        ],
+        ids=["ragged", "ragged-rows", "wrong-d", "one-matrix", "not-square", "empty-array", "empty"],
+    )
+    def test_ragged_or_misshapen_rejected(self, ops):
+        with pytest.raises(ValueError, match="2x2"):
+            KrausSet(1, ops)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_amplitude_damping_matches_kron_loop(self, n):
+        for gamma in (0.0, 0.3, 1.0):
+            a0 = np.array([[1, 0], [0, np.sqrt(1 - gamma)]], dtype=complex)
+            a1 = np.array([[0, np.sqrt(gamma)], [0, 0]], dtype=complex)
+            got = channel_factory({"n": n, "kind": "amplitude_damping", "gamma": gamma})
+            want = _kron_loop_operators((a0, a1), n)
+            assert np.array_equal(_bits(got.operators), _bits(want))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_compose_matches_product_loop(self, n):
+        children = [
+            {"n": n, "kind": "depolarizing", "p": 0.3},
+            {"n": n, "kind": "amplitude_damping", "gamma": 0.2},
+            {"n": n, "kind": "unitary", "generator": "Y" * n, "theta": 0.7},
+        ]
+        got = channel_factory({"n": n, "kind": "compose", "children": children})
+        ops = tuple(channel_factory(children[0]).operators)
+        for child in children[1:]:
+            ops = tuple(b @ a for b in channel_factory(child).operators for a in ops)
+        assert np.array_equal(_bits(got.operators), _bits(np.stack(ops)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_pauli_operators_bit_equal_to_dense_matrices(self, n):
+        """Every label's operator, written as a signed permutation, has the bits
+        of sqrt(w) * pauli_matrix(a); zero weights drop their label."""
+        rng = np.random.default_rng(70 + n)
+        labels = all_labels(n)
+        got = channel_factory({"n": n, "kind": "depolarizing", "p": 0.6}).operators
+        w = np.full(len(labels), 0.6 / 4**n)
+        w[0] = 1 - 0.6 + 0.6 / 4**n
+        want = np.stack([np.sqrt(x) * pauli_matrix(a) for a, x in zip(labels, w)])
+        assert np.array_equal(_bits(got), _bits(want))
+        raw = rng.random(len(labels)) * (rng.random(len(labels)) < 0.5)
+        raw[0] = 1.0
+        weights = {str(a): float(x) for a, x in zip(labels, raw / raw.sum())}
+        got = channel_factory({"n": n, "kind": "pauli_mixture", "weights": weights}).operators
+        want = np.stack([np.sqrt(x) * pauli_matrix(L(a)) for a, x in weights.items() if x > 0])
+        assert np.array_equal(_bits(got), _bits(want))
 
 
 class TestSpecDocuments:

@@ -2,10 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from chitomo import cli
-from chitomo.channels import channel_factory, channel_spec_sha256
+from chitomo.channels import channel_factory, channel_spec_sha256, matrix_to_json
+from chitomo.estimator import TripletRecord, write_triplet_log
 from chitomo.oracle import exact_chi
 from chitomo.pauli import PauliLabel
 
@@ -259,6 +261,38 @@ class TestTripletsAndLogs:
         assert json.loads(err)["error"] == "malformed_input"
 
 
+class TestLogsAboveDenseCap:
+    """Above the dense cap a --channel spec cannot be built: only its hash is
+    checked against the log, and the report has no oracle columns."""
+
+    @pytest.fixture
+    def log8(self, tmp_path):
+        rng = np.random.default_rng(8)
+        spec_path, spec = write_spec(tmp_path, "ident8.json", {"n": 8, "kind": "identity"})
+        ks = rng.integers(0, 256, size=300)
+        record = TripletRecord(8, rng.integers(0, 257, size=300), ks, ks)
+        log = tmp_path / "ident8.log"
+        write_triplet_log(log, record, 0, channel_spec_sha256(spec))
+        return str(log), spec_path
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["diag-from-log", "--m", "IIIIIIII,XIIIIIII"], ["sieve", "--threshold", "0.5"]],
+        ids=["diag-from-log", "sieve"],
+    )
+    def test_matching_spec_reports_without_oracle(self, capsys, tmp_path, log8, argv):
+        log, spec_path = log8
+        code, out, _ = run(capsys, *argv, "--log", log, "--channel", spec_path)
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert rows[0]["m"] == "IIIIIIII" and rows[0]["value_re"] == 1.0
+        assert all(r["oracle_re"] is None and r["z_score"] is None for r in rows)
+        other, _ = write_spec(tmp_path, "dep8.json", {"n": 8, "kind": "depolarizing", "p": 0.1})
+        code, _, err = run(capsys, *argv, "--log", log, "--channel", other)
+        assert code == 5
+        assert json.loads(err)["error"] == "hash_mismatch"
+
+
 class TestSieveCommand:
     def test_recovers_mixture_support(self, capsys, specs, tmp_path):
         path, _ = specs["mix4"]
@@ -347,6 +381,20 @@ def test_non_finite_spec_numbers_exit_2(capsys, tmp_path, text):
     spec = tmp_path / "spec.json"
     spec.write_text(text)
     code, _, err = run(capsys, "estimate-diag", "--channel", str(spec), "--m", "X", "--M", "50")
+    assert code == 2
+    assert json.loads(err)["error"] == "malformed_input"
+
+
+@pytest.mark.parametrize(
+    "operators",
+    [[np.eye(4)], [np.eye(2) / np.sqrt(2), np.eye(4) / np.sqrt(2)]],
+    ids=["wrong-shape", "mixed-shapes"],
+)
+def test_misshapen_kraus_spec_exits_2(capsys, tmp_path, operators):
+    """A kraus spec whose operators are not all D x D is malformed input."""
+    spec = {"n": 1, "kind": "kraus", "operators": [matrix_to_json(a) for a in operators]}
+    path, _ = write_spec(tmp_path, "k.json", spec)
+    code, _, err = run(capsys, "estimate-diag", "--channel", path, "--m", "X", "--M", "50")
     assert code == 2
     assert json.loads(err)["error"] == "malformed_input"
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from chitomo.channels import channel_factory, matrix_to_json, modified_channel_diag
+from chitomo.channels import as_kraus, channel_factory, matrix_to_json, modified_channel_diag
 from chitomo.estimator import (
     Estimate,
     EstimatorConfig,
@@ -27,6 +27,7 @@ from chitomo.estimator import (
     _campaign_rng,
     _distinct_states,
 )
+from chitomo.mub import design_basis
 from chitomo.oracle import (
     exact_ancilla_polarization,
     exact_average_fidelity,
@@ -40,6 +41,7 @@ from chitomo.pauli import (
     commutation_vector,
     gf2_apply,
     mub_class,
+    pauli_matrix,
     solve_label_from_constraints,
 )
 
@@ -271,6 +273,38 @@ class TestAmplitudeCoreMatchesOracle:
                 pol_y = d * off.value.imag / (d + 1)
                 assert abs(pol_x - exact_ancilla_polarization(channel, a, b, "x")) < 1e-12
                 assert abs(pol_y - exact_ancilla_polarization(channel, a, b, "y")) < 1e-12
+
+
+def _full_block_offdiag(channel, m, n_label):
+    """Exact-mode chi_mn read from the full block <v_k'|A_i E^dag|v_k> of
+    every base, K x D x D, at each state's own k' = k."""
+    n, d = channel.n, 2**channel.n
+    ops = as_kraus(channel).operators
+    em_dag, en_dag = pauli_matrix(m).conj().T, pauli_matrix(n_label).conj().T
+    own = (np.arange(d), slice(None), np.arange(d))
+    pol = []
+    for j in range(d + 1):
+        b = design_basis(n, j)
+        x_m = np.moveaxis(b.conj().T @ (ops @ (em_dag @ b)), 2, 0)[own]
+        x_n = np.moveaxis(b.conj().T @ (ops @ (en_dag @ b)), 2, 0)[own]
+        pol.append(np.sum(x_n.conj() * x_m, axis=1))
+    pol = np.concatenate(pol)
+    delta = 1.0 if m == n_label else 0.0
+    return complex(np.mean(((d + 1) * pol.real - delta) / d), np.mean((d + 1) * pol.imag / d))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["depolarizing", "amplitude_damping", "compose", "random"])
+def test_offdiag_own_state_readout_matches_full_block(n, kind):
+    """Reading only each state's own amplitudes changes no exact value by more than 1e-15."""
+    rng = np.random.default_rng(80 + n)
+    channel = random_channel(n, rng) if kind == "random" else channel_factory(seven_kinds(n)[kind])
+    for _ in range(3):
+        m, n_label = random_label(n, rng), random_label(n, rng)
+        for a, b in ((m, n_label), (m, m)):
+            got = estimate_chi_offdiag(channel, a, b, ENUMERATE).value
+            want = _full_block_offdiag(channel, a, b)
+            assert abs(got.real - want.real) <= 1e-15 and abs(got.imag - want.imag) <= 1e-15
 
 
 class TestStatisticalBehaviour:
