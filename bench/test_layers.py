@@ -11,6 +11,8 @@ from chitomo.channels import apply_channel, channel_factory, superoperator
 from chitomo.estimator import (
     EstimatorConfig,
     TripletRecord,
+    estimate_chi_diag,
+    estimate_chi_offdiag,
     estimate_diags_from_triplets,
     read_triplet_log,
     run_triplet_experiments,
@@ -118,6 +120,28 @@ def _mixture_spec(n, count):
     """An equal-weight Pauli mixture over the first `count` labels."""
     return {"n": n, "kind": "pauli_mixture",
             "weights": {str(a): 1 / count for a in all_labels(n)[:count]}}
+
+
+def _protocol_channel(kind, n):
+    if kind == "depolarizing":
+        return channel_factory({"n": n, "kind": "depolarizing", "p": 0.3})
+    return channel_factory({"n": n, "kind": "pauli_mixture", "weights": {
+        "I" * n: 0.85, "X" + "I" * (n - 1): 0.07, "Z" * n: 0.05, "IY" + "I" * (n - 2): 0.03}})
+
+
+@pytest.mark.parametrize("protocol", ["diag", "offdiag", "triplets"])
+@pytest.mark.parametrize("kind, n", [("depolarizing", 2), ("depolarizing", 4),
+                                     ("depolarizing", 5), ("mixture", 6)])
+def test_sampled_protocol(benchmark, protocol, kind, n):
+    """One sampled protocol at M=2000: a depolarizing channel (4^n Kraus
+    operators) or a 4-label Pauli mixture."""
+    channel, cfg = _protocol_channel(kind, n), EstimatorConfig(M=2000, seed=n)
+    m, n_label = label_from_index(n, 5), label_from_index(n, 9)
+    run = {"diag": lambda: estimate_chi_diag(channel, m, cfg),
+           "offdiag": lambda: estimate_chi_offdiag(channel, m, n_label, cfg),
+           "triplets": lambda: run_triplet_experiments(channel, cfg)}[protocol]
+    result = benchmark.pedantic(run, rounds=3, iterations=1)
+    assert (len(result) if protocol == "triplets" else result.M) == 2000
 
 
 def test_pauli_matrix_all_labels(benchmark):

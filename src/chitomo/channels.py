@@ -199,9 +199,10 @@ def validate_chi(chi: ChiMatrix, tol: float = DEFAULT_TOL) -> ChiValidationRepor
 
 
 def kraus_completeness_deviation(k: KrausSet) -> float:
-    """Max-norm deviation of sum A^dag A from the identity."""
+    """Spectral-norm deviation of sum A^dag A from the identity, which bounds
+    how far any state's outcome probabilities can sum from 1."""
     s = np.einsum("kji,kjl->il", k.operators.conj(), k.operators)
-    return float(np.max(np.abs(s - np.eye(2**k.n))))
+    return float(np.max(np.abs(np.linalg.eigvalsh(s - np.eye(2**k.n)))))
 
 
 def pauli_coefficients(k: KrausSet, basis: np.ndarray) -> np.ndarray:

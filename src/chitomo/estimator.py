@@ -35,10 +35,9 @@ from .pauli import (
     MUB_QUBIT_CAP,
     PauliLabel,
     commutation_columns,
-    commutation_vector,
     gf2_apply,
     mub_class,
-    pauli_matrix,
+    pauli_action,
 )
 
 # Campaign tags keying the per-protocol Philox streams.
@@ -62,11 +61,12 @@ def required_sample_size(epsilon: float, kind: str) -> int:
     observable (the (D chi + delta)/(D+1)-scale quantity, not chi itself)."""
     if not 0 < epsilon <= 1:
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon!r}")
-    if kind == "fidelity":
-        return math.ceil(epsilon**-2 / 4)
-    if kind == "offdiagonal":
-        return math.ceil(epsilon**-2)
-    raise ValueError(f"unknown sample-size kind {kind!r}")
+    if kind not in ("fidelity", "offdiagonal"):
+        raise ValueError(f"unknown sample-size kind {kind!r}")
+    try:
+        return math.ceil(epsilon**-2 / (4 if kind == "fidelity" else 1))
+    except OverflowError:
+        raise ValueError(f"epsilon={epsilon!r} needs more than 2**63 experiments") from None
 
 
 def seed_key(seed: int) -> int:
@@ -99,13 +99,15 @@ class EstimatorConfig:
             raise ValueError(f"mode must be 'sampled' or 'exact', got {self.mode!r}")
         if self.M is not None and self.M < 1:
             raise ValueError("M must be >= 1")
-        if self.epsilon is not None and not 0 < self.epsilon <= 1:
-            raise ValueError(f"epsilon must be in (0, 1], got {self.epsilon!r}")
         if self.M is not None and self.epsilon is not None:
             raise ValueError("supply exactly one of M or epsilon")
         if self.enumerate_design and self.mode != "exact":
             raise ValueError("enumerate_design requires mode='exact'")
         seed_key(self.seed)
+        if self.M is not None or self.epsilon is not None:
+            m_count = self.sample_size("offdiagonal")  # checks epsilon; the larger kind
+            if m_count >= 2**63:  # the limit of int64 record columns
+                raise ValueError(f"sample size must be below 2**63, got {m_count}")
 
     def sample_size(self, kind: str) -> int:
         if self.M is not None:
@@ -202,20 +204,28 @@ def _distinct_states(
     return [(int(j), slice(*ab)) for j, *ab in zip(bases, starts, stops)], uniq % d, inverse
 
 
-def _transition_rows(ops: np.ndarray, n: int, J: int, ks: np.ndarray) -> np.ndarray:
-    """T[s, k'] = sum_i |<v_k'|A_i|v_ks[s]>|^2: state ks[s] of base J read as k'.
-
-    The diagonal and triplet protocols are readouts of these rows; E_m |v_k>
-    is, up to a phase, v_{k XOR p_m(J)} in the same base.  Cost K D^2 per state.
-    """
-    b = design_basis(n, J)
-    amps = b.conj().T @ (ops @ b[:, ks])  # [i, k', s]
-    return np.sum(np.abs(amps) ** 2, axis=0).T
+def _read_states(n: int, js: np.ndarray, ks: np.ndarray, readout) -> tuple[np.ndarray, np.ndarray]:
+    """Read each distinct drawn state (J, k) once: readout(J, v) maps the
+    design columns v (D x s) of base J's states to one result per state.
+    Returns the stacked results and each experiment's row among them."""
+    bases, uk, inverse = _distinct_states(js, ks, 2**n)
+    return np.concatenate([readout(j, design_basis(n, j)[:, uk[sl]]) for j, sl in bases]), inverse
 
 
-def _finish(stats: np.ndarray, m_count: int) -> Estimate:
-    value = float(np.mean(stats))
-    se = float(np.std(stats, ddof=1) / math.sqrt(m_count)) if m_count > 1 else 0.0
+def _amplitudes(ops: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """x[s, i] = <left_s|A_i|right_s>, one K D^2 product per state."""
+    return np.einsum("as,ias->si", left.conj(), ops @ right)
+
+
+def _finish(cfg: EstimatorConfig, stats: np.ndarray) -> Estimate:
+    """Estimate from per-experiment statistics: one row for a real value, or
+    (Re, Im) rows for a complex one, whose errors add in quadrature."""
+    rows, m_count = np.atleast_2d(stats), stats.shape[-1]
+    means = rows.mean(axis=1)
+    value = float(means[0]) if stats.ndim == 1 else complex(*means)
+    if cfg.enumerate_design or m_count < 2:
+        return Estimate(value, 0.0, m_count)
+    se = math.hypot(*rows.std(axis=1, ddof=1)) / math.sqrt(m_count)
     return Estimate(value, se, m_count)
 
 
@@ -229,17 +239,15 @@ def estimate_chi_diag(channel: Channel, m: PauliLabel, cfg: EstimatorConfig) -> 
     if m.n != channel.n:
         raise ValueError("label and channel qubit counts differ")
     n, d = channel.n, 2**channel.n
+    ops, (src, w) = as_kraus(channel).operators, pauli_action(m)
     js, ks, us = _campaign(n, cfg, _TAG_DIAG, "fidelity")
-    bases, uk, inverse = _distinct_states(js, ks, d)
-    ops = as_kraus(channel).operators
-    survival = np.empty(len(uk))
-    for j, sl in bases:
-        rows = _transition_rows(ops, n, j, uk[sl])
-        survival[sl] = rows[np.arange(len(rows)), uk[sl] ^ commutation_vector(m, mub_class(n, j))]
-    probs = survival[inverse]
+    # E_m v_k is v_{k XOR p_m(J)} up to a phase, so sum_i |<E_m v_k|A_i|v_k>|^2
+    # is the one transition-row entry this protocol reads
+    survival, row = _read_states(n, js, ks, lambda j, v: np.sum(
+        np.abs(_amplitudes(ops, w[:, None] * v[src], v)) ** 2, axis=1))
+    probs = survival[row]
     outcomes = probs if us is None else (us < probs).astype(float)
-    est = _finish(((d + 1) * outcomes - 1) / d, len(probs))
-    return Estimate(est.value, 0.0, est.M) if cfg.enumerate_design else est
+    return _finish(cfg, ((d + 1) * outcomes - 1) / d)
 
 
 def estimate_chi_offdiag(
@@ -257,35 +265,23 @@ def estimate_chi_offdiag(
         raise ValueError("labels and channel qubit counts differ")
     n, d = channel.n, 2**channel.n
     delta = 1.0 if m == n_label else 0.0
+    ops, actions = as_kraus(channel).operators, (pauli_action(m), pauli_action(n_label))
+
+    def readout(j, v):  # [state, (polarization, survival)]; a Pauli's E^dag is E
+        x_m, x_n = (_amplitudes(ops, v, w[:, None] * v[src]) for src, w in actions)
+        survival = np.sum(np.abs(x_m) ** 2 + np.abs(x_n) ** 2, axis=1) / 2
+        return np.array([np.sum(x_n.conj() * x_m, axis=1), survival]).T
+
     jx, kx, ux = _campaign(n, cfg, _TAG_OFFDIAG_X, "offdiagonal")
     jy, ky, uy = _campaign(n, cfg, _TAG_OFFDIAG_Y, "offdiagonal")
-    bases, uk, inverse = _distinct_states(np.append(jx, jy), np.append(kx, ky), d)
-    ops = as_kraus(channel).operators
-    em_dag, en_dag = pauli_matrix(m).conj().T, pauli_matrix(n_label).conj().T
-    survival = np.empty(len(uk))
-    pol = np.empty(len(uk), dtype=complex)
-    for j, sl in bases:
-        v = design_basis(n, j)[:, uk[sl]]
-        # x[s, i] = <v_k|A_i E^dag|v_k>, each state read in its own k only
-        x_m, x_n = (np.einsum("as,ias->si", v.conj(), ops @ (e @ v)) for e in (em_dag, en_dag))
-        pol[sl] = np.sum(x_n.conj() * x_m, axis=1)
-        survival[sl] = np.sum(np.abs(x_m) ** 2 + np.abs(x_n) ** 2, axis=1) / 2
+    states, row = _read_states(n, np.append(jx, jy), np.append(kx, ky), readout)
+    got = states[row.reshape(2, -1)]  # [campaign, experiment, (polarization, survival)]
     # the x campaign reads Re, the y campaign Im of the polarization
-    m_count = len(jx)
-    survival = survival[inverse]
-    out = np.append(pol[inverse[:m_count]].real, pol[inverse[m_count:]].imag)
+    out, survival = np.array([got[0, :, 0].real, got[1, :, 0].imag]), got[..., 1].real
     if ux is not None:
-        us, p_plus, p_minus = np.append(ux, uy), (survival + out) / 2, (survival - out) / 2
+        us, p_plus, p_minus = np.array([ux, uy]), (survival + out) / 2, (survival - out) / 2
         out = np.where(us < p_plus, 1.0, np.where(us < p_plus + p_minus, -1.0, 0.0))
-    re_stats = ((d + 1) * out[:m_count] - delta) / d
-    im_stats = (d + 1) * out[m_count:] / d
-    value = complex(np.mean(re_stats), np.mean(im_stats))
-    if cfg.enumerate_design or m_count < 2:
-        return Estimate(value, 0.0, m_count)
-    se = math.hypot(
-        float(np.std(re_stats, ddof=1)), float(np.std(im_stats, ddof=1))
-    ) / math.sqrt(m_count)
-    return Estimate(value, se, m_count)
+    return _finish(cfg, ((d + 1) * out - [[delta], [0.0]]) / d)
 
 
 def run_triplet_experiments(channel: Channel, cfg: EstimatorConfig) -> TripletRecord:
@@ -295,17 +291,19 @@ def run_triplet_experiments(channel: Channel, cfg: EstimatorConfig) -> TripletRe
     """
     if cfg.mode != "sampled" or cfg.enumerate_design:
         raise ValueError("triplet experiments require mode='sampled'")
-    n, d = channel.n, 2**channel.n
+    n, ops = channel.n, as_kraus(channel).operators
+
+    def cumulative_rows(j, v):  # the full rows T[s, k'] = sum_i |<v_k'|A_i|v_s>|^2, summed up
+        amps = design_basis(n, j).conj().T @ (ops @ v)  # [i, k', s]
+        return np.cumsum(as_distribution(np.sum(np.abs(amps) ** 2, axis=0).T, j), axis=1)
+
     js, ks, us = _campaign(n, cfg, _TAG_TRIPLETS, "fidelity")
-    bases, uk, inverse = _distinct_states(js, ks, d)
-    ops = as_kraus(channel).operators
-    k_primes = np.empty(len(js), dtype=np.int64)
-    for j, sl in bases:
-        cum = np.cumsum(as_distribution(_transition_rows(ops, n, j, uk[sl]), j), axis=1)
-        mine = np.flatnonzero(js == j)
-        # the outcome is the first k' whose cumulative probability exceeds u
-        below = np.sum(cum[inverse[mine] - sl.start] <= us[mine, None], axis=1)
-        k_primes[mine] = np.minimum(below, d - 1)
+    cum, row = _read_states(n, js, ks, cumulative_rows)
+    # k' is the first outcome whose cumulative probability exceeds u, or the last
+    # one: as the rows ascend, the count of entries <= u in the first D-1 columns
+    k_primes = np.zeros(len(js), dtype=np.int64)
+    for col in cum.T[:-1]:
+        k_primes += col[row] <= us
     return TripletRecord(n, js, ks, k_primes)
 
 

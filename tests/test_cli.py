@@ -336,6 +336,9 @@ def _log_with_header(tmp_path, name, n, m_count, body=""):
         ["estimate-diag", "--channel", "{dep}", "--m", "Z", "--epsilon", "0"],
         ["estimate-offdiag", "--channel", "{dep}", "--m", "Z", "--n-label", "X",
          "--epsilon", "2"],
+        ["estimate-diag", "--channel", "{dep}", "--m", "Z", "--epsilon", "1e-160"],
+        ["estimate-diag", "--channel", "{dep}", "--m", "Z", "--M", "100000000000000000000"],
+        ["triplets", "--channel", "{dep}", "--M", str(2**63), "--out", "{out}"],
         ["triplets", "--channel", "{dep}", "--out", "{out}"],
         ["triplets", "--channel", "{dep}", "--M", "0", "--out", "{out}"],
         ["sieve", "--log", "{log}", "--threshold", "0"],
@@ -363,6 +366,20 @@ def test_bad_arguments_and_logs_exit_2(capsys, specs, tmp_path, argv):
     code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
     assert code == 2
     assert json.loads(err)["error"] in ("bad_arguments", "malformed_input")
+
+
+def test_kraus_spec_incomplete_in_spectral_norm_exits_2(capsys, tmp_path):
+    """Each entry of sum A^dag A - I is 9e-7, within 1e-6, but a state's outcome
+    mass is off by up to its spectral norm, D times that, so the spec is refused."""
+    d, c = 4, 9e-7
+    op = np.eye(d) + (np.sqrt(1 + c * d) - 1) / d * np.ones((d, d))  # sqrt(I + c 11^T)
+    path, _ = write_spec(tmp_path, "k.json", {"n": 2, "kind": "kraus", "operators": [
+        matrix_to_json(op)]})
+    out = str(tmp_path / "t.log")
+    code, _, err = run(capsys, "triplets", "--channel", path, "--M", "2000", "--seed", "1",
+                       "--out", out)
+    assert code == 2
+    assert json.loads(err)["error"] == "malformed_input"
 
 
 @pytest.mark.parametrize(

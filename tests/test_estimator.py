@@ -1,13 +1,16 @@
 """Monte Carlo estimators against the exact oracle, plus the triplet sieve."""
 
+import ast
 import json
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from chitomo import estimator, oracle
 from chitomo.channels import as_kraus, channel_factory, matrix_to_json, modified_channel_diag
 from chitomo.estimator import (
     Estimate,
@@ -75,6 +78,8 @@ class TestRequiredSampleSize:
             required_sample_size(1.5, "fidelity")
         with pytest.raises(ValueError):
             required_sample_size(0.1, "nonsense")
+        with pytest.raises(ValueError):  # epsilon**-2 overflows a float
+            required_sample_size(1e-160, "fidelity")
 
 
 class TestEstimatorConfig:
@@ -106,6 +111,13 @@ class TestEstimatorConfig:
                 _campaign_rng(seed, 4).integers(0, 2**62, size=8),
                 want.integers(0, 2**62, size=8),
             )
+
+    def test_sample_size_below_int64_limit(self):
+        """M, given or derived from epsilon, must fit the int64 record columns."""
+        assert EstimatorConfig(M=2**63 - 1).M == 2**63 - 1
+        for kw in ({"M": 2**63}, {"M": 10**20}, {"epsilon": 1e-10}, {"epsilon": 1e-160}):
+            with pytest.raises(ValueError):
+                EstimatorConfig(**kw)
 
     def test_epsilon_derives_sample_size(self):
         cfg = EstimatorConfig(epsilon=0.1)
@@ -305,6 +317,45 @@ def test_offdiag_own_state_readout_matches_full_block(n, kind):
             got = estimate_chi_offdiag(channel, a, b, ENUMERATE).value
             want = _full_block_offdiag(channel, a, b)
             assert abs(got.real - want.real) <= 1e-15 and abs(got.imag - want.imag) <= 1e-15
+
+
+def _full_row_diag(channel, m):
+    """Exact-mode chi_mm read from the full transition rows T[k, k'] =
+    sum_i |<v_k'|A_i|v_k>|^2 of every base, at k' = k XOR p_m(J)."""
+    n, d = channel.n, 2**channel.n
+    ops = as_kraus(channel).operators
+    survival = []
+    for j in range(d + 1):
+        b = design_basis(n, j)
+        rows = np.sum(np.abs(b.conj().T @ (ops @ b)) ** 2, axis=0).T  # [k, k']
+        survival.append(rows[np.arange(d), np.arange(d) ^ commutation_vector(m, mub_class(n, j))])
+    return float(np.mean(((d + 1) * np.concatenate(survival) - 1) / d))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("kind", [*seven_kinds(1), "random"])
+def test_diag_survival_readout_matches_transition_row(n, kind):
+    """Reading only <E_m v_k|A_i|v_k> gives the transition-row entry to 1e-15."""
+    rng = np.random.default_rng(90 + n)
+    channel = random_channel(n, rng) if kind == "random" else channel_factory(seven_kinds(n)[kind])
+    for m in [L("I" * n)] + [random_label(n, rng) for _ in range(3)]:
+        got = estimate_chi_diag(channel, m, ENUMERATE).value
+        assert abs(got - _full_row_diag(channel, m)) <= 1e-15
+
+
+def test_estimator_reads_channels_apart_from_the_oracle():
+    """The estimator binds no dense Pauli or channel operation, and the oracle,
+    which cross-checks it, imports nothing from the estimator."""
+    dense = {"pauli_matrix", "commutation_vector", "apply_channel", "superoperator",
+             "modified_channel_diag", "modified_channel_offdiag", "kraus_to_chi"}
+    assert dense.isdisjoint(vars(estimator))
+    imported = []
+    for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported += [node.module or "", *(a.name for a in node.names)]
+        elif isinstance(node, ast.Import):
+            imported += [a.name for a in node.names]
+    assert imported and not any("estimator" in name for name in imported)
 
 
 class TestStatisticalBehaviour:
