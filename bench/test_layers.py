@@ -7,6 +7,7 @@
 import numpy as np
 import pytest
 
+from chitomo import cli
 from chitomo.channels import apply_channel, channel_factory, superoperator
 from chitomo.estimator import (
     EstimatorConfig,
@@ -19,31 +20,75 @@ from chitomo.estimator import (
     sieve_large_diagonals,
     write_triplet_log,
 )
-from chitomo.mub import design_basis, design_states
+from chitomo.mub import design_bases, design_states
 from chitomo.oracle import exact_chi, exact_chi_entries, oracle_report
 from chitomo.pauli import (
     PauliLabel,
     _trace_masks,
+    all_label_masks,
     all_labels,
     commutation_vector,
+    index_bit_tables,
     label_from_index,
     mub_class,
     mub_classes,
+    pauli_actions,
     pauli_matrix,
+    solve_label_from_constraints,
 )
 
 
-def _all_bases(n):
-    return [design_basis(n, j) for j in range(2**n + 1)]
+def _cold_design_caches():
+    design_bases.cache_clear()
+    index_bit_tables.cache_clear()
+    _trace_masks.cache_clear()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-def test_design_basis_all_bases(benchmark, n):
-    """Every base of n qubits from a cold cache."""
+def test_design_bases(benchmark, n):
+    """Every base of n qubits in one batch, from cold caches."""
     bases = benchmark.pedantic(
-        _all_bases, args=(n,), setup=design_basis.cache_clear, rounds=10, iterations=1
+        design_bases, args=(n,), setup=_cold_design_caches, rounds=10, iterations=1
     )
-    assert len(bases) == 2**n + 1
+    assert bases.shape == (2**n + 1, 2**n, 2**n)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_pauli_actions_all_labels(benchmark, n):
+    """The signed permutations of all 4^n labels as one table."""
+    xs, zs = all_label_masks(n)
+    src, w = benchmark(pauli_actions, n, xs, zs)
+    assert src.shape == w.shape == (4**n, 2**n)
+
+
+def test_solve_label_from_constraints(benchmark):
+    """100 labels of n=8 recovered from their commutation vectors in two classes."""
+    rng = np.random.default_rng(8)
+    labels = [label_from_index(8, int(i)) for i in rng.integers(0, 4**8, size=100)]
+    a, b = mub_class(8, 3), mub_class(8, 200)
+    cases = [(commutation_vector(m, a), commutation_vector(m, b)) for m in labels]
+    found = benchmark(lambda: [solve_label_from_constraints(a, p, b, q) for p, q in cases])
+    assert found == labels
+
+
+# One call of each subcommand, as the parser sees it.
+_ARGV = {
+    "estimate-diag": ["--channel", "c.json", "--m", "XI", "--M", "1000", "--seed", "3"],
+    "estimate-offdiag": ["--channel", "c.json", "--m", "XI", "--n-label", "ZZ", "--epsilon",
+                         "0.05"],
+    "triplets": ["--channel", "c.json", "--M", "2000", "--seed", "1", "--out", "t.log"],
+    "diag-from-log": ["--log", "t.log", "--m", "II,XI", "--m", "ZZ", "--channel", "c.json"],
+    "sieve": ["--log", "t.log", "--threshold", "0.05"],
+    "verify": ["--n", "2", "--verify-level", "full"],
+}
+
+
+@pytest.mark.parametrize("command", cli.SUBCOMMANDS)
+def test_cli_argument_parsing(benchmark, command):
+    """Building the parser main() builds for one command and parsing its argv."""
+    argv = [command, *_ARGV[command]]
+    args = benchmark(lambda: cli.build_parser(command).parse_args(argv))
+    assert args.command == command
 
 
 def _cold_class_caches():

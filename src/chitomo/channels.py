@@ -33,9 +33,10 @@ from .pauli import (
     DENSE_QUBIT_CAP,
     DenseCapError,
     PauliLabel,
+    all_label_masks,
     all_labels,
     label_index,
-    pauli_action,
+    pauli_actions,
     pauli_matrix,
 )
 
@@ -201,7 +202,8 @@ def validate_chi(chi: ChiMatrix, tol: float = DEFAULT_TOL) -> ChiValidationRepor
 def kraus_completeness_deviation(k: KrausSet) -> float:
     """Spectral-norm deviation of sum A^dag A from the identity, which bounds
     how far any state's outcome probabilities can sum from 1."""
-    s = np.einsum("kji,kjl->il", k.operators.conj(), k.operators)
+    m = k.operators.reshape(-1, 2**k.n)  # sum_i A_i^dag A_i is one (K D, D) GEMM
+    s = m.conj().T @ m
     return float(np.max(np.abs(np.linalg.eigvalsh(s - np.eye(2**k.n)))))
 
 
@@ -340,15 +342,28 @@ def _require_n(spec: dict) -> int:
     return n
 
 
-def _mixture_kraus(n: int, weights: dict[PauliLabel, float]) -> KrausSet:
-    """sqrt(w) E_a per label of positive weight, each a signed permutation."""
-    kept = [(a, w) for a, w in weights.items() if w > 0]
-    ops = np.zeros((len(kept), 2**n, 2**n), dtype=complex)
+def _mixture_kraus(n: int, xs, zs, weights) -> KrausSet:
+    """sqrt(w) E_a per label a = (xs, zs) of positive weight w, all written
+    from one table of signed permutations."""
+    weights = np.asarray(weights, dtype=float)
+    kept = weights > 0
+    src, phase = pauli_actions(n, np.asarray(xs)[kept], np.asarray(zs)[kept])
+    ops = np.zeros((len(src), 2**n, 2**n), dtype=complex)
     rows = np.arange(2**n)
-    for op, (a, w) in zip(ops, kept):
-        src, phase = pauli_action(a)
-        op[rows, src] = np.sqrt(w) * phase
+    ops[np.arange(len(src))[:, None], rows, src] = np.sqrt(weights[kept])[:, None] * phase
     return KrausSet(n, ops)
+
+
+def _has_kraus(spec: dict) -> bool:
+    """Whether a spec that built is, or composes, a ``kraus`` spec."""
+    return spec["kind"] == "kraus" or (
+        spec["kind"] == "compose" and any(map(_has_kraus, spec["children"])))
+
+
+def _check_complete(k: KrausSet, what: str) -> None:
+    dev = kraus_completeness_deviation(k)
+    if not dev <= 1e-6:
+        raise ChannelSpecError(f"{what} not complete (deviation {dev:.3e})")
 
 
 def channel_factory(spec: dict) -> KrausSet:
@@ -370,10 +385,9 @@ def channel_factory(spec: dict) -> KrausSet:
         p = spec.get("p")
         if not _is_number(p) or not 0 <= p <= 1:
             raise ChannelSpecError("depolarizing needs 'p' in [0, 1]")
-        labels = all_labels(n)
-        weights = {a: p / d**2 for a in labels}
-        weights[labels[0]] = 1 - p + p / d**2
-        return _mixture_kraus(n, weights)
+        weights = np.full(d**2, p / d**2)
+        weights[0] = 1 - p + p / d**2
+        return _mixture_kraus(n, *all_label_masks(n), weights)
 
     if kind == "pauli_mixture":
         raw = spec.get("weights")
@@ -393,7 +407,8 @@ def channel_factory(spec: dict) -> KrausSet:
         total = sum(weights.values())
         if not abs(total - 1) <= 1e-9:
             raise ChannelSpecError(f"mixture weights sum to {total!r}, expected 1")
-        return _mixture_kraus(n, weights)
+        return _mixture_kraus(n, [a.x_bits for a in weights], [a.z_bits for a in weights],
+                              list(weights.values()))
 
     if kind == "unitary":
         if "matrix" in spec:
@@ -437,9 +452,7 @@ def channel_factory(spec: dict) -> KrausSet:
             k = KrausSet(n, ops)
         except ValueError as exc:
             raise ChannelSpecError(str(exc)) from exc
-        dev = kraus_completeness_deviation(k)
-        if not dev <= 1e-6:
-            raise ChannelSpecError(f"Kraus set not complete (deviation {dev:.3e})")
+        _check_complete(k, "Kraus set")
         return k
 
     if kind == "compose":
@@ -453,6 +466,11 @@ def channel_factory(spec: dict) -> KrausSet:
         ops = built[0].operators
         for nxt in built[1:]:
             ops = (nxt.operators[:, None] @ ops).reshape(-1, d, d)
-        return KrausSet(n, ops)
+        k = KrausSet(n, ops)
+        # Complete children compose to a complete set, but a kraus child is
+        # complete only to 1e-6, and their deviations add up.
+        if _has_kraus(spec):
+            _check_complete(k, "composed Kraus set")
+        return k
 
     raise ChannelSpecError(f"unknown channel kind {kind!r}")

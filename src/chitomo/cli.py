@@ -356,60 +356,80 @@ def _add_sampling_flags(p: argparse.ArgumentParser, mode: bool = True) -> None:
         )
 
 
-def build_parser() -> argparse.ArgumentParser:
+SUBCOMMANDS = ("estimate-diag", "estimate-offdiag", "triplets", "diag-from-log", "sieve", "verify")
+
+
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser, or with ``only`` one of SUBCOMMANDS, the same
+    parser with only that subcommand built.
+
+    Both parse that subcommand's argv alike.  The choices metavar of the one-
+    subcommand build keeps its top-level usage line listing every subcommand;
+    the full build leaves it unset, as its "invalid choice" and "required"
+    errors name the argument by its metavar.
+    """
     parser = argparse.ArgumentParser(
         prog="chitomo",
         description="Selective chi-matrix estimation over the MUB state design",
     )
     parser.add_argument("--version", action="version", version=f"chitomo {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    metavar = None if only is None else "{" + ",".join(SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    p = sub.add_parser("estimate-diag", help="estimate one diagonal coefficient")
-    p.add_argument("--channel", required=True, help="channel-spec JSON path")
-    p.add_argument("--m", required=True, help="Pauli label, e.g. XI")
-    _add_sampling_flags(p)
-    p.add_argument("--out", help="report path (default stdout)")
-    p.set_defaults(func=cmd_estimate_diag)
+    def add(name: str, **kwargs):
+        return sub.add_parser(name, **kwargs) if only in (None, name) else None
 
-    p = sub.add_parser("estimate-offdiag", help="estimate one off-diagonal coefficient")
-    p.add_argument("--channel", required=True)
-    p.add_argument("--m", required=True)
-    p.add_argument("--n-label", required=True, dest="n_label")
-    _add_sampling_flags(p)
-    p.add_argument("--out", help="report path (default stdout)")
-    p.set_defaults(func=cmd_estimate_offdiag)
+    if p := add("estimate-diag", help="estimate one diagonal coefficient"):
+        p.add_argument("--channel", required=True, help="channel-spec JSON path")
+        p.add_argument("--m", required=True, help="Pauli label, e.g. XI")
+        _add_sampling_flags(p)
+        p.add_argument("--out", help="report path (default stdout)")
+        p.set_defaults(func=cmd_estimate_diag)
 
-    p = sub.add_parser("triplets", help="run experiments and write a triplet log")
-    p.add_argument("--channel", required=True)
-    _add_sampling_flags(p, mode=False)
-    p.add_argument("--out", required=True, help="triplet log path")
-    p.set_defaults(func=cmd_triplets, mode="sampled")
+    if p := add("estimate-offdiag", help="estimate one off-diagonal coefficient"):
+        p.add_argument("--channel", required=True)
+        p.add_argument("--m", required=True)
+        p.add_argument("--n-label", required=True, dest="n_label")
+        _add_sampling_flags(p)
+        p.add_argument("--out", help="report path (default stdout)")
+        p.set_defaults(func=cmd_estimate_offdiag)
 
-    p = sub.add_parser("diag-from-log", help="estimate diagonals from a triplet log")
-    p.add_argument("--log", required=True)
-    p.add_argument("--m", required=True, action="append", help="label (repeatable, comma-separable)")
-    p.add_argument("--channel", help="optional spec for hash check + oracle columns")
-    p.add_argument("--out", help="report path (default stdout)")
-    p.set_defaults(func=cmd_diag_from_log)
+    if p := add("triplets", help="run experiments and write a triplet log"):
+        p.add_argument("--channel", required=True)
+        _add_sampling_flags(p, mode=False)
+        p.add_argument("--out", required=True, help="triplet log path")
+        p.set_defaults(func=cmd_triplets, mode="sampled")
 
-    p = sub.add_parser("sieve", help="find all heavy diagonal coefficients in a log")
-    p.add_argument("--log", required=True)
-    p.add_argument("--threshold", required=True, type=float)
-    p.add_argument("--channel", help="optional spec for hash check + oracle columns")
-    p.add_argument("--out", help="report path (default stdout)")
-    p.set_defaults(func=cmd_sieve)
+    if p := add("diag-from-log", help="estimate diagonals from a triplet log"):
+        p.add_argument("--log", required=True)
+        p.add_argument("--m", required=True, action="append",
+                       help="label (repeatable, comma-separable)")
+        p.add_argument("--channel", help="optional spec for hash check + oracle columns")
+        p.add_argument("--out", help="report path (default stdout)")
+        p.set_defaults(func=cmd_diag_from_log)
 
-    p = sub.add_parser("verify", help="run the identity verification suites")
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--verify-level", choices=("quick", "full"), default="quick")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_verify)
+    if p := add("sieve", help="find all heavy diagonal coefficients in a log"):
+        p.add_argument("--log", required=True)
+        p.add_argument("--threshold", required=True, type=float)
+        p.add_argument("--channel", help="optional spec for hash check + oracle columns")
+        p.add_argument("--out", help="report path (default stdout)")
+        p.set_defaults(func=cmd_sieve)
+
+    if p := add("verify", help="run the identity verification suites"):
+        p.add_argument("--n", required=True, type=int)
+        p.add_argument("--verify-level", choices=("quick", "full"), default="quick")
+        p.add_argument("--seed", type=int, default=0)
+        p.set_defaults(func=cmd_verify)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # A command builds only its own subparser; help, --version and bad or
+    # missing commands get the full parser and its messages.
+    only = argv[0] if argv and argv[0] in SUBCOMMANDS else None
+    args = build_parser(only).parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:

@@ -245,9 +245,10 @@ def estimate_chi_diag(channel: Channel, m: PauliLabel, cfg: EstimatorConfig) -> 
     # is the one transition-row entry this protocol reads
     survival, row = _read_states(n, js, ks, lambda j, v: np.sum(
         np.abs(_amplitudes(ops, w[:, None] * v[src], v)) ** 2, axis=1))
-    probs = survival[row]
-    outcomes = probs if us is None else (us < probs).astype(float)
-    return _finish(cfg, ((d + 1) * outcomes - 1) / d)
+    if us is None:
+        return _finish(cfg, (((d + 1) * survival - 1) / d)[row])
+    hit, miss = ((d + 1) * np.array([1.0, 0.0]) - 1) / d
+    return _finish(cfg, np.where(us < survival[row], hit, miss))
 
 
 def estimate_chi_offdiag(
@@ -267,21 +268,29 @@ def estimate_chi_offdiag(
     delta = 1.0 if m == n_label else 0.0
     ops, actions = as_kraus(channel).operators, (pauli_action(m), pauli_action(n_label))
 
-    def readout(j, v):  # [state, (polarization, survival)]; a Pauli's E^dag is E
+    def readout(j, v):  # [state, (Re and Im of the polarization, survival)]; E^dag is E
         x_m, x_n = (_amplitudes(ops, v, w[:, None] * v[src]) for src, w in actions)
+        polarization = np.sum(x_n.conj() * x_m, axis=1)
         survival = np.sum(np.abs(x_m) ** 2 + np.abs(x_n) ** 2, axis=1) / 2
-        return np.array([np.sum(x_n.conj() * x_m, axis=1), survival]).T
+        return np.array([polarization.real, polarization.imag, survival]).T
 
     jx, kx, ux = _campaign(n, cfg, _TAG_OFFDIAG_X, "offdiagonal")
     jy, ky, uy = _campaign(n, cfg, _TAG_OFFDIAG_Y, "offdiagonal")
     states, row = _read_states(n, np.append(jx, jy), np.append(kx, ky), readout)
-    got = states[row.reshape(2, -1)]  # [campaign, experiment, (polarization, survival)]
-    # the x campaign reads Re, the y campaign Im of the polarization
-    out, survival = np.array([got[0, :, 0].real, got[1, :, 0].imag]), got[..., 1].real
-    if ux is not None:
-        us, p_plus, p_minus = np.array([ux, uy]), (survival + out) / 2, (survival - out) / 2
-        out = np.where(us < p_plus, 1.0, np.where(us < p_plus + p_minus, -1.0, 0.0))
-    return _finish(cfg, ((d + 1) * out - [[delta], [0.0]]) / d)
+    # Per distinct state, the x campaign reads Re and the y campaign Im of the
+    # polarization; each experiment reads its row of these flattened (2, states) tables.
+    out, survival = states[:, :2].T, states[:, 2]
+    row = row.reshape(2, -1) + [[0], [len(states)]]
+    shift = [[delta], [0.0]]
+    if ux is None:
+        return _finish(cfg, (((d + 1) * out - shift) / d).ravel()[row])
+    p_plus, p_minus = (survival + out) / 2, (survival - out) / 2
+    us = np.array([ux, uy])
+    # The outcome is +1 below p_plus, else -1 below p_plus + p_minus, else 0:
+    # entry 2 [u < p_plus] + [u < p_plus + p_minus] of its campaign's row here.
+    stats = ((d + 1) * np.array([0.0, -1.0, 1.0, 1.0]) - shift) / d
+    code = 2 * (us < p_plus.ravel()[row]) + (us < (p_plus + p_minus).ravel()[row]) + [[0], [4]]
+    return _finish(cfg, stats.ravel()[code])
 
 
 def run_triplet_experiments(channel: Channel, cfg: EstimatorConfig) -> TripletRecord:

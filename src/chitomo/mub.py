@@ -5,7 +5,8 @@ as concrete unit vectors.  State k of base J is the simultaneous eigenvector
 of the class-J generators with eigenvalue (-1)^{k_i} for generator i.  Each
 base is written down in closed form: base 0 is a permutation of the
 computational basis, and every other base is one stabilizer vector times a
-D x D sign matrix, O(D^2) work per base.  The full set of D(D+1) states is an
+D x D sign matrix, O(D^2) work per base; all D+1 bases of n are built in one
+batch.  The full set of D(D+1) states is an
 exact state 2-design, which is what makes design averages interchangeable
 with Haar averages.
 """
@@ -17,51 +18,72 @@ import logging
 
 import numpy as np
 
-from .pauli import DENSE_QUBIT_CAP, DenseCapError, index_bit_tables, mub_class, pauli_action
+from .pauli import DENSE_QUBIT_CAP, DenseCapError, _trace_masks, index_bit_tables, pauli_actions
 
 logger = logging.getLogger(__name__)
 
 
 @functools.lru_cache(maxsize=None)
-def design_basis(n: int, J: int) -> np.ndarray:
-    """D x D unitary whose column k is state k of base J.
+def design_bases(n: int) -> np.ndarray:
+    """All D+1 bases as one read-only (D+1, D, D) array: column k of
+    ``design_bases(n)[J]`` is state k of base J.
 
-    Row x of the result is qubit-order basis state q = rev(x) (bit i =
-    qubit i), the bit reversal, because qubit 0 is the most significant
-    tensor factor.  Base 0 is the permutation with column k = |rev(k)>.  For
-    J >= 1 generator i has X only on qubit i, so Z on qubit i flips the sign
-    of generator i alone: state 0 is the n projectors (I + g_i)/2 applied to
-    |0> and normalized (each g_i applied as the signed permutation of
-    :func:`chitomo.pauli.pauli_action`), and column k is Z^k applied to it,
-    a sign (-1)^{|rev(x) AND k|} per row.  State 0 has full support, so every
-    column's first amplitude is the positive real one at x = 0.  O(D^2) per
-    base; the cache holds every base up to the dense cap (about 4.4 MB).
+    Row x of a base is qubit-order basis state q = rev(x) (bit i = qubit i),
+    the bit reversal, because qubit 0 is the most significant tensor factor.
+    Base 0 is the permutation with column k = |rev(k)>.  For J >= 1 generator
+    i has X only on qubit i, so Z on qubit i flips the sign of generator i
+    alone: state 0 is the n projectors (I + g_i)/2 applied to |0> and
+    normalized, and column k is Z^k applied to it, a sign (-1)^{|rev(x) AND
+    k|} per row.  State 0 has full support, so every column's first amplitude
+    is the positive real one at x = 0.  All D classes J >= 1 are built at
+    once: generator i of class J has the Z mask of bits i .. i+n-1 of h(J-1),
+    bit e of h(c) being tr(c x^e) (see :func:`chitomo.pauli.mub_class`), and
+    each projector step applies generator i of every class as one batch of
+    signed permutations (:func:`chitomo.pauli.pauli_actions`).  O(D^3) in
+    all; the cache holds every n up to the dense cap (4.3 MB at n = 6).
     """
     if n > DENSE_QUBIT_CAP:
         raise DenseCapError(f"dense states limited to n <= {DENSE_QUBIT_CAP}")
+    if n < 1:
+        raise ValueError(f"design states need n >= 1, got n={n}")
     d = 2**n
-    if not 0 <= J <= d:
+    rev, parity, _ = index_bit_tables(n)
+    c = np.arange(d)  # field element J - 1 of each base J >= 1
+    h = sum(parity[c & mask] << e for e, mask in enumerate(_trace_masks(n)))
+    v = np.zeros((d, d), dtype=complex)
+    v[:, 0] = 1.0
+    for i in range(n):
+        src, w = pauli_actions(n, np.full(d, 1 << i), h >> i & (d - 1))
+        v = (v + w * np.take_along_axis(v, src, axis=1)) / 2
+    # Every amplitude is now a power of i over D, so each norm is exact in any
+    # summation order: the batch matches one base built at a time, bit for bit.
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    bases = np.empty((d + 1, d, d), dtype=complex)
+    bases[0] = np.eye(d, dtype=complex)[rev]
+    np.multiply(v[:, :, None], 1 - 2 * parity[rev[:, None] & np.arange(d)], out=bases[1:])
+    bases.setflags(write=False)
+    return bases
+
+
+def design_basis(n: int, J: int) -> np.ndarray:
+    """D x D unitary whose column k is state k of base J: a read-only view
+    of base J of :func:`design_bases`."""
+    bases = design_bases(n)
+    if not 0 <= J <= 2**n:
         raise ValueError(f"base index J={J} out of range for n={n}")
-    generators = mub_class(n, J).generators  # also rejects n < 1
-    rev, parity = index_bit_tables(n)
-    if J == 0:
-        return np.eye(d, dtype=complex)[rev]
-    v = np.zeros(d, dtype=complex)
-    v[0] = 1.0
-    for g in generators:
-        src, w = pauli_action(g)
-        v = (v + w * v[src]) / 2
-    v /= np.linalg.norm(v)
-    return v[:, None] * (1 - 2 * parity[rev[:, None] & np.arange(d)])
+    return bases[J]
 
 
 @functools.lru_cache(maxsize=None)
 def design_states(n: int) -> np.ndarray:
-    """All D(D+1) design states as rows, base J's state k at row J*D + k.
+    """All D(D+1) design states as rows, base J's state k at row J*D + k: the
+    columns of :func:`design_bases`, base after base.  Column-major, the
+    layout the oracle's design sums have always read: their rounding depends
+    on it.
 
-    Read-only; the cache holds every n up to the dense cap (about 4.4 MB).
+    Read-only; the cache holds every n up to the dense cap (4.3 MB at n = 6).
     """
-    v = np.concatenate([design_basis(n, J).T for J in range(2**n + 1)])
+    v = design_bases(n).transpose(1, 0, 2).reshape(2**n, -1).T
     v.setflags(write=False)
     return v
 

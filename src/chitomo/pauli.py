@@ -141,6 +141,17 @@ def all_labels(n: int) -> list[PauliLabel]:
     return [label_from_index(n, i) for i in range(4**n)]
 
 
+def all_label_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(x_bits, z_bits) of all 4**n labels in canonical index order, as arrays."""
+    idx = np.arange(4**n)
+    xs, zs = np.zeros_like(idx), np.zeros_like(idx)
+    for i in range(n):
+        digit = (idx >> 2 * (n - 1 - i)) & 3  # I=0, X=1, Y=2, Z=3
+        xs |= ((digit + 1) >> 1 & 1) << i
+        zs |= (digit >> 1) << i
+    return xs, zs
+
+
 def _check_same_n(a: PauliLabel, b: PauliLabel) -> None:
     if a.n != b.n:
         raise ValueError(f"mismatched qubit counts: {a.n} vs {b.n}")
@@ -171,36 +182,49 @@ def symplectic_product(a: PauliLabel, b: PauliLabel) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def index_bit_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(rev, parity) over the 2**n indices: rev[c] is c with its n bits
-    reversed, parity[c] is the parity of c's bit count.  Read-only."""
+def index_bit_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rev, parity, popcount) over the 2**n indices: rev[c] is c with its n
+    bits reversed, popcount[c] its bit count and parity[c] that count's
+    parity.  Read-only."""
     c = np.arange(1 << n)
     rev = np.zeros_like(c)
-    parity = np.zeros_like(c)
+    popcount = np.zeros_like(c)
     for b in range(n):
         rev |= ((c >> b) & 1) << (n - 1 - b)
-        parity ^= (c >> b) & 1
-    rev.setflags(write=False)
-    parity.setflags(write=False)
-    return rev, parity
+        popcount += (c >> b) & 1
+    parity = popcount & 1
+    for table in (rev, parity, popcount):
+        table.setflags(write=False)
+    return rev, parity, popcount
 
 
-def pauli_action(a: PauliLabel) -> tuple[np.ndarray, np.ndarray]:
-    """A label's matrix as a signed permutation: (P v)[r] = w[r] * v[src[r]].
+# i**k for k mod 4, as Python computes 1j**k (signed zeros included).
+_PHASES = np.array([1j**k for k in range(4)])
+
+
+def pauli_actions(n: int, xs, zs) -> tuple[np.ndarray, np.ndarray]:
+    """Signed permutations of many labels at once: (P_l v)[r] = w[l, r] *
+    v[src[l, r]] for the label l with masks xs[l], zs[l], as (L, D) arrays.
 
     P|q> = i^{|x AND z|} (-1)^{|z AND q|} |q XOR x> in qubit order q (bit i
     = qubit i).  Matrix index c is q = rev(c), because qubit 0 is the most
     significant tensor factor, so row r reads src = r XOR rev(x) with weight
     i^{|x AND z|} (-1)^{|rev(z) AND src|}.
     """
-    if a.n > DENSE_QUBIT_CAP:
-        raise DenseCapError(
-            f"dense matrices limited to n <= {DENSE_QUBIT_CAP}, got n={a.n}"
-        )
-    rev, parity = index_bit_tables(a.n)
-    src = np.arange(1 << a.n) ^ rev[a.x_bits]
-    phase = 1j ** (a.x_bits & a.z_bits).bit_count()
-    return src, phase * (1 - 2 * parity[rev[a.z_bits] & src])
+    if n > DENSE_QUBIT_CAP:
+        raise DenseCapError(f"dense matrices limited to n <= {DENSE_QUBIT_CAP}, got n={n}")
+    rev, parity, popcount = index_bit_tables(n)
+    xs, zs = np.asarray(xs, dtype=np.int64), np.asarray(zs, dtype=np.int64)
+    src = np.arange(1 << n) ^ rev[xs][:, None]
+    phase = _PHASES[popcount[xs & zs] & 3]
+    return src, phase[:, None] * (1 - 2 * parity[rev[zs][:, None] & src])
+
+
+def pauli_action(a: PauliLabel) -> tuple[np.ndarray, np.ndarray]:
+    """A label's matrix as a signed permutation: (P v)[r] = w[r] * v[src[r]];
+    the one-label case of :func:`pauli_actions`."""
+    src, w = pauli_actions(a.n, [a.x_bits], [a.z_bits])
+    return src[0], w[0]
 
 
 def pauli_matrix(a: PauliLabel) -> np.ndarray:

@@ -565,6 +565,31 @@ class TestKrausArray:
         want = np.stack([np.sqrt(x) * pauli_matrix(L(a)) for a, x in weights.items() if x > 0])
         assert np.array_equal(_bits(got), _bits(want))
 
+    @pytest.mark.parametrize("n, ops", [(1, 1), (2, 3), (3, 9), (5, 64)])
+    def test_completeness_gemm_matches_einsum(self, n, ops):
+        """sum A^dag A as one GEMM gives the einsum's deviation, for complete
+        and for perturbed sets."""
+        rng = np.random.default_rng(n)
+        k = random_kraus_channel(n, rng, ops)
+        for scale in (1.0, 1 + 1e-7, 1.3):
+            scaled = KrausSet(n, k.operators * scale)
+            s = np.einsum("kji,kjl->il", scaled.operators.conj(), scaled.operators)
+            want = float(np.max(np.abs(np.linalg.eigvalsh(s - np.eye(2**n)))))
+            assert abs(kraus_completeness_deviation(scaled) - want) <= 1e-12
+
+    def test_compose_checks_completeness_only_with_a_kraus_descendant(self, monkeypatch):
+        checked = []
+        monkeypatch.setattr(channels, "kraus_completeness_deviation",
+                            lambda k: checked.append(len(k.operators)) or 0.0)
+        plain = [{"n": 1, "kind": "depolarizing", "p": 0.1},
+                 {"n": 1, "kind": "amplitude_damping", "gamma": 0.2}]
+        channel_factory({"n": 1, "kind": "compose", "children": plain})
+        assert checked == []
+        kraus = {"n": 1, "kind": "kraus", "operators": [matrix_to_json(np.eye(2))]}
+        inner = {"n": 1, "kind": "compose", "children": [plain[0], kraus]}
+        channel_factory({"n": 1, "kind": "compose", "children": [plain[1], inner]})
+        assert checked == [1, 4, 8]  # the kraus child, the inner and the outer compose
+
 
 class TestSpecDocuments:
     def test_canonical_bytes_ignore_key_order(self):

@@ -382,6 +382,23 @@ def test_kraus_spec_incomplete_in_spectral_norm_exits_2(capsys, tmp_path):
     assert json.loads(err)["error"] == "malformed_input"
 
 
+def test_compose_of_kraus_children_incomplete_as_a_whole_exits_2(capsys, tmp_path):
+    """Each child sqrt(I + c 11^T) passes its own check (deviation 9e-7), but
+    their composition is off by 1.8e-6, which the composed set's check refuses."""
+    d, c = 4, 2.25e-7
+    op = np.eye(d) + (np.sqrt(1 + c * d) - 1) / d * np.ones((d, d))
+    child = {"n": 2, "kind": "kraus", "operators": [matrix_to_json(op)]}
+    path, _ = write_spec(tmp_path, "k.json", {"n": 2, "kind": "compose",
+                                              "children": [child, child]})
+    out = str(tmp_path / "t.log")
+    code, _, err = run(capsys, "triplets", "--channel", path, "--M", "2000", "--seed", "1",
+                       "--out", out)
+    assert code == 2
+    error = json.loads(err)
+    assert error["error"] == "malformed_input"
+    assert error["message"].startswith("composed Kraus set not complete (deviation 1.8")
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -454,6 +471,73 @@ def test_undecodable_files_exit_2(capsys, specs, tmp_path, target):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert json.loads(err)["error"] == "malformed_input"
+
+
+# One valid call of each subcommand, then argv that argparse refuses, helps or
+# answers with its version.
+PARSER_CORPUS = [
+    ["estimate-diag", "--channel", "c.json", "--m", "XI", "--M", "100", "--seed", "3"],
+    ["estimate-offdiag", "--channel", "c.json", "--m", "I", "--n-label", "X",
+     "--epsilon", "0.1", "--mode", "exact"],
+    ["triplets", "--channel", "c.json", "--M", "50", "--out", "t.log"],
+    ["diag-from-log", "--log", "t.log", "--m", "II", "--m", "XI,ZZ", "--channel", "c.json"],
+    ["sieve", "--log", "t.log", "--threshold", "0.05"],
+    ["verify", "--n", "2", "--verify-level", "full", "--seed", "-4"],
+    ["estimate-diag", "--channel", "c.json", "--m=XI", "--M", "10"],
+    ["estimate-diag", "--channel", "c.json", "--m", "X", "--eps", "0.1"],
+    ["triplets", "--channel", "c.json", "--M", "10", "--epsilon", "0.1", "--out", "t.log"],
+    ["sieve", "--log", "t.log"],
+    ["verify", "--n", "2", "--bogus"],
+    ["verify", "--n", "two"],
+    ["estimate", "--m", "X"],
+    [],
+    ["-h"],
+    ["--version"],
+    ["estimate-diag", "-h"],
+]
+PARSER_IDS = ["estimate-diag", "estimate-offdiag", "triplets", "diag-from-log", "sieve",
+              "verify", "m-equals", "abbreviated-eps", "m-and-epsilon", "missing-flag",
+              "unknown-flag", "bad-int", "unknown-subcommand", "empty", "help", "version",
+              "subcommand-help"]
+
+
+def _parse(parser, argv, capsys):
+    try:
+        args, code = parser.parse_args(argv), 0
+    except SystemExit as exc:
+        args, code = None, exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, args
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", PARSER_CORPUS, ids=PARSER_IDS)
+    def test_one_subcommand_parser_matches_full_parser(self, capsys, argv):
+        """Same exit code, stdout, stderr and Namespace from the parser main()
+        builds for argv as from the parser with every subcommand."""
+        only = argv[0] if argv and argv[0] in cli.SUBCOMMANDS else None
+        full = _parse(cli.build_parser(), argv, capsys)
+        assert _parse(cli.build_parser(only), argv, capsys) == full
+
+    @pytest.mark.parametrize("argv", PARSER_CORPUS, ids=PARSER_IDS)
+    def test_main_builds_the_named_subcommand_only(self, monkeypatch, argv):
+        built = []
+
+        class Built(Exception):
+            """Stops main before it parses."""
+
+        def build_parser(only=None):
+            built.append(only)
+            raise Built
+
+        monkeypatch.setattr(cli, "build_parser", build_parser)
+        with pytest.raises(Built):
+            cli.main(argv)
+        assert built == [argv[0] if argv and argv[0] in cli.SUBCOMMANDS else None]
+
+    def test_subcommand_names_match_the_full_parser(self):
+        sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        assert tuple(sub.choices) == cli.SUBCOMMANDS
 
 
 class TestOracleColumns:

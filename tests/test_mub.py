@@ -3,12 +3,19 @@
 import numpy as np
 import pytest
 
-from chitomo.mub import as_distribution, design_average_survival, design_basis, design_states
+from chitomo.mub import (
+    as_distribution,
+    design_average_survival,
+    design_bases,
+    design_basis,
+    design_states,
+)
 from chitomo.oracle import haar_closed_form
 from chitomo.pauli import (
     DenseCapError,
     PauliLabel,
     commutation_vector,
+    index_bit_tables,
     label_from_index,
     mub_class,
     pauli_matrix,
@@ -83,21 +90,52 @@ class TestStateConstruction:
             design_basis(7, 0)
 
     def test_cache_holds_every_base_at_the_dense_cap(self):
+        """One build per n holds all D+1 bases, read-only, and design_basis
+        reads them without building again."""
         d = 2**6
-        design_basis.cache_clear()
+        design_bases.cache_clear()
         for _ in range(2):
             for j in range(d + 1):
                 design_basis(6, j)
-        info = design_basis.cache_info()
-        assert (info.hits, info.misses) == (d + 1, d + 1)
+        info = design_bases.cache_info()
+        assert (info.hits, info.misses) == (2 * (d + 1) - 1, 1)
+        bases = design_bases(6)
+        assert bases.shape == (d + 1, d, d) and not bases.flags.writeable
+        assert not design_basis(6, 5).flags.writeable
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_batched_build_matches_per_base_build(self, n):
+        """Bit for bit (signed zeros included) the bases built one J at a time."""
+        bases = design_bases(n)
+        for j in range(2**n + 1):
+            want = _per_base_reference(n, j)
+            assert np.array_equal(bases[j].view(np.uint64), want.view(np.uint64)), j
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_design_states_are_the_base_columns_in_order(self, n):
         d = 2**n
         v = design_states(n)
         assert v.shape == (d * (d + 1), d) and not v.flags.writeable
+        assert v.flags.f_contiguous
         for j in range(d + 1):
             np.testing.assert_array_equal(v[j * d:(j + 1) * d], design_basis(n, j).T)
+
+
+def _per_base_reference(n, j):
+    """Base j alone: the n projectors (I + g_i)/2 of class j, each applied as
+    its signed permutation, to |0>, normalized, then a Z^k sign per column."""
+    d = 2**n
+    rev, parity, _ = index_bit_tables(n)
+    if j == 0:
+        return np.eye(d, dtype=complex)[rev]
+    v = np.zeros(d, dtype=complex)
+    v[0] = 1.0
+    for g in mub_class(n, j).generators:
+        src = np.arange(d) ^ rev[g.x_bits]
+        w = 1j ** (g.x_bits & g.z_bits).bit_count() * (1 - 2 * parity[rev[g.z_bits] & src])
+        v = (v + w * v[src]) / 2
+    v /= np.linalg.norm(v)
+    return v[:, None] * (1 - 2 * parity[rev[:, None] & np.arange(d)])
 
 
 def _projected_fiducial(gens, k, d):

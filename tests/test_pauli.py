@@ -8,16 +8,20 @@ from chitomo.pauli import (
     MUB_QUBIT_CAP,
     MubClass,
     PauliLabel,
+    all_label_masks,
     all_labels,
     commutation_columns,
     commutation_vector,
     gf_mul,
     gf_trace,
     gf2_apply,
+    index_bit_tables,
     label_from_index,
     label_index,
     mub_class,
     mub_classes,
+    pauli_action,
+    pauli_actions,
     pauli_matrix,
     pauli_mul,
     solve_label_from_constraints,
@@ -88,6 +92,12 @@ class TestLabelBasics:
         assert [str(a) for a in all_labels(1)] == ["I", "X", "Y", "Z"]
         # qubit 0 is the most significant digit
         assert [str(a) for a in all_labels(2)[:5]] == ["II", "IX", "IY", "IZ", "XI"]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_label_masks_in_index_order(self, n):
+        xs, zs = all_label_masks(n)
+        assert [(int(x), int(z)) for x, z in zip(xs, zs)] == [
+            (a.x_bits, a.z_bits) for a in all_labels(n)]
 
     def test_weight(self):
         assert L("IXYZ").weight == 3
@@ -197,6 +207,52 @@ class TestPauliMatrix:
         for idx in rng.integers(0, 4**n, size=100):
             a = label_from_index(n, int(idx))
             np.testing.assert_array_equal(pauli_matrix(a), kron_reference(a), err_msg=str(a))
+
+
+def _pauli_action_reference(a):
+    """One label's signed permutation, built on its own."""
+    rev, parity, _ = index_bit_tables(a.n)
+    src = np.arange(1 << a.n) ^ rev[a.x_bits]
+    phase = 1j ** (a.x_bits & a.z_bits).bit_count()
+    return src, phase * (1 - 2 * parity[rev[a.z_bits] & src])
+
+
+def _assert_actions_bit_equal(n, idx):
+    labels = [label_from_index(n, int(i)) for i in idx]
+    src, w = pauli_actions(n, [a.x_bits for a in labels], [a.z_bits for a in labels])
+    assert src.shape == w.shape == (len(labels), 2**n)
+    for a, s, v in zip(labels, src, w):
+        ref_src, ref_w = _pauli_action_reference(a)
+        np.testing.assert_array_equal(s, ref_src, err_msg=str(a))
+        assert np.array_equal(v.view(np.uint64), ref_w.view(np.uint64)), str(a)
+        one_src, one_w = pauli_action(a)
+        assert np.array_equal(one_src, s)
+        assert np.array_equal(one_w.view(np.uint64), v.view(np.uint64))
+
+
+class TestPauliActions:
+    """The batched signed permutations, bit for bit the per-label ones
+    (signed zeros of the phases included)."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_label(self, n):
+        _assert_actions_bit_equal(n, range(4**n))
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_sampled_labels(self, n):
+        _assert_actions_bit_equal(n, np.random.default_rng(n).integers(0, 4**n, size=200))
+
+    def test_dense_cap(self):
+        with pytest.raises(DenseCapError):
+            pauli_actions(7, [0], [0])
+
+    def test_bit_tables(self):
+        rev, parity, popcount = index_bit_tables(5)
+        c = range(32)
+        assert list(popcount) == [bin(i).count("1") for i in c]
+        assert list(parity) == [bin(i).count("1") & 1 for i in c]
+        assert list(rev) == [int(format(i, "05b")[::-1], 2) for i in c]
+        assert not (rev.flags.writeable or parity.flags.writeable or popcount.flags.writeable)
 
 
 class TestGaloisField:
