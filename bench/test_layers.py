@@ -189,6 +189,20 @@ def test_sampled_protocol(benchmark, protocol, kind, n):
     assert (len(result) if protocol == "triplets" else result.M) == 2000
 
 
+@pytest.mark.parametrize("protocol", ["diag", "offdiag"])
+def test_sampled_protocol_many_experiments(benchmark, protocol):
+    """One estimate at n=1, M=1e5, the shape of the acceptance suite's
+    5-sigma check: Philox draws, the state table and the outcome draw are
+    the cost, the channel's readout is negligible."""
+    depol = channel_factory({"n": 1, "kind": "depolarizing", "p": 0.2})
+    rot = channel_factory({"n": 1, "kind": "unitary", "generator": "X", "theta": np.pi / 2})
+    z, ident, x = (PauliLabel.from_string(s) for s in "ZIX")
+    cfg = EstimatorConfig(M=100_000, seed=3)
+    run = {"diag": lambda: estimate_chi_diag(depol, z, cfg),
+           "offdiag": lambda: estimate_chi_offdiag(rot, ident, x, cfg)}[protocol]
+    assert benchmark(run).M == 100_000
+
+
 def test_pauli_matrix_all_labels(benchmark):
     """All 256 dense Pauli matrices of n=4."""
     labels = all_labels(4)

@@ -393,7 +393,7 @@ def channel_factory(spec: dict) -> KrausSet:
         raw = spec.get("weights")
         if not isinstance(raw, dict) or not raw:
             raise ChannelSpecError("pauli_mixture needs a non-empty 'weights' map")
-        weights = {}
+        weights, keys = {}, {}
         for key, w in raw.items():
             try:
                 a = PauliLabel.from_string(key)
@@ -401,6 +401,9 @@ def channel_factory(spec: dict) -> KrausSet:
                 raise ChannelSpecError(f"bad Pauli string {key!r}: {exc}") from exc
             if a.n != n:
                 raise ChannelSpecError(f"weight key {key!r} has wrong qubit count")
+            if a in keys:
+                raise ChannelSpecError(f"weight keys {keys[a]!r} and {key!r} name one label {a}")
+            keys[a] = key
             if not _is_number(w) or not w >= 0:
                 raise ChannelSpecError(f"weight for {key!r} must be >= 0")
             weights[a] = float(w)

@@ -184,12 +184,11 @@ def _load_log_with_optional_channel(args):
     record, meta = read_triplet_log(args.log)
     channel = None
     if args.channel is not None:
-        # Up to the dense cap the spec is built, its only validation, before
-        # its hash is checked; above the cap only the hash is checked.
-        if meta["n"] > DENSE_QUBIT_CAP:
-            spec = load_channel_spec(args.channel)
-        else:
-            spec, channel = _load_channel(args.channel)
+        # Only the oracle columns read the channel: up to their cap the spec is
+        # built, its only validation, before its hash is checked.
+        spec = load_channel_spec(args.channel)
+        if meta["n"] <= ORACLE_QUBIT_CAP:
+            channel = channel_factory(spec)
         digest = channel_spec_sha256(spec)
         if digest != meta["channel"]:
             raise CliError(
@@ -217,8 +216,8 @@ def cmd_diag_from_log(args) -> int:
 
 
 def cmd_sieve(args) -> int:
-    if not args.threshold > 0:
-        raise CliError(EXIT_MALFORMED, "bad_arguments", "--threshold must be positive")
+    if not (args.threshold > 0 and np.isfinite(args.threshold)):
+        raise CliError(EXIT_MALFORMED, "bad_arguments", "--threshold must be finite and positive")
     record, meta, channel = _load_log_with_optional_channel(args)
     stats: dict = {}
     try:

@@ -177,39 +177,41 @@ def _sample_states(
 
 def _campaign(
     n: int, cfg: EstimatorConfig, tag: int, kind: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """(J, k) per experiment and the outcome draws, None unless sampled;
-    under enumerate_design, every design state once."""
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Each experiment's state key J*D + k, its row among the D(D+1) rows
+    (4,160 at n=6) of the protocols' state table, and its outcome draw u, None
+    unless sampled; under enumerate_design, every design state once."""
     d = 2**n
     if cfg.enumerate_design:
-        return np.repeat(np.arange(d + 1), d), np.tile(np.arange(d), d + 1), None
-    m_count = cfg.sample_size(kind)
-    rng = _campaign_rng(cfg.seed, tag)
+        return np.arange(d * (d + 1)), None
+    m_count, rng = cfg.sample_size(kind), _campaign_rng(cfg.seed, tag)
     js, ks = _sample_states(rng, n, m_count)
-    us = rng.random(m_count)
-    return js, ks, us if cfg.mode == "sampled" else None
+    return js * d + ks, rng.random(m_count) if cfg.mode == "sampled" else None
 
 
-def _distinct_states(
-    js: np.ndarray, ks: np.ndarray, d: int
-) -> tuple[list[tuple[int, slice]], np.ndarray, np.ndarray]:
-    """Distinct (J, k) states sorted by base: the slice of each base J among
-    them, their k's, and the distinct-state index of every experiment."""
-    keys = js * d + ks
-    present = np.bincount(keys, minlength=d * (d + 1)) > 0
-    uniq = np.flatnonzero(present)
-    inverse = (np.cumsum(present) - 1)[keys]
-    bases, starts = np.unique(uniq // d, return_index=True)
-    stops = np.append(starts[1:], len(uniq))
-    return [(int(j), slice(*ab)) for j, *ab in zip(bases, starts, stops)], uniq % d, inverse
+def _state_table(n: int, key_arrays: list[np.ndarray], readout, width: int) -> np.ndarray:
+    """Read every state drawn by any campaign once: readout(J, v) maps the
+    design columns v (D x s) of base J's drawn states, k ascending, to one
+    row of width results per state, stored in row J*D + k of the table."""
+    d = 2**n
+    drawn = np.zeros(d * (d + 1), dtype=bool)
+    for keys in key_arrays:
+        drawn[keys] = True
+    table = np.zeros((d * (d + 1), width))
+    for j, ks in enumerate(map(np.flatnonzero, drawn.reshape(d + 1, d))):
+        if len(ks):
+            table[j * d + ks] = readout(j, design_basis(n, j)[:, ks])
+    return table
 
 
-def _read_states(n: int, js: np.ndarray, ks: np.ndarray, readout) -> tuple[np.ndarray, np.ndarray]:
-    """Read each distinct drawn state (J, k) once: readout(J, v) maps the
-    design columns v (D x s) of base J's states to one result per state.
-    Returns the stacked results and each experiment's row among them."""
-    bases, uk, inverse = _distinct_states(js, ks, 2**n)
-    return np.concatenate([readout(j, design_basis(n, j)[:, uk[sl]]) for j, sl in bases]), inverse
+def _draw(thresholds: np.ndarray, keys: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """Each experiment's outcome index: how many of the ascending cumulative
+    thresholds in its state's row, thresholds[key], are <= its draw u, counted
+    column by column, so no (M, width) array is built."""
+    counts = np.zeros(len(keys), dtype=np.int64)
+    for col in thresholds.T:
+        counts += col[keys] <= us
+    return counts
 
 
 def _amplitudes(ops: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -240,15 +242,13 @@ def estimate_chi_diag(channel: Channel, m: PauliLabel, cfg: EstimatorConfig) -> 
         raise ValueError("label and channel qubit counts differ")
     n, d = channel.n, 2**channel.n
     ops, (src, w) = as_kraus(channel).operators, pauli_action(m)
-    js, ks, us = _campaign(n, cfg, _TAG_DIAG, "fidelity")
-    # E_m v_k is v_{k XOR p_m(J)} up to a phase, so sum_i |<E_m v_k|A_i|v_k>|^2
-    # is the one transition-row entry this protocol reads
-    survival, row = _read_states(n, js, ks, lambda j, v: np.sum(
-        np.abs(_amplitudes(ops, w[:, None] * v[src], v)) ** 2, axis=1))
-    if us is None:
-        return _finish(cfg, (((d + 1) * survival - 1) / d)[row])
-    hit, miss = ((d + 1) * np.array([1.0, 0.0]) - 1) / d
-    return _finish(cfg, np.where(us < survival[row], hit, miss))
+    keys, us = _campaign(n, cfg, _TAG_DIAG, "fidelity")
+    # E_m v_k is v_{k XOR p_m(J)} up to a phase, so sum_i |<E_m v_k|A_i|v_k>|^2 is
+    # the one transition-row entry read: the outcome is 1 (survival) below it, else 0
+    survival = _state_table(n, [keys], lambda j, v: np.sum(
+        np.abs(_amplitudes(ops, w[:, None] * v[src], v)) ** 2, axis=1, keepdims=True), 1)
+    outcome = survival[keys, 0] if us is None else np.array([1.0, 0.0])[_draw(survival, keys, us)]
+    return _finish(cfg, ((d + 1) * outcome - 1) / d)
 
 
 def estimate_chi_offdiag(
@@ -274,23 +274,18 @@ def estimate_chi_offdiag(
         survival = np.sum(np.abs(x_m) ** 2 + np.abs(x_n) ** 2, axis=1) / 2
         return np.array([polarization.real, polarization.imag, survival]).T
 
-    jx, kx, ux = _campaign(n, cfg, _TAG_OFFDIAG_X, "offdiagonal")
-    jy, ky, uy = _campaign(n, cfg, _TAG_OFFDIAG_Y, "offdiagonal")
-    states, row = _read_states(n, np.append(jx, jy), np.append(kx, ky), readout)
-    # Per distinct state, the x campaign reads Re and the y campaign Im of the
-    # polarization; each experiment reads its row of these flattened (2, states) tables.
-    out, survival = states[:, :2].T, states[:, 2]
-    row = row.reshape(2, -1) + [[0], [len(states)]]
-    shift = [[delta], [0.0]]
-    if ux is None:
-        return _finish(cfg, (((d + 1) * out - shift) / d).ravel()[row])
-    p_plus, p_minus = (survival + out) / 2, (survival - out) / 2
-    us = np.array([ux, uy])
-    # The outcome is +1 below p_plus, else -1 below p_plus + p_minus, else 0:
-    # entry 2 [u < p_plus] + [u < p_plus + p_minus] of its campaign's row here.
-    stats = ((d + 1) * np.array([0.0, -1.0, 1.0, 1.0]) - shift) / d
-    code = 2 * (us < p_plus.ravel()[row]) + (us < (p_plus + p_minus).ravel()[row]) + [[0], [4]]
-    return _finish(cfg, stats.ravel()[code])
+    campaigns = [_campaign(n, cfg, tag, "offdiagonal") for tag in (_TAG_OFFDIAG_X, _TAG_OFFDIAG_Y)]
+    table = _state_table(n, [keys for keys, _ in campaigns], readout, 3)
+    survival, stats = table[:, 2], []
+    # The x campaign reads Re and the y campaign Im of the polarization `out`:
+    # the outcome is +1 below p_plus, else -1 below p_plus + p_minus, else 0.
+    for (keys, us), out, shift in zip(campaigns, table.T, (delta, 0.0)):
+        p_plus = (survival + out) / 2
+        thresholds = np.array([p_plus, p_plus + (survival - out) / 2]).T
+        outcome = (out[keys] if us is None
+                   else np.array([1.0, -1.0, 0.0])[_draw(thresholds, keys, us)])
+        stats.append(((d + 1) * outcome - shift) / d)
+    return _finish(cfg, np.array(stats))
 
 
 def run_triplet_experiments(channel: Channel, cfg: EstimatorConfig) -> TripletRecord:
@@ -300,20 +295,17 @@ def run_triplet_experiments(channel: Channel, cfg: EstimatorConfig) -> TripletRe
     """
     if cfg.mode != "sampled" or cfg.enumerate_design:
         raise ValueError("triplet experiments require mode='sampled'")
-    n, ops = channel.n, as_kraus(channel).operators
+    n, d, ops = channel.n, 2**channel.n, as_kraus(channel).operators
 
     def cumulative_rows(j, v):  # the full rows T[s, k'] = sum_i |<v_k'|A_i|v_s>|^2, summed up
         amps = design_basis(n, j).conj().T @ (ops @ v)  # [i, k', s]
         return np.cumsum(as_distribution(np.sum(np.abs(amps) ** 2, axis=0).T, j), axis=1)
 
-    js, ks, us = _campaign(n, cfg, _TAG_TRIPLETS, "fidelity")
-    cum, row = _read_states(n, js, ks, cumulative_rows)
-    # k' is the first outcome whose cumulative probability exceeds u, or the last
-    # one: as the rows ascend, the count of entries <= u in the first D-1 columns
-    k_primes = np.zeros(len(js), dtype=np.int64)
-    for col in cum.T[:-1]:
-        k_primes += col[row] <= us
-    return TripletRecord(n, js, ks, k_primes)
+    keys, us = _campaign(n, cfg, _TAG_TRIPLETS, "fidelity")
+    cum = _state_table(n, [keys], cumulative_rows, d)
+    # k' is the first outcome whose cumulative probability exceeds u, or the
+    # last one: the count of the first D-1 cumulative entries <= u
+    return TripletRecord(n, keys >> n, keys & (d - 1), _draw(cum[:, :-1], keys, us))
 
 
 def _count_table(record: TripletRecord) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -478,6 +479,14 @@ class TestChannelFactory:
     def test_dense_cap(self):
         with pytest.raises(DenseCapError):
             channel_factory({"n": 7, "kind": "identity"})
+
+    @pytest.mark.parametrize("first, second", [("XI", "xi"), ("XI", " xi "), ("xi", "XI")])
+    def test_mixture_keys_naming_one_label_rejected(self, first, second):
+        """Keys that parse to one label are refused, not overwritten: these
+        weights sum to 1.5, and the last one would have replaced the other."""
+        spec = {"n": 2, "kind": "pauli_mixture", "weights": {"II": 0.5, first: 0.5, second: 0.5}}
+        with pytest.raises(ChannelSpecError, match=re.escape(f"keys {first!r} and {second!r}")):
+            channel_factory(spec)
 
 
 def _kron_loop_operators(factors, n):

@@ -262,35 +262,42 @@ class TestTripletsAndLogs:
 
 
 class TestLogsAboveDenseCap:
-    """Above the dense cap a --channel spec cannot be built: only its hash is
-    checked against the log, and the report has no oracle columns."""
+    """Above the oracle cap a --channel spec is not built, within the dense cap
+    (n=6) or beyond it (n=8): only its hash is checked against the log, and
+    the report has no oracle columns."""
 
-    @pytest.fixture
-    def log8(self, tmp_path):
-        rng = np.random.default_rng(8)
-        spec_path, spec = write_spec(tmp_path, "ident8.json", {"n": 8, "kind": "identity"})
-        ks = rng.integers(0, 256, size=300)
-        record = TripletRecord(8, rng.integers(0, 257, size=300), ks, ks)
-        log = tmp_path / "ident8.log"
+    @pytest.fixture(params=[6, 8])
+    def log(self, request, tmp_path):
+        n, d = request.param, 2**request.param
+        rng = np.random.default_rng(n)
+        spec_path, spec = write_spec(tmp_path, "ident.json", {"n": n, "kind": "identity"})
+        ks = rng.integers(0, d, size=300)
+        record = TripletRecord(n, rng.integers(0, d + 1, size=300), ks, ks)
+        log = tmp_path / "ident.log"
         write_triplet_log(log, record, 0, channel_spec_sha256(spec))
-        return str(log), spec_path
+        return n, str(log), spec_path
 
     @pytest.mark.parametrize(
         "argv",
-        [["diag-from-log", "--m", "IIIIIIII,XIIIIIII"], ["sieve", "--threshold", "0.5"]],
+        [["diag-from-log", "--m", "I{rest},X{rest}"], ["sieve", "--threshold", "0.5"]],
         ids=["diag-from-log", "sieve"],
     )
-    def test_matching_spec_reports_without_oracle(self, capsys, tmp_path, log8, argv):
-        log, spec_path = log8
+    def test_matching_spec_reports_without_oracle(self, capsys, monkeypatch, tmp_path, log,
+                                                  argv):
+        n, log, spec_path = log
+        argv = [arg.format(rest="I" * (n - 1)) for arg in argv]
+        built = []
+        monkeypatch.setattr(cli, "channel_factory", lambda spec: built.append(spec))
         code, out, _ = run(capsys, *argv, "--log", log, "--channel", spec_path)
         assert code == 0
         rows = json.loads(out)["rows"]
-        assert rows[0]["m"] == "IIIIIIII" and rows[0]["value_re"] == 1.0
+        assert rows[0]["m"] == "I" * n and rows[0]["value_re"] == 1.0
         assert all(r["oracle_re"] is None and r["z_score"] is None for r in rows)
-        other, _ = write_spec(tmp_path, "dep8.json", {"n": 8, "kind": "depolarizing", "p": 0.1})
+        other, _ = write_spec(tmp_path, "dep.json", {"n": n, "kind": "depolarizing", "p": 0.1})
         code, _, err = run(capsys, *argv, "--log", log, "--channel", other)
         assert code == 5
         assert json.loads(err)["error"] == "hash_mismatch"
+        assert built == []
 
 
 class TestSieveCommand:
@@ -347,6 +354,8 @@ def _log_with_header(tmp_path, name, n, m_count, body=""):
         ["diag-from-log", "--log", "{n13}", "--m", "I" * 13],
         ["diag-from-log", "--log", "{n0}", "--m", "I"],
         ["diag-from-log", "--log", "{huge_n}", "--m", "I"],
+        ["sieve", "--log", "{log}", "--threshold", "inf"],
+        ["sieve", "--log", "{log}", "--threshold", "1e400"],
     ],
 )
 def test_bad_arguments_and_logs_exit_2(capsys, specs, tmp_path, argv):
@@ -366,6 +375,17 @@ def test_bad_arguments_and_logs_exit_2(capsys, specs, tmp_path, argv):
     code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
     assert code == 2
     assert json.loads(err)["error"] in ("bad_arguments", "malformed_input")
+
+
+@pytest.mark.parametrize("second", ["xi", " xi "])
+def test_mixture_keys_naming_one_label_exit_2(capsys, tmp_path, second):
+    path, _ = write_spec(tmp_path, "dup.json", {
+        "n": 2, "kind": "pauli_mixture", "weights": {"II": 0.5, "XI": 0.5, second: 0.5}})
+    code, _, err = run(capsys, "estimate-diag", "--channel", path, "--m", "XI", "--M", "10")
+    assert code == 2
+    error = json.loads(err)
+    assert error["error"] == "malformed_input"
+    assert f"'XI' and {second!r}" in error["message"]
 
 
 def test_kraus_spec_incomplete_in_spectral_norm_exits_2(capsys, tmp_path):

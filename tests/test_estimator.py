@@ -28,7 +28,6 @@ from chitomo.estimator import (
     sieve_large_diagonals,
     write_triplet_log,
     _campaign_rng,
-    _distinct_states,
 )
 from chitomo.mub import design_basis
 from chitomo.oracle import (
@@ -380,18 +379,53 @@ class TestStatisticalBehaviour:
         assert 0.375 < ratio < 0.625
 
 
-def test_distinct_states_match_sorting_reference():
-    rng = np.random.default_rng(3)
-    for d, m_count in ((2, 1), (2, 500), (8, 100), (16, 5000)):
-        js = rng.integers(0, d + 1, size=m_count)
-        ks = rng.integers(0, d, size=m_count)
-        bases, uk, inverse = _distinct_states(js, ks, d)
-        uniq, want_inverse = np.unique(js * d + ks, return_inverse=True)
-        assert np.array_equal(uk, uniq % d)
-        assert np.array_equal(inverse, want_inverse)
-        assert [j for j, _ in bases] == np.unique(js).tolist()
-        for j, sl in bases:
-            assert np.all(uniq[sl] // d == j)
+@pytest.mark.parametrize("n, m_count", [(1, 1), (1, 500), (3, 100), (4, 3000)])
+def test_state_table_reads_each_drawn_state_once(monkeypatch, n, m_count):
+    """Both off-diagonal campaigns key one table by J*D + k: each state either
+    campaign drew is read exactly once, and no undrawn state is read."""
+    d, cfg = 2**n, EstimatorConfig(M=m_count, seed=m_count)
+    rng = np.random.default_rng(n)
+    channel, m, n_label = random_channel(n, rng), random_label(n, rng), random_label(n, rng)
+    calls, reads = [], []
+    state_table = estimator._state_table
+
+    def spy(n_, key_arrays, readout, width):
+        def recording(j, v):  # which design states of base j the columns of v are
+            reads.extend(j * d + np.argmax(np.abs(design_basis(n, j).conj().T @ v), axis=0))
+            return readout(j, v)
+
+        calls.append((key_arrays, state_table(n_, key_arrays, recording, width)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(estimator, "_state_table", spy)
+    estimate_chi_offdiag(channel, m, n_label, cfg)
+    [(key_arrays, table)] = calls
+    campaigns = []
+    for tag in (estimator._TAG_OFFDIAG_X, estimator._TAG_OFFDIAG_Y):
+        js, ks = estimator._sample_states(_campaign_rng(cfg.seed, tag), n, m_count)
+        campaigns.append(js * d + ks)
+    assert len(key_arrays) == 2
+    assert all(np.array_equal(a, b) for a, b in zip(key_arrays, campaigns))
+    drawn = np.union1d(*campaigns)
+    assert sorted(reads) == drawn.tolist()
+    assert table.shape == (d * (d + 1), 3)
+    assert not table[np.setdiff1d(np.arange(d * (d + 1)), drawn)].any()
+
+
+@pytest.mark.parametrize("width", [1, 2, 7])
+def test_draw_matches_searchsorted(width):
+    """The outcome index is the count of the state's ascending thresholds <= u,
+    u placed exactly on a threshold included."""
+    rng = np.random.default_rng(width)
+    steps = rng.random((40, width)) * (rng.random((40, width)) > 0.3)  # ties where 0
+    thresholds = np.cumsum(steps, axis=1) / (np.sum(steps, axis=1, keepdims=True) + 0.5)
+    keys = rng.integers(0, 40, size=2000)
+    us = rng.random(2000)
+    us[:500] = thresholds[keys[:500], rng.integers(0, width, size=500)]
+    want = [np.searchsorted(thresholds[k], u, side="right") for k, u in zip(keys, us)]
+    got = estimator._draw(thresholds, keys, us)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
 
 
 class TestTripletExperiments:
