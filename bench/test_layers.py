@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from chitomo import cli
-from chitomo.channels import apply_channel, channel_factory, superoperator
+from chitomo.channels import apply_channel, as_kraus, channel_factory, superoperator
 from chitomo.estimator import (
     EstimatorConfig,
     TripletRecord,
@@ -174,12 +174,19 @@ def _protocol_channel(kind, n):
         "I" * n: 0.85, "X" + "I" * (n - 1): 0.07, "Z" * n: 0.05, "IY" + "I" * (n - 2): 0.03}})
 
 
-@pytest.mark.parametrize("protocol", ["diag", "offdiag", "triplets"])
-@pytest.mark.parametrize("kind, n", [("depolarizing", 2), ("depolarizing", 4),
-                                     ("depolarizing", 5), ("mixture", 6)])
+# The off-diagonal protocol expands a Pauli channel to dense operators, which
+# for depolarizing n=6 are 4096 of them (268 MB), so it has no such row.
+_PROTOCOL_CASES = [(protocol, kind, n) for kind, n in [("depolarizing", 2), ("depolarizing", 4),
+                                                       ("depolarizing", 5), ("mixture", 6)]
+                   for protocol in ("diag", "offdiag", "triplets")]
+_PROTOCOL_CASES += [("diag", "depolarizing", 6), ("triplets", "depolarizing", 6)]
+
+
+@pytest.mark.parametrize("protocol, kind, n", _PROTOCOL_CASES)
 def test_sampled_protocol(benchmark, protocol, kind, n):
-    """One sampled protocol at M=2000: a depolarizing channel (4^n Kraus
-    operators) or a 4-label Pauli mixture."""
+    """One sampled protocol at M=2000 on a depolarizing channel (4^n labels)
+    or a 4-label Pauli mixture: diag and triplets read their weights, the
+    off-diagonal protocol their dense expansion."""
     channel, cfg = _protocol_channel(kind, n), EstimatorConfig(M=2000, seed=n)
     m, n_label = label_from_index(n, 5), label_from_index(n, 9)
     run = {"diag": lambda: estimate_chi_diag(channel, m, cfg),
@@ -211,9 +218,23 @@ def test_pauli_matrix_all_labels(benchmark):
 
 
 def test_channel_factory_mixture(benchmark):
-    """A 64-label Pauli mixture at n=4, one Kraus operator per label."""
+    """A 64-label Pauli mixture at n=4, held as its labels and weights."""
     channel = benchmark(channel_factory, _mixture_spec(4, 64))
-    assert len(channel.operators) == 64
+    assert len(channel.labels) == 64
+
+
+def test_channel_factory_depolarizing_n6(benchmark):
+    """A depolarizing channel at n=6: 4096 labels and weights, no operators."""
+    channel = benchmark(channel_factory, {"n": 6, "kind": "depolarizing", "p": 0.3})
+    assert len(channel.labels) == 4096
+
+
+def test_as_kraus_mixture(benchmark):
+    """The dense expansion of a 64-label n=4 mixture, from a fresh channel each round."""
+    spec = _mixture_spec(4, 64)
+    kraus = benchmark.pedantic(as_kraus, setup=lambda: ((channel_factory(spec),), {}),
+                               rounds=20, iterations=1)
+    assert len(kraus.operators) == 64
 
 
 @pytest.mark.parametrize("n", [3, 4])

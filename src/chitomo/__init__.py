@@ -29,6 +29,7 @@ from .channels import (
     ChiMatrix,
     ChiValidationReport,
     KrausSet,
+    PauliChannel,
     apply_channel,
     as_kraus,
     channel_factory,

@@ -1,8 +1,9 @@
 """Completely positive trace-preserving maps on n qubits.
 
-Channels come in two interchangeable forms: a chi matrix over the canonical
-Pauli operator basis (see :func:`chitomo.pauli.label_index` for the ordering)
-or a Kraus operator-sum set.  Every constructor here validates its output;
+Channels come in three interchangeable forms: a chi matrix over the canonical
+Pauli operator basis (see :func:`chitomo.pauli.label_index` for the ordering),
+a Kraus operator-sum set, or for a Pauli channel its label weights, which
+:func:`as_kraus` expands.  Every constructor here validates its output;
 :func:`apply_channel` acts linearly on any input matrix, or stack of them.
 :func:`superoperator` builds the same action as one D**2 x D**2 matrix from
 every Kraus operator (or chi entry).  ``apply_channel`` maps a large stack,
@@ -92,7 +93,33 @@ class KrausSet:
         object.__setattr__(self, "operators", ops)
 
 
-Channel = ChiMatrix | KrausSet
+@dataclass(frozen=True, eq=False)
+class PauliChannel:
+    """Pauli channel E(rho) = sum_a w_a P_a rho P_a held as a weight map: the
+    packed labels a (x bits low, z bits above, as
+    :func:`chitomo.pauli.commutation_columns` reads them) as int64 and their
+    positive weights.  Dense consumers read it through :func:`as_kraus`."""
+
+    n: int
+    labels: np.ndarray
+    weights: np.ndarray
+
+    @functools.cached_property
+    def kraus(self) -> KrausSet:
+        """sqrt(w_a) P_a per label, all written from one table of signed
+        permutations, built on first use and kept."""
+        n, d = self.n, 2**self.n
+        src, phase = pauli_actions(n, self.labels & (d - 1), self.labels >> n)
+        ops, rows = np.zeros((len(src), d, d), dtype=complex), np.arange(len(src))[:, None]
+        ops[rows, np.arange(d), src] = np.sqrt(self.weights)[:, None] * phase
+        return KrausSet(n, ops)
+
+    @property
+    def operators(self) -> np.ndarray:
+        return self.kraus.operators
+
+
+Channel = ChiMatrix | KrausSet | PauliChannel
 
 
 def _tensor_powers(single: np.ndarray, n: int) -> np.ndarray:
@@ -118,8 +145,9 @@ def _operator_pairs(channel: Channel) -> tuple:
     """Operator pairs (L_k, R_k) with E(rho) = sum_k L_k rho R_k^dag: L = R =
     the Kraus operators, or for a chi matrix L_m = E_m and
     R_m = sum_n conj(chi_mn) E_n."""
-    if isinstance(channel, KrausSet):
-        return channel.operators, channel.operators
+    if not isinstance(channel, ChiMatrix):
+        ops = as_kraus(channel).operators
+        return ops, ops
     left = pauli_basis(channel.n)
     right = (channel.mat.conj() @ left.reshape(len(left), -1)).reshape(left.shape)
     return left, right
@@ -240,7 +268,9 @@ def chi_to_kraus(chi: ChiMatrix, tol: float = DEFAULT_TOL) -> KrausSet:
 
 
 def as_kraus(channel: Channel) -> KrausSet:
-    return channel if isinstance(channel, KrausSet) else chi_to_kraus(channel)
+    if isinstance(channel, ChiMatrix):
+        return chi_to_kraus(channel)
+    return channel if isinstance(channel, KrausSet) else channel.kraus
 
 
 def modified_channel_diag(channel: Channel, m: PauliLabel) -> KrausSet:
@@ -342,16 +372,12 @@ def _require_n(spec: dict) -> int:
     return n
 
 
-def _mixture_kraus(n: int, xs, zs, weights) -> KrausSet:
-    """sqrt(w) E_a per label a = (xs, zs) of positive weight w, all written
-    from one table of signed permutations."""
+def _pauli_channel(n: int, xs, zs, weights) -> PauliChannel:
+    """The labels (xs, zs) of positive weight, packed, with their weights."""
     weights = np.asarray(weights, dtype=float)
     kept = weights > 0
-    src, phase = pauli_actions(n, np.asarray(xs)[kept], np.asarray(zs)[kept])
-    ops = np.zeros((len(src), 2**n, 2**n), dtype=complex)
-    rows = np.arange(2**n)
-    ops[np.arange(len(src))[:, None], rows, src] = np.sqrt(weights[kept])[:, None] * phase
-    return KrausSet(n, ops)
+    labels = np.asarray(xs, dtype=np.int64) | np.asarray(zs, dtype=np.int64) << n
+    return PauliChannel(n, labels[kept], weights[kept])
 
 
 def _has_kraus(spec: dict) -> bool:
@@ -366,8 +392,10 @@ def _check_complete(k: KrausSet, what: str) -> None:
         raise ChannelSpecError(f"{what} not complete (deviation {dev:.3e})")
 
 
-def channel_factory(spec: dict) -> KrausSet:
-    """Build a channel from a spec document.  Raises ChannelSpecError."""
+def channel_factory(spec: dict) -> KrausSet | PauliChannel:
+    """Build a channel from a spec document: the identity, depolarizing and
+    pauli_mixture kinds as a :class:`PauliChannel`, the rest as a
+    :class:`KrausSet`.  Raises ChannelSpecError."""
     if not isinstance(spec, dict):
         raise ChannelSpecError("channel spec must be a JSON object")
     n = _require_n(spec)
@@ -379,7 +407,7 @@ def channel_factory(spec: dict) -> KrausSet:
     d = 2**n
 
     if kind == "identity":
-        return KrausSet(n, (np.eye(d, dtype=complex),))
+        return _pauli_channel(n, [0], [0], [1.0])
 
     if kind == "depolarizing":
         p = spec.get("p")
@@ -387,7 +415,7 @@ def channel_factory(spec: dict) -> KrausSet:
             raise ChannelSpecError("depolarizing needs 'p' in [0, 1]")
         weights = np.full(d**2, p / d**2)
         weights[0] = 1 - p + p / d**2
-        return _mixture_kraus(n, *all_label_masks(n), weights)
+        return _pauli_channel(n, *all_label_masks(n), weights)
 
     if kind == "pauli_mixture":
         raw = spec.get("weights")
@@ -410,7 +438,7 @@ def channel_factory(spec: dict) -> KrausSet:
         total = sum(weights.values())
         if not abs(total - 1) <= 1e-9:
             raise ChannelSpecError(f"mixture weights sum to {total!r}, expected 1")
-        return _mixture_kraus(n, [a.x_bits for a in weights], [a.z_bits for a in weights],
+        return _pauli_channel(n, [a.x_bits for a in weights], [a.z_bits for a in weights],
                               list(weights.values()))
 
     if kind == "unitary":
@@ -466,9 +494,9 @@ def channel_factory(spec: dict) -> KrausSet:
         if any(c.n != n for c in built):
             raise ChannelSpecError("compose children must share the parent 'n'")
         # first listed acts first: B_j A_i at index j * len(A) + i
-        ops = built[0].operators
+        ops = as_kraus(built[0]).operators
         for nxt in built[1:]:
-            ops = (nxt.operators[:, None] @ ops).reshape(-1, d, d)
+            ops = (as_kraus(nxt).operators[:, None] @ ops).reshape(-1, d, d)
         k = KrausSet(n, ops)
         # Complete children compose to a complete set, but a kraus child is
         # complete only to 1e-6, and their deviations add up.

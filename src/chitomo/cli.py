@@ -15,12 +15,14 @@ as one JSON object on stderr with a stable exit code:
 
     1 verification failure      4 dense cap exceeded
     2 malformed spec/log/args   5 channel hash mismatch
+      or an unwritable --out
     3 invalid Pauli label       6 sieve needs more than one base
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from datetime import datetime, timezone
@@ -92,10 +94,20 @@ def _manifest(command: str, channel_hash: str | None, config: dict) -> dict:
     }
 
 
+@contextlib.contextmanager
+def _writing(out_path: str):
+    """Report a failure to write --out as a bad_arguments error naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise CliError(EXIT_MALFORMED, "bad_arguments",
+                       f"cannot write --out {out_path!r}: {exc.strerror or exc}") from exc
+
+
 def _emit(document: dict, out_path: str | None) -> None:
     text = json.dumps(document, indent=2, allow_nan=False)
     if out_path:
-        with open(out_path, "w") as fh:
+        with _writing(out_path), open(out_path, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -176,7 +188,8 @@ def cmd_triplets(args) -> int:
     spec, channel = _load_channel(args.channel)
     cfg = _config_from_args(args)
     record = run_triplet_experiments(channel, cfg)
-    write_triplet_log(args.out, record, args.seed, channel_spec_sha256(spec))
+    with _writing(args.out):
+        write_triplet_log(args.out, record, args.seed, channel_spec_sha256(spec))
     return EXIT_OK
 
 

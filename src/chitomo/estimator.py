@@ -29,7 +29,7 @@ from typing import Iterable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .channels import Channel, as_kraus
+from .channels import Channel, PauliChannel, as_kraus
 from .mub import as_distribution, design_basis
 from .pauli import (
     MUB_QUBIT_CAP,
@@ -37,6 +37,7 @@ from .pauli import (
     commutation_columns,
     gf2_apply,
     mub_class,
+    mub_classes,
     pauli_action,
 )
 
@@ -190,9 +191,9 @@ def _campaign(
 
 
 def _state_table(n: int, key_arrays: list[np.ndarray], readout, width: int) -> np.ndarray:
-    """Read every state drawn by any campaign once: readout(J, v) maps the
-    design columns v (D x s) of base J's drawn states, k ascending, to one
-    row of width results per state, stored in row J*D + k of the table."""
+    """Read every state drawn by any campaign once: readout(J, ks) maps base
+    J's drawn states ks, ascending, to one row of width results per state,
+    stored in row J*D + k of the table."""
     d = 2**n
     drawn = np.zeros(d * (d + 1), dtype=bool)
     for keys in key_arrays:
@@ -200,7 +201,7 @@ def _state_table(n: int, key_arrays: list[np.ndarray], readout, width: int) -> n
     table = np.zeros((d * (d + 1), width))
     for j, ks in enumerate(map(np.flatnonzero, drawn.reshape(d + 1, d))):
         if len(ks):
-            table[j * d + ks] = readout(j, design_basis(n, j)[:, ks])
+            table[j * d + ks] = readout(j, ks)
     return table
 
 
@@ -212,6 +213,16 @@ def _draw(thresholds: np.ndarray, keys: np.ndarray, us: np.ndarray) -> np.ndarra
     for col in thresholds.T:
         counts += col[keys] <= us
     return counts
+
+
+def _base_weights(channel: PauliChannel, cols: np.ndarray) -> np.ndarray:
+    """q[J, x], shape (D+1, D): the total weight of the labels a whose
+    commutation vector p_a(J) in base J (cols, of every base) is x.  A state
+    of base J moves from k to k XOR x with probability q[J, x]."""
+    d = 2**channel.n
+    cells = gf2_apply(cols[:, None, :], channel.labels) + d * np.arange(d + 1)[:, None]
+    weights = np.broadcast_to(channel.weights, cells.shape)
+    return np.bincount(cells.ravel(), weights.ravel(), d * (d + 1)).reshape(d + 1, d)
 
 
 def _amplitudes(ops: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -236,17 +247,27 @@ def estimate_chi_diag(channel: Channel, m: PauliLabel, cfg: EstimatorConfig) -> 
 
     Per experiment: prepare design state k of base J, apply the channel followed
     by E_m^dag, test survival, i.e. the transition k -> k XOR p_m(J).  The
-    survival frequency F-hat inverts to chi-hat = ((D+1) F-hat - 1)/D.
+    survival frequency F-hat inverts to chi-hat = ((D+1) F-hat - 1)/D.  A
+    Pauli channel survives with q[J, p_m(J)] (:func:`_base_weights`).
     """
     if m.n != channel.n:
         raise ValueError("label and channel qubit counts differ")
     n, d = channel.n, 2**channel.n
-    ops, (src, w) = as_kraus(channel).operators, pauli_action(m)
     keys, us = _campaign(n, cfg, _TAG_DIAG, "fidelity")
-    # E_m v_k is v_{k XOR p_m(J)} up to a phase, so sum_i |<E_m v_k|A_i|v_k>|^2 is
-    # the one transition-row entry read: the outcome is 1 (survival) below it, else 0
-    survival = _state_table(n, [keys], lambda j, v: np.sum(
-        np.abs(_amplitudes(ops, w[:, None] * v[src], v)) ** 2, axis=1, keepdims=True), 1)
+    if isinstance(channel, PauliChannel):  # every row J*D + k survives with q[J, p_m(J)]
+        cols = commutation_columns(mub_classes(n))
+        p_m = gf2_apply(cols, m.x_bits | m.z_bits << n)
+        survival = np.repeat(_base_weights(channel, cols)[np.arange(d + 1), p_m], d)[:, None]
+    else:
+        ops, (src, w) = as_kraus(channel).operators, pauli_action(m)
+
+        def readout(j, ks):  # E_m v_k is v_{k XOR p_m(J)} up to a phase, so
+            v = design_basis(n, j)[:, ks]  # sum_i |<E_m v_k|A_i|v_k>|^2 is that row entry
+            return np.sum(np.abs(_amplitudes(ops, w[:, None] * v[src], v)) ** 2,
+                          axis=1, keepdims=True)
+
+        survival = _state_table(n, [keys], readout, 1)
+    # the outcome is 1 (survival) below the survival probability, else 0
     outcome = survival[keys, 0] if us is None else np.array([1.0, 0.0])[_draw(survival, keys, us)]
     return _finish(cfg, ((d + 1) * outcome - 1) / d)
 
@@ -268,7 +289,8 @@ def estimate_chi_offdiag(
     delta = 1.0 if m == n_label else 0.0
     ops, actions = as_kraus(channel).operators, (pauli_action(m), pauli_action(n_label))
 
-    def readout(j, v):  # [state, (Re and Im of the polarization, survival)]; E^dag is E
+    def readout(j, ks):  # [state, (Re and Im of the polarization, survival)]; E^dag is E
+        v = design_basis(n, j)[:, ks]
         x_m, x_n = (_amplitudes(ops, v, w[:, None] * v[src]) for src, w in actions)
         polarization = np.sum(x_n.conj() * x_m, axis=1)
         survival = np.sum(np.abs(x_m) ** 2 + np.abs(x_n) ** 2, axis=1) / 2
@@ -291,18 +313,28 @@ def estimate_chi_offdiag(
 def run_triplet_experiments(channel: Channel, cfg: EstimatorConfig) -> TripletRecord:
     """Sample M (J, k, k') records: prepare, apply the channel, measure in J.
 
-    Only sampled mode makes sense here — a triplet is a discrete event.
+    Only sampled mode makes sense here — a triplet is a discrete event.  A
+    Pauli channel's rows are T[k, k'] = q[J, k XOR k'] (:func:`_base_weights`).
     """
     if cfg.mode != "sampled" or cfg.enumerate_design:
         raise ValueError("triplet experiments require mode='sampled'")
-    n, d, ops = channel.n, 2**channel.n, as_kraus(channel).operators
+    n, d = channel.n, 2**channel.n
+    if isinstance(channel, PauliChannel):
+        q = _base_weights(channel, commutation_columns(mub_classes(n)))
 
-    def cumulative_rows(j, v):  # the full rows T[s, k'] = sum_i |<v_k'|A_i|v_s>|^2, summed up
-        amps = design_basis(n, j).conj().T @ (ops @ v)  # [i, k', s]
-        return np.cumsum(as_distribution(np.sum(np.abs(amps) ** 2, axis=0).T, j), axis=1)
+        def rows(j, ks):
+            return q[j, ks[:, None] ^ np.arange(d)]
+    else:
+        ops = as_kraus(channel).operators
+
+        def rows(j, ks):  # the full rows T[s, k'] = sum_i |<v_k'|A_i|v_s>|^2
+            v = design_basis(n, j)
+            amps = v.conj().T @ (ops @ v[:, ks])  # [i, k', s]
+            return np.sum(np.abs(amps) ** 2, axis=0).T
 
     keys, us = _campaign(n, cfg, _TAG_TRIPLETS, "fidelity")
-    cum = _state_table(n, [keys], cumulative_rows, d)
+    cum = _state_table(
+        n, [keys], lambda j, ks: np.cumsum(as_distribution(rows(j, ks), j), axis=1), d)
     # k' is the first outcome whose cumulative probability exceeds u, or the
     # last one: the count of the first D-1 cumulative entries <= u
     return TripletRecord(n, keys >> n, keys & (d - 1), _draw(cum[:, :-1], keys, us))

@@ -12,6 +12,7 @@ from chitomo.channels import (
     ChannelSpecError,
     ChiMatrix,
     KrausSet,
+    PauliChannel,
     apply_channel,
     as_kraus,
     canonical_spec_bytes,
@@ -573,6 +574,66 @@ class TestKrausArray:
         got = channel_factory({"n": n, "kind": "pauli_mixture", "weights": weights}).operators
         want = np.stack([np.sqrt(x) * pauli_matrix(L(a)) for a, x in weights.items() if x > 0])
         assert np.array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_pauli_kinds_are_weight_maps_expanded_to_dense_matrices(self, n):
+        """identity, depolarizing and pauli_mixture build packed labels and
+        weights; as_kraus expands them, once, to the bits of np.eye or
+        sqrt(w) * pauli_matrix(a) per label of positive weight."""
+        rng = np.random.default_rng(80 + n)
+        d, labels = 2**n, all_labels(n)
+        w = np.full(len(labels), 0.3 / 4**n)
+        w[0] = 1 - 0.3 + 0.3 / 4**n
+        raw = rng.random(len(labels)) * (rng.random(len(labels)) < 0.5)
+        raw[0] = 1.0
+        mixture = {str(a): float(x) for a, x in zip(labels, raw / raw.sum())}
+        cases = [({"n": n, "kind": "identity"}, {"I" * n: 1.0}, np.eye(d, dtype=complex)[None]),
+                 ({"n": n, "kind": "depolarizing", "p": 0.3}, dict(zip(map(str, labels), w)),
+                  np.stack([np.sqrt(x) * pauli_matrix(a) for a, x in zip(labels, w)])),
+                 ({"n": n, "kind": "pauli_mixture", "weights": mixture}, mixture,
+                  np.stack([np.sqrt(x) * pauli_matrix(L(a)) for a, x in mixture.items() if x > 0]))]
+        for spec, weights, want in cases:
+            got = channel_factory(spec)
+            assert isinstance(got, PauliChannel) and got.n == n
+            kept = [L(a) for a, x in weights.items() if x > 0]
+            assert got.labels.dtype == np.int64
+            assert got.labels.tolist() == [a.x_bits | a.z_bits << n for a in kept]
+            assert got.weights.tolist() == [weights[str(a)] for a in kept]
+            kraus = as_kraus(got)
+            assert isinstance(kraus, KrausSet) and as_kraus(got) is kraus
+            assert np.array_equal(_bits(kraus.operators), _bits(want))
+            assert got.operators is kraus.operators
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_compose_of_pauli_children_keeps_operator_order(self, n):
+        """compose expands Pauli children and multiplies them as it always
+        has: B_j A_i at index j * len(A) + i, first child first."""
+        children = [{"n": n, "kind": "depolarizing", "p": 0.2},
+                    {"n": n, "kind": "pauli_mixture",
+                     "weights": {"I" * n: 0.7, "X" * n: 0.2, "Z" + "Y" * (n - 1): 0.1}},
+                    {"n": n, "kind": "identity"}]
+        got = channel_factory({"n": n, "kind": "compose", "children": children})
+        assert isinstance(got, KrausSet)
+        ops = tuple(as_kraus(channel_factory(children[0])).operators)
+        for child in children[1:]:
+            ops = tuple(b @ a for b in as_kraus(channel_factory(child)).operators for a in ops)
+        assert np.array_equal(_bits(got.operators), _bits(np.stack(ops)))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_dense_consumers_read_the_expansion(self, n):
+        """apply_channel, superoperator and the modified channels act on a
+        Pauli channel exactly as on its as_kraus expansion."""
+        rng = np.random.default_rng(90 + n)
+        channel = channel_factory({"n": n, "kind": "depolarizing", "p": 0.4})
+        kraus, d = as_kraus(channel), 2**n
+        stack = random_matrices(rng, 3, d, d)
+        assert np.array_equal(apply_channel(channel, stack), apply_channel(kraus, stack))
+        assert np.array_equal(superoperator(channel), superoperator(kraus))
+        m, n_label = L("X" * n), L("Z" * n)
+        assert np.array_equal(modified_channel_diag(channel, m).operators,
+                              modified_channel_diag(kraus, m).operators)
+        assert np.array_equal(modified_channel_offdiag(channel, m, n_label).operators,
+                              modified_channel_offdiag(kraus, m, n_label).operators)
 
     @pytest.mark.parametrize("n, ops", [(1, 1), (2, 3), (3, 9), (5, 64)])
     def test_completeness_gemm_matches_einsum(self, n, ops):

@@ -377,6 +377,24 @@ def test_bad_arguments_and_logs_exit_2(capsys, specs, tmp_path, argv):
     assert json.loads(err)["error"] in ("bad_arguments", "malformed_input")
 
 
+@pytest.mark.parametrize("out", ["missing/report.out", "."], ids=["missing-dir", "a-dir"])
+@pytest.mark.parametrize("argv", [
+    ["estimate-diag", "--channel", "{dep}", "--m", "Z", "--M", "50"],
+    ["triplets", "--channel", "{dep}", "--M", "50"],
+], ids=["estimate-diag", "triplets"])
+def test_unwritable_out_exits_2(capsys, specs, tmp_path, argv, out):
+    """An --out that cannot be opened for writing is a bad argument named in
+    a one-line JSON error, not a traceback."""
+    out_path = str(tmp_path / out)
+    code, stdout, err = run(capsys, *(a.format(dep=specs["dep"][0]) for a in argv),
+                            "--out", out_path)
+    assert code == 2 and stdout == ""
+    assert err.count("\n") == 1
+    error = json.loads(err)
+    assert error["error"] == "bad_arguments" and repr(out_path) in error["message"]
+    assert not (tmp_path / "missing").exists()
+
+
 @pytest.mark.parametrize("second", ["xi", " xi "])
 def test_mixture_keys_naming_one_label_exit_2(capsys, tmp_path, second):
     path, _ = write_spec(tmp_path, "dup.json", {

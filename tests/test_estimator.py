@@ -11,7 +11,13 @@ import pytest
 from scipy import stats
 
 from chitomo import estimator, oracle
-from chitomo.channels import as_kraus, channel_factory, matrix_to_json, modified_channel_diag
+from chitomo.channels import (
+    PauliChannel,
+    as_kraus,
+    channel_factory,
+    matrix_to_json,
+    modified_channel_diag,
+)
 from chitomo.estimator import (
     Estimate,
     EstimatorConfig,
@@ -40,9 +46,12 @@ from chitomo.oracle import (
 from chitomo.pauli import (
     PauliLabel,
     all_labels,
+    commutation_columns,
     commutation_vector,
     gf2_apply,
+    label_from_index,
     mub_class,
+    mub_classes,
     pauli_matrix,
     solve_label_from_constraints,
 )
@@ -342,6 +351,67 @@ def test_diag_survival_readout_matches_transition_row(n, kind):
         assert abs(got - _full_row_diag(channel, m)) <= 1e-15
 
 
+def _pauli_spec(kind, n):
+    """The identity, depolarizing p=0.3, or a mixture of I and up to 4 random labels."""
+    if kind != "pauli_mixture":
+        return {"n": n, "kind": kind, **({"p": 0.3} if kind == "depolarizing" else {})}
+    rng = np.random.default_rng(40 + n)
+    picked = rng.choice(np.arange(1, 4**n), size=min(4, 4**n - 1), replace=False)
+    raw = rng.random(len(picked))
+    weights = {"I" * n: 0.6, **{str(label_from_index(n, int(i))): 0.4 * float(w / raw.sum())
+                                for i, w in zip(picked, raw)}}
+    return {"n": n, "kind": kind, "weights": weights}
+
+
+PAULI_CASES = [(kind, n) for n in (1, 2, 3, 4) for kind in ("identity", "depolarizing",
+                                                             "pauli_mixture")]
+PAULI_CASES += [("pauli_mixture", 5), ("pauli_mixture", 6)]
+
+
+@pytest.mark.parametrize("kind, n", PAULI_CASES)
+class TestPauliChannelMatchesDense:
+    """The weight-map path of a Pauli channel and the dense path of its
+    as_kraus expansion give the same protocol results."""
+
+    def labels(self, channel):
+        rng = np.random.default_rng(channel.n)
+        heavy = [PauliLabel(channel.n, int(a) & (2**channel.n - 1), int(a) >> channel.n)
+                 for a in channel.labels[:2]]
+        return [*heavy, random_label(channel.n, rng), random_label(channel.n, rng)]
+
+    def test_diag_estimates(self, kind, n):
+        channel = channel_factory(_pauli_spec(kind, n))
+        assert isinstance(channel, PauliChannel)
+        dense = as_kraus(channel)
+        for m in self.labels(channel):
+            for seed in (3, 4):
+                cfg = EstimatorConfig(M=400, seed=seed)
+                assert estimate_chi_diag(channel, m, cfg) == estimate_chi_diag(dense, m, cfg)
+            for cfg in (ENUMERATE, EstimatorConfig(M=300, seed=5, mode="exact")):
+                got, want = estimate_chi_diag(channel, m, cfg), estimate_chi_diag(dense, m, cfg)
+                assert abs(got.value - want.value) <= 1e-14
+                assert abs(got.std_error - want.std_error) <= 1e-14 and got.M == want.M
+
+    def test_triplet_records(self, kind, n):
+        channel = channel_factory(_pauli_spec(kind, n))
+        for seed in (3, 4):
+            cfg = EstimatorConfig(M=400, seed=seed)
+            assert run_triplet_experiments(channel, cfg) == run_triplet_experiments(
+                as_kraus(channel), cfg)
+
+    def test_weight_table_is_the_transition_table(self, kind, n):
+        """q[J, k XOR k'] = sum_i |<v_k'|A_i|v_k>|^2 for every J, k and k'."""
+        channel = channel_factory(_pauli_spec(kind, n))
+        d, ops = 2**n, as_kraus(channel).operators
+        q = estimator._base_weights(channel, commutation_columns(mub_classes(n)))
+        assert q.shape == (d + 1, d)
+        for j in range(d + 1):
+            v = design_basis(n, j)
+            dense = np.sum(np.abs(v.conj().T @ (ops @ v)) ** 2, axis=0).T  # [k, k']
+            np.testing.assert_allclose(q[j, np.arange(d)[:, None] ^ np.arange(d)], dense,
+                                       rtol=0, atol=1e-14)
+
+
 def test_estimator_reads_channels_apart_from_the_oracle():
     """The estimator binds no dense Pauli or channel operation, and the oracle,
     which cross-checks it, imports nothing from the estimator."""
@@ -390,9 +460,9 @@ def test_state_table_reads_each_drawn_state_once(monkeypatch, n, m_count):
     state_table = estimator._state_table
 
     def spy(n_, key_arrays, readout, width):
-        def recording(j, v):  # which design states of base j the columns of v are
-            reads.extend(j * d + np.argmax(np.abs(design_basis(n, j).conj().T @ v), axis=0))
-            return readout(j, v)
+        def recording(j, ks):  # the drawn states of base j handed to the readout
+            reads.extend(j * d + ks)
+            return readout(j, ks)
 
         calls.append((key_arrays, state_table(n_, key_arrays, recording, width)))
         return calls[-1][1]
