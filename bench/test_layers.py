@@ -27,6 +27,7 @@ from chitomo.pauli import (
     _trace_masks,
     all_label_masks,
     all_labels,
+    class_generators,
     commutation_vector,
     index_bit_tables,
     label_from_index,
@@ -40,6 +41,7 @@ from chitomo.pauli import (
 
 def _cold_design_caches():
     design_bases.cache_clear()
+    class_generators.cache_clear()
     index_bit_tables.cache_clear()
     _trace_masks.cache_clear()
 
@@ -93,6 +95,8 @@ def test_cli_argument_parsing(benchmark, command):
 
 def _cold_class_caches():
     mub_class.cache_clear()
+    class_generators.cache_clear()
+    index_bit_tables.cache_clear()
     _trace_masks.cache_clear()
 
 
@@ -103,6 +107,15 @@ def test_mub_classes(benchmark, n):
         mub_classes, args=(n,), setup=_cold_class_caches, rounds=5, iterations=1
     )
     assert len(classes) == 2**n + 1
+
+
+@pytest.mark.parametrize("n", [5, 8, 12])
+def test_class_generators(benchmark, n):
+    """The packed generators of all D+1 classes as one table, from cold caches."""
+    table = benchmark.pedantic(
+        class_generators, args=(n,), setup=_cold_class_caches, rounds=5, iterations=1
+    )
+    assert table.shape == (2**n + 1, n)
 
 
 def _random_record(n, m_count, seed):
@@ -139,6 +152,15 @@ def test_estimate_diags_from_triplets(benchmark):
     assert len(estimates) == 8 and all(est.M == 2000 for est in estimates)
 
 
+def test_estimate_diags_from_triplets_n12(benchmark):
+    """64 labels read from one random n=12, M=3000 record: about 2,100 bases present."""
+    record = _random_record(12, 3000, seed=12)
+    rng = np.random.default_rng(12)
+    labels = [label_from_index(12, int(i)) for i in rng.integers(0, 4**12, size=64)]
+    estimates = benchmark(estimate_diags_from_triplets, record, labels)
+    assert len(estimates) == 64 and all(est.M == 3000 for est in estimates)
+
+
 def _synthetic_pauli_log(n, m_count, weights, seed):
     """Records of a Pauli channel drawn from commutation vectors alone:
     k' = k XOR p_a(J) for a label a drawn with its weight."""
@@ -170,6 +192,8 @@ def _mixture_spec(n, count):
 def _protocol_channel(kind, n):
     if kind == "depolarizing":
         return channel_factory({"n": n, "kind": "depolarizing", "p": 0.3})
+    if kind == "amplitude_damping":
+        return channel_factory({"n": n, "kind": "amplitude_damping", "gamma": 0.3})
     return channel_factory({"n": n, "kind": "pauli_mixture", "weights": {
         "I" * n: 0.85, "X" + "I" * (n - 1): 0.07, "Z" * n: 0.05, "IY" + "I" * (n - 2): 0.03}})
 
@@ -177,7 +201,8 @@ def _protocol_channel(kind, n):
 # The off-diagonal protocol expands a Pauli channel to dense operators, which
 # for depolarizing n=6 are 4096 of them (268 MB), so it has no such row.
 _PROTOCOL_CASES = [(protocol, kind, n) for kind, n in [("depolarizing", 2), ("depolarizing", 4),
-                                                       ("depolarizing", 5), ("mixture", 6)]
+                                                       ("depolarizing", 5), ("mixture", 6),
+                                                       ("amplitude_damping", 4)]
                    for protocol in ("diag", "offdiag", "triplets")]
 _PROTOCOL_CASES += [("diag", "depolarizing", 6), ("triplets", "depolarizing", 6)]
 
@@ -185,8 +210,9 @@ _PROTOCOL_CASES += [("diag", "depolarizing", 6), ("triplets", "depolarizing", 6)
 @pytest.mark.parametrize("protocol, kind, n", _PROTOCOL_CASES)
 def test_sampled_protocol(benchmark, protocol, kind, n):
     """One sampled protocol at M=2000 on a depolarizing channel (4^n labels)
-    or a 4-label Pauli mixture: diag and triplets read their weights, the
-    off-diagonal protocol their dense expansion."""
+    or a 4-label Pauli mixture, where diag and triplets read their weights
+    and the off-diagonal protocol their dense expansion, or on an amplitude
+    damping channel (2^n Kraus operators), which every protocol reads dense."""
     channel, cfg = _protocol_channel(kind, n), EstimatorConfig(M=2000, seed=n)
     m, n_label = label_from_index(n, 5), label_from_index(n, 9)
     run = {"diag": lambda: estimate_chi_diag(channel, m, cfg),

@@ -30,14 +30,13 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .channels import Channel, PauliChannel, as_kraus
-from .mub import as_distribution, design_basis
+from .mub import as_distribution, design_bases
 from .pauli import (
     MUB_QUBIT_CAP,
     PauliLabel,
+    class_generators,
     commutation_columns,
     gf2_apply,
-    mub_class,
-    mub_classes,
     pauli_action,
 )
 
@@ -190,18 +189,27 @@ def _campaign(
     return js * d + ks, rng.random(m_count) if cfg.mode == "sampled" else None
 
 
-def _state_table(n: int, key_arrays: list[np.ndarray], readout, width: int) -> np.ndarray:
-    """Read every state drawn by any campaign once: readout(J, ks) maps base
-    J's drawn states ks, ascending, to one row of width results per state,
-    stored in row J*D + k of the table."""
+# Entries the sieve, the state table and the label lookup hold at once:
+# larger work is done in slices, which bounds its memory.
+_SPREAD_ENTRIES = 1 << 17
+
+
+def _state_table(n: int, key_arrays: list[np.ndarray], readout, width: int,
+                 entries: int) -> np.ndarray:
+    """Read every state drawn by any campaign once: readout(js, ks) maps the
+    drawn states, by ascending key J*D + k, to one row of width results per
+    state, stored in row J*D + k of the table.  A slice holds at most
+    _SPREAD_ENTRIES // entries states, entries being the values the readout
+    holds per state, and ends where a base ends unless one base fills it."""
     d = 2**n
-    drawn = np.zeros(d * (d + 1), dtype=bool)
-    for keys in key_arrays:
-        drawn[keys] = True
-    table = np.zeros((d * (d + 1), width))
-    for j, ks in enumerate(map(np.flatnonzero, drawn.reshape(d + 1, d))):
-        if len(ks):
-            table[j * d + ks] = readout(j, ks)
+    drawn = np.flatnonzero(np.bincount(np.concatenate(key_arrays), minlength=d * (d + 1)))
+    bounds = np.searchsorted(drawn, d * np.arange(d + 2))  # where each base's states begin
+    table, step, lo = np.zeros((d * (d + 1), width)), max(1, _SPREAD_ENTRIES // entries), 0
+    while lo < len(drawn):
+        hi = bounds[np.searchsorted(bounds, lo + step, side="right") - 1]
+        keys = drawn[lo:hi if hi > lo else lo + step]
+        table[keys] = readout(keys >> n, keys & (d - 1))
+        lo += len(keys)
     return table
 
 
@@ -255,18 +263,18 @@ def estimate_chi_diag(channel: Channel, m: PauliLabel, cfg: EstimatorConfig) -> 
     n, d = channel.n, 2**channel.n
     keys, us = _campaign(n, cfg, _TAG_DIAG, "fidelity")
     if isinstance(channel, PauliChannel):  # every row J*D + k survives with q[J, p_m(J)]
-        cols = commutation_columns(mub_classes(n))
+        cols = commutation_columns(n)
         p_m = gf2_apply(cols, m.x_bits | m.z_bits << n)
         survival = np.repeat(_base_weights(channel, cols)[np.arange(d + 1), p_m], d)[:, None]
     else:
         ops, (src, w) = as_kraus(channel).operators, pauli_action(m)
 
-        def readout(j, ks):  # E_m v_k is v_{k XOR p_m(J)} up to a phase, so
-            v = design_basis(n, j)[:, ks]  # sum_i |<E_m v_k|A_i|v_k>|^2 is that row entry
+        def readout(js, ks):  # E_m v_k is v_{k XOR p_m(J)} up to a phase, so
+            v = design_bases(n)[js, :, ks].T  # sum_i |<E_m v_k|A_i|v_k>|^2 is that row entry
             return np.sum(np.abs(_amplitudes(ops, w[:, None] * v[src], v)) ** 2,
                           axis=1, keepdims=True)
 
-        survival = _state_table(n, [keys], readout, 1)
+        survival = _state_table(n, [keys], readout, 1, ops.size // d)
     # the outcome is 1 (survival) below the survival probability, else 0
     outcome = survival[keys, 0] if us is None else np.array([1.0, 0.0])[_draw(survival, keys, us)]
     return _finish(cfg, ((d + 1) * outcome - 1) / d)
@@ -289,15 +297,15 @@ def estimate_chi_offdiag(
     delta = 1.0 if m == n_label else 0.0
     ops, actions = as_kraus(channel).operators, (pauli_action(m), pauli_action(n_label))
 
-    def readout(j, ks):  # [state, (Re and Im of the polarization, survival)]; E^dag is E
-        v = design_basis(n, j)[:, ks]
+    def readout(js, ks):  # [state, (Re and Im of the polarization, survival)]; E^dag is E
+        v = design_bases(n)[js, :, ks].T
         x_m, x_n = (_amplitudes(ops, v, w[:, None] * v[src]) for src, w in actions)
         polarization = np.sum(x_n.conj() * x_m, axis=1)
         survival = np.sum(np.abs(x_m) ** 2 + np.abs(x_n) ** 2, axis=1) / 2
         return np.array([polarization.real, polarization.imag, survival]).T
 
     campaigns = [_campaign(n, cfg, tag, "offdiagonal") for tag in (_TAG_OFFDIAG_X, _TAG_OFFDIAG_Y)]
-    table = _state_table(n, [keys for keys, _ in campaigns], readout, 3)
+    table = _state_table(n, [keys for keys, _ in campaigns], readout, 3, ops.size // d)
     survival, stats = table[:, 2], []
     # The x campaign reads Re and the y campaign Im of the polarization `out`:
     # the outcome is +1 below p_plus, else -1 below p_plus + p_minus, else 0.
@@ -320,31 +328,35 @@ def run_triplet_experiments(channel: Channel, cfg: EstimatorConfig) -> TripletRe
         raise ValueError("triplet experiments require mode='sampled'")
     n, d = channel.n, 2**channel.n
     if isinstance(channel, PauliChannel):
-        q = _base_weights(channel, commutation_columns(mub_classes(n)))
+        q, entries = _base_weights(channel, commutation_columns(n)), d
 
-        def rows(j, ks):
-            return q[j, ks[:, None] ^ np.arange(d)]
+        def rows(js, ks):
+            return q[js[:, None], ks[:, None] ^ np.arange(d)]
     else:
         ops = as_kraus(channel).operators
+        entries = ops.size // d
 
-        def rows(j, ks):  # the full rows T[s, k'] = sum_i |<v_k'|A_i|v_s>|^2
-            v = design_basis(n, j)
-            amps = v.conj().T @ (ops @ v[:, ks])  # [i, k', s]
-            return np.sum(np.abs(amps) ** 2, axis=0).T
+        def rows(js, ks):  # the full rows T[s, k'] = sum_i |<v_k'|A_i|v_s>|^2, one
+            out = np.empty((len(js), d))  # product per base of the slice
+            for s in np.split(np.arange(len(js)), np.flatnonzero(np.diff(js)) + 1):
+                v = design_bases(n)[js[s[0]]]
+                amps = v.conj().T @ (ops @ v[:, ks[s]])  # [i, k', s]
+                out[s] = np.sum(np.abs(amps) ** 2, axis=0).T
+            return out
 
     keys, us = _campaign(n, cfg, _TAG_TRIPLETS, "fidelity")
     cum = _state_table(
-        n, [keys], lambda j, ks: np.cumsum(as_distribution(rows(j, ks), j), axis=1), d)
+        n, [keys], lambda js, ks: np.cumsum(as_distribution(rows(js, ks), js), axis=1), d,
+        entries)
     # k' is the first outcome whose cumulative probability exceeds u, or the
     # last one: the count of the first D-1 cumulative entries <= u
     return TripletRecord(n, keys >> n, keys & (d - 1), _draw(cum[:, :-1], keys, us))
 
 
-def _count_table(record: TripletRecord) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nonzero cells (J, x), sorted, of N[J, x] = #records with k XOR k' = x, and N."""
-    d = 2**record.n
-    keys, counts = np.unique(record.J * d + (record.k ^ record.k_prime), return_counts=True)
-    return keys // d, keys % d, counts
+def _count_table(record: TripletRecord) -> tuple[np.ndarray, np.ndarray]:
+    """Keys J*D + x, ascending, of the nonzero cells of N[J, x] = #records
+    with k XOR k' = x, and N."""
+    return np.unique(record.J << record.n | (record.k ^ record.k_prime), return_counts=True)
 
 
 def _chi_from_hits(d: int, hits: np.ndarray, m_count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -360,20 +372,22 @@ def estimate_diags_from_triplets(
     """chi_mm for each label from a shared triplet log: frequency of k XOR k' = p_m(J).
 
     One readout of the record's (J, k XOR k') count table: O(M log M) to
-    build the table, then one pass per base over all labels.
+    build the table, then one search of its sorted keys for every label's
+    cells (J, p_m(J)) over the bases present, at most _SPREAD_ENTRIES at once.
     """
     if any(m.n != record.n for m in labels):
         raise ValueError("label and triplet qubit counts differ")
     n, d = record.n, 2**record.n
     packed = np.array([m.x_bits | (m.z_bits << n) for m in labels], dtype=np.int64)
-    js, xs, counts = _count_table(record)
-    bases, starts = np.unique(js, return_index=True)
-    cols = commutation_columns([mub_class(n, int(j)) for j in bases])
+    keys, counts = _count_table(record)
+    bases = np.flatnonzero(np.bincount(keys >> n))
+    cols = commutation_columns(n, bases)
     hits = np.zeros(len(labels), dtype=np.int64)
-    for base_cols, cells in zip(cols, np.split(np.arange(len(js)), starts[1:])):
-        row = np.zeros(d, dtype=np.int64)  # N[J, .] of this base
-        row[xs[cells]] = counts[cells]
-        hits += row[gf2_apply(base_cols, packed)]
+    step = max(1, _SPREAD_ENTRIES // len(bases))
+    for l0 in range(0, len(labels), step):
+        cells = gf2_apply(cols, packed[l0:l0 + step, None]) | bases << n  # [label, base]
+        at = np.minimum(np.searchsorted(keys, cells), len(keys) - 1)
+        hits[l0:l0 + step] = np.sum(np.where(keys[at] == cells, counts[at], 0), axis=1)
     values, errors = _chi_from_hits(d, hits, len(record))
     return [Estimate(float(v), float(e), len(record)) for v, e in zip(values, errors)]
 
@@ -382,11 +396,6 @@ def estimate_diag_from_triplets(record: TripletRecord, m: PauliLabel) -> Estimat
     """chi_mm from a shared triplet log; the one-label case of
     :func:`estimate_diags_from_triplets`."""
     return estimate_diags_from_triplets(record, [m])[0]
-
-
-# Coset entries the sieve spreads at once; larger count tables are spread in
-# slices of the labels' X parts, which bounds its memory.
-_SPREAD_ENTRIES = 1 << 17
 
 
 def sieve_large_diagonals(
@@ -412,15 +421,15 @@ def sieve_large_diagonals(
     if not threshold > 0:
         raise ValueError("threshold must be positive")
     n, d, m_count = record.n, 2**record.n, len(record)
-    js, xs, counts = _count_table(record)
+    cell_keys, counts = _count_table(record)
+    js, xs = cell_keys >> n, cell_keys & (d - 1)
     bases, starts, base_of = np.unique(js, return_index=True, return_inverse=True)
     if len(bases) < 2:
         raise SingleBaseError("sieve needs triplets from at least two distinct bases")
     total_pairs = (m_count**2 - int(np.sum(np.add.reduceat(counts, starts) ** 2))) // 2
 
     n_cells, rest = len(js), np.flatnonzero(js > 0)
-    gens = np.array([[g.x_bits | (g.z_bits << n) for g in mub_class(n, int(j)).generators]
-                     for j in bases])
+    gens = class_generators(n)[bases]
     width = max(1, _SPREAD_ENTRIES // n_cells)
     found, candidates, pairs = [], 0, 0
     for a0 in range(0, d, width):

@@ -1,6 +1,6 @@
 """Mutually unbiased bases as explicit state vectors.
 
-The D+1 bases produced by :func:`chitomo.pauli.mub_classes` are realized here
+The D+1 classes of :func:`chitomo.pauli.class_generators` are realized here
 as concrete unit vectors.  State k of base J is the simultaneous eigenvector
 of the class-J generators with eigenvalue (-1)^{k_i} for generator i.  Each
 base is written down in closed form: base 0 is a permutation of the
@@ -18,7 +18,7 @@ import logging
 
 import numpy as np
 
-from .pauli import DENSE_QUBIT_CAP, DenseCapError, _trace_masks, index_bit_tables, pauli_actions
+from .pauli import DENSE_QUBIT_CAP, DenseCapError, class_generators, index_bit_tables, pauli_actions
 
 logger = logging.getLogger(__name__)
 
@@ -36,10 +36,9 @@ def design_bases(n: int) -> np.ndarray:
     normalized, and column k is Z^k applied to it, a sign (-1)^{|rev(x) AND
     k|} per row.  State 0 has full support, so every column's first amplitude
     is the positive real one at x = 0.  All D classes J >= 1 are built at
-    once: generator i of class J has the Z mask of bits i .. i+n-1 of h(J-1),
-    bit e of h(c) being tr(c x^e) (see :func:`chitomo.pauli.mub_class`), and
-    each projector step applies generator i of every class as one batch of
-    signed permutations (:func:`chitomo.pauli.pauli_actions`).  O(D^3) in
+    once: each projector step applies generator i of every class, read from
+    :func:`chitomo.pauli.class_generators`, as one batch of signed
+    permutations (:func:`chitomo.pauli.pauli_actions`).  O(D^3) in
     all; the cache holds every n up to the dense cap (4.3 MB at n = 6).
     """
     if n > DENSE_QUBIT_CAP:
@@ -48,12 +47,10 @@ def design_bases(n: int) -> np.ndarray:
         raise ValueError(f"design states need n >= 1, got n={n}")
     d = 2**n
     rev, parity, _ = index_bit_tables(n)
-    c = np.arange(d)  # field element J - 1 of each base J >= 1
-    h = sum(parity[c & mask] << e for e, mask in enumerate(_trace_masks(n)))
     v = np.zeros((d, d), dtype=complex)
     v[:, 0] = 1.0
     for i in range(n):
-        src, w = pauli_actions(n, np.full(d, 1 << i), h >> i & (d - 1))
+        src, w = pauli_actions(n, np.full(d, 1 << i), class_generators(n)[1:, i] >> n)
         v = (v + w * np.take_along_axis(v, src, axis=1)) / 2
     # Every amplitude is now a power of i over D, so each norm is exact in any
     # summation order: the batch matches one base built at a time, bit for bit.
@@ -106,19 +103,26 @@ def design_average_survival(op1: np.ndarray, op2: np.ndarray) -> complex:
     return complex(e1 @ e2) / len(v)
 
 
-def as_distribution(probs: np.ndarray, J: int) -> np.ndarray:
-    """Check and tidy base-J outcome probabilities (one row per last axis).
+def as_distribution(probs: np.ndarray, J) -> np.ndarray:
+    """Check and tidy outcome probabilities (one row per last axis) of base
+    J, one base for every row or one per row.
 
     Clamps tiny negative probabilities to zero and renormalizes each row;
-    deviations beyond 1e-6 raise, smaller ones are logged.
+    deviations beyond 1e-6 raise, smaller ones are logged, each naming the
+    base of the first row at fault.
     """
-    worst = float(np.max(np.abs(np.sum(probs, axis=-1) - 1)))
-    if worst > 1e-6 or float(np.min(probs)) < -1e-6:
-        raise ValueError(f"base-{J} probabilities are not a distribution (mass off by {worst:.3e})")
-    if worst > 1e-9:
-        logger.debug("base-%d probability mass deviates by %.3e", J, worst)
+    def base(faults):  # of the first row at fault
+        return np.broadcast_to(J, np.shape(probs)[:-1]).ravel()[faults][0]
+    off = np.abs(np.sum(probs, axis=-1) - 1).ravel()
+    bad = (off > 1e-6) | (np.min(probs, axis=-1).ravel() < -1e-6)
+    if bad.any():
+        raise ValueError(f"base-{base(bad)} probabilities are not a distribution "
+                         f"(mass off by {off[bad][0]:.3e})")
+    if off.max() > 1e-9:
+        logger.debug("base-%d probability mass deviates by %.3e", base(off > 1e-9), off.max())
     clamped = np.clip(probs, 0.0, None)
-    clip_mag = float(np.sum(clamped - probs))
-    if clip_mag > 0:
-        logger.debug("clamped negative probability mass %.3e in base %d", clip_mag, J)
+    clip = np.sum(clamped - probs, axis=-1).ravel()
+    if clip.any():
+        logger.debug("clamped negative probability mass %.3e in base %d",
+                     clip.sum(), base(clip > 0))
     return clamped / np.sum(clamped, axis=-1, keepdims=True)

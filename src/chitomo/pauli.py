@@ -294,35 +294,32 @@ def _trace_masks(n: int) -> tuple[int, ...]:
     return tuple(sum(traces[i + e] << i for i in range(n)) for e in range(2 * n - 1))
 
 
-def _symmetric_matrix_columns(n: int, c: int) -> tuple[int, ...]:
-    """Columns (as bit masks) of the symmetric matrix M[s][t] = tr(c x^s x^t).
+@functools.lru_cache(maxsize=None)
+def class_generators(n: int) -> np.ndarray:
+    """The generators of all D+1 classes as one read-only (D+1, n) int64
+    array of packed labels, x_bits low and z_bits above them.
 
-    M[s][t] depends on s+t only: with bit e of h set to tr(c x^e), column t
-    is bits t .. t+n-1 of h.
+    Row 0 is {Z_1, ..., Z_n}.  Generator i of class J >= 1 has X on qubit i
+    and the Z mask of column i of the symmetric matrix M[s][t] = tr(c x^(s+t))
+    of field element c = J-1: bits i .. i+n-1 of h(c), bit e of h(c) being
+    tr(c x^e) = parity(c & mask_e).  So J=1 is the pure-X class.
     """
-    h = sum(((c & mask).bit_count() & 1) << e for e, mask in enumerate(_trace_masks(n)))
-    return tuple((h >> t) & ((1 << n) - 1) for t in range(n))
+    if not 1 <= n <= MUB_QUBIT_CAP:
+        raise ValueError(f"MUB classes supported for 1 <= n <= {MUB_QUBIT_CAP}")
+    d, bits, parity = 1 << n, np.arange(n), index_bit_tables(n)[1]
+    h = np.sum(parity[np.arange(d)[:, None] & _trace_masks(n)] << np.arange(2 * n - 1), axis=1)
+    gens = np.vstack([1 << (bits + n), 1 << bits | (h[:, None] >> bits & (d - 1)) << n])
+    gens.setflags(write=False)
+    return gens
 
 
 @functools.lru_cache(maxsize=None)
 def mub_class(n: int, J: int) -> MubClass:
-    """The J-th maximal commuting class, computed on demand.
-
-    J=0 is the computational class {Z_1, ..., Z_n}; class J >= 1 has
-    generators with X on qubit i and the Z pattern given by column i of the
-    symmetric GF(2**n) matrix for field element J-1 (so J=1 is the pure-X
-    class).
-    """
-    if not 1 <= n <= MUB_QUBIT_CAP:
-        raise ValueError(f"MUB classes supported for 1 <= n <= {MUB_QUBIT_CAP}")
+    """The J-th maximal commuting class: row J of :func:`class_generators`."""
     if not 0 <= J <= (1 << n):
         raise ValueError(f"base index J={J} out of range for n={n}")
-    if J == 0:
-        gens = tuple(PauliLabel(n, 0, 1 << i) for i in range(n))
-    else:
-        cols = _symmetric_matrix_columns(n, J - 1)
-        gens = tuple(PauliLabel(n, 1 << i, cols[i]) for i in range(n))
-    return MubClass(J, gens)
+    gens = class_generators(n)[J].tolist()
+    return MubClass(J, tuple(PauliLabel(n, g & ((1 << n) - 1), g >> n) for g in gens))
 
 
 def mub_classes(n: int) -> list[MubClass]:
@@ -350,17 +347,18 @@ def gf2_apply(cols: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def commutation_columns(classes: list[MubClass]) -> np.ndarray:
-    """cols[c, b]: commutation vector w.r.t. classes[c] of the b-th unit packed label.
+def commutation_columns(n: int, bases=slice(None)) -> np.ndarray:
+    """cols[c, b]: commutation vector w.r.t. class bases[c] (every class by
+    default) of the b-th unit packed label.
 
     A packed label holds x_bits in its low n bits and z_bits above them; it
-    anticommutes with generator g iff parity(label & (g.z_bits | g.x_bits << n))
-    is 1, and ``gf2_apply(cols[c], label)`` is its commutation vector.
+    anticommutes with generator g iff parity(label & swap(g)) is 1, swap
+    exchanging g's halves, and ``gf2_apply(cols[c], label)`` is its
+    commutation vector.
     """
-    n = classes[0].n
-    rows = np.array([[g.z_bits | (g.x_bits << n) for g in cls.generators] for cls in classes])
-    bits = (rows[:, None, :] >> np.arange(2 * n)[:, None]) & 1
-    return np.sum(bits << np.arange(n), axis=-1)
+    gens = class_generators(n)[bases]
+    rows = gens >> n | (gens & ((1 << n) - 1)) << n
+    return np.sum((rows[..., None, :] >> np.arange(2 * n)[:, None] & 1) << np.arange(n), axis=-1)
 
 
 def solve_label_from_constraints(

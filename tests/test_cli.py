@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from chitomo import cli
+from chitomo import cli, pauli
 from chitomo.channels import channel_factory, channel_spec_sha256, matrix_to_json
 from chitomo.estimator import TripletRecord, write_triplet_log
 from chitomo.oracle import exact_chi
@@ -639,6 +639,21 @@ class TestVerify:
                            "--seed", "-1")
         assert code == 0
         assert "19/19 checks passed" in out
+
+    @pytest.mark.parametrize("fault", ["repeated-class", "anticommuting-generators"])
+    def test_faulty_class_table_fails(self, capsys, monkeypatch, fault):
+        """The class check reads the class table: a repeated class, or a class
+        whose generators anticommute (Z_1 and X_1), fails it alone."""
+        table = cli.class_generators(2).copy()
+        if fault == "repeated-class":
+            table[2] = table[1]
+        else:
+            table[0, 1] = 1  # X on qubit 0 in place of Z on qubit 1
+        for module in (cli, pauli):
+            monkeypatch.setattr(module, "class_generators", lambda n: table)
+        code, out, _ = run(capsys, "verify", "--n", "2")
+        assert code == 1
+        assert [line.split()[1] for line in out.splitlines() if line.startswith("FAIL")] == ["mub"]
 
     def test_above_cap_exits_4(self, capsys):
         code, _, err = run(capsys, "verify", "--n", "7")

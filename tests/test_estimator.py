@@ -51,7 +51,6 @@ from chitomo.pauli import (
     gf2_apply,
     label_from_index,
     mub_class,
-    mub_classes,
     pauli_matrix,
     solve_label_from_constraints,
 )
@@ -403,13 +402,56 @@ class TestPauliChannelMatchesDense:
         """q[J, k XOR k'] = sum_i |<v_k'|A_i|v_k>|^2 for every J, k and k'."""
         channel = channel_factory(_pauli_spec(kind, n))
         d, ops = 2**n, as_kraus(channel).operators
-        q = estimator._base_weights(channel, commutation_columns(mub_classes(n)))
+        q = estimator._base_weights(channel, commutation_columns(n))
         assert q.shape == (d + 1, d)
         for j in range(d + 1):
             v = design_basis(n, j)
             dense = np.sum(np.abs(v.conj().T @ (ops @ v)) ** 2, axis=0).T  # [k, k']
             np.testing.assert_allclose(q[j, np.arange(d)[:, None] ^ np.arange(d)], dense,
                                        rtol=0, atol=1e-14)
+
+
+def test_estimator_reads_the_class_table_only():
+    """The estimator binds none of the per-class API: every path reads the
+    batched class table and design bases."""
+    assert {"mub_class", "mub_classes", "design_basis"}.isdisjoint(vars(estimator))
+
+
+def _slicing_cases():
+    rng = np.random.default_rng(60)
+    for n in (1, 2, 3, 4):
+        yield random_channel(n, rng)  # dense
+        yield channel_factory(_pauli_spec("pauli_mixture", n))
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_slicing_is_invisible(monkeypatch, seed):
+    """One state or one label per slice gives the sampled estimates, triplet
+    records and log readouts of the unsliced run, and its exact values up to
+    rounding: BLAS computes a product's trailing columns through another
+    kernel, so a dense exact value's last bits follow the slice boundaries."""
+    def run_all():
+        sampled, exact = [], []
+        for channel in _slicing_cases():
+            n, rng = channel.n, np.random.default_rng(seed)
+            m, n_label = random_label(n, rng), random_label(n, rng)
+            for cfg in (EstimatorConfig(M=300, seed=seed), EstimatorConfig(M=300, seed=seed,
+                        mode="exact"), ENUMERATE):
+                (sampled if cfg.mode == "sampled" else exact).extend([
+                    estimate_chi_diag(channel, m, cfg),
+                    estimate_chi_offdiag(channel, m, n_label, cfg)])
+            record = run_triplet_experiments(channel, EstimatorConfig(M=300, seed=seed))
+            labels = [random_label(n, rng) for _ in range(6)]
+            sampled += [record, estimate_diags_from_triplets(record, labels)]
+        return sampled, exact
+
+    sampled, exact = run_all()
+    monkeypatch.setattr(estimator, "_SPREAD_ENTRIES", 1)
+    sliced_sampled, sliced_exact = run_all()
+    assert sliced_sampled == sampled
+    for got, want in zip(sliced_exact, exact, strict=True):
+        assert got.M == want.M and abs(got.value - want.value) <= 1e-16
+        assert abs(got.std_error - want.std_error) <= 1e-16
 
 
 def test_estimator_reads_channels_apart_from_the_oracle():
@@ -459,12 +501,12 @@ def test_state_table_reads_each_drawn_state_once(monkeypatch, n, m_count):
     calls, reads = [], []
     state_table = estimator._state_table
 
-    def spy(n_, key_arrays, readout, width):
-        def recording(j, ks):  # the drawn states of base j handed to the readout
-            reads.extend(j * d + ks)
-            return readout(j, ks)
+    def spy(n_, key_arrays, readout, width, entries):
+        def recording(js, ks):  # the drawn states handed to the readout
+            reads.extend(js * d + ks)
+            return readout(js, ks)
 
-        calls.append((key_arrays, state_table(n_, key_arrays, recording, width)))
+        calls.append((key_arrays, state_table(n_, key_arrays, recording, width, entries)))
         return calls[-1][1]
 
     monkeypatch.setattr(estimator, "_state_table", spy)
@@ -480,6 +522,29 @@ def test_state_table_reads_each_drawn_state_once(monkeypatch, n, m_count):
     assert sorted(reads) == drawn.tolist()
     assert table.shape == (d * (d + 1), 3)
     assert not table[np.setdiff1d(np.arange(d * (d + 1)), drawn)].any()
+
+
+@pytest.mark.parametrize("step", [1, 3, 7, 50])
+def test_state_table_slices_end_where_bases_end(monkeypatch, step):
+    """Each slice holds at most the bound's states, in key order, and ends
+    where a base does unless one base alone fills it."""
+    n, d = 3, 8
+    keys = np.random.default_rng(step).integers(0, d * (d + 1), size=40)
+    slices = []
+
+    def readout(js, ks):
+        slices.append(js)
+        return (js * d + ks)[:, None]
+
+    monkeypatch.setattr(estimator, "_SPREAD_ENTRIES", 2 * step)
+    table = estimator._state_table(n, [keys[:25], keys[25:]], readout, 1, 2)
+    drawn = np.unique(keys)
+    assert np.array_equal(np.concatenate(slices), drawn >> n)
+    assert np.array_equal(table[drawn, 0], drawn) and not np.delete(table, drawn).any()
+    assert all(len(js) <= step for js in slices)
+    for js, after in zip(slices, slices[1:]):
+        if js[-1] == after[0]:  # a base split across slices fills this one alone
+            assert len(js) == step and np.all(js == js[0])
 
 
 @pytest.mark.parametrize("width", [1, 2, 7])

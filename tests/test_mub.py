@@ -1,5 +1,7 @@
 """The explicit MUB state vectors and their 2-design behaviour."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -235,3 +237,18 @@ class TestAsDistribution:
         assert probs.min() >= 0
         np.testing.assert_allclose(probs, [[1, 0], [0.5, 0.5]], atol=1e-15)
         np.testing.assert_allclose(probs.sum(axis=1), 1, atol=1e-15)
+
+    def test_rows_of_several_bases_name_the_faulty_base(self, caplog):
+        """With one base per row, the error and both logs name the base of
+        the first row at fault, not the first row's base."""
+        with pytest.raises(ValueError, match="base-3 "):
+            as_distribution(np.array([[0.5, 0.5], [0.7, 0.7]]), np.array([1, 3]))
+        with pytest.raises(ValueError, match="base-3 "):
+            as_distribution(np.array([[0.5, 0.5], [1.1, -0.1]]), np.array([1, 3]))
+        with caplog.at_level(logging.DEBUG, logger="chitomo.mub"):
+            probs = as_distribution(np.array([[0.5, 0.5], [1 + 4e-8, -4e-8], [1 + 1e-8, 0.0]]),
+                                    np.array([1, 2, 4]))
+        np.testing.assert_allclose(probs, [[0.5, 0.5], [1, 0], [1, 0]], atol=1e-15)
+        assert [r.getMessage() for r in caplog.records] == [
+            "base-4 probability mass deviates by 1.000e-08",
+            "clamped negative probability mass 4.000e-08 in base 2"]

@@ -10,6 +10,7 @@ from chitomo.pauli import (
     PauliLabel,
     all_label_masks,
     all_labels,
+    class_generators,
     commutation_columns,
     commutation_vector,
     gf_mul,
@@ -28,7 +29,6 @@ from chitomo.pauli import (
     symplectic_product,
     _IRREDUCIBLE_POLY,
     _polymod,
-    _symmetric_matrix_columns,
 )
 
 
@@ -320,7 +320,23 @@ class TestMubClasses:
         rng = np.random.default_rng(n)
         elements = range(2**n) if n <= 8 else rng.choice(2**n, size=300, replace=False)
         for c in map(int, elements):
-            assert _symmetric_matrix_columns(n, c) == reference(c), c
+            assert tuple(int(g) >> n for g in class_generators(n)[c + 1]) == reference(c), c
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 12])
+    def test_table_rows_are_the_classes(self, n):
+        """Row J of the class table is mub_class(n, J)'s generators, packed,
+        for every J up to n=8 and 300 sampled ones at n=12."""
+        table = class_generators(n)
+        assert table.shape == (2**n + 1, n) and table.dtype == np.int64
+        rng = np.random.default_rng(n)
+        js = range(2**n + 1) if n <= 8 else rng.choice(2**n + 1, size=300, replace=False)
+        for j in map(int, js):
+            packed = [g.x_bits | g.z_bits << n for g in mub_class(n, j).generators]
+            assert table[j].tolist() == packed, j
+
+    def test_table_is_read_only(self):
+        with pytest.raises(ValueError):
+            class_generators(3)[1, 0] = 0
 
     def test_on_demand_class_matches_list(self):
         for n in (1, 2, 3):
@@ -401,10 +417,14 @@ class TestCommutationColumns:
         classes = mub_classes(n)
         labels = all_labels(n)
         packed = np.array([a.x_bits | (a.z_bits << n) for a in labels])
-        got = gf2_apply(commutation_columns(classes), packed[:, None])
+        got = gf2_apply(commutation_columns(n), packed[:, None])
         want = [
             [sum(symplectic_product(a, g) << i for i, g in enumerate(c.generators))
              for c in classes]
             for a in labels
         ]
         assert got.tolist() == want
+
+    def test_selected_bases_are_rows_of_all(self):
+        bases = np.array([4, 0, 2])
+        assert np.array_equal(commutation_columns(3, bases), commutation_columns(3)[bases])
