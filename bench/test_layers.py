@@ -4,6 +4,11 @@
     python -m pytest bench --benchmark-disable    # each body once, as a smoke check
 """
 
+import contextlib
+import io
+import json
+import sys
+
 import numpy as np
 import pytest
 
@@ -87,10 +92,65 @@ _ARGV = {
 
 @pytest.mark.parametrize("command", cli.SUBCOMMANDS)
 def test_cli_argument_parsing(benchmark, command):
-    """Building the parser main() builds for one command and parsing its argv."""
+    """Parsing one well-formed command as main() does: the flag table's
+    exact-match path, with no argparse parser built."""
     argv = [command, *_ARGV[command]]
-    args = benchmark(lambda: cli.build_parser(command).parse_args(argv))
-    assert args.command == command
+    args = benchmark(cli._parse_exact, argv)
+    assert args == cli.build_parser(command).parse_args(argv)
+
+
+def test_cli_argument_parsing_fallback(benchmark):
+    """Parsing an abbreviated flag (--eps) as main() does: the exact-match
+    path declines, and argparse builds the subcommand's parser and parses."""
+    argv = ["estimate-diag", "--channel", "c.json", "--m", "XI", "--eps", "0.05"]
+    args = benchmark(lambda: cli._parse_exact(argv) or cli.build_parser(argv[0]).parse_args(argv))
+    assert args.epsilon == 0.05
+
+
+def _cold_package_caches():
+    """Clear every lru cache of the package, as a fresh process starts."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("chitomo."):
+            for obj in vars(module).values():
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """An n=2 depolarizing spec and an M=2000 triplet log of it."""
+    work = tmp_path_factory.mktemp("cli")
+    spec = work / "dep.json"
+    spec.write_text(json.dumps({"n": 2, "kind": "depolarizing", "p": 0.2}))
+    log = work / "t.log"
+    cli.main(["triplets", "--channel", str(spec), "--M", "2000", "--seed", "1", "--out", str(log)])
+    return {"spec": str(spec), "log": str(log), "out": str(work / "out.log")}
+
+
+_COMMAND_ARGV = {
+    "estimate-diag": ["--channel", "{spec}", "--m", "XI", "--M", "2000", "--seed", "3"],
+    "estimate-offdiag": ["--channel", "{spec}", "--m", "XI", "--n-label", "ZZ", "--M", "2000",
+                         "--seed", "3"],
+    "triplets": ["--channel", "{spec}", "--M", "2000", "--seed", "1", "--out", "{out}"],
+    "diag-from-log": ["--log", "{log}", "--m", "II,XI", "--m", "ZZ", "--channel", "{spec}"],
+    "sieve": ["--log", "{log}", "--threshold", "0.05", "--channel", "{spec}"],
+    "verify": ["--n", "2"],
+}
+
+
+@pytest.mark.parametrize("command", cli.SUBCOMMANDS)
+def test_cli_command(benchmark, cli_inputs, command):
+    """One command end to end through cli.main at n=2: parsing, spec and log
+    reads, the protocol, the report's JSON on captured stdout or the log
+    written, each round from cold package caches."""
+    argv = [command, *(arg.format(**cli_inputs) for arg in _COMMAND_ARGV[command])]
+
+    def run():
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            return cli.main(argv), out.getvalue()
+
+    code, out = benchmark.pedantic(run, setup=_cold_package_caches, rounds=20, iterations=1)
+    assert code == 0 and (out or command == "triplets")
 
 
 def _cold_class_caches():

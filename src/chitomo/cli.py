@@ -10,8 +10,11 @@ Subcommands::
     chitomo verify           --n 2 --verify-level full
 
 Reports are JSON on stdout (or --out); triplet logs always need --out.
-Every run is fully determined by its flags and --seed.  Errors are emitted
-as one JSON object on stderr with a stable exit code:
+Every run is fully determined by its flags and --seed.  Flags may be
+abbreviated where unambiguous (--eps).  An argument-syntax error (an unknown
+or missing flag, a refused value such as --M two, --M with --epsilon) exits 2
+with argparse's usage text; every other error is one JSON object on stderr
+with a stable exit code:
 
     1 verification failure      4 dense cap exceeded
     2 malformed spec/log/args   5 channel hash mismatch
@@ -163,8 +166,9 @@ def cmd_estimate_diag(args) -> int:
     cfg = _config_from_args(args)
     est = estimate_chi_diag(channel, m, cfg)
     oracles = _oracle_diagonal(channel, [m])
-    report = estimation_report(cfg.echo(), [("diag", m, None, est)], oracles)
-    report["manifest"] = _manifest("estimate-diag", channel_spec_sha256(spec), cfg.echo())
+    config = cfg.echo()
+    report = estimation_report(config, [("diag", m, None, est)], oracles)
+    report["manifest"] = _manifest("estimate-diag", channel_spec_sha256(spec), config)
     _emit(report, args.out)
     return EXIT_OK
 
@@ -176,10 +180,9 @@ def cmd_estimate_offdiag(args) -> int:
     cfg = _config_from_args(args)
     est = estimate_chi_offdiag(channel, m, n_label, cfg)
     oracles = _oracle_column(channel, [(m, n_label)])
-    report = estimation_report(cfg.echo(), [("offdiag", m, n_label, est)], oracles)
-    report["manifest"] = _manifest(
-        "estimate-offdiag", channel_spec_sha256(spec), cfg.echo()
-    )
+    config = cfg.echo()
+    report = estimation_report(config, [("offdiag", m, n_label, est)], oracles)
+    report["manifest"] = _manifest("estimate-offdiag", channel_spec_sha256(spec), config)
     _emit(report, args.out)
     return EXIT_OK
 
@@ -343,21 +346,47 @@ def cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _add_sampling_flags(p: argparse.ArgumentParser, mode: bool = True) -> None:
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--M", type=int, help="number of experiments")
-    group.add_argument("--epsilon", type=float, help="target precision (derives M)")
-    p.add_argument("--seed", type=int, default=0, help="campaign seed (default 0)")
-    if mode:
-        p.add_argument(
-            "--mode",
-            choices=("sampled", "exact"),
-            default="sampled",
-            help="sampled outcomes or exact design enumeration",
-        )
+# One flag table per subcommand: (help, parser defaults, flags), each flag
+# (name, add_argument keywords); "group" names a mutually exclusive group and
+# the dest is argparse's (--n-label sets n_label).  build_parser builds
+# argparse from it; _parse_exact reads it to parse a well-formed command.
+_SAMPLING = (
+    ("--M", {"type": int, "group": "size", "help": "number of experiments"}),
+    ("--epsilon", {"type": float, "group": "size", "help": "target precision (derives M)"}),
+    ("--seed", {"type": int, "default": 0, "help": "campaign seed (default 0)"}),
+)
+_MODE = ("--mode", {"choices": ("sampled", "exact"), "default": "sampled",
+                    "help": "sampled outcomes or exact design enumeration"})
+_OUT = ("--out", {"help": "report path (default stdout)"})
+_OPTIONAL_CHANNEL = ("--channel", {"help": "optional spec for hash check + oracle columns"})
 
-
-SUBCOMMANDS = ("estimate-diag", "estimate-offdiag", "triplets", "diag-from-log", "sieve", "verify")
+_COMMANDS = {
+    "estimate-diag": ("estimate one diagonal coefficient", {"func": cmd_estimate_diag}, (
+        ("--channel", {"required": True, "help": "channel-spec JSON path"}),
+        ("--m", {"required": True, "help": "Pauli label, e.g. XI"}),
+        *_SAMPLING, _MODE, _OUT)),
+    "estimate-offdiag": ("estimate one off-diagonal coefficient",
+                         {"func": cmd_estimate_offdiag}, (
+        ("--channel", {"required": True}), ("--m", {"required": True}),
+        ("--n-label", {"required": True}), *_SAMPLING, _MODE, _OUT)),
+    "triplets": ("run experiments and write a triplet log",
+                 {"func": cmd_triplets, "mode": "sampled"}, (
+        ("--channel", {"required": True}), *_SAMPLING,
+        ("--out", {"required": True, "help": "triplet log path"}))),
+    "diag-from-log": ("estimate diagonals from a triplet log", {"func": cmd_diag_from_log}, (
+        ("--log", {"required": True}),
+        ("--m", {"required": True, "action": "append",
+                 "help": "label (repeatable, comma-separable)"}),
+        _OPTIONAL_CHANNEL, _OUT)),
+    "sieve": ("find all heavy diagonal coefficients in a log", {"func": cmd_sieve}, (
+        ("--log", {"required": True}), ("--threshold", {"required": True, "type": float}),
+        _OPTIONAL_CHANNEL, _OUT)),
+    "verify": ("run the identity verification suites", {"func": cmd_verify}, (
+        ("--n", {"required": True, "type": int}),
+        ("--verify-level", {"choices": ("quick", "full"), "default": "quick"}),
+        ("--seed", {"type": int, "default": 0}))),
+}
+SUBCOMMANDS = tuple(_COMMANDS)
 
 
 def build_parser(only: str | None = None) -> argparse.ArgumentParser:
@@ -376,61 +405,74 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"chitomo {__version__}")
     metavar = None if only is None else "{" + ",".join(SUBCOMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-
-    def add(name: str, **kwargs):
-        return sub.add_parser(name, **kwargs) if only in (None, name) else None
-
-    if p := add("estimate-diag", help="estimate one diagonal coefficient"):
-        p.add_argument("--channel", required=True, help="channel-spec JSON path")
-        p.add_argument("--m", required=True, help="Pauli label, e.g. XI")
-        _add_sampling_flags(p)
-        p.add_argument("--out", help="report path (default stdout)")
-        p.set_defaults(func=cmd_estimate_diag)
-
-    if p := add("estimate-offdiag", help="estimate one off-diagonal coefficient"):
-        p.add_argument("--channel", required=True)
-        p.add_argument("--m", required=True)
-        p.add_argument("--n-label", required=True, dest="n_label")
-        _add_sampling_flags(p)
-        p.add_argument("--out", help="report path (default stdout)")
-        p.set_defaults(func=cmd_estimate_offdiag)
-
-    if p := add("triplets", help="run experiments and write a triplet log"):
-        p.add_argument("--channel", required=True)
-        _add_sampling_flags(p, mode=False)
-        p.add_argument("--out", required=True, help="triplet log path")
-        p.set_defaults(func=cmd_triplets, mode="sampled")
-
-    if p := add("diag-from-log", help="estimate diagonals from a triplet log"):
-        p.add_argument("--log", required=True)
-        p.add_argument("--m", required=True, action="append",
-                       help="label (repeatable, comma-separable)")
-        p.add_argument("--channel", help="optional spec for hash check + oracle columns")
-        p.add_argument("--out", help="report path (default stdout)")
-        p.set_defaults(func=cmd_diag_from_log)
-
-    if p := add("sieve", help="find all heavy diagonal coefficients in a log"):
-        p.add_argument("--log", required=True)
-        p.add_argument("--threshold", required=True, type=float)
-        p.add_argument("--channel", help="optional spec for hash check + oracle columns")
-        p.add_argument("--out", help="report path (default stdout)")
-        p.set_defaults(func=cmd_sieve)
-
-    if p := add("verify", help="run the identity verification suites"):
-        p.add_argument("--n", required=True, type=int)
-        p.add_argument("--verify-level", choices=("quick", "full"), default="quick")
-        p.add_argument("--seed", type=int, default=0)
-        p.set_defaults(func=cmd_verify)
-
+    for name, (help_text, defaults, flags) in _COMMANDS.items():
+        if only not in (None, name):
+            continue
+        p = sub.add_parser(name, help=help_text)
+        groups = {}
+        for flag, opts in flags:
+            if (group := opts.get("group")) and group not in groups:
+                groups[group] = p.add_mutually_exclusive_group()
+            target = groups[group] if group else p
+            target.add_argument(flag, **{k: v for k, v in opts.items() if k != "group"})
+        p.set_defaults(**defaults)
     return parser
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _parse_exact(argv: list[str]) -> argparse.Namespace | None:
+    """argparse's Namespace for a well-formed command, or None.
+
+    Well formed: a subcommand, then exact flag names as ``--flag value`` or
+    ``--flag=value``, every value converted and in its choices, every
+    required flag given, no two flags of one exclusive group, and no value
+    starting with "-" but a plain negative number such as -4 or -.5, which
+    argparse reads as a value.  Anything else is left to argparse.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, defaults, flags = _COMMANDS[argv[0]]
+    table, values, groups = dict(flags), {}, {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if (opts := table.get(flag)) is None:
+            return None
+        if not eq and (value := next(tokens, None)) is None:
+            return None
+        if value.startswith("-"):  # a value only as a plain number: -4, -.5, -0.5
+            digits = value[1:].replace(".", "", 1)
+            if not (digits.isascii() and digits.isdigit()) or value.endswith("."):
+                return None
+        try:
+            value = opts.get("type", str)(value)
+        except ValueError:
+            return None
+        if value not in opts.get("choices", (value,)):
+            return None
+        if (group := opts.get("group")) and groups.setdefault(group, flag) != flag:
+            return None
+        if opts.get("action") == "append":
+            values.setdefault(_dest(flag), []).append(value)
+        else:
+            values[_dest(flag)] = value
+    if any(opts.get("required") and _dest(flag) not in values for flag, opts in flags):
+        return None
+    unset = {_dest(flag): opts.get("default") for flag, opts in flags}
+    return argparse.Namespace(**{"command": argv[0], **unset, **defaults, **values})
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # A command builds only its own subparser; help, --version and bad or
-    # missing commands get the full parser and its messages.
-    only = argv[0] if argv and argv[0] in SUBCOMMANDS else None
-    args = build_parser(only).parse_args(argv)
+    args = _parse_exact(argv)
+    if args is None:
+        # Help, --version, abbreviations and errors: argparse, with only the
+        # named subcommand built, or all of them for a bad or missing one.
+        only = argv[0] if argv and argv[0] in SUBCOMMANDS else None
+        args = build_parser(only).parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:

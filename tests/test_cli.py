@@ -1,9 +1,12 @@
 """The command-line front-end: reports, logs, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from chitomo import cli, pauli
 from chitomo.channels import channel_factory, channel_spec_sha256, matrix_to_json
@@ -511,8 +514,8 @@ def test_undecodable_files_exit_2(capsys, specs, tmp_path, target):
     assert json.loads(err)["error"] == "malformed_input"
 
 
-# One valid call of each subcommand, then argv that argparse refuses, helps or
-# answers with its version.
+# One valid call of each subcommand and one with an = form (WELL_FORMED), then
+# argv that argparse refuses, helps or answers with its version.
 PARSER_CORPUS = [
     ["estimate-diag", "--channel", "c.json", "--m", "XI", "--M", "100", "--seed", "3"],
     ["estimate-offdiag", "--channel", "c.json", "--m", "I", "--n-label", "X",
@@ -537,6 +540,7 @@ PARSER_IDS = ["estimate-diag", "estimate-offdiag", "triplets", "diag-from-log", 
               "verify", "m-equals", "abbreviated-eps", "m-and-epsilon", "missing-flag",
               "unknown-flag", "bad-int", "unknown-subcommand", "empty", "help", "version",
               "subcommand-help"]
+WELL_FORMED = PARSER_CORPUS[:7]
 
 
 def _parse(parser, argv, capsys):
@@ -558,24 +562,137 @@ class TestParser:
         assert _parse(cli.build_parser(only), argv, capsys) == full
 
     @pytest.mark.parametrize("argv", PARSER_CORPUS, ids=PARSER_IDS)
-    def test_main_builds_the_named_subcommand_only(self, monkeypatch, argv):
-        built = []
+    def test_main_parses_well_formed_argv_without_argparse(self, monkeypatch, capsys, argv):
+        """main() builds no parser for a well-formed argv and runs argparse's
+        Namespace; for anything else it builds the named subcommand's parser
+        (the full parser without one) exactly once."""
+        only = argv[0] if argv and argv[0] in cli.SUBCOMMANDS else None
+        expected = _parse(cli.build_parser(only), argv, capsys)[3]
+        built, parsed, ran = [], [], []
 
-        class Built(Exception):
-            """Stops main before it parses."""
+        class Stop(Exception):
+            """Stops main before it parses with argparse or runs a command."""
 
         def build_parser(only=None):
             built.append(only)
-            raise Built
+            raise Stop
+
+        def run_command(args):
+            ran.append(args)
+            raise Stop
+
+        parse_exact = cli._parse_exact
+
+        def parse_exact_then_stop(argv):
+            args = parse_exact(argv)
+            if args is not None:
+                parsed.append(dict(vars(args)))
+                args.func = run_command
+            return args
 
         monkeypatch.setattr(cli, "build_parser", build_parser)
-        with pytest.raises(Built):
+        monkeypatch.setattr(cli, "_parse_exact", parse_exact_then_stop)
+        with pytest.raises(Stop):
             cli.main(argv)
-        assert built == [argv[0] if argv and argv[0] in cli.SUBCOMMANDS else None]
+        if argv in WELL_FORMED:
+            assert built == [] and parsed == [vars(expected)] and len(ran) == 1
+        else:
+            assert built == [only] and parsed == ran == []
 
     def test_subcommand_names_match_the_full_parser(self):
         sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
         assert tuple(sub.choices) == cli.SUBCOMMANDS
+
+
+# Values drawn for a flag: well formed for its converter or choices (a plain
+# negative number included), or odd: refused, read otherwise by argparse, or
+# left to it by the fast path.
+_WELL_FORMED_VALUES = {
+    int: st.integers(-10**6, 10**6).map(str),
+    float: st.floats(min_value=0).map(repr) | st.sampled_from(["-.5", "-0.5", "-4", "nan"]),
+    str: st.sampled_from(["XI", "c.json", "II,XI", "", "a=b", " x", "-4", "-.5"]),
+}
+_ODD_VALUES = (st.sampled_from(["-5 ", "-1e3", "-4.", "-.5e1", "-inf", "-", "--", "-h", "--m",
+                                "-x", "-٤"])
+               | st.sampled_from(["two", "Exact", "", "4.", "0x10", "1_000", " 7"]))
+
+
+@st.composite
+def _argv(draw):
+    """An argv drawn from the flag table, and whether it is well formed: a
+    valid call, repeats and --M with --epsilon included, given up to two
+    defects (an odd value, a dropped flag, an abbreviated, unknown or help
+    flag, a stray word, a cut last token or a bad command)."""
+    command = draw(st.sampled_from(cli.SUBCOMMANDS))
+    flags = cli._COMMANDS[command][2]
+    well_formed, pieces, groups = True, [], set()
+    for flag, opts in flags:
+        if not opts.get("required") and draw(st.booleans()):
+            continue
+        if opts.get("group") in groups:
+            well_formed = False
+        groups.add(opts.get("group", flag))
+        for _ in range(draw(st.integers(1, 2))):
+            values = _WELL_FORMED_VALUES[opts.get("type", str)]
+            pieces.append((flag, draw(st.sampled_from(opts["choices"]) if "choices" in opts
+                                      else values)))
+    abbreviations = [flag[:k] for flag, _ in flags for k in range(3, len(flag))]
+    argv_defects = []
+    for defect in draw(st.lists(st.sampled_from(["value", "value", "value", "drop", "extra", "argv"]),
+                                max_size=2)):
+        well_formed = False
+        if defect == "extra" or not pieces:
+            pieces.append(draw(st.sampled_from([
+                (draw(st.sampled_from(abbreviations)), draw(_WELL_FORMED_VALUES[str])),
+                ("--bogus", "1"), ("--",), ("-h",), ("--help",), ("--version",), ("stray",)])))
+        elif defect == "value":
+            flag = draw(st.sampled_from(sorted({piece[0] for piece in pieces})))
+            i = draw(st.sampled_from([i for i, piece in enumerate(pieces) if piece[0] == flag]))
+            pieces[i] = (flag, draw(_ODD_VALUES))
+        elif defect == "drop":
+            del pieces[draw(st.integers(0, len(pieces) - 1))]
+        else:
+            argv_defects.append(draw(st.sampled_from(["cut", "estimate", "-h", "--version"])))
+    argv = [command]
+    for piece in draw(st.permutations(pieces)):
+        if len(piece) == 2 and draw(st.booleans()):
+            piece = (f"{piece[0]}={piece[1]}",)
+        argv.extend(piece)
+    for defect in argv_defects:
+        argv = argv[:-1] if defect == "cut" else [defect, *argv[defect == "estimate":]]
+    return argv, well_formed
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_argv())
+@example(case=(["verify", "--n", "2", "--verify-level", "fast"], False))
+@example(case=(["estimate-diag", "--channel", "c.json", "--m", "-x", "--M", "5"], False))
+@example(case=(["estimate-diag", "--channel", "c.json", "--m", "X", "--epsilon", "-1e3"], False))
+@example(case=(["sieve", "--log", "t.log", "--threshold", "-.5"], True))
+@example(case=(["sieve", "--log", "t.log", "--threshold", "-4."], False))
+@example(case=(["verify", "--n", "-4", "--seed", "-5 "], False))
+@example(case=(["triplets", "--channel", "c.json", "--M", "5", "--epsilon", "0.1",
+                "--out", "t.log"], False))
+@example(case=(["estimate-offdiag", "--channel", "", "--m", "I", "--n", "X", "--M=7"], False))
+@example(case=(["diag-from-log", "--log", "t.log", "--m", "I", "--m=X", "--"], False))
+@example(case=(["verify", "--n"], False))
+def test_exact_parse_declines_or_matches_argparse(case):
+    """The fast path reads a well-formed argv as argparse does and declines
+    whatever argparse refuses, helps with or answers with its version."""
+    argv, well_formed = case
+    only = argv[0] if argv and argv[0] in cli.SUBCOMMANDS else None
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            expected = cli.build_parser(only).parse_args(argv)
+        except SystemExit:
+            expected = None
+    got = cli._parse_exact(argv)
+    if got is None:
+        assert not well_formed
+    else:
+        assert expected is not None
+        # repr compares nan equal to nan, and tells 1 from 1.0 and -0.0 from 0.0
+        assert repr(sorted(vars(got).items())) == repr(sorted(vars(expected).items()))
 
 
 class TestOracleColumns:
