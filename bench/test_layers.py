@@ -26,7 +26,12 @@ from chitomo.estimator import (
     write_triplet_log,
 )
 from chitomo.mub import design_bases, design_states
-from chitomo.oracle import exact_chi, exact_chi_entries, oracle_report
+from chitomo.oracle import (
+    exact_ancilla_polarization,
+    exact_chi,
+    exact_chi_entries,
+    oracle_report,
+)
 from chitomo.pauli import (
     PauliLabel,
     _trace_masks,
@@ -360,3 +365,12 @@ def test_oracle_report(benchmark, n):
     rep = benchmark.pedantic(oracle_report, args=(channel,), kwargs={"samples": 3},
                              rounds=3, iterations=1)
     assert rep.max_residual < 1e-9
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_ancilla_identity(benchmark, n):
+    """The ancilla polarization identity (sigma_x) of one depolarizing pair."""
+    channel = channel_factory({"n": n, "kind": "depolarizing", "p": 0.3})
+    m, n_label = label_from_index(n, 5), label_from_index(n, 9)
+    px = benchmark(exact_ancilla_polarization, channel, m, n_label, "x")
+    assert abs(px) < 1e-12

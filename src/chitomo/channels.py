@@ -46,7 +46,7 @@ logger = logging.getLogger(__name__)
 DEFAULT_TOL = 1e-9
 
 # apply_channel maps a stack through the superoperator only while S takes at
-# most this many bytes (D <= 32, so the n = 4 ancilla register at 16 MB).
+# most this many bytes (D <= 32, so up to the oracle's n = 5 hard cap at 16 MB).
 _SUPEROPERATOR_BYTES = 2**25
 
 # Eigenvalues of chi below this fraction of the largest one are dropped when

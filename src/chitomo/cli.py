@@ -108,7 +108,7 @@ def _writing(out_path: str):
 
 
 def _emit(document: dict, out_path: str | None) -> None:
-    text = json.dumps(document, indent=2, allow_nan=False)
+    text = json.dumps(document, allow_nan=False)
     if out_path:
         with _writing(out_path), open(out_path, "w") as fh:
             fh.write(text + "\n")

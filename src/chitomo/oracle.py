@@ -1,8 +1,9 @@
 """Brute-force ground truth for everything the estimators target.
 
 Everything here is exact (dense linear algebra, full design enumeration) and
-deliberately simple: each design sum applies the channel, with every Kraus
-operator, to all D(D+1) design states in one ``apply_channel`` call.  On a
+deliberately simple: every identity, the ancilla one included, is one design
+sum on the n-qubit register, which applies a channel with every Kraus
+operator to all D(D+1) design states in one ``apply_channel`` call.  On a
 stack that large ``apply_channel`` builds the channel's superoperator from
 every Kraus operator and maps the stack with one matrix product (up to
 D = 32; above, one operator at a time).  It exists to pin down the Monte
@@ -14,6 +15,7 @@ with an explicit opt-in for n = 5.
 from __future__ import annotations
 
 import logging
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,13 +58,14 @@ def _check_oracle_cap(n: int, max_n: int) -> None:
             f"pass max_n={min(n, ORACLE_QUBIT_HARD_CAP)} to override up to "
             f"{ORACLE_QUBIT_HARD_CAP}"
         )
-    if n >= ORACLE_QUBIT_HARD_CAP:
-        logger.warning("oracle at n=%d builds a %d x %d chi matrix", n, 4**n, 4**n)
 
 
 def exact_chi(channel: Channel, max_n: int = ORACLE_QUBIT_CAP) -> ChiMatrix:
     """Exact process matrix, independent of the Kraus decomposition used."""
-    _check_oracle_cap(channel.n, max_n)
+    n = channel.n
+    _check_oracle_cap(n, max_n)
+    if n >= ORACLE_QUBIT_HARD_CAP:
+        logger.warning("oracle at n=%d builds a %d x %d chi matrix", n, 4**n, 4**n)
     return kraus_to_chi(as_kraus(channel))
 
 
@@ -84,18 +87,21 @@ def exact_chi_entries(
     return [complex(c[:, col[m]] @ c[:, col[n_label]].conj()) for m, n_label in pairs]
 
 
-def _design_projectors(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """All D(D+1) design states as rows of V, and their projectors |v><v|."""
-    v = design_states(n)
-    return v, v[:, :, None] * v[:, None, :].conj()
+def _design_sum(channel: Channel, inputs: Callable[[np.ndarray], np.ndarray] | None = None,
+                max_n: int = ORACLE_QUBIT_CAP) -> complex:
+    """Design average of <v| E(inputs(P_v)) |v>, P_v = |v><v|, over all
+    D(D+1) design states v, with one ``apply_channel`` call on the whole
+    stack; inputs defaults to P_v itself."""
+    _check_oracle_cap(channel.n, max_n)
+    v = design_states(channel.n)
+    proj = v[:, :, None] * v[:, None, :].conj()
+    out = apply_channel(channel, proj if inputs is None else inputs(proj))
+    return complex(np.einsum("si,sij,sj->", v.conj(), out, v)) / len(v)
 
 
 def exact_average_fidelity(channel: Channel, max_n: int = ORACLE_QUBIT_CAP) -> float:
     """Average survival probability, enumerated over the full state design."""
-    _check_oracle_cap(channel.n, max_n)
-    v, proj = _design_projectors(channel.n)
-    out = apply_channel(channel, proj)
-    return float(np.einsum("si,sij,sj->", v.conj(), out, v).real) / len(v)
+    return _design_sum(channel, max_n=max_n).real
 
 
 def exact_offdiag_average(
@@ -108,29 +114,24 @@ def exact_offdiag_average(
 
     Equals (D chi_mn + delta_mn) / (D + 1) for a valid channel.
     """
-    _check_oracle_cap(channel.n, max_n)
-    v, proj = _design_projectors(channel.n)
-    out = apply_channel(channel, pauli_matrix(m).conj().T @ proj @ pauli_matrix(n_label))
-    return complex(np.einsum("si,sij,sj->", v.conj(), out, v)) / len(v)
+    em_dag, en = pauli_matrix(m).conj().T, pauli_matrix(n_label)
+    return _design_sum(channel, lambda proj: em_dag @ proj @ en, max_n)
 
 
-def _ancilla_polarizations(
-    channel: Channel, m: PauliLabel, n_label: PauliLabel
-) -> tuple[float, float]:
+def _ancilla_polarizations(channel: Channel, m: PauliLabel, n_label: PauliLabel,
+                           max_n: int) -> tuple[float, float]:
     """Design-averaged <sigma_x (x) P_psi> and <sigma_y (x) P_psi> after the
-    ancilla-assisted circuit, read from one application of its channel."""
-    mod = modified_channel_offdiag(channel, m, n_label)
-    _, proj = _design_projectors(channel.n)
-    s, d = proj.shape[:2]
-    # |0><0| (x) P_psi on the ancilla-extended register
-    inp = np.zeros((s, 2 * d, 2 * d), dtype=complex)
-    inp[:, :d, :d] = proj
-    out = apply_channel(mod, inp)
-    # Tr[(|a><b| (x) P) out] = Tr[P out_ba], out_ba the (b, a) ancilla block
-    t01 = np.einsum("sij,sji->", proj, out[:, d:, :d])
-    t10 = np.einsum("sij,sji->", proj, out[:, :d, d:])
-    # sigma_x = |0><1| + |1><0| and sigma_y = -i|0><1| + i|1><0|
-    return float((t01 + t10).real) / s, float((1j * (t10 - t01)).real) / s
+    ancilla-assisted circuit, ancilla prepared in |0>.  Finding the ancilla in
+    (|0> + c|1>)/sqrt(2) is the n-qubit map with Kraus operators
+    (top + conj(c) bottom)/sqrt(2), the circuit's |0>-input blocks; with S(c)
+    its design sum, <sigma_x (x) P> = S(1) - S(-1), <sigma_y (x) P> = S(i) - S(-i).
+    """
+    d = 2**channel.n
+    ops = modified_channel_offdiag(channel, m, n_label).operators
+    top, bottom = ops[:, :d, :d], ops[:, d:, :d]
+    s = [_design_sum(KrausSet(channel.n, (top + np.conj(c) * bottom) / np.sqrt(2)),
+                     max_n=max_n).real for c in (1, -1, 1j, -1j)]
+    return s[0] - s[1], s[2] - s[3]
 
 
 def exact_ancilla_polarization(
@@ -149,7 +150,7 @@ def exact_ancilla_polarization(
     _check_oracle_cap(channel.n, max_n)
     if axis not in ("x", "y"):
         raise ValueError("axis must be 'x' or 'y'")
-    px, py = _ancilla_polarizations(channel, m, n_label)
+    px, py = _ancilla_polarizations(channel, m, n_label, max_n)
     return px if axis == "x" else py
 
 
@@ -191,7 +192,7 @@ def trace_identity_residual(
     if pairs is None:
         labels = all_labels(channel.n)
         pairs = [(a, b) for a in labels for b in labels]
-    mats = {a: pauli_matrix(a) for pair in pairs for a in pair}
+    mats = {a: pauli_matrix(a) for a in {a for pair in pairs for a in pair}}
     step = max(1, _STACK_ENTRIES // d**2)
     worst = 0.0
     for start in range(0, len(pairs), step):
@@ -256,7 +257,6 @@ def oracle_report(
     max_n: int = ORACLE_QUBIT_CAP,
 ) -> OracleReport:
     """Exact chi and worst-case residuals over sampled labels/operators."""
-    _check_oracle_cap(channel.n, max_n)
     rng = np.random.default_rng(seed)
     chi = exact_chi(channel, max_n)
     d = 2**channel.n
@@ -279,7 +279,7 @@ def oracle_report(
         want = (d * chi.entry(m, n_label) + delta) / (d + 1)
         off = exact_offdiag_average(channel, m, n_label, max_n)
         off_res = max(off_res, abs(off - want))
-        px, py = _ancilla_polarizations(channel, m, n_label)
+        px, py = _ancilla_polarizations(channel, m, n_label, max_n)
         anc_res = max(anc_res, abs(px - want.real), abs(py - want.imag))
 
     return OracleReport(chi, design_res, fid_res, off_res, anc_res)

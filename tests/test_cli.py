@@ -97,6 +97,16 @@ class TestEstimateDiag:
         assert code == 0 and out == ""
         assert json.loads(out_path.read_text())["rows"][0]["m"] == "Z"
 
+    def test_report_is_one_json_line(self, capsys, specs, tmp_path):
+        path, _ = specs["dep"]
+        argv = ("estimate-diag", "--channel", path, "--m", "Z", "--M", "50")
+        out_path = tmp_path / "report.json"
+        _, out, _ = run(capsys, *argv)
+        run(capsys, *argv, "--out", str(out_path))
+        for text in (out, out_path.read_text()):
+            assert text.endswith("}\n") and text.count("\n") == 1
+            assert json.loads(text)["rows"] == json.loads(out)["rows"]
+
     def test_invalid_label_exits_3(self, capsys, specs):
         path, _ = specs["dep"]
         code, _, err = run(

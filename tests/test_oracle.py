@@ -405,3 +405,48 @@ class TestBatchedDesignSums:
             o1 = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             o2 = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             assert abs(design_average_survival(o1, o2) - loop_design_average_survival(o1, o2)) < 1e-12
+
+
+class TestOracleCosts:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_design_sum_maps_the_n_qubit_register(self, n, monkeypatch):
+        """The ancilla identity is read through n-qubit maps: no stack passed
+        to apply_channel is wider than D x D."""
+        d = 2**n
+        shapes = []
+
+        def spy(channel, rho):
+            shapes.append(np.shape(rho)[-2:])
+            return apply_channel(channel, rho)
+
+        monkeypatch.setattr(oracle_module, "apply_channel", spy)
+        channel = channel_factory({"n": n, "kind": "amplitude_damping", "gamma": 0.25})
+        oracle_report(channel, samples=2, seed=3)
+        exact_ancilla_polarization(channel, L("X" * n), L("Z" * n), "y")
+        assert shapes and set(shapes) == {(d, d)}
+
+    @pytest.mark.parametrize("pairs", [None, [(L("XZ"), L("XZ")), (L("XZ"), L("II")),
+                                              (L("II"), L("YY")), (L("YY"), L("XZ"))]])
+    def test_trace_identity_residual_builds_each_label_once(self, pairs, monkeypatch):
+        calls = []
+
+        def spy(a):
+            calls.append(a)
+            return pauli_matrix(a)
+
+        channel = channel_factory({"n": 2, "kind": "amplitude_damping", "gamma": 0.25})
+        want = trace_identity_residual(channel, pairs)
+        monkeypatch.setattr(oracle_module, "pauli_matrix", spy)
+        assert trace_identity_residual(channel, pairs) == want
+        distinct = all_labels(2) if pairs is None else {a for pair in pairs for a in pair}
+        assert sorted(calls, key=str) == sorted(distinct, key=str)
+
+    def test_chi_warning_is_logged_once_per_report(self, caplog):
+        channel = channel_factory({"n": 5, "kind": "identity"})
+        with caplog.at_level("WARNING", logger="chitomo.oracle"):
+            exact_average_fidelity(channel, max_n=5)
+            assert not caplog.records
+            oracle_report(channel, samples=1, max_n=5)
+        warnings = [r for r in caplog.records if "chi matrix" in r.getMessage()]
+        assert len(warnings) == 1
+        assert warnings[0].getMessage() == "oracle at n=5 builds a 1024 x 1024 chi matrix"
