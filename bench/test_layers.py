@@ -101,14 +101,14 @@ def test_cli_argument_parsing(benchmark, command):
     exact-match path, with no argparse parser built."""
     argv = [command, *_ARGV[command]]
     args = benchmark(cli._parse_exact, argv)
-    assert args == cli.build_parser(command).parse_args(argv)
+    assert args == cli.build_parser().parse_args(argv)
 
 
 def test_cli_argument_parsing_fallback(benchmark):
     """Parsing an abbreviated flag (--eps) as main() does: the exact-match
-    path declines, and argparse builds the subcommand's parser and parses."""
+    path declines, and argparse builds the whole parser and parses."""
     argv = ["estimate-diag", "--channel", "c.json", "--m", "XI", "--eps", "0.05"]
-    args = benchmark(lambda: cli._parse_exact(argv) or cli.build_parser(argv[0]).parse_args(argv))
+    args = benchmark(lambda: cli._parse_exact(argv) or cli.build_parser().parse_args(argv))
     assert args.epsilon == 0.05
 
 

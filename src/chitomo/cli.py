@@ -148,16 +148,22 @@ def _config_from_args(args) -> EstimatorConfig:
         raise CliError(EXIT_MALFORMED, "bad_arguments", str(exc)) from exc
 
 
-def _oracle_column(channel, pairs) -> list:
-    """Exact chi_mn per (m, n) pair for the report, or None above the oracle cap."""
-    if channel is None or channel.n > ORACLE_QUBIT_CAP:
-        return [None] * len(pairs)
-    return exact_chi_entries(channel, pairs)
-
-
-def _oracle_diagonal(channel, labels) -> list:
-    return [None if v is None else complex(v.real)
-            for v in _oracle_column(channel, [(m, m) for m in labels])]
+def _report(command: str, config: dict, entries: list, channel, channel_hash: str | None,
+            out: str | None, **extra) -> int:
+    """Emit one estimating command's report: a row per (protocol, m, n_label,
+    Estimate) entry, then the manifest and the extra keys.  The oracle column
+    is exact chi_mn, real for a diagonal row (n_label None), when the channel
+    is given and within the oracle cap."""
+    oracles = None
+    if channel is not None and channel.n <= ORACLE_QUBIT_CAP:
+        pairs = [(m, m if n_label is None else n_label) for _, m, n_label, _ in entries]
+        oracles = [complex(v.real) if n_label is None else v for v, (_, _, n_label, _)
+                   in zip(exact_chi_entries(channel, pairs), entries)]
+    report = estimation_report(config, entries, oracles)
+    report["manifest"] = _manifest(command, channel_hash, config)
+    report.update(extra)
+    _emit(report, out)
+    return EXIT_OK
 
 
 def cmd_estimate_diag(args) -> int:
@@ -165,12 +171,8 @@ def cmd_estimate_diag(args) -> int:
     m = _parse_label(args.m, channel.n)
     cfg = _config_from_args(args)
     est = estimate_chi_diag(channel, m, cfg)
-    oracles = _oracle_diagonal(channel, [m])
-    config = cfg.echo()
-    report = estimation_report(config, [("diag", m, None, est)], oracles)
-    report["manifest"] = _manifest("estimate-diag", channel_spec_sha256(spec), config)
-    _emit(report, args.out)
-    return EXIT_OK
+    return _report("estimate-diag", cfg.echo(), [("diag", m, None, est)], channel,
+                   channel_spec_sha256(spec), args.out)
 
 
 def cmd_estimate_offdiag(args) -> int:
@@ -179,12 +181,8 @@ def cmd_estimate_offdiag(args) -> int:
     n_label = _parse_label(args.n_label, channel.n)
     cfg = _config_from_args(args)
     est = estimate_chi_offdiag(channel, m, n_label, cfg)
-    oracles = _oracle_column(channel, [(m, n_label)])
-    config = cfg.echo()
-    report = estimation_report(config, [("offdiag", m, n_label, est)], oracles)
-    report["manifest"] = _manifest("estimate-offdiag", channel_spec_sha256(spec), config)
-    _emit(report, args.out)
-    return EXIT_OK
+    return _report("estimate-offdiag", cfg.echo(), [("offdiag", m, n_label, est)], channel,
+                   channel_spec_sha256(spec), args.out)
 
 
 def cmd_triplets(args) -> int:
@@ -223,12 +221,8 @@ def cmd_diag_from_log(args) -> int:
     ]
     estimates = estimate_diags_from_triplets(record, labels)
     entries = [("triplet_diag", m, None, est) for m, est in zip(labels, estimates)]
-    oracles = _oracle_diagonal(channel, labels)
-    config = {"log": args.log, **meta}
-    report = estimation_report(config, entries, oracles)
-    report["manifest"] = _manifest("diag-from-log", meta["channel"], config)
-    _emit(report, args.out)
-    return EXIT_OK
+    return _report("diag-from-log", {"log": args.log, **meta}, entries, channel,
+                   meta["channel"], args.out)
 
 
 def cmd_sieve(args) -> int:
@@ -241,13 +235,9 @@ def cmd_sieve(args) -> int:
     except SingleBaseError as exc:
         raise CliError(EXIT_SINGLE_BASE, "single_base", str(exc)) from exc
     entries = [("sieve", m, None, est) for m, est in found]
-    oracles = _oracle_diagonal(channel, [m for m, _ in found])
     config = {"log": args.log, "threshold": args.threshold, **meta}
-    report = estimation_report(config, entries, oracles)
-    report["manifest"] = _manifest("sieve", meta["channel"], config)
-    report["sieve_stats"] = stats
-    _emit(report, args.out)
-    return EXIT_OK
+    return _report("sieve", config, entries, channel, meta["channel"], args.out,
+                   sieve_stats=stats)
 
 
 # ---------------------------------------------------------------------------
@@ -389,25 +379,14 @@ _COMMANDS = {
 SUBCOMMANDS = tuple(_COMMANDS)
 
 
-def build_parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The command-line parser, or with ``only`` one of SUBCOMMANDS, the same
-    parser with only that subcommand built.
-
-    Both parse that subcommand's argv alike.  The choices metavar of the one-
-    subcommand build keeps its top-level usage line listing every subcommand;
-    the full build leaves it unset, as its "invalid choice" and "required"
-    errors name the argument by its metavar.
-    """
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chitomo",
         description="Selective chi-matrix estimation over the MUB state design",
     )
     parser.add_argument("--version", action="version", version=f"chitomo {__version__}")
-    metavar = None if only is None else "{" + ",".join(SUBCOMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, defaults, flags) in _COMMANDS.items():
-        if only not in (None, name):
-            continue
         p = sub.add_parser(name, help=help_text)
         groups = {}
         for flag, opts in flags:
@@ -469,10 +448,8 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _parse_exact(argv)
     if args is None:
-        # Help, --version, abbreviations and errors: argparse, with only the
-        # named subcommand built, or all of them for a bad or missing one.
-        only = argv[0] if argv and argv[0] in SUBCOMMANDS else None
-        args = build_parser(only).parse_args(argv)
+        # Help, --version, abbreviations and errors: argparse.
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:

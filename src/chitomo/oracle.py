@@ -28,7 +28,6 @@ from .channels import (
     as_kraus,
     kraus_to_chi,
     modified_channel_diag,
-    modified_channel_offdiag,
     pauli_coefficients,
 )
 from .mub import design_average_survival, design_states
@@ -118,20 +117,21 @@ def exact_offdiag_average(
     return _design_sum(channel, lambda proj: em_dag @ proj @ en, max_n)
 
 
-def _ancilla_polarizations(channel: Channel, m: PauliLabel, n_label: PauliLabel,
-                           max_n: int) -> tuple[float, float]:
-    """Design-averaged <sigma_x (x) P_psi> and <sigma_y (x) P_psi> after the
-    ancilla-assisted circuit, ancilla prepared in |0>.  Finding the ancilla in
-    (|0> + c|1>)/sqrt(2) is the n-qubit map with Kraus operators
-    (top + conj(c) bottom)/sqrt(2), the circuit's |0>-input blocks; with S(c)
-    its design sum, <sigma_x (x) P> = S(1) - S(-1), <sigma_y (x) P> = S(i) - S(-i).
+def _ancilla_polarization(channel: Channel, m: PauliLabel, n_label: PauliLabel,
+                          c: complex, max_n: int) -> float:
+    """Design-averaged <sigma (x) P_psi> after the ancilla-assisted circuit,
+    ancilla prepared in |0>, sigma = sigma_x for c = 1 and sigma_y for c = i.
+    Finding the ancilla in (|0> + c|1>)/sqrt(2) is the n-qubit map with Kraus
+    operators (top + conj(c) bottom)/sqrt(2), top and bottom the |0>-input
+    blocks of :func:`modified_channel_offdiag`; with S(c) its design sum,
+    <sigma (x) P> = S(c) - S(-c).
     """
-    d = 2**channel.n
-    ops = modified_channel_offdiag(channel, m, n_label).operators
-    top, bottom = ops[:, :d, :d], ops[:, d:, :d]
-    s = [_design_sum(KrausSet(channel.n, (top + np.conj(c) * bottom) / np.sqrt(2)),
-                     max_n=max_n).real for c in (1, -1, 1j, -1j)]
-    return s[0] - s[1], s[2] - s[3]
+    ops, h = as_kraus(channel).operators, 1 / np.sqrt(2)
+    top = ops @ (h * pauli_matrix(n_label).conj().T)
+    bottom = ops @ (h * pauli_matrix(m).conj().T)
+    s = [_design_sum(KrausSet(channel.n, (top + np.conj(b) * bottom) / np.sqrt(2)),
+                     max_n=max_n).real for b in (c, -c)]
+    return s[0] - s[1]
 
 
 def exact_ancilla_polarization(
@@ -145,13 +145,12 @@ def exact_ancilla_polarization(
     ancilla-assisted circuit for the (m, n_label) coefficient.
 
     Axis "x" recovers (D Re chi_mn + delta_mn)/(D+1); axis "y" recovers
-    D Im chi_mn / (D+1).
+    D Im chi_mn / (D+1).  Two design sums on the n-qubit register.
     """
     _check_oracle_cap(channel.n, max_n)
     if axis not in ("x", "y"):
         raise ValueError("axis must be 'x' or 'y'")
-    px, py = _ancilla_polarizations(channel, m, n_label, max_n)
-    return px if axis == "x" else py
+    return _ancilla_polarization(channel, m, n_label, 1 if axis == "x" else 1j, max_n)
 
 
 def haar_closed_form(op1: np.ndarray, op2: np.ndarray) -> complex:
@@ -228,13 +227,6 @@ def random_label(n: int, rng: np.random.Generator) -> PauliLabel:
     return label_from_index(n, int(rng.integers(0, 4**n)))
 
 
-def random_density_matrix(n: int, rng: np.random.Generator) -> np.ndarray:
-    d = 2**n
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
-
-
 def random_channel(n: int, rng: np.random.Generator) -> KrausSet:
     """Half a Haar-ish unitary, half a random diagonal Pauli mixture."""
     d = 2**n
@@ -279,7 +271,8 @@ def oracle_report(
         want = (d * chi.entry(m, n_label) + delta) / (d + 1)
         off = exact_offdiag_average(channel, m, n_label, max_n)
         off_res = max(off_res, abs(off - want))
-        px, py = _ancilla_polarizations(channel, m, n_label, max_n)
+        px = _ancilla_polarization(channel, m, n_label, 1, max_n)
+        py = _ancilla_polarization(channel, m, n_label, 1j, max_n)
         anc_res = max(anc_res, abs(px - want.real), abs(py - want.imag))
 
     return OracleReport(chi, design_res, fid_res, off_res, anc_res)

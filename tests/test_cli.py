@@ -564,27 +564,17 @@ def _parse(parser, argv, capsys):
 
 class TestParser:
     @pytest.mark.parametrize("argv", PARSER_CORPUS, ids=PARSER_IDS)
-    def test_one_subcommand_parser_matches_full_parser(self, capsys, argv):
-        """Same exit code, stdout, stderr and Namespace from the parser main()
-        builds for argv as from the parser with every subcommand."""
-        only = argv[0] if argv and argv[0] in cli.SUBCOMMANDS else None
-        full = _parse(cli.build_parser(), argv, capsys)
-        assert _parse(cli.build_parser(only), argv, capsys) == full
-
-    @pytest.mark.parametrize("argv", PARSER_CORPUS, ids=PARSER_IDS)
     def test_main_parses_well_formed_argv_without_argparse(self, monkeypatch, capsys, argv):
         """main() builds no parser for a well-formed argv and runs argparse's
-        Namespace; for anything else it builds the named subcommand's parser
-        (the full parser without one) exactly once."""
-        only = argv[0] if argv and argv[0] in cli.SUBCOMMANDS else None
-        expected = _parse(cli.build_parser(only), argv, capsys)[3]
+        Namespace; for anything else it builds the whole parser exactly once."""
+        expected = _parse(cli.build_parser(), argv, capsys)[3]
         built, parsed, ran = [], [], []
 
         class Stop(Exception):
             """Stops main before it parses with argparse or runs a command."""
 
-        def build_parser(only=None):
-            built.append(only)
+        def build_parser(*args, **kwargs):
+            built.append((args, kwargs))
             raise Stop
 
         def run_command(args):
@@ -607,7 +597,28 @@ class TestParser:
         if argv in WELL_FORMED:
             assert built == [] and parsed == [vars(expected)] and len(ran) == 1
         else:
-            assert built == [only] and parsed == ran == []
+            assert built == [((), {})] and parsed == ran == []
+
+    @pytest.mark.parametrize("argv", PARSER_CORPUS, ids=PARSER_IDS)
+    def test_main_answers_as_the_whole_parser(self, monkeypatch, capsys, argv):
+        """main() ends with the whole parser's exit code, stdout and stderr,
+        and hands the command argparse's Namespace, whichever path parses."""
+        ran = []
+
+        def run_command(args):
+            ran.append(args)
+            return cli.EXIT_OK
+
+        for _, defaults, _ in cli._COMMANDS.values():
+            monkeypatch.setitem(defaults, "func", run_command)
+        code, out, err, args = _parse(cli.build_parser(), argv, capsys)
+        try:
+            got = cli.main(argv)
+        except SystemExit as exc:
+            got = exc.code
+        captured = capsys.readouterr()
+        assert (got, captured.out, captured.err) == (code, out, err)
+        assert ran == ([] if args is None else [args])
 
     def test_subcommand_names_match_the_full_parser(self):
         sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
@@ -690,10 +701,9 @@ def test_exact_parse_declines_or_matches_argparse(case):
     """The fast path reads a well-formed argv as argparse does and declines
     whatever argparse refuses, helps with or answers with its version."""
     argv, well_formed = case
-    only = argv[0] if argv and argv[0] in cli.SUBCOMMANDS else None
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
-            expected = cli.build_parser(only).parse_args(argv)
+            expected = cli.build_parser().parse_args(argv)
         except SystemExit:
             expected = None
     got = cli._parse_exact(argv)
@@ -740,6 +750,40 @@ class TestOracleColumns:
                 assert abs(got - want) < 1e-12, (argv[0], row["m"])
                 checked += 1
         assert checked >= 9
+
+
+class TestReports:
+    def test_every_command_writes_one_report_layout(self, capsys, tmp_path):
+        """The four estimating commands report config, rows and manifest in
+        that order (the sieve adds sieve_stats); a diagonal row's oracle is
+        real, an off-diagonal row's keeps its imaginary part."""
+        spec = {"n": 2, "kind": "unitary", "generator": "YX", "theta": 0.7}
+        path, _ = write_spec(tmp_path, "u.json", spec)
+        log = str(tmp_path / "u.log")
+        run(capsys, "triplets", "--channel", path, "--M", "2000", "--seed", "4", "--out", log)
+        offdiag = exact_chi(channel_factory(spec)).entry(PauliLabel.from_string("II"),
+                                                         PauliLabel.from_string("YX"))
+        assert abs(offdiag.imag) > 0.3
+        commands = {
+            "estimate-diag": ["--channel", path, "--m", "YX", "--M", "200"],
+            "estimate-offdiag": ["--channel", path, "--m", "II", "--n-label", "YX",
+                                 "--M", "200"],
+            "diag-from-log": ["--log", log, "--channel", path, "--m", "II,YX"],
+            "sieve": ["--log", log, "--channel", path, "--threshold", "0.05"],
+        }
+        for command, argv in commands.items():
+            code, out, _ = run(capsys, command, *argv)
+            assert code == 0
+            report = json.loads(out)
+            keys = ["config", "rows", "manifest"] + (["sieve_stats"] if command == "sieve" else [])
+            assert list(report) == keys, command
+            assert report["manifest"]["command"] == command
+            assert report["rows"], command
+            for row in report["rows"]:
+                if row["n_label"] is None:
+                    assert row["oracle_im"] == 0.0, command
+                else:
+                    assert abs(row["oracle_im"] - offdiag.imag) < 1e-12
 
 
 class TestVerify:

@@ -23,7 +23,6 @@ from chitomo.oracle import (
     haar_closed_form,
     oracle_report,
     random_channel,
-    random_density_matrix,
     random_label,
     trace_identity_residual,
 )
@@ -212,12 +211,6 @@ class TestRandomObjects:
             ops = np.stack(k.operators)
             s = np.einsum("kji,kjl->il", ops.conj(), ops)
             np.testing.assert_allclose(s, np.eye(2**n), atol=1e-12)
-
-    def test_random_density_matrix(self):
-        rng = np.random.default_rng(2)
-        rho = random_density_matrix(2, rng)
-        assert abs(np.trace(rho) - 1) < 1e-12
-        assert np.min(np.linalg.eigvalsh(rho)) > -1e-12
 
     def test_random_label_in_range(self):
         rng = np.random.default_rng(3)
@@ -424,6 +417,21 @@ class TestOracleCosts:
         oracle_report(channel, samples=2, seed=3)
         exact_ancilla_polarization(channel, L("X" * n), L("Z" * n), "y")
         assert shapes and set(shapes) == {(d, d)}
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_ancilla_polarization_runs_two_design_sums(self, axis, monkeypatch):
+        """One axis is S(c) - S(-c): two design sums on the n-qubit register."""
+        calls = []
+        design_sum = oracle_module._design_sum
+
+        def spy(*args, **kwargs):
+            calls.append(args[0])
+            return design_sum(*args, **kwargs)
+
+        channel = channel_factory({"n": 2, "kind": "amplitude_damping", "gamma": 0.25})
+        monkeypatch.setattr(oracle_module, "_design_sum", spy)
+        exact_ancilla_polarization(channel, L("XZ"), L("YI"), axis)
+        assert len(calls) == 2 and all(k.n == 2 for k in calls)
 
     @pytest.mark.parametrize("pairs", [None, [(L("XZ"), L("XZ")), (L("XZ"), L("II")),
                                               (L("II"), L("YY")), (L("YY"), L("XZ"))]])
