@@ -263,21 +263,20 @@ def _protocol_channel(kind, n):
         "I" * n: 0.85, "X" + "I" * (n - 1): 0.07, "Z" * n: 0.05, "IY" + "I" * (n - 2): 0.03}})
 
 
-# The off-diagonal protocol expands a Pauli channel to dense operators, which
-# for depolarizing n=6 are 4096 of them (268 MB), so it has no such row.
 _PROTOCOL_CASES = [(protocol, kind, n) for kind, n in [("depolarizing", 2), ("depolarizing", 4),
                                                        ("depolarizing", 5), ("mixture", 6),
                                                        ("amplitude_damping", 4)]
                    for protocol in ("diag", "offdiag", "triplets")]
-_PROTOCOL_CASES += [("diag", "depolarizing", 6), ("triplets", "depolarizing", 6)]
+_PROTOCOL_CASES += [("diag", "depolarizing", 6), ("offdiag", "depolarizing", 6),
+                    ("triplets", "depolarizing", 6)]
 
 
 @pytest.mark.parametrize("protocol, kind, n", _PROTOCOL_CASES)
 def test_sampled_protocol(benchmark, protocol, kind, n):
     """One sampled protocol at M=2000 on a depolarizing channel (4^n labels)
-    or a 4-label Pauli mixture, where diag and triplets read their weights
-    and the off-diagonal protocol their dense expansion, or on an amplitude
-    damping channel (2^n Kraus operators), which every protocol reads dense."""
+    or a 4-label Pauli mixture, whose weights every protocol reads, or on an
+    amplitude damping channel (2^n Kraus operators), which every protocol
+    reads dense."""
     channel, cfg = _protocol_channel(kind, n), EstimatorConfig(M=2000, seed=n)
     m, n_label = label_from_index(n, 5), label_from_index(n, 9)
     run = {"diag": lambda: estimate_chi_diag(channel, m, cfg),

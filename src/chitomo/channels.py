@@ -344,7 +344,8 @@ def channel_spec_sha256(spec: dict) -> str:
     return hashlib.sha256(canonical_spec_bytes(spec)).hexdigest()
 
 
-def load_channel_spec(path) -> dict:
+def _read_spec(path) -> tuple[dict, bytes]:
+    """A channel-spec file's document and its canonical bytes, serialized once."""
     try:
         with open(path) as fh:
             spec = json.load(fh)
@@ -356,8 +357,12 @@ def load_channel_spec(path) -> dict:
         raise ChannelSpecError(f"channel spec is not valid JSON: {exc}") from exc
     if not isinstance(spec, dict):
         raise ChannelSpecError("channel spec must be a JSON object")
-    canonical_spec_bytes(spec)  # refuses NaN, Infinity and numbers that overflow to them
-    return spec
+    # refuses NaN, Infinity and numbers that overflow to them
+    return spec, canonical_spec_bytes(spec)
+
+
+def load_channel_spec(path) -> dict:
+    return _read_spec(path)[0]
 
 
 def _is_number(x) -> bool:
@@ -372,12 +377,51 @@ def _require_n(spec: dict) -> int:
     return n
 
 
-def _pauli_channel(n: int, xs, zs, weights) -> PauliChannel:
-    """The labels (xs, zs) of positive weight, packed, with their weights."""
+def _pauli_channel(n: int, labels, weights) -> PauliChannel:
+    """The packed labels of positive weight, with their weights."""
     weights = np.asarray(weights, dtype=float)
     kept = weights > 0
-    labels = np.asarray(xs, dtype=np.int64) | np.asarray(zs, dtype=np.int64) << n
-    return PauliChannel(n, labels[kept], weights[kept])
+    return PauliChannel(n, np.asarray(labels, dtype=np.int64)[kept], weights[kept])
+
+
+# x | z << 1 of each Pauli character by ASCII code, 4 for every other one.
+_PAULI_BITS = np.full(128, 4)
+_PAULI_BITS[[ord(ch) for ch in "IXYZ"]] = [0, 1, 3, 2]
+
+
+def _mixture_labels(n: int, raw: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Packed labels and weights of a weight map in map order, each key read as
+    PauliLabel.from_string reads it, all characters at once.  The first faulty
+    key raises ChannelSpecError naming the first check it fails."""
+    keys, values = list(raw), list(raw.values())
+    texts = [key.strip().upper() for key in keys]
+    lengths = np.fromiter(map(len, texts), np.intp, len(texts))
+    starts = lengths.cumsum() - lengths
+    # A byte per character, "?" for a non-ASCII one; n more keep each key's first n in range.
+    bits = _PAULI_BITS[np.frombuffer(("".join(texts) + "I" * n).encode("ascii", "replace"),
+                                     np.uint8)]
+    # Qubit j of each key.  A faulty key's label may be garbage, but a key
+    # marked as repeating it comes later, so the faulty key's fault is named.
+    chars = bits[starts[:, None] + np.arange(n)]
+    labels = (chars & 1 | (chars & 2) << (n - 1)).dot(1 << np.arange(n))
+    order = labels.argsort(kind="stable")
+    repeated = np.zeros(len(keys), dtype=bool)
+    repeated[order[1:]] = labels[order[1:]] == labels[order[:-1]]
+    bad_char = np.logical_or.reduceat(bits > 3, starts)
+    bad_weight = [not (_is_number(w) and w >= 0) for w in values]
+    faulty = (lengths != n) | bad_char | repeated | bad_weight  # an empty key's length is 0
+    if faulty.any():
+        i = int(faulty.argmax())
+        key, text, first = keys[i], texts[i], keys[int((labels == labels[i]).argmax())]
+        bad = next((ch for ch in text if ch not in "IXYZ"), "")
+        raise ChannelSpecError(next(message for failed, message in (
+            (not text, f"bad Pauli string {key!r}: empty Pauli string"),
+            (bad_char[i], f"bad Pauli string {key!r}: invalid Pauli character {bad!r} in {text!r}"),
+            (len(text) != n, f"weight key {key!r} has wrong qubit count"),
+            (repeated[i], f"weight keys {first!r} and {key!r} name one label {text}"),
+            (bad_weight[i], f"weight for {key!r} must be >= 0"),
+        ) if failed))
+    return labels, np.array(values, dtype=float)
 
 
 def _has_kraus(spec: dict) -> bool:
@@ -407,7 +451,7 @@ def channel_factory(spec: dict) -> KrausSet | PauliChannel:
     d = 2**n
 
     if kind == "identity":
-        return _pauli_channel(n, [0], [0], [1.0])
+        return _pauli_channel(n, [0], [1.0])
 
     if kind == "depolarizing":
         p = spec.get("p")
@@ -415,31 +459,18 @@ def channel_factory(spec: dict) -> KrausSet | PauliChannel:
             raise ChannelSpecError("depolarizing needs 'p' in [0, 1]")
         weights = np.full(d**2, p / d**2)
         weights[0] = 1 - p + p / d**2
-        return _pauli_channel(n, *all_label_masks(n), weights)
+        xs, zs = all_label_masks(n)
+        return _pauli_channel(n, xs | zs << n, weights)
 
     if kind == "pauli_mixture":
         raw = spec.get("weights")
         if not isinstance(raw, dict) or not raw:
             raise ChannelSpecError("pauli_mixture needs a non-empty 'weights' map")
-        weights, keys = {}, {}
-        for key, w in raw.items():
-            try:
-                a = PauliLabel.from_string(key)
-            except ValueError as exc:
-                raise ChannelSpecError(f"bad Pauli string {key!r}: {exc}") from exc
-            if a.n != n:
-                raise ChannelSpecError(f"weight key {key!r} has wrong qubit count")
-            if a in keys:
-                raise ChannelSpecError(f"weight keys {keys[a]!r} and {key!r} name one label {a}")
-            keys[a] = key
-            if not _is_number(w) or not w >= 0:
-                raise ChannelSpecError(f"weight for {key!r} must be >= 0")
-            weights[a] = float(w)
-        total = sum(weights.values())
+        labels, weights = _mixture_labels(n, raw)
+        total = sum(weights.tolist())
         if not abs(total - 1) <= 1e-9:
             raise ChannelSpecError(f"mixture weights sum to {total!r}, expected 1")
-        return _pauli_channel(n, [a.x_bits for a in weights], [a.z_bits for a in weights],
-                              list(weights.values()))
+        return _pauli_channel(n, labels, weights)
 
     if kind == "unitary":
         if "matrix" in spec:

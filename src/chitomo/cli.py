@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import json
 import sys
 from datetime import datetime, timezone
@@ -33,12 +34,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .channels import (
-    ChannelSpecError,
-    channel_factory,
-    channel_spec_sha256,
-    load_channel_spec,
-)
+from .channels import ChannelSpecError, _read_spec, channel_factory
 from .estimator import (
     EstimatorConfig,
     SingleBaseError,
@@ -117,8 +113,9 @@ def _emit(document: dict, out_path: str | None) -> None:
 
 
 def _load_channel(path: str):
-    spec = load_channel_spec(path)
-    return spec, channel_factory(spec)
+    """The channel a spec file builds, and the SHA-256 of the spec's canonical bytes."""
+    spec, canonical = _read_spec(path)
+    return channel_factory(spec), hashlib.sha256(canonical).hexdigest()
 
 
 def _parse_label(text: str, n: int) -> PauliLabel:
@@ -167,30 +164,30 @@ def _report(command: str, config: dict, entries: list, channel, channel_hash: st
 
 
 def cmd_estimate_diag(args) -> int:
-    spec, channel = _load_channel(args.channel)
+    channel, digest = _load_channel(args.channel)
     m = _parse_label(args.m, channel.n)
     cfg = _config_from_args(args)
     est = estimate_chi_diag(channel, m, cfg)
     return _report("estimate-diag", cfg.echo(), [("diag", m, None, est)], channel,
-                   channel_spec_sha256(spec), args.out)
+                   digest, args.out)
 
 
 def cmd_estimate_offdiag(args) -> int:
-    spec, channel = _load_channel(args.channel)
+    channel, digest = _load_channel(args.channel)
     m = _parse_label(args.m, channel.n)
     n_label = _parse_label(args.n_label, channel.n)
     cfg = _config_from_args(args)
     est = estimate_chi_offdiag(channel, m, n_label, cfg)
     return _report("estimate-offdiag", cfg.echo(), [("offdiag", m, n_label, est)], channel,
-                   channel_spec_sha256(spec), args.out)
+                   digest, args.out)
 
 
 def cmd_triplets(args) -> int:
-    spec, channel = _load_channel(args.channel)
+    channel, digest = _load_channel(args.channel)
     cfg = _config_from_args(args)
     record = run_triplet_experiments(channel, cfg)
     with _writing(args.out):
-        write_triplet_log(args.out, record, args.seed, channel_spec_sha256(spec))
+        write_triplet_log(args.out, record, args.seed, digest)
     return EXIT_OK
 
 
@@ -200,10 +197,10 @@ def _load_log_with_optional_channel(args):
     if args.channel is not None:
         # Only the oracle columns read the channel: up to their cap the spec is
         # built, its only validation, before its hash is checked.
-        spec = load_channel_spec(args.channel)
+        spec, canonical = _read_spec(args.channel)
         if meta["n"] <= ORACLE_QUBIT_CAP:
             channel = channel_factory(spec)
-        digest = channel_spec_sha256(spec)
+        digest = hashlib.sha256(canonical).hexdigest()
         if digest != meta["channel"]:
             raise CliError(
                 EXIT_HASH_MISMATCH,

@@ -37,7 +37,9 @@ from .pauli import (
     class_generators,
     commutation_columns,
     gf2_apply,
+    index_bit_tables,
     pauli_action,
+    pauli_mul,
 )
 
 # Campaign tags keying the per-protocol Philox streams.
@@ -233,6 +235,26 @@ def _base_weights(channel: PauliChannel, cols: np.ndarray) -> np.ndarray:
     return np.bincount(cells.ravel(), weights.ravel(), d * (d + 1)).reshape(d + 1, d)
 
 
+def _pauli_offdiag_table(channel: PauliChannel, m: PauliLabel, n_label: PauliLabel) -> np.ndarray:
+    """Rows J*D + k of (Re, Im of the polarization, survival) in closed form.
+    With E_n E_m = i^theta P_c the polarization is q[J, p] i^theta <v_k|P_c|v_k>
+    if p = p_m(J) = p_n(J), else 0.  P_c is then i^e times the ascending product
+    of the class-J generators in S (x_c for J >= 1; z_c, e = 0 for J = 0), so
+    <v_k|P_c|v_k> = i^e (-1)^{|S AND k|}, and reordering commuting factors gives
+    i^e = (-1)^{sum_b floor(r_b / 2)}, r_b = sum_{a in S} (Z mask of a)_b."""
+    n, d = channel.n, 2**channel.n
+    cols, bases, parity = commutation_columns(n), np.arange(d + 1), index_bit_tables(n)[1]
+    p_m, p_n = (gf2_apply(cols, a.x_bits | a.z_bits << n) for a in (m, n_label))
+    q, (c, theta) = _base_weights(channel, cols), pauli_mul(n_label, m)
+    in_s = np.flatnonzero(c.x_bits >> np.arange(n) & 1)
+    r = np.sum(class_generators(n)[:, in_s, None] >> (in_s + n) & 1, axis=1)
+    sign = np.where(p_m == p_n, 1 - 2 * (np.sum(r // 2, axis=1) & 1), 0) * 1j**theta
+    s = np.where(bases > 0, c.x_bits, c.z_bits)[:, None] & np.arange(d)
+    polarization = (q[bases, p_m] * sign)[:, None] * (1 - 2 * parity[s])
+    survival = np.repeat((q[bases, p_m] + q[bases, p_n]) / 2, d)
+    return np.column_stack([polarization.real.ravel(), polarization.imag.ravel(), survival])
+
+
 def _amplitudes(ops: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """x[s, i] = <left_s|A_i|right_s>, one K D^2 product per state."""
     return np.einsum("as,ias->si", left.conj(), ops @ right)
@@ -295,17 +317,20 @@ def estimate_chi_offdiag(
         raise ValueError("labels and channel qubit counts differ")
     n, d = channel.n, 2**channel.n
     delta = 1.0 if m == n_label else 0.0
-    ops, actions = as_kraus(channel).operators, (pauli_action(m), pauli_action(n_label))
-
-    def readout(js, ks):  # [state, (Re and Im of the polarization, survival)]; E^dag is E
-        v = design_bases(n)[js, :, ks].T
-        x_m, x_n = (_amplitudes(ops, v, w[:, None] * v[src]) for src, w in actions)
-        polarization = np.sum(x_n.conj() * x_m, axis=1)
-        survival = np.sum(np.abs(x_m) ** 2 + np.abs(x_n) ** 2, axis=1) / 2
-        return np.array([polarization.real, polarization.imag, survival]).T
-
     campaigns = [_campaign(n, cfg, tag, "offdiagonal") for tag in (_TAG_OFFDIAG_X, _TAG_OFFDIAG_Y)]
-    table = _state_table(n, [keys for keys, _ in campaigns], readout, 3, ops.size // d)
+    if isinstance(channel, PauliChannel):
+        table = _pauli_offdiag_table(channel, m, n_label)
+    else:
+        ops, actions = as_kraus(channel).operators, (pauli_action(m), pauli_action(n_label))
+
+        def readout(js, ks):  # [state, (Re and Im of the polarization, survival)]; E^dag is E
+            v = design_bases(n)[js, :, ks].T
+            x_m, x_n = (_amplitudes(ops, v, w[:, None] * v[src]) for src, w in actions)
+            polarization = np.sum(x_n.conj() * x_m, axis=1)
+            survival = np.sum(np.abs(x_m) ** 2 + np.abs(x_n) ** 2, axis=1) / 2
+            return np.array([polarization.real, polarization.imag, survival]).T
+
+        table = _state_table(n, [keys for keys, _ in campaigns], readout, 3, ops.size // d)
     survival, stats = table[:, 2], []
     # The x campaign reads Re and the y campaign Im of the polarization `out`:
     # the outcome is +1 below p_plus, else -1 below p_plus + p_minus, else 0.

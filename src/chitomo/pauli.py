@@ -289,8 +289,16 @@ class MubClass:
 @functools.lru_cache(maxsize=None)
 def _trace_masks(n: int) -> tuple[int, ...]:
     """mask_e for e = 0 .. 2n-2, bit i = tr(x^(i+e)): the trace is GF(2)-linear,
-    so tr(c x^e) = parity(c & mask_e) for every field element c."""
-    traces = [gf_trace(_polymod(1 << m, _IRREDUCIBLE_POLY[n]), n) for m in range(3 * n - 2)]
+    so tr(c x^e) = parity(c & mask_e) for every field element c.  tr(x^m) is
+    a power sum of the field polynomial's roots, so by Newton's identities mod 2
+    s_m = sum_{0<j<m} e_j s_{m-j} + m e_m, e_j the coefficient of x^(n-j)
+    (0 for j > n: past n, the polynomial's own recurrence), from s_0 = n."""
+    poly = _IRREDUCIBLE_POLY[n]
+    coef = [poly >> (n - j) & 1 if j <= n else 0 for j in range(3 * n - 2)]  # e_j
+    traces = [n & 1]
+    for m in range(1, 3 * n - 2):
+        traces.append((sum(coef[j] & traces[m - j] for j in range(1, min(m, n + 1)))
+                       + m * coef[m]) & 1)
     return tuple(sum(traces[i + e] << i for i in range(n)) for e in range(2 * n - 1))
 
 

@@ -30,7 +30,14 @@ from chitomo.channels import (
     superoperator,
     validate_chi,
 )
-from chitomo.pauli import DenseCapError, PauliLabel, all_labels, label_index, pauli_matrix
+from chitomo.pauli import (
+    DenseCapError,
+    PauliLabel,
+    all_labels,
+    label_from_index,
+    label_index,
+    pauli_matrix,
+)
 
 
 def L(s):
@@ -488,6 +495,81 @@ class TestChannelFactory:
         spec = {"n": 2, "kind": "pauli_mixture", "weights": {"II": 0.5, first: 0.5, second: 0.5}}
         with pytest.raises(ChannelSpecError, match=re.escape(f"keys {first!r} and {second!r}")):
             channel_factory(spec)
+
+
+def _mixture_reference(n, raw):
+    """The per-key parse of a weight map that the batched one replaced:
+    (labels, weights) in map order, or the ChannelSpecError message."""
+    weights, keys = {}, {}
+    for key, w in raw.items():
+        try:
+            a = PauliLabel.from_string(key)
+        except ValueError as exc:
+            return f"bad Pauli string {key!r}: {exc}"
+        if a.n != n:
+            return f"weight key {key!r} has wrong qubit count"
+        if a in keys:
+            return f"weight keys {keys[a]!r} and {key!r} name one label {a}"
+        keys[a] = key
+        if not isinstance(w, (int, float)) or isinstance(w, bool) or not w >= 0:
+            return f"weight for {key!r} must be >= 0"
+        weights[a] = float(w)
+    total = sum(weights.values())
+    if not abs(total - 1) <= 1e-9:
+        return f"mixture weights sum to {total!r}, expected 1"
+    return [a.x_bits | a.z_bits << n for a in weights], list(weights.values())
+
+
+_MIXTURE_CASES = [
+    (1, {"X": 1.0}),
+    (2, {"xi": 0.5, " zy ": 0.25, "II\t": 0.25}),  # lower case and padding
+    (2, {"II": 0.5, "XI": 0.25, "ZZ": 0, "YX": 0.25}),  # a zero weight is parsed, then dropped
+    (3, {"XYZ": 0.1, "IIZ": 0.2, "YYY": 0.3, "III": 0.4}),
+    (2, {"II": 0.5, "XQ": 0.5}),  # a bad character
+    (2, {"II": 0.5, "Xé": 0.5}),  # non-ASCII
+    (2, {"II": 0.5, "ıX": 0.5}),  # dotless i upper cases to I
+    (2, {"II": 0.5, "Xß": 0.5}),  # sharp s upper cases to SS
+    (2, {"II": 0.5, "X\ud800": 0.5}),  # a lone surrogate
+    (1, {"I": 0.5, "": 0.5}),  # an empty key
+    (1, {"I": 0.5, "   ": 0.5}),  # blank
+    (2, {"II": 0.5, "XIZ": 0.5}),  # wrong length
+    (2, {"II": 0.5, "X": 0.5}),
+    (2, {"XI": 0.5, "II": 0.25, "xi": 0.25}),  # duplicates, the earlier one named first
+    (2, {"II": 0.5, " xi": 0.25, "XI ": 0.25, "xi": 0.1}),
+    (2, {"II": 0.5, "XI": -0.5}),  # negative, bool and string weights
+    (2, {"II": 0.5, "XI": True}),
+    (2, {"II": 0.5, "XI": "0.5"}),
+    (2, {"II": 0.5, "XI": None}),
+    (2, {"II": 0.5, "XI": float("nan")}),
+    (2, {"II": 0.5, "XI": 0.4}),  # weights that do not sum to 1
+    (1, {"I": 0.7, "X": 0.3000001}),
+    (3, {str(label_from_index(3, i)): 0.1 for i in range(64)}),  # the sum in map order
+    (2, {"II": 0.5, "XI": -1, "Q": 0.5}),  # two faults: the earlier key's wins
+    (2, {"II": 0.5, "Q": 0.5, "XI": -1}),
+    (2, {"II": 0.5, "ZZ": 0.2, "zz": -1, "I": 0.3}),  # one key, two faults: the first check
+    (2, {"Q": "x", "II": 1.0}),
+    (2, {"QQQ": 1.0}),
+    (1, {"I": 1, "Y": 0}),  # integer weights
+]
+
+
+@pytest.mark.parametrize("n, raw", _MIXTURE_CASES)
+def test_mixture_parse_matches_per_key_reference(n, raw):
+    """The batched weight-map parse gives the per-key loop's labels, weights
+    and order, or its error message for the first faulty key."""
+    want = _mixture_reference(n, raw)
+    spec = {"n": n, "kind": "pauli_mixture", "weights": raw}
+    if isinstance(want, str):
+        with pytest.raises(ChannelSpecError) as info:
+            channel_factory(spec)
+        assert str(info.value) == want
+    else:
+        labels, weights = want
+        kept = [w > 0 for w in weights]
+        channel = channel_factory(spec)
+        assert channel.labels.dtype == np.int64
+        assert channel.labels.tolist() == [a for a, k in zip(labels, kept) if k]
+        assert channel.weights.tolist() == [w for w, k in zip(weights, kept) if k]
 
 
 def _kron_loop_operators(factors, n):

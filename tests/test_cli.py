@@ -207,6 +207,33 @@ class TestTripletsAndLogs:
             _, k, kp = line.split("\t")
             assert k == kp
 
+    @pytest.mark.parametrize("spec", [
+        {"kind": "identity", "n": 1},
+        {"p": 0.25, "kind": "depolarizing", "n": 1},
+        {"weights": {"Z": 0.25, "I": 0.75}, "n": 1, "kind": "pauli_mixture"},
+        {"theta": 0.5, "generator": "Y", "n": 1, "kind": "unitary"},
+        {"n": 1, "kind": "amplitude_damping", "gamma": 0.5},
+        {"n": 1, "kind": "kraus", "operators": [matrix_to_json(np.eye(2))]},
+        {"n": 1, "kind": "compose", "children": [{"n": 1, "kind": "identity"},
+                                                 {"kind": "depolarizing", "p": 1, "n": 1}]},
+    ], ids=lambda spec: spec["kind"])
+    def test_spec_hashed_from_its_canonical_bytes(self, capsys, tmp_path, spec):
+        """Every command that reads a spec file reports the hash of the spec's
+        canonical bytes, whatever the file's key order and spacing."""
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec, indent=3))
+        digest, log = channel_spec_sha256(spec), tmp_path / "t.log"
+        code, out, _ = run(capsys, "estimate-diag", "--channel", str(path), "--m", "X",
+                           "--M", "5")
+        assert code == 0 and json.loads(out)["manifest"]["channel_sha256"] == digest
+        assert run(capsys, "triplets", "--channel", str(path), "--M", "5", "--seed", "3",
+                   "--out", str(log))[0] == 0
+        header = f"# seqpt-triplets v1 n=1 seed=3 M=5 channel={digest}\n".encode()
+        assert log.read_bytes().startswith(header)
+        code, out, _ = run(capsys, "diag-from-log", "--log", str(log), "--m", "I",
+                           "--channel", str(path))
+        assert code == 0 and json.loads(out)["manifest"]["channel_sha256"] == digest
+
     def test_diag_from_log_with_oracle(self, capsys, specs, tmp_path):
         path, _ = specs["mix4"]
         log = tmp_path / "m.log"

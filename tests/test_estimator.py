@@ -35,7 +35,7 @@ from chitomo.estimator import (
     write_triplet_log,
     _campaign_rng,
 )
-from chitomo.mub import design_basis
+from chitomo.mub import design_bases, design_basis
 from chitomo.oracle import (
     exact_ancilla_polarization,
     exact_average_fidelity,
@@ -51,6 +51,7 @@ from chitomo.pauli import (
     gf2_apply,
     label_from_index,
     mub_class,
+    pauli_action,
     pauli_matrix,
     solve_label_from_constraints,
 )
@@ -391,6 +392,21 @@ class TestPauliChannelMatchesDense:
                 assert abs(got.value - want.value) <= 1e-14
                 assert abs(got.std_error - want.std_error) <= 1e-14 and got.M == want.M
 
+    def test_offdiag_estimates(self, kind, n):
+        channel = channel_factory(_pauli_spec(kind, n))
+        dense = as_kraus(channel)
+        labels = self.labels(channel)
+        for m, n_label in [(labels[0], labels[0]), *zip(labels, labels[1:])]:
+            for seed in (3, 4):
+                cfg = EstimatorConfig(M=400, seed=seed)
+                assert (estimate_chi_offdiag(channel, m, n_label, cfg)
+                        == estimate_chi_offdiag(dense, m, n_label, cfg))
+            for cfg in (ENUMERATE, EstimatorConfig(M=300, seed=5, mode="exact")):
+                got = estimate_chi_offdiag(channel, m, n_label, cfg)
+                want = estimate_chi_offdiag(dense, m, n_label, cfg)
+                assert abs(got.value - want.value) <= 1e-14
+                assert abs(got.std_error - want.std_error) <= 1e-14 and got.M == want.M
+
     def test_triplet_records(self, kind, n):
         channel = channel_factory(_pauli_spec(kind, n))
         for seed in (3, 4):
@@ -409,6 +425,46 @@ class TestPauliChannelMatchesDense:
             dense = np.sum(np.abs(v.conj().T @ (ops @ v)) ** 2, axis=0).T  # [k, k']
             np.testing.assert_allclose(q[j, np.arange(d)[:, None] ^ np.arange(d)], dense,
                                        rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("kind", ["identity", "depolarizing", "pauli_mixture"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_pauli_offdiag_rows_match_dense_amplitudes(kind, n):
+    """The closed-form off-diagonal rows, (Re, Im) of sum_i conj(x_n) x_m and
+    the survival, equal the dense amplitude kernel's rows: for every (m, n)
+    pair at n <= 2, and sampled pairs and m = n above; on every design state,
+    and 128 sampled ones at n = 5."""
+    channel, d = channel_factory(_pauli_spec(kind, n)), 2**n
+    rng = np.random.default_rng(70 + n)
+    states = np.arange(d * (d + 1)) if n < 5 else rng.choice(d * (d + 1), 128, replace=False)
+    ops = as_kraus(channel).operators
+    v = design_bases(n).transpose(1, 0, 2).reshape(d, -1)[:, states]
+    pairs = ([(a, b) for a in range(4**n) for b in range(4**n)] if n <= 2
+             else [*rng.integers(0, 4**n, size=(6, 2)), (5, 5), (0, 0)])
+    for a, b in pairs:
+        m, n_label = label_from_index(n, int(a)), label_from_index(n, int(b))
+        (src_m, w_m), (src_n, w_n) = pauli_action(m), pauli_action(n_label)
+        x_m = estimator._amplitudes(ops, v, w_m[:, None] * v[src_m])
+        x_n = estimator._amplitudes(ops, v, w_n[:, None] * v[src_n])
+        polarization = np.sum(x_n.conj() * x_m, axis=1)
+        survival = np.sum(np.abs(x_m) ** 2 + np.abs(x_n) ** 2, axis=1) / 2
+        got = estimator._pauli_offdiag_table(channel, m, n_label)[states]
+        np.testing.assert_allclose(got, np.array([polarization.real, polarization.imag,
+                                                  survival]).T, rtol=0, atol=1e-14)
+
+
+def test_pauli_offdiag_forms_no_operator_and_no_state(monkeypatch):
+    """A Pauli channel's off-diagonal protocol reads its weight table: it
+    expands no Kraus operator and gathers no design state."""
+    def refuse(*args):
+        raise AssertionError("dense readout on a Pauli channel")
+
+    channel = channel_factory(_pauli_spec("depolarizing", 3))
+    m, n_label = PauliLabel.from_string("XYZ"), PauliLabel.from_string("XIZ")
+    monkeypatch.setattr(estimator, "as_kraus", refuse)
+    monkeypatch.setattr(estimator, "design_bases", refuse)
+    for cfg, m_count in ((EstimatorConfig(M=200, seed=1), 200), (ENUMERATE, 72)):
+        assert estimate_chi_offdiag(channel, m, n_label, cfg).M == m_count
 
 
 def test_estimator_reads_the_class_table_only():

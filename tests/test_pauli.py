@@ -29,6 +29,7 @@ from chitomo.pauli import (
     symplectic_product,
     _IRREDUCIBLE_POLY,
     _polymod,
+    _trace_masks,
 )
 
 
@@ -321,6 +322,14 @@ class TestMubClasses:
         elements = range(2**n) if n <= 8 else rng.choice(2**n, size=300, replace=False)
         for c in map(int, elements):
             assert tuple(int(g) >> n for g in class_generators(n)[c + 1]) == reference(c), c
+
+    @pytest.mark.parametrize("n", range(1, MUB_QUBIT_CAP + 1))
+    def test_trace_masks_match_field_traces(self, n):
+        """Bit i of mask_e, from Newton's identities, is tr(x^(i+e)) computed
+        by repeated squaring in the field."""
+        traces = [gf_trace(_polymod(1 << m, _IRREDUCIBLE_POLY[n]), n) for m in range(3 * n - 2)]
+        assert _trace_masks(n) == tuple(sum(traces[i + e] << i for i in range(n))
+                                        for e in range(2 * n - 1))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 12])
     def test_table_rows_are_the_classes(self, n):
