@@ -41,6 +41,7 @@ from chitomo.pauli import (
     commutation_vector,
     index_bit_tables,
     label_from_index,
+    label_index,
     mub_class,
     mub_classes,
     pauli_actions,
@@ -311,6 +312,23 @@ def test_channel_factory_mixture(benchmark):
     """A 64-label Pauli mixture at n=4, held as its labels and weights."""
     channel = benchmark(channel_factory, _mixture_spec(4, 64))
     assert len(channel.labels) == 64
+
+
+def test_channel_factory_small_mixture(benchmark):
+    """A 3-label Pauli mixture at n=3, the size of most hand-written specs."""
+    channel = benchmark(channel_factory, _mixture_spec(3, 3))
+    assert len(channel.labels) == 3
+
+
+def test_label_round_trip(benchmark):
+    """Every n=4 label through to_string, from_string, label_index and label_from_index."""
+    labels = all_labels(4)
+
+    def round_trip():
+        return [label_from_index(4, label_index(PauliLabel.from_string(a.to_string())))
+                for a in labels]
+
+    assert benchmark(round_trip) == labels
 
 
 def test_channel_factory_depolarizing_n6(benchmark):

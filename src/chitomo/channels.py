@@ -34,6 +34,7 @@ from .pauli import (
     DENSE_QUBIT_CAP,
     DenseCapError,
     PauliLabel,
+    _parse_pauli,
     all_label_masks,
     all_labels,
     label_index,
@@ -285,7 +286,7 @@ def modified_channel_diag(channel: Channel, m: PauliLabel) -> KrausSet:
 def modified_channel_offdiag(
     channel: Channel, m: PauliLabel, n_label: PauliLabel
 ) -> KrausSet:
-    """Ancilla-assisted channel on n+1 qubits (the oracle's off-diagonal check).
+    """Ancilla-assisted channel on n+1 qubits (the circuit of the oracle's ancilla identity).
 
     The ancilla is qubit 0 (most significant factor).  The pre-channel
     unitary is: Hadamard on the ancilla, E_m^dag on the main register
@@ -344,7 +345,7 @@ def channel_spec_sha256(spec: dict) -> str:
     return hashlib.sha256(canonical_spec_bytes(spec)).hexdigest()
 
 
-def _read_spec(path) -> tuple[dict, bytes]:
+def read_channel_spec(path) -> tuple[dict, bytes]:
     """A channel-spec file's document and its canonical bytes, serialized once."""
     try:
         with open(path) as fh:
@@ -362,7 +363,7 @@ def _read_spec(path) -> tuple[dict, bytes]:
 
 
 def load_channel_spec(path) -> dict:
-    return _read_spec(path)[0]
+    return read_channel_spec(path)[0]
 
 
 def _is_number(x) -> bool:
@@ -384,44 +385,25 @@ def _pauli_channel(n: int, labels, weights) -> PauliChannel:
     return PauliChannel(n, np.asarray(labels, dtype=np.int64)[kept], weights[kept])
 
 
-# x | z << 1 of each Pauli character by ASCII code, 4 for every other one.
-_PAULI_BITS = np.full(128, 4)
-_PAULI_BITS[[ord(ch) for ch in "IXYZ"]] = [0, 1, 3, 2]
-
-
 def _mixture_labels(n: int, raw: dict) -> tuple[np.ndarray, np.ndarray]:
     """Packed labels and weights of a weight map in map order, each key read as
-    PauliLabel.from_string reads it, all characters at once.  The first faulty
-    key raises ChannelSpecError naming the first check it fails."""
-    keys, values = list(raw), list(raw.values())
-    texts = [key.strip().upper() for key in keys]
-    lengths = np.fromiter(map(len, texts), np.intp, len(texts))
-    starts = lengths.cumsum() - lengths
-    # A byte per character, "?" for a non-ASCII one; n more keep each key's first n in range.
-    bits = _PAULI_BITS[np.frombuffer(("".join(texts) + "I" * n).encode("ascii", "replace"),
-                                     np.uint8)]
-    # Qubit j of each key.  A faulty key's label may be garbage, but a key
-    # marked as repeating it comes later, so the faulty key's fault is named.
-    chars = bits[starts[:, None] + np.arange(n)]
-    labels = (chars & 1 | (chars & 2) << (n - 1)).dot(1 << np.arange(n))
-    order = labels.argsort(kind="stable")
-    repeated = np.zeros(len(keys), dtype=bool)
-    repeated[order[1:]] = labels[order[1:]] == labels[order[:-1]]
-    bad_char = np.logical_or.reduceat(bits > 3, starts)
-    bad_weight = [not (_is_number(w) and w >= 0) for w in values]
-    faulty = (lengths != n) | bad_char | repeated | bad_weight  # an empty key's length is 0
-    if faulty.any():
-        i = int(faulty.argmax())
-        key, text, first = keys[i], texts[i], keys[int((labels == labels[i]).argmax())]
-        bad = next((ch for ch in text if ch not in "IXYZ"), "")
-        raise ChannelSpecError(next(message for failed, message in (
-            (not text, f"bad Pauli string {key!r}: empty Pauli string"),
-            (bad_char[i], f"bad Pauli string {key!r}: invalid Pauli character {bad!r} in {text!r}"),
-            (len(text) != n, f"weight key {key!r} has wrong qubit count"),
-            (repeated[i], f"weight keys {first!r} and {key!r} name one label {text}"),
-            (bad_weight[i], f"weight for {key!r} must be >= 0"),
-        ) if failed))
-    return labels, np.array(values, dtype=float)
+    PauliLabel.from_string reads it; the first faulty key fails its first check."""
+    keys = {}  # packed label -> the key that names it
+    for key, w in raw.items():
+        try:
+            size, x, z = _parse_pauli(key)
+        except ValueError as exc:
+            raise ChannelSpecError(f"bad Pauli string {key!r}: {exc}") from exc
+        if size != n:
+            raise ChannelSpecError(f"weight key {key!r} has wrong qubit count")
+        label = x | z << n
+        if label in keys:
+            raise ChannelSpecError(f"weight keys {keys[label]!r} and {key!r} name one "
+                                   f"label {PauliLabel(n, x, z)}")
+        keys[label] = key
+        if not (_is_number(w) and w >= 0):
+            raise ChannelSpecError(f"weight for {key!r} must be >= 0")
+    return np.array(list(keys), dtype=np.int64), np.array(list(raw.values()), dtype=float)
 
 
 def _has_kraus(spec: dict) -> bool:

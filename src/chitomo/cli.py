@@ -34,7 +34,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .channels import ChannelSpecError, _read_spec, channel_factory
+from .channels import ChannelSpecError, channel_factory, read_channel_spec
 from .estimator import (
     EstimatorConfig,
     SingleBaseError,
@@ -114,7 +114,7 @@ def _emit(document: dict, out_path: str | None) -> None:
 
 def _load_channel(path: str):
     """The channel a spec file builds, and the SHA-256 of the spec's canonical bytes."""
-    spec, canonical = _read_spec(path)
+    spec, canonical = read_channel_spec(path)
     return channel_factory(spec), hashlib.sha256(canonical).hexdigest()
 
 
@@ -197,7 +197,7 @@ def _load_log_with_optional_channel(args):
     if args.channel is not None:
         # Only the oracle columns read the channel: up to their cap the spec is
         # built, its only validation, before its hash is checked.
-        spec, canonical = _read_spec(args.channel)
+        spec, canonical = read_channel_spec(args.channel)
         if meta["n"] <= ORACLE_QUBIT_CAP:
             channel = channel_factory(spec)
         digest = hashlib.sha256(canonical).hexdigest()

@@ -117,23 +117,6 @@ def exact_offdiag_average(
     return _design_sum(channel, lambda proj: em_dag @ proj @ en, max_n)
 
 
-def _ancilla_polarization(channel: Channel, m: PauliLabel, n_label: PauliLabel,
-                          c: complex, max_n: int) -> float:
-    """Design-averaged <sigma (x) P_psi> after the ancilla-assisted circuit,
-    ancilla prepared in |0>, sigma = sigma_x for c = 1 and sigma_y for c = i.
-    Finding the ancilla in (|0> + c|1>)/sqrt(2) is the n-qubit map with Kraus
-    operators (top + conj(c) bottom)/sqrt(2), top and bottom the |0>-input
-    blocks of :func:`modified_channel_offdiag`; with S(c) its design sum,
-    <sigma (x) P> = S(c) - S(-c).
-    """
-    ops, h = as_kraus(channel).operators, 1 / np.sqrt(2)
-    top = ops @ (h * pauli_matrix(n_label).conj().T)
-    bottom = ops @ (h * pauli_matrix(m).conj().T)
-    s = [_design_sum(KrausSet(channel.n, (top + np.conj(b) * bottom) / np.sqrt(2)),
-                     max_n=max_n).real for b in (c, -c)]
-    return s[0] - s[1]
-
-
 def exact_ancilla_polarization(
     channel: Channel,
     m: PauliLabel,
@@ -145,12 +128,22 @@ def exact_ancilla_polarization(
     ancilla-assisted circuit for the (m, n_label) coefficient.
 
     Axis "x" recovers (D Re chi_mn + delta_mn)/(D+1); axis "y" recovers
-    D Im chi_mn / (D+1).  Two design sums on the n-qubit register.
+    D Im chi_mn / (D+1).  For sigma_x (c = 1) or sigma_y (c = i), finding
+    the ancilla in (|0> + c|1>)/sqrt(2) is the channel after rho -> G rho G^dag,
+    G = (E_n^dag + conj(c) E_m^dag)/2; with S(c) that map's design sum,
+    <sigma (x) P> = S(c) - S(-c): two design sums on the n-qubit register.
     """
     _check_oracle_cap(channel.n, max_n)
     if axis not in ("x", "y"):
         raise ValueError("axis must be 'x' or 'y'")
-    return _ancilla_polarization(channel, m, n_label, 1 if axis == "x" else 1j, max_n)
+    c = 1 if axis == "x" else 1j
+    en_dag, em_dag = pauli_matrix(n_label).conj().T, pauli_matrix(m).conj().T
+
+    def design_sum(b: complex) -> float:
+        g = (en_dag + np.conj(b) * em_dag) / 2
+        return _design_sum(channel, lambda proj: g @ proj @ g.conj().T, max_n).real
+
+    return design_sum(c) - design_sum(-c)
 
 
 def haar_closed_form(op1: np.ndarray, op2: np.ndarray) -> complex:
@@ -271,8 +264,8 @@ def oracle_report(
         want = (d * chi.entry(m, n_label) + delta) / (d + 1)
         off = exact_offdiag_average(channel, m, n_label, max_n)
         off_res = max(off_res, abs(off - want))
-        px = _ancilla_polarization(channel, m, n_label, 1, max_n)
-        py = _ancilla_polarization(channel, m, n_label, 1j, max_n)
+        px = exact_ancilla_polarization(channel, m, n_label, "x", max_n)
+        py = exact_ancilla_polarization(channel, m, n_label, "y", max_n)
         anc_res = max(anc_res, abs(px - want.real), abs(py - want.imag))
 
     return OracleReport(chi, design_res, fid_res, off_res, anc_res)

@@ -3,7 +3,9 @@
 A Pauli operator is identified, up to phase, by two n-bit masks: bit ``i`` of
 ``x_bits`` / ``z_bits`` records an X / Z factor on qubit ``i``.  Qubit 0 is
 the leftmost character of the string form ("XIZ" puts X on qubit 0) and the
-most significant tensor factor of the matrix form.  The representative matrix
+most significant tensor factor of the matrix form.  X and Y set the X bit, Z
+and Y the Z bit, so a qubit's letter is "IXZY"[x + 2z]; the canonical index
+digits (:func:`label_index`) are I=0, X=1, Y=2, Z=3.  The representative matrix
 of a label is the Hermitian tensor-product Pauli: a qubit with both bits set
 contributes the standard Y.  Products of two representatives close up to a
 power of i, which :func:`pauli_mul` tracks as an exponent mod 4.
@@ -28,12 +30,11 @@ DENSE_QUBIT_CAP = 6
 # MUB classes need GF(2**n); the irreducible-polynomial table below limits n.
 MUB_QUBIT_CAP = 12
 
-_CHAR_TO_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-_BITS_TO_CHAR = {v: k for k, v in _CHAR_TO_BITS.items()}
-
-# Per-qubit digit used for chi-matrix indexing: I=0, X=1, Y=2, Z=3.
-_BITS_TO_DIGIT = {(0, 0): 0, (1, 0): 1, (1, 1): 2, (0, 1): 3}
-_DIGIT_TO_BITS = {v: k for k, v in _BITS_TO_DIGIT.items()}
+# Each letter's X bit and Z bit, and its canonical digit and back.
+_X_BIT = str.maketrans("IXYZ", "0110")
+_Z_BIT = str.maketrans("IXYZ", "0011")
+_TO_DIGIT = str.maketrans("IXYZ", "0123")
+_FROM_DIGIT = str.maketrans("0123", "IXYZ")
 
 # Lexicographically smallest irreducible polynomial of each degree over GF(2)
 # (bit i = coefficient of x**i, constant term forced to 1).
@@ -55,6 +56,20 @@ _IRREDUCIBLE_POLY = {
 
 class DenseCapError(ValueError):
     """Raised when an operation would require dense matrices beyond the cap."""
+
+
+def _parse_pauli(s) -> tuple[int, int, int]:
+    """(n, x_bits, z_bits) of a Pauli string such as " xIz", or ValueError
+    naming a non-string, an empty string or the first letter outside IXYZ."""
+    if not isinstance(s, str):
+        raise ValueError(f"expected a Pauli string, got {s!r}")
+    s = s.strip().upper()
+    if not s:
+        raise ValueError("empty Pauli string")
+    if bad := s.lstrip("IXYZ"):
+        raise ValueError(f"invalid Pauli character {bad[0]!r} in {s!r}")
+    rev = s[::-1]  # qubit 0, the leftmost letter, is bit 0
+    return len(s), int(rev.translate(_X_BIT), 2), int(rev.translate(_Z_BIT), 2)
 
 
 @dataclass(frozen=True)
@@ -79,24 +94,11 @@ class PauliLabel:
     @classmethod
     def from_string(cls, s: str) -> "PauliLabel":
         """Parse a Pauli string such as "XIZ" (case-insensitive)."""
-        s = s.strip().upper()
-        if not s:
-            raise ValueError("empty Pauli string")
-        x = z = 0
-        for i, ch in enumerate(s):
-            try:
-                xb, zb = _CHAR_TO_BITS[ch]
-            except KeyError:
-                raise ValueError(f"invalid Pauli character {ch!r} in {s!r}") from None
-            x |= xb << i
-            z |= zb << i
-        return cls(len(s), x, z)
+        return cls(*_parse_pauli(s))
 
     def to_string(self) -> str:
-        return "".join(
-            _BITS_TO_CHAR[(self.x_bits >> i) & 1, (self.z_bits >> i) & 1]
-            for i in range(self.n)
-        )
+        x, z = self.x_bits, self.z_bits
+        return "".join("IXZY"[(x >> i & 1) + 2 * (z >> i & 1)] for i in range(self.n))
 
     def __str__(self) -> str:
         return self.to_string()
@@ -117,28 +119,21 @@ def label_index(a: PauliLabel) -> int:
     Per-qubit digits I=0, X=1, Y=2, Z=3; qubit 0 is the most significant
     digit.  The identity always sits at index 0.
     """
-    idx = 0
-    for i in range(a.n):
-        idx = 4 * idx + _BITS_TO_DIGIT[(a.x_bits >> i) & 1, (a.z_bits >> i) & 1]
-    return idx
+    return int(a.to_string().translate(_TO_DIGIT), 4)
 
 
 def label_from_index(n: int, idx: int) -> PauliLabel:
     """Inverse of :func:`label_index`."""
     if not 0 <= idx < 4**n:
         raise ValueError(f"index {idx} out of range for n={n}")
-    x = z = 0
-    for i in reversed(range(n)):
-        xb, zb = _DIGIT_TO_BITS[idx % 4]
-        x |= xb << i
-        z |= zb << i
-        idx //= 4
+    _, x, z = _parse_pauli(np.base_repr(idx, 4).zfill(n).translate(_FROM_DIGIT))
     return PauliLabel(n, x, z)
 
 
 def all_labels(n: int) -> list[PauliLabel]:
     """All 4**n labels in canonical index order."""
-    return [label_from_index(n, i) for i in range(4**n)]
+    xs, zs = all_label_masks(n)
+    return [PauliLabel(n, x, z) for x, z in zip(xs.tolist(), zs.tolist())]
 
 
 def all_label_masks(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -496,6 +496,16 @@ class TestChannelFactory:
         with pytest.raises(ChannelSpecError, match=re.escape(f"keys {first!r} and {second!r}")):
             channel_factory(spec)
 
+    @pytest.mark.parametrize("weights", [{1: 1.0}, {None: 1.0}, {"I": 0.5, ("X",): 0.5}],
+                             ids=["int", "none", "tuple"])
+    def test_mixture_non_string_key_rejected(self, weights):
+        """A weight map built in Python may have keys that are not strings;
+        the first one is refused by name, as a malformed spec."""
+        key = list(weights)[-1]
+        with pytest.raises(ChannelSpecError) as info:
+            channel_factory({"n": 1, "kind": "pauli_mixture", "weights": weights})
+        assert str(info.value) == f"bad Pauli string {key!r}: expected a Pauli string, got {key!r}"
+
 
 def _mixture_reference(n, raw):
     """The per-key parse of a weight map that the batched one replaced:
@@ -555,8 +565,8 @@ _MIXTURE_CASES = [
 
 @pytest.mark.parametrize("n, raw", _MIXTURE_CASES)
 def test_mixture_parse_matches_per_key_reference(n, raw):
-    """The batched weight-map parse gives the per-key loop's labels, weights
-    and order, or its error message for the first faulty key."""
+    """The weight-map parse gives the reference loop's labels, weights and
+    order, or its error message for the first faulty key."""
     want = _mixture_reference(n, raw)
     spec = {"n": n, "kind": "pauli_mixture", "weights": raw}
     if isinstance(want, str):

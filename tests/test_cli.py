@@ -530,6 +530,19 @@ def test_boolean_spec_numbers_exit_2(capsys, tmp_path, spec):
     assert json.loads(err)["error"] == "malformed_input"
 
 
+@pytest.mark.parametrize("generator", [5, None, ["X"]], ids=["number", "null", "list"])
+def test_non_string_generator_exits_2(capsys, tmp_path, generator):
+    """A unitary generator that is not a string is malformed input: one JSON
+    line naming the value, no traceback."""
+    path, _ = write_spec(tmp_path, "u.json", {"n": 1, "kind": "unitary",
+                                              "generator": generator, "theta": 1.0})
+    code, out, err = run(capsys, "estimate-diag", "--channel", path, "--m", "X", "--M", "50")
+    assert code == 2 and out == "" and err.count("\n") == 1
+    error = json.loads(err)
+    assert error["error"] == "malformed_input"
+    assert error["message"] == f"expected a Pauli string, got {generator!r}"
+
+
 @pytest.mark.parametrize("target", ["log", "log-header", "spec"])
 def test_undecodable_files_exit_2(capsys, specs, tmp_path, target):
     """A 0xFF byte in a log's bit field or header, or in a spec string, is malformed input."""

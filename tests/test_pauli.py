@@ -1,5 +1,7 @@
 """Symplectic Pauli algebra against dense matrices and frozen cases."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,18 @@ class TestLabelBasics:
             L("Q")
         with pytest.raises(ValueError):
             L("XB")
+
+    @pytest.mark.parametrize("text, bad", [("X1", "1"), ("0", "0"), ("IX_Z", "_"), ("X 1", " ")])
+    def test_digits_and_separators_rejected(self, text, bad):
+        """The bit strings are read by int(), which would take 0, 1 and _:
+        none of them may pass as a Pauli letter."""
+        with pytest.raises(ValueError, match=re.escape(f"invalid Pauli character {bad!r}")):
+            L(text)
+
+    @pytest.mark.parametrize("value", [5, None, ["X"], b"X"])
+    def test_non_strings_rejected(self, value):
+        with pytest.raises(ValueError, match=re.escape(f"expected a Pauli string, got {value!r}")):
+            PauliLabel.from_string(value)
 
     def test_identity_label(self):
         ident = PauliLabel.identity(3)
