@@ -27,20 +27,15 @@ from .channels import (
     Channel,
     ChannelSpecError,
     ChiMatrix,
-    ChiValidationReport,
     KrausSet,
     PauliChannel,
     apply_channel,
-    as_kraus,
     channel_factory,
     channel_spec_sha256,
-    chi_to_kraus,
     kraus_to_chi,
     load_channel_spec,
     modified_channel_diag,
-    modified_channel_offdiag,
     superoperator,
-    validate_chi,
 )
 from .mub import design_average_survival, design_basis
 from .estimator import (
@@ -67,7 +62,6 @@ from .oracle import (
     exact_offdiag_average,
     haar_closed_form,
     oracle_report,
-    random_channel,
 )
 
 __version__ = "0.1.0"

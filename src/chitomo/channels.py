@@ -1,14 +1,16 @@
 """Completely positive trace-preserving maps on n qubits.
 
-Channels come in three interchangeable forms: a chi matrix over the canonical
-Pauli operator basis (see :func:`chitomo.pauli.label_index` for the ordering),
-a Kraus operator-sum set, or for a Pauli channel its label weights, which
-:func:`as_kraus` expands.  Every constructor here validates its output;
-:func:`apply_channel` acts linearly on any input matrix, or stack of them.
-:func:`superoperator` builds the same action as one D**2 x D**2 matrix from
-every Kraus operator (or chi entry).  ``apply_channel`` maps a large stack,
-such as the oracle's D(D+1) design states, through it with one matrix
-product, and a single matrix or a small stack one operator at a time.
+A channel has one of two forms: a Kraus operator-sum set, or for a Pauli
+channel its label weights, whose ``operators`` expand them on first use.
+The chi matrix over the canonical Pauli operator basis (see
+:func:`chitomo.pauli.label_index` for the ordering) is never an input: it
+appears only as the oracle's output, built by :func:`kraus_to_chi`.  Every
+constructor here validates its output; :func:`apply_channel` acts linearly
+on any input matrix, or stack of them.  :func:`superoperator` builds the same
+action as one D**2 x D**2 matrix from every Kraus operator.
+``apply_channel`` maps a large stack, such as the oracle's D(D+1) design
+states, through it with one matrix product, and a single matrix or a small
+stack one operator at a time.
 
 The JSON channel-spec format accepted by :func:`channel_factory`:
 
@@ -25,7 +27,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,17 +43,9 @@ from .pauli import (
     pauli_matrix,
 )
 
-logger = logging.getLogger(__name__)
-
-DEFAULT_TOL = 1e-9
-
 # apply_channel maps a stack through the superoperator only while S takes at
 # most this many bytes (D <= 32, so up to the oracle's n = 5 hard cap at 16 MB).
 _SUPEROPERATOR_BYTES = 2**25
-
-# Eigenvalues of chi below this fraction of the largest one are dropped when
-# extracting Kraus operators; the loss is logged, never renormalized away.
-KRAUS_EIGVAL_CUTOFF = 1e-12
 
 
 class ChannelSpecError(ValueError):
@@ -61,7 +54,8 @@ class ChannelSpecError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class ChiMatrix:
-    """Process matrix: D**2 x D**2, indexed by canonical Pauli label pairs."""
+    """Process matrix: D**2 x D**2, indexed by canonical Pauli label pairs;
+    the oracle's output, never a channel."""
 
     n: int
     mat: np.ndarray
@@ -72,6 +66,8 @@ class ChiMatrix:
             raise ValueError(f"chi matrix for n={self.n} must be {d2}x{d2}")
 
     def entry(self, m: PauliLabel, n_label: PauliLabel) -> complex:
+        if m.n != self.n or n_label.n != self.n:
+            raise ValueError(f"labels n={m.n}, {n_label.n} do not match chi n={self.n}")
         return complex(self.mat[label_index(m), label_index(n_label)])
 
 
@@ -99,28 +95,24 @@ class PauliChannel:
     """Pauli channel E(rho) = sum_a w_a P_a rho P_a held as a weight map: the
     packed labels a (x bits low, z bits above, as
     :func:`chitomo.pauli.commutation_columns` reads them) as int64 and their
-    positive weights.  Dense consumers read it through :func:`as_kraus`."""
+    positive weights.  Dense consumers read its ``operators``."""
 
     n: int
     labels: np.ndarray
     weights: np.ndarray
 
     @functools.cached_property
-    def kraus(self) -> KrausSet:
-        """sqrt(w_a) P_a per label, all written from one table of signed
-        permutations, built on first use and kept."""
+    def operators(self) -> np.ndarray:
+        """sqrt(w_a) P_a per label as one (K, D, D) array, all written from
+        one table of signed permutations, built on first use and kept."""
         n, d = self.n, 2**self.n
         src, phase = pauli_actions(n, self.labels & (d - 1), self.labels >> n)
         ops, rows = np.zeros((len(src), d, d), dtype=complex), np.arange(len(src))[:, None]
         ops[rows, np.arange(d), src] = np.sqrt(self.weights)[:, None] * phase
-        return KrausSet(n, ops)
-
-    @property
-    def operators(self) -> np.ndarray:
-        return self.kraus.operators
+        return ops
 
 
-Channel = ChiMatrix | KrausSet | PauliChannel
+Channel = KrausSet | PauliChannel
 
 
 def _tensor_powers(single: np.ndarray, n: int) -> np.ndarray:
@@ -142,90 +134,43 @@ def pauli_basis(n: int) -> np.ndarray:
     return _tensor_powers(np.stack([pauli_matrix(a) for a in all_labels(1)]), n)
 
 
-def _operator_pairs(channel: Channel) -> tuple:
-    """Operator pairs (L_k, R_k) with E(rho) = sum_k L_k rho R_k^dag: L = R =
-    the Kraus operators, or for a chi matrix L_m = E_m and
-    R_m = sum_n conj(chi_mn) E_n."""
-    if not isinstance(channel, ChiMatrix):
-        ops = as_kraus(channel).operators
-        return ops, ops
-    left = pauli_basis(channel.n)
-    right = (channel.mat.conj() @ left.reshape(len(left), -1)).reshape(left.shape)
-    return left, right
-
-
 def apply_channel(channel: Channel, rho: np.ndarray) -> np.ndarray:
     """Apply a channel to a matrix or a stack of matrices, shape (..., D, D).
 
     The action is linear, so rho need not be a state.  For s matrices and K
-    operator pairs (:func:`_operator_pairs`), accumulating the terms
-    L_k rho R_k^dag one pair at a time costs 2 K s D**3 multiply-adds;
-    building the superoperator and mapping the stack with one matrix product
-    costs (K + s) D**4.  The cheaper of the two runs, the superoperator only
-    while it takes at most ``_SUPEROPERATOR_BYTES``.
+    Kraus operators, accumulating the terms A_k rho A_k^dag one operator at a
+    time costs 2 K s D**3 multiply-adds; building the superoperator and
+    mapping the stack with one matrix product costs (K + s) D**4.  The
+    cheaper of the two runs, the superoperator only while it takes at most
+    ``_SUPEROPERATOR_BYTES``.
     """
     d = 2**channel.n
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (d, d):
         raise ValueError(f"state shape {rho.shape} does not match channel D={d}")
-    left, right = _operator_pairs(channel)
-    k, s = len(left), rho.size // (d * d)
+    ops = channel.operators
+    k, s = len(ops), rho.size // (d * d)
     if 16 * d**4 <= _SUPEROPERATOR_BYTES and (k + s) * d < 2 * k * s:
-        sop = _liouville(left, right)
-        return (rho.reshape(-1, d * d) @ sop.T).reshape(rho.shape)
+        return (rho.reshape(-1, d * d) @ superoperator(channel).T).reshape(rho.shape)
     out = np.zeros(rho.shape, dtype=complex)
-    for a, b in zip(left, right):
-        out += a @ rho @ b.conj().T
+    for a in ops:
+        out += a @ rho @ a.conj().T
     return out
-
-
-def _liouville(left, right) -> np.ndarray:
-    d = left[0].shape[0]
-    lt = np.ascontiguousarray(np.transpose(left, (1, 2, 0)))  # [i, a, k]
-    rt = np.ascontiguousarray(np.transpose(np.conj(right), (1, 0, 2)))  # [j, k, b]
-    return (lt[:, None] @ rt[None]).reshape(d * d, d * d)
 
 
 def superoperator(channel: Channel) -> np.ndarray:
     """Liouville matrix S of the channel, shape (D**2, D**2).
 
-    S[(i, j), (a, b)] = sum_k L_k[i, a] conj(R_k[j, b]) over every operator
-    pair of :func:`_operator_pairs`, so for row-major flattening
-    E(rho).reshape(-1) = S @ rho.reshape(-1), and a stack maps as
-    rho.reshape(-1, D**2) @ S.T.  One batched matrix product over the Kraus
-    index writes S in this layout directly, with no transposed D**4 copy;
-    S takes D**4 * 16 bytes.
+    S[(i, j), (a, b)] = sum_k A_k[i, a] conj(A_k[j, b]) over every Kraus
+    operator, so for row-major flattening E(rho).reshape(-1) =
+    S @ rho.reshape(-1), and a stack maps as rho.reshape(-1, D**2) @ S.T.
+    One batched matrix product over the Kraus index writes S in this layout
+    directly, with no transposed D**4 copy; S takes D**4 * 16 bytes.
     """
-    return _liouville(*_operator_pairs(channel))
-
-
-@dataclass(frozen=True)
-class ChiValidationReport:
-    """Deviations of a chi matrix from a valid CPTP map."""
-
-    hermiticity_deviation: float
-    min_eigenvalue: float
-    trace_condition_deviation: float
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.hermiticity_deviation <= self.tol
-            and self.min_eigenvalue >= -self.tol
-            and self.trace_condition_deviation <= self.tol
-        )
-
-
-def validate_chi(chi: ChiMatrix, tol: float = DEFAULT_TOL) -> ChiValidationReport:
-    """Report hermiticity, positivity and trace-preservation deviations."""
-    herm = float(np.max(np.abs(chi.mat - chi.mat.conj().T)))
-    min_eig = float(np.min(np.linalg.eigvalsh((chi.mat + chi.mat.conj().T) / 2)))
-    b = pauli_basis(chi.n)
-    # sum_{mn} chi_mn E_n^dag E_m, which must be the identity
-    t = np.einsum("mn,nli,mlj->ij", chi.mat, b.conj(), b, optimize=True)
-    trace_dev = float(np.max(np.abs(t - np.eye(2**chi.n))))
-    return ChiValidationReport(herm, min_eig, trace_dev, tol)
+    ops, d = channel.operators, 2**channel.n
+    lt = np.ascontiguousarray(np.transpose(ops, (1, 2, 0)))  # [i, a, k]
+    rt = np.ascontiguousarray(np.transpose(np.conj(ops), (1, 0, 2)))  # [j, k, b]
+    return (lt[:, None] @ rt[None]).reshape(d * d, d * d)
 
 
 def kraus_completeness_deviation(k: KrausSet) -> float:
@@ -236,80 +181,23 @@ def kraus_completeness_deviation(k: KrausSet) -> float:
     return float(np.max(np.abs(np.linalg.eigvalsh(s - np.eye(2**k.n)))))
 
 
-def pauli_coefficients(k: KrausSet, basis: np.ndarray) -> np.ndarray:
+def pauli_coefficients(channel: Channel, basis: np.ndarray) -> np.ndarray:
     """c[k, m] = Tr(E_m^dag A_k) / D for the Pauli matrices E_m stacked in basis."""
-    return np.einsum("mji,kji->km", basis.conj(), k.operators) / 2**k.n
+    return np.einsum("mji,kji->km", basis.conj(), channel.operators) / 2**channel.n
 
 
-def kraus_to_chi(k: KrausSet) -> ChiMatrix:
-    """Expand Kraus operators in the Pauli basis and accumulate chi."""
-    c = pauli_coefficients(k, pauli_basis(k.n))
-    return ChiMatrix(k.n, np.einsum("km,kn->mn", c, c.conj()))
-
-
-def chi_to_kraus(chi: ChiMatrix, tol: float = DEFAULT_TOL) -> KrausSet:
-    """Extract Kraus operators by eigendecomposition of chi.
-
-    Eigenvalues below KRAUS_EIGVAL_CUTOFF times the largest are dropped (and
-    logged); an eigenvalue below -tol means chi is not a CP map and raises.
-    """
-    herm_dev = float(np.max(np.abs(chi.mat - chi.mat.conj().T)))
-    if herm_dev > tol:
-        raise ValueError(f"chi is not Hermitian (deviation {herm_dev:.3e})")
-    vals, vecs = np.linalg.eigh((chi.mat + chi.mat.conj().T) / 2)
-    if vals[0] < -tol:
-        raise ValueError(f"chi is not PSD (min eigenvalue {vals[0]:.3e})")
-    cutoff = KRAUS_EIGVAL_CUTOFF * max(float(vals[-1]), 0.0)
-    keep = vals > cutoff
-    dropped = float(np.sum(np.abs(vals[~keep])))
-    if dropped > 0:
-        logger.debug("chi_to_kraus dropped eigenvalue weight %.3e", dropped)
-    weights = np.sqrt(vals[keep]) * vecs[:, keep]
-    return KrausSet(chi.n, np.einsum("mj,mab->jab", weights, pauli_basis(chi.n)))
-
-
-def as_kraus(channel: Channel) -> KrausSet:
-    if isinstance(channel, ChiMatrix):
-        return chi_to_kraus(channel)
-    return channel if isinstance(channel, KrausSet) else channel.kraus
+def kraus_to_chi(channel: Channel) -> ChiMatrix:
+    """Expand the Kraus operators in the Pauli basis and accumulate chi."""
+    c = pauli_coefficients(channel, pauli_basis(channel.n))
+    return ChiMatrix(channel.n, np.einsum("km,kn->mn", c, c.conj()))
 
 
 def modified_channel_diag(channel: Channel, m: PauliLabel) -> KrausSet:
     """The channel rho -> E_m^dag E(rho) E_m used for diagonal estimation."""
-    k = as_kraus(channel)
-    if m.n != k.n:
-        raise ValueError(f"label n={m.n} does not match channel n={k.n}")
+    if m.n != channel.n:
+        raise ValueError(f"label n={m.n} does not match channel n={channel.n}")
     em_dag = pauli_matrix(m).conj().T
-    return KrausSet(k.n, em_dag @ k.operators)
-
-
-def modified_channel_offdiag(
-    channel: Channel, m: PauliLabel, n_label: PauliLabel
-) -> KrausSet:
-    """Ancilla-assisted channel on n+1 qubits (the circuit of the oracle's ancilla identity).
-
-    The ancilla is qubit 0 (most significant factor).  The pre-channel
-    unitary is: Hadamard on the ancilla, E_m^dag on the main register
-    controlled on the ancilla being 1, E_n^dag anti-controlled (ancilla 0);
-    the original channel then acts on the main register alone.
-    """
-    k = as_kraus(channel)
-    if m.n != k.n or n_label.n != k.n:
-        raise ValueError("labels must match the channel qubit count")
-    if k.n + 1 > DENSE_QUBIT_CAP:
-        raise DenseCapError(
-            f"ancilla-extended channel needs n+1 <= {DENSE_QUBIT_CAP}"
-        )
-    d = 2**k.n
-    h = 1 / np.sqrt(2)
-    # (I (x) A_k) V = [[A_k E_n^dag, A_k E_n^dag], [A_k E_m^dag, -A_k E_m^dag]] / sqrt(2)
-    top = k.operators @ (h * pauli_matrix(n_label).conj().T)
-    bottom = k.operators @ (h * pauli_matrix(m).conj().T)
-    out = np.empty((len(k.operators), 2 * d, 2 * d), dtype=complex)
-    out[:, :d, :d] = out[:, :d, d:] = top
-    out[:, d:, :d] = bottom
-    out[:, d:, d:] = -bottom
-    return KrausSet(k.n + 1, out)
+    return KrausSet(channel.n, em_dag @ channel.operators)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +306,7 @@ def _check_complete(k: KrausSet, what: str) -> None:
         raise ChannelSpecError(f"{what} not complete (deviation {dev:.3e})")
 
 
-def channel_factory(spec: dict) -> KrausSet | PauliChannel:
+def channel_factory(spec: dict) -> Channel:
     """Build a channel from a spec document: the identity, depolarizing and
     pauli_mixture kinds as a :class:`PauliChannel`, the rest as a
     :class:`KrausSet`.  Raises ChannelSpecError."""
@@ -507,9 +395,9 @@ def channel_factory(spec: dict) -> KrausSet | PauliChannel:
         if any(c.n != n for c in built):
             raise ChannelSpecError("compose children must share the parent 'n'")
         # first listed acts first: B_j A_i at index j * len(A) + i
-        ops = as_kraus(built[0]).operators
+        ops = built[0].operators
         for nxt in built[1:]:
-            ops = (as_kraus(nxt).operators[:, None] @ ops).reshape(-1, d, d)
+            ops = (nxt.operators[:, None] @ ops).reshape(-1, d, d)
         k = KrausSet(n, ops)
         # Complete children compose to a complete set, but a kraus child is
         # complete only to 1e-6, and their deviations add up.

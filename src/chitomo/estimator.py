@@ -29,7 +29,7 @@ from typing import Iterable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .channels import Channel, PauliChannel, as_kraus
+from .channels import Channel, PauliChannel
 from .mub import as_distribution, design_bases
 from .pauli import (
     MUB_QUBIT_CAP,
@@ -289,7 +289,7 @@ def estimate_chi_diag(channel: Channel, m: PauliLabel, cfg: EstimatorConfig) -> 
         p_m = gf2_apply(cols, m.x_bits | m.z_bits << n)
         survival = np.repeat(_base_weights(channel, cols)[np.arange(d + 1), p_m], d)[:, None]
     else:
-        ops, (src, w) = as_kraus(channel).operators, pauli_action(m)
+        ops, (src, w) = channel.operators, pauli_action(m)
 
         def readout(js, ks):  # E_m v_k is v_{k XOR p_m(J)} up to a phase, so
             v = design_bases(n)[js, :, ks].T  # sum_i |<E_m v_k|A_i|v_k>|^2 is that row entry
@@ -321,7 +321,7 @@ def estimate_chi_offdiag(
     if isinstance(channel, PauliChannel):
         table = _pauli_offdiag_table(channel, m, n_label)
     else:
-        ops, actions = as_kraus(channel).operators, (pauli_action(m), pauli_action(n_label))
+        ops, actions = channel.operators, (pauli_action(m), pauli_action(n_label))
 
         def readout(js, ks):  # [state, (Re and Im of the polarization, survival)]; E^dag is E
             v = design_bases(n)[js, :, ks].T
@@ -358,7 +358,7 @@ def run_triplet_experiments(channel: Channel, cfg: EstimatorConfig) -> TripletRe
         def rows(js, ks):
             return q[js[:, None], ks[:, None] ^ np.arange(d)]
     else:
-        ops = as_kraus(channel).operators
+        ops = channel.operators
         entries = ops.size // d
 
         def rows(js, ks):  # the full rows T[s, k'] = sum_i |<v_k'|A_i|v_s>|^2, one

@@ -8,8 +8,10 @@ stack that large ``apply_channel`` builds the channel's superoperator from
 every Kraus operator and maps the stack with one matrix product (up to
 D = 32; above, one operator at a time).  It exists to pin down the Monte
 Carlo paths.
-Desk-scale only: chi matrices are 4**n x 4**n, so the default cap is n = 4
-with an explicit opt-in for n = 5.
+A channel here is either of its two forms, a Kraus set or a Pauli weight
+map, read through its Kraus operators; chi appears only as this module's
+output.  Desk-scale only: chi matrices are 4**n x 4**n, so the default cap is
+n = 4 with an explicit opt-in for n = 5.
 """
 
 from __future__ import annotations
@@ -23,9 +25,7 @@ import numpy as np
 from .channels import (
     Channel,
     ChiMatrix,
-    KrausSet,
     apply_channel,
-    as_kraus,
     kraus_to_chi,
     modified_channel_diag,
     pauli_coefficients,
@@ -65,7 +65,7 @@ def exact_chi(channel: Channel, max_n: int = ORACLE_QUBIT_CAP) -> ChiMatrix:
     _check_oracle_cap(n, max_n)
     if n >= ORACLE_QUBIT_HARD_CAP:
         logger.warning("oracle at n=%d builds a %d x %d chi matrix", n, 4**n, 4**n)
-    return kraus_to_chi(as_kraus(channel))
+    return kraus_to_chi(channel)
 
 
 def exact_chi_entries(
@@ -82,7 +82,7 @@ def exact_chi_entries(
         return []
     labels = list(dict.fromkeys(a for pair in pairs for a in pair))
     col = {a: i for i, a in enumerate(labels)}
-    c = pauli_coefficients(as_kraus(channel), np.stack([pauli_matrix(a) for a in labels]))
+    c = pauli_coefficients(channel, np.stack([pauli_matrix(a) for a in labels]))
     return [complex(c[:, col[m]] @ c[:, col[n_label]].conj()) for m, n_label in pairs]
 
 
@@ -218,21 +218,6 @@ class OracleReport:
 
 def random_label(n: int, rng: np.random.Generator) -> PauliLabel:
     return label_from_index(n, int(rng.integers(0, 4**n)))
-
-
-def random_channel(n: int, rng: np.random.Generator) -> KrausSet:
-    """Half a Haar-ish unitary, half a random diagonal Pauli mixture."""
-    d = 2**n
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    q, r = np.linalg.qr(g)
-    u = q * (np.diag(r) / np.abs(np.diag(r)))
-    w = rng.random(4**n)
-    w /= w.sum()
-    ops = [np.sqrt(0.5) * u]
-    for a, wa in zip(all_labels(n), w):
-        if wa > 0:
-            ops.append(np.sqrt(0.5 * wa) * pauli_matrix(a))
-    return KrausSet(n, ops)
 
 
 def oracle_report(

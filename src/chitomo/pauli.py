@@ -232,41 +232,6 @@ def pauli_matrix(a: PauliLabel) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# GF(2**n) arithmetic (polynomial basis, elements as bit masks)
-
-def _clmul(a: int, b: int) -> int:
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        a <<= 1
-        b >>= 1
-    return r
-
-
-def _polymod(a: int, m: int) -> int:
-    dm = m.bit_length() - 1
-    while a and a.bit_length() - 1 >= dm:
-        a ^= m << (a.bit_length() - 1 - dm)
-    return a
-
-
-def gf_mul(a: int, b: int, n: int) -> int:
-    """Multiply two GF(2**n) elements in the canonical polynomial basis."""
-    return _polymod(_clmul(a, b), _IRREDUCIBLE_POLY[n])
-
-
-def gf_trace(a: int, n: int) -> int:
-    """Field trace GF(2**n) -> GF(2)."""
-    t = 0
-    p = a
-    for _ in range(n):
-        t ^= p
-        p = gf_mul(p, p, n)
-    return t & 1
-
-
-# ---------------------------------------------------------------------------
 # MUB commuting classes
 
 @dataclass(frozen=True)

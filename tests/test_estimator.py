@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from chitomo import estimator, oracle
+from chitomo import channels, estimator, oracle
 from chitomo.channels import (
+    KrausSet,
     PauliChannel,
-    as_kraus,
     channel_factory,
     matrix_to_json,
     modified_channel_diag,
@@ -40,7 +40,6 @@ from chitomo.oracle import (
     exact_ancilla_polarization,
     exact_average_fidelity,
     exact_chi,
-    random_channel,
     random_label,
 )
 from chitomo.pauli import (
@@ -55,6 +54,8 @@ from chitomo.pauli import (
     pauli_matrix,
     solve_label_from_constraints,
 )
+
+from reference import random_channel
 
 
 def L(s):
@@ -299,7 +300,7 @@ def _full_block_offdiag(channel, m, n_label):
     """Exact-mode chi_mn read from the full block <v_k'|A_i E^dag|v_k> of
     every base, K x D x D, at each state's own k' = k."""
     n, d = channel.n, 2**channel.n
-    ops = as_kraus(channel).operators
+    ops = channel.operators
     em_dag, en_dag = pauli_matrix(m).conj().T, pauli_matrix(n_label).conj().T
     own = (np.arange(d), slice(None), np.arange(d))
     pol = []
@@ -331,7 +332,7 @@ def _full_row_diag(channel, m):
     """Exact-mode chi_mm read from the full transition rows T[k, k'] =
     sum_i |<v_k'|A_i|v_k>|^2 of every base, at k' = k XOR p_m(J)."""
     n, d = channel.n, 2**channel.n
-    ops = as_kraus(channel).operators
+    ops = channel.operators
     survival = []
     for j in range(d + 1):
         b = design_basis(n, j)
@@ -371,7 +372,8 @@ PAULI_CASES += [("pauli_mixture", 5), ("pauli_mixture", 6)]
 @pytest.mark.parametrize("kind, n", PAULI_CASES)
 class TestPauliChannelMatchesDense:
     """The weight-map path of a Pauli channel and the dense path of its
-    as_kraus expansion give the same protocol results."""
+    dense expansion, its operators as a KrausSet, give the same protocol
+    results."""
 
     def labels(self, channel):
         rng = np.random.default_rng(channel.n)
@@ -382,7 +384,7 @@ class TestPauliChannelMatchesDense:
     def test_diag_estimates(self, kind, n):
         channel = channel_factory(_pauli_spec(kind, n))
         assert isinstance(channel, PauliChannel)
-        dense = as_kraus(channel)
+        dense = KrausSet(n, channel.operators)
         for m in self.labels(channel):
             for seed in (3, 4):
                 cfg = EstimatorConfig(M=400, seed=seed)
@@ -394,7 +396,7 @@ class TestPauliChannelMatchesDense:
 
     def test_offdiag_estimates(self, kind, n):
         channel = channel_factory(_pauli_spec(kind, n))
-        dense = as_kraus(channel)
+        dense = KrausSet(n, channel.operators)
         labels = self.labels(channel)
         for m, n_label in [(labels[0], labels[0]), *zip(labels, labels[1:])]:
             for seed in (3, 4):
@@ -412,12 +414,12 @@ class TestPauliChannelMatchesDense:
         for seed in (3, 4):
             cfg = EstimatorConfig(M=400, seed=seed)
             assert run_triplet_experiments(channel, cfg) == run_triplet_experiments(
-                as_kraus(channel), cfg)
+                KrausSet(n, channel.operators), cfg)
 
     def test_weight_table_is_the_transition_table(self, kind, n):
         """q[J, k XOR k'] = sum_i |<v_k'|A_i|v_k>|^2 for every J, k and k'."""
         channel = channel_factory(_pauli_spec(kind, n))
-        d, ops = 2**n, as_kraus(channel).operators
+        d, ops = 2**n, channel.operators
         q = estimator._base_weights(channel, commutation_columns(n))
         assert q.shape == (d + 1, d)
         for j in range(d + 1):
@@ -437,7 +439,7 @@ def test_pauli_offdiag_rows_match_dense_amplitudes(kind, n):
     channel, d = channel_factory(_pauli_spec(kind, n)), 2**n
     rng = np.random.default_rng(70 + n)
     states = np.arange(d * (d + 1)) if n < 5 else rng.choice(d * (d + 1), 128, replace=False)
-    ops = as_kraus(channel).operators
+    ops = channel.operators
     v = design_bases(n).transpose(1, 0, 2).reshape(d, -1)[:, states]
     pairs = ([(a, b) for a in range(4**n) for b in range(4**n)] if n <= 2
              else [*rng.integers(0, 4**n, size=(6, 2)), (5, 5), (0, 0)])
@@ -461,7 +463,7 @@ def test_pauli_offdiag_forms_no_operator_and_no_state(monkeypatch):
 
     channel = channel_factory(_pauli_spec("depolarizing", 3))
     m, n_label = PauliLabel.from_string("XYZ"), PauliLabel.from_string("XIZ")
-    monkeypatch.setattr(estimator, "as_kraus", refuse)
+    monkeypatch.setattr(PauliChannel, "operators", property(refuse))
     monkeypatch.setattr(estimator, "design_bases", refuse)
     for cfg, m_count in ((EstimatorConfig(M=200, seed=1), 200), (ENUMERATE, 72)):
         assert estimate_chi_offdiag(channel, m, n_label, cfg).M == m_count
@@ -511,11 +513,19 @@ def test_slicing_is_invisible(monkeypatch, seed):
 
 
 def test_estimator_reads_channels_apart_from_the_oracle():
-    """The estimator binds no dense Pauli or channel operation, and the oracle,
-    which cross-checks it, imports nothing from the estimator."""
+    """The estimator binds no dense Pauli or channel operation, nothing from
+    the channel layer but the channel types, and the oracle, which
+    cross-checks it, imports nothing from the estimator."""
     dense = {"pauli_matrix", "commutation_vector", "apply_channel", "superoperator",
-             "modified_channel_diag", "modified_channel_offdiag", "kraus_to_chi"}
+             "modified_channel_diag", "modified_channel_offdiag", "kraus_to_chi", "as_kraus"}
     assert dense.isdisjoint(vars(estimator))
+    from_channels = [a.name for node in ast.walk(ast.parse(Path(estimator.__file__).read_text()))
+                     if isinstance(node, ast.ImportFrom) and node.module == "channels"
+                     for a in node.names]
+    assert sorted(from_channels) == ["Channel", "PauliChannel"]
+    bound = {name for name, obj in vars(estimator).items()
+             if getattr(obj, "__module__", None) == channels.__name__}
+    assert bound == {"PauliChannel"}
     imported = []
     for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
         if isinstance(node, ast.ImportFrom):

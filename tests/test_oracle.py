@@ -9,9 +9,7 @@ from chitomo.channels import (
     apply_channel,
     channel_factory,
     kraus_to_chi,
-    matrix_to_json,
     modified_channel_diag,
-    modified_channel_offdiag,
 )
 from chitomo.mub import design_average_survival, design_basis
 from chitomo.oracle import (
@@ -22,11 +20,18 @@ from chitomo.oracle import (
     exact_offdiag_average,
     haar_closed_form,
     oracle_report,
-    random_channel,
     random_label,
     trace_identity_residual,
 )
 from chitomo.pauli import DenseCapError, PauliLabel, all_labels, pauli_matrix
+
+from reference import (
+    modified_channel_offdiag,
+    pauli_channel_labels,
+    random_channel,
+    random_pauli_channel,
+    seven_kinds,
+)
 
 
 def L(s):
@@ -233,25 +238,6 @@ class TestOracleReport:
         np.testing.assert_allclose(rep.chi.mat, kraus_to_chi(k).mat, atol=1e-13)
 
 
-def seven_kinds(n):
-    """One spec of each channel-spec kind at n qubits."""
-    d = 2**n
-    flip = pauli_matrix(PauliLabel(n, 1, 0))
-    return {
-        "identity": {"n": n, "kind": "identity"},
-        "depolarizing": {"n": n, "kind": "depolarizing", "p": 0.3},
-        "pauli_mixture": {"n": n, "kind": "pauli_mixture",
-                          "weights": {"I" * n: 0.6, "X" * n: 0.25, "Y" + "Z" * (n - 1): 0.15}},
-        "unitary": {"n": n, "kind": "unitary", "generator": "Y" + "X" * (n - 1), "theta": 0.7},
-        "amplitude_damping": {"n": n, "kind": "amplitude_damping", "gamma": 0.25},
-        "kraus": {"n": n, "kind": "kraus", "operators": [
-            matrix_to_json(np.sqrt(0.9) * np.eye(d)), matrix_to_json(np.sqrt(0.1) * flip)]},
-        "compose": {"n": n, "kind": "compose", "children": [
-            {"n": n, "kind": "depolarizing", "p": 0.2},
-            {"n": n, "kind": "unitary", "generator": "Z" * n, "theta": 0.4}]},
-    }
-
-
 def label_pairs(n, rng):
     """Every label pair at n <= 2, and 200 sampled pairs above."""
     if n <= 2:
@@ -272,12 +258,14 @@ class TestExactChiEntries:
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_chi_matrix_input(self, n):
+    def test_pauli_channel_input(self, n):
+        """A Pauli weight map on random labels reads as its expansion does,
+        on its own diagonal and on sampled pairs."""
         rng = np.random.default_rng(n + 40)
-        chi = kraus_to_chi(random_channel(n, rng))
-        pairs = label_pairs(n, rng)
-        got = exact_chi_entries(chi, pairs)
-        full = exact_chi(chi)
+        channel = random_pauli_channel(n, rng, ops=2 * n + 1)
+        pairs = [(a, a) for a in pauli_channel_labels(channel)] + label_pairs(n, rng)
+        got = exact_chi_entries(channel, pairs)
+        full = exact_chi(channel)
         want = [full.entry(m, n_label) for m, n_label in pairs]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -356,16 +344,16 @@ class TestBatchedDesignSums:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_design_sums_match_per_state_loops(self, n):
         rng = np.random.default_rng(n + 100)
-        for channel in (random_channel(n, rng), kraus_to_chi(random_channel(n, rng))):
-            m, n_label = random_label(n, rng), random_label(n, rng)
-            assert abs(exact_average_fidelity(channel) - loop_average_fidelity(channel)) < 1e-12
-            mod = modified_channel_diag(channel, m)
-            assert abs(exact_average_fidelity(mod) - loop_average_fidelity(mod)) < 1e-12
-            assert abs(exact_offdiag_average(channel, m, n_label)
-                       - loop_offdiag_average(channel, m, n_label)) < 1e-12
-            for axis in ("x", "y"):
-                assert abs(exact_ancilla_polarization(channel, m, n_label, axis)
-                           - loop_ancilla_polarization(channel, m, n_label, axis)) < 1e-12
+        channel = random_channel(n, rng)
+        m, n_label = random_label(n, rng), random_label(n, rng)
+        assert abs(exact_average_fidelity(channel) - loop_average_fidelity(channel)) < 1e-12
+        mod = modified_channel_diag(channel, m)
+        assert abs(exact_average_fidelity(mod) - loop_average_fidelity(mod)) < 1e-12
+        assert abs(exact_offdiag_average(channel, m, n_label)
+                   - loop_offdiag_average(channel, m, n_label)) < 1e-12
+        for axis in ("x", "y"):
+            assert abs(exact_ancilla_polarization(channel, m, n_label, axis)
+                       - loop_ancilla_polarization(channel, m, n_label, axis)) < 1e-12
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_trace_identity_residual_matches_per_pair_loop(self, n):

@@ -15,8 +15,6 @@ from chitomo.pauli import (
     class_generators,
     commutation_columns,
     commutation_vector,
-    gf_mul,
-    gf_trace,
     gf2_apply,
     index_bit_tables,
     label_from_index,
@@ -30,9 +28,10 @@ from chitomo.pauli import (
     solve_label_from_constraints,
     symplectic_product,
     _IRREDUCIBLE_POLY,
-    _polymod,
     _trace_masks,
 )
+
+from reference import _polymod, gf_mul, gf_trace
 
 
 def L(s):
