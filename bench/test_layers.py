@@ -34,7 +34,6 @@ from chitomo.oracle import (
 )
 from chitomo.pauli import (
     PauliLabel,
-    _trace_masks,
     all_label_masks,
     all_labels,
     class_generators,
@@ -54,7 +53,6 @@ def _cold_design_caches():
     design_bases.cache_clear()
     class_generators.cache_clear()
     index_bit_tables.cache_clear()
-    _trace_masks.cache_clear()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -163,7 +161,6 @@ def _cold_class_caches():
     mub_class.cache_clear()
     class_generators.cache_clear()
     index_bit_tables.cache_clear()
-    _trace_masks.cache_clear()
 
 
 @pytest.mark.parametrize("n", [5, 8, 12])

@@ -37,9 +37,8 @@ from .pauli import (
     PauliLabel,
     _parse_pauli,
     all_label_masks,
-    all_labels,
     label_index,
-    pauli_actions,
+    pauli_matrices,
     pauli_matrix,
 )
 
@@ -105,11 +104,8 @@ class PauliChannel:
     def operators(self) -> np.ndarray:
         """sqrt(w_a) P_a per label as one (K, D, D) array, all written from
         one table of signed permutations, built on first use and kept."""
-        n, d = self.n, 2**self.n
-        src, phase = pauli_actions(n, self.labels & (d - 1), self.labels >> n)
-        ops, rows = np.zeros((len(src), d, d), dtype=complex), np.arange(len(src))[:, None]
-        ops[rows, np.arange(d), src] = np.sqrt(self.weights)[:, None] * phase
-        return ops
+        n = self.n
+        return pauli_matrices(n, self.labels & (2**n - 1), self.labels >> n, np.sqrt(self.weights))
 
 
 Channel = KrausSet | PauliChannel
@@ -124,14 +120,6 @@ def _tensor_powers(single: np.ndarray, n: int) -> np.ndarray:
         d = 2 * out.shape[1]
         out = (out[:, None, :, None, :, None] * single[:, None, :, None, :]).reshape(-1, d, d)
     return out
-
-
-@functools.lru_cache(maxsize=8)
-def pauli_basis(n: int) -> np.ndarray:
-    """Stack of all 4**n Hermitian Pauli matrices, shape (4**n, D, D)."""
-    if n > DENSE_QUBIT_CAP:
-        raise DenseCapError(f"dense basis limited to n <= {DENSE_QUBIT_CAP}")
-    return _tensor_powers(np.stack([pauli_matrix(a) for a in all_labels(1)]), n)
 
 
 def apply_channel(channel: Channel, rho: np.ndarray) -> np.ndarray:
@@ -181,14 +169,15 @@ def kraus_completeness_deviation(k: KrausSet) -> float:
     return float(np.max(np.abs(np.linalg.eigvalsh(s - np.eye(2**k.n)))))
 
 
-def pauli_coefficients(channel: Channel, basis: np.ndarray) -> np.ndarray:
-    """c[k, m] = Tr(E_m^dag A_k) / D for the Pauli matrices E_m stacked in basis."""
-    return np.einsum("mji,kji->km", basis.conj(), channel.operators) / 2**channel.n
+def pauli_coefficients(channel: Channel, xs, zs) -> np.ndarray:
+    """c[k, m] = Tr(E_m^dag A_k) / D for the labels m with masks xs[m], zs[m]."""
+    basis = pauli_matrices(channel.n, xs, zs)  # conjugated in place: it is ours
+    return np.einsum("mji,kji->km", np.conj(basis, out=basis), channel.operators) / 2**channel.n
 
 
 def kraus_to_chi(channel: Channel) -> ChiMatrix:
     """Expand the Kraus operators in the Pauli basis and accumulate chi."""
-    c = pauli_coefficients(channel, pauli_basis(channel.n))
+    c = pauli_coefficients(channel, *all_label_masks(channel.n))
     return ChiMatrix(channel.n, np.einsum("km,kn->mn", c, c.conj()))
 
 
@@ -216,6 +205,8 @@ def matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
         mat = np.array(rows, dtype=complex)
     except (TypeError, ValueError) as exc:
         raise ChannelSpecError(f"{what} is not a nested [re, im] array") from exc
+    if not all(_is_number(x) for row in obj for entry in row for x in entry):
+        raise ChannelSpecError(f"{what} has a true or false entry, not a number")
     if mat.ndim != 2:
         raise ChannelSpecError(f"{what} must be two-dimensional")
     return mat
@@ -233,8 +224,8 @@ def channel_spec_sha256(spec: dict) -> str:
     return hashlib.sha256(canonical_spec_bytes(spec)).hexdigest()
 
 
-def read_channel_spec(path) -> tuple[dict, bytes]:
-    """A channel-spec file's document and its canonical bytes, serialized once."""
+def read_channel_spec(path) -> tuple[dict, str]:
+    """A channel-spec file's document and its :func:`channel_spec_sha256` digest."""
     try:
         with open(path) as fh:
             spec = json.load(fh)
@@ -247,7 +238,7 @@ def read_channel_spec(path) -> tuple[dict, bytes]:
     if not isinstance(spec, dict):
         raise ChannelSpecError("channel spec must be a JSON object")
     # refuses NaN, Infinity and numbers that overflow to them
-    return spec, canonical_spec_bytes(spec)
+    return spec, channel_spec_sha256(spec)
 
 
 def load_channel_spec(path) -> dict:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
 import json
 import sys
 from datetime import datetime, timezone
@@ -113,9 +112,9 @@ def _emit(document: dict, out_path: str | None) -> None:
 
 
 def _load_channel(path: str):
-    """The channel a spec file builds, and the SHA-256 of the spec's canonical bytes."""
-    spec, canonical = read_channel_spec(path)
-    return channel_factory(spec), hashlib.sha256(canonical).hexdigest()
+    """The channel a spec file builds, and the spec's digest."""
+    spec, digest = read_channel_spec(path)
+    return channel_factory(spec), digest
 
 
 def _parse_label(text: str, n: int) -> PauliLabel:
@@ -197,10 +196,9 @@ def _load_log_with_optional_channel(args):
     if args.channel is not None:
         # Only the oracle columns read the channel: up to their cap the spec is
         # built, its only validation, before its hash is checked.
-        spec, canonical = read_channel_spec(args.channel)
+        spec, digest = read_channel_spec(args.channel)
         if meta["n"] <= ORACLE_QUBIT_CAP:
             channel = channel_factory(spec)
-        digest = hashlib.sha256(canonical).hexdigest()
         if digest != meta["channel"]:
             raise CliError(
                 EXIT_HASH_MISMATCH,

@@ -202,16 +202,13 @@ def _state_table(n: int, key_arrays: list[np.ndarray], readout, width: int,
     drawn states, by ascending key J*D + k, to one row of width results per
     state, stored in row J*D + k of the table.  A slice holds at most
     _SPREAD_ENTRIES // entries states, entries being the values the readout
-    holds per state, and ends where a base ends unless one base fills it."""
+    holds per state."""
     d = 2**n
     drawn = np.flatnonzero(np.bincount(np.concatenate(key_arrays), minlength=d * (d + 1)))
-    bounds = np.searchsorted(drawn, d * np.arange(d + 2))  # where each base's states begin
-    table, step, lo = np.zeros((d * (d + 1), width)), max(1, _SPREAD_ENTRIES // entries), 0
-    while lo < len(drawn):
-        hi = bounds[np.searchsorted(bounds, lo + step, side="right") - 1]
-        keys = drawn[lo:hi if hi > lo else lo + step]
+    table, step = np.zeros((d * (d + 1), width)), max(1, _SPREAD_ENTRIES // entries)
+    for lo in range(0, len(drawn), step):
+        keys = drawn[lo:lo + step]
         table[keys] = readout(keys >> n, keys & (d - 1))
-        lo += len(keys)
     return table
 
 
@@ -571,7 +568,7 @@ def write_triplet_log(path, record: TripletRecord, seed: int, channel_hash: str)
 
 
 _HEADER_RE = re.compile(
-    r"# seqpt-triplets v1 n=(\d+) seed=(-?\d+) M=(\d+) channel=([0-9a-f]{64})$"
+    rf"# {re.escape(TRIPLET_LOG_VERSION)} n=(\d+) seed=(-?\d+) M=(\d+) channel=([0-9a-f]{{64}})$"
 )
 
 

@@ -71,14 +71,13 @@ def design_basis(n: int, J: int) -> np.ndarray:
     return bases[J]
 
 
-@functools.lru_cache(maxsize=None)
 def design_states(n: int) -> np.ndarray:
     """All D(D+1) design states as rows, base J's state k at row J*D + k: the
     columns of :func:`design_bases`, base after base.  Column-major, the
     layout the oracle's design sums have always read: their rounding depends
     on it.
 
-    Read-only; the cache holds every n up to the dense cap (4.3 MB at n = 6).
+    Read-only, like the cached :func:`design_bases` it is copied from.
     """
     v = design_bases(n).transpose(1, 0, 2).reshape(2**n, -1).T
     v.setflags(write=False)

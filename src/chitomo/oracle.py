@@ -76,13 +76,13 @@ def exact_chi_entries(
     The Kraus operators are expanded over the distinct labels of the pairs
     only: c_km = Tr(E_m^dag A_k) / D and chi_mn = sum_k c_km conj(c_kn), the
     same sums :func:`exact_chi` does for every label.  O(K D^2) per distinct
-    label, so no oracle cap applies beyond the dense one of ``pauli_matrix``.
+    label, so no oracle cap applies beyond the dense one of ``pauli_matrices``.
     """
     if not pairs:
         return []
     labels = list(dict.fromkeys(a for pair in pairs for a in pair))
     col = {a: i for i, a in enumerate(labels)}
-    c = pauli_coefficients(channel, np.stack([pauli_matrix(a) for a in labels]))
+    c = pauli_coefficients(channel, [a.x_bits for a in labels], [a.z_bits for a in labels])
     return [complex(c[:, col[m]] @ c[:, col[n_label]].conj()) for m, n_label in pairs]
 
 

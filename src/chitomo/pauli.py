@@ -30,11 +30,9 @@ DENSE_QUBIT_CAP = 6
 # MUB classes need GF(2**n); the irreducible-polynomial table below limits n.
 MUB_QUBIT_CAP = 12
 
-# Each letter's X bit and Z bit, and its canonical digit and back.
+# Each letter's X bit and Z bit.
 _X_BIT = str.maketrans("IXYZ", "0110")
 _Z_BIT = str.maketrans("IXYZ", "0011")
-_TO_DIGIT = str.maketrans("IXYZ", "0123")
-_FROM_DIGIT = str.maketrans("0123", "IXYZ")
 
 # Lexicographically smallest irreducible polynomial of each degree over GF(2)
 # (bit i = coefficient of x**i, constant term forced to 1).
@@ -119,15 +117,25 @@ def label_index(a: PauliLabel) -> int:
     Per-qubit digits I=0, X=1, Y=2, Z=3; qubit 0 is the most significant
     digit.  The identity always sits at index 0.
     """
-    return int(a.to_string().translate(_TO_DIGIT), 4)
+    x, z = a.x_bits, a.z_bits  # a qubit's digit is (x XOR z) + 2 z
+    return sum(((x ^ z) >> i & 1 | (z >> i & 1) << 1) << 2 * (a.n - 1 - i) for i in range(a.n))
+
+
+def _index_masks(n: int, idx):
+    """(x_bits, z_bits) of the canonical index idx, an int or an int array."""
+    xs = zs = 0
+    for i in range(n):
+        digit = (idx >> 2 * (n - 1 - i)) & 3  # I=0, X=1, Y=2, Z=3
+        xs = xs | ((digit + 1) >> 1 & 1) << i
+        zs = zs | (digit >> 1) << i
+    return xs, zs
 
 
 def label_from_index(n: int, idx: int) -> PauliLabel:
     """Inverse of :func:`label_index`."""
     if not 0 <= idx < 4**n:
         raise ValueError(f"index {idx} out of range for n={n}")
-    _, x, z = _parse_pauli(np.base_repr(idx, 4).zfill(n).translate(_FROM_DIGIT))
-    return PauliLabel(n, x, z)
+    return PauliLabel(n, *_index_masks(n, idx))
 
 
 def all_labels(n: int) -> list[PauliLabel]:
@@ -138,13 +146,7 @@ def all_labels(n: int) -> list[PauliLabel]:
 
 def all_label_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
     """(x_bits, z_bits) of all 4**n labels in canonical index order, as arrays."""
-    idx = np.arange(4**n)
-    xs, zs = np.zeros_like(idx), np.zeros_like(idx)
-    for i in range(n):
-        digit = (idx >> 2 * (n - 1 - i)) & 3  # I=0, X=1, Y=2, Z=3
-        xs |= ((digit + 1) >> 1 & 1) << i
-        zs |= (digit >> 1) << i
-    return xs, zs
+    return _index_masks(n, np.arange(4**n))
 
 
 def _check_same_n(a: PauliLabel, b: PauliLabel) -> None:
@@ -193,8 +195,10 @@ def index_bit_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rev, parity, popcount
 
 
-# i**k for k mod 4, as Python computes 1j**k (signed zeros included).
-_PHASES = np.array([1j**k for k in range(4)])
+# i**k for k up to the dense cap, as Python computes 1j**(k mod 4) (signed
+# zeros included), and the sign (-1)**b of a parity bit b.
+_PHASES = np.array([1j**(k % 4) for k in range(DENSE_QUBIT_CAP + 1)])
+_SIGNS = np.array([1, -1])
 
 
 def pauli_actions(n: int, xs, zs) -> tuple[np.ndarray, np.ndarray]:
@@ -211,8 +215,7 @@ def pauli_actions(n: int, xs, zs) -> tuple[np.ndarray, np.ndarray]:
     rev, parity, popcount = index_bit_tables(n)
     xs, zs = np.asarray(xs, dtype=np.int64), np.asarray(zs, dtype=np.int64)
     src = np.arange(1 << n) ^ rev[xs][:, None]
-    phase = _PHASES[popcount[xs & zs] & 3]
-    return src, phase[:, None] * (1 - 2 * parity[rev[zs][:, None] & src])
+    return src, _PHASES[popcount[xs & zs]][:, None] * _SIGNS[parity[rev[zs][:, None] & src]]
 
 
 def pauli_action(a: PauliLabel) -> tuple[np.ndarray, np.ndarray]:
@@ -222,13 +225,23 @@ def pauli_action(a: PauliLabel) -> tuple[np.ndarray, np.ndarray]:
     return src[0], w[0]
 
 
+def pauli_matrices(n: int, xs, zs, scale=None) -> np.ndarray:
+    """Dense Hermitian representative matrices of many labels, shape (L, D, D),
+    scattered from the signed permutations of :func:`pauli_actions`; each
+    times scale[l], if given, applied to the (L, D) weights before the scatter."""
+    src, w = pauli_actions(n, xs, zs)
+    if scale is not None:
+        w = np.asarray(scale)[:, None] * w
+    d = src.shape[1]
+    m = np.zeros((src.size, d), dtype=complex)
+    m[np.arange(src.size), src.ravel()] = w.ravel()
+    return m.reshape(len(src), d, d)
+
+
 def pauli_matrix(a: PauliLabel) -> np.ndarray:
-    """Dense Hermitian representative matrix of a label (2**n x 2**n),
-    built from :func:`pauli_action`."""
-    src, w = pauli_action(a)
-    m = np.zeros((src.size, src.size), dtype=complex)
-    m[np.arange(src.size), src] = w
-    return m
+    """Dense Hermitian representative matrix of a label (2**n x 2**n): the
+    one-label case of :func:`pauli_matrices`."""
+    return pauli_matrices(a.n, [a.x_bits], [a.z_bits])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +259,6 @@ class MubClass:
         return self.generators[0].n
 
 
-@functools.lru_cache(maxsize=None)
 def _trace_masks(n: int) -> tuple[int, ...]:
     """mask_e for e = 0 .. 2n-2, bit i = tr(x^(i+e)): the trace is GF(2)-linear,
     so tr(c x^e) = parity(c & mask_e) for every field element c.  tr(x^m) is

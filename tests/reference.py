@@ -3,8 +3,9 @@
 None of these is on a command's path: the GF(2**n) arithmetic is the direct
 definition that the MUB trace masks are checked against, the ancilla-extended
 channel is the (n+1)-qubit circuit behind the oracle's one-register ancilla
-identity, and random_channel, random_pauli_channel and seven_kinds give the
-test channels.
+identity, the Kronecker-product Pauli basis is the textbook form of the
+package's scattered Pauli matrices, and random_channel, random_pauli_channel
+and seven_kinds give the test channels.
 """
 
 import numpy as np
@@ -107,6 +108,16 @@ def random_pauli_channel(n: int, rng: np.random.Generator, ops: int = 4) -> Paul
     labels = rng.choice(4**n, size=min(ops, 4**n), replace=False).astype(np.int64)
     w = rng.random(len(labels)) + 0.1
     return PauliChannel(n, labels, w / w.sum())
+
+
+def kron_pauli_basis(n: int) -> np.ndarray:
+    """All 4**n Pauli matrices in canonical index order, shape (4**n, D, D):
+    Kronecker products of the one-qubit I, X, Y, Z, qubit 0's factor leftmost."""
+    single = [pauli_matrix(a) for a in all_labels(1)]
+    out = [np.ones((1, 1), dtype=complex)]
+    for _ in range(n):
+        out = [np.kron(a, b) for a in out for b in single]
+    return np.stack(out)
 
 
 def pauli_channel_labels(channel: PauliChannel) -> list[PauliLabel]:

@@ -23,7 +23,6 @@ from chitomo.channels import (
     matrix_from_json,
     matrix_to_json,
     modified_channel_diag,
-    pauli_basis,
     superoperator,
 )
 from chitomo.pauli import (
@@ -36,6 +35,7 @@ from chitomo.pauli import (
 )
 
 from reference import (
+    kron_pauli_basis,
     modified_channel_offdiag,
     pauli_channel_labels,
     random_pauli_channel,
@@ -74,7 +74,7 @@ def dense_operators(channel):
 def chi_faults(chi, n):
     """Deviations of a chi matrix from a channel's: Hermiticity, the negative
     part of its spectrum, and sum_mn chi_mn E_n^dag E_m from I."""
-    b = pauli_basis(n)
+    b = kron_pauli_basis(n)
     total = np.einsum("mn,nji,mjk->ik", chi, b.conj(), b)
     return (np.max(np.abs(chi - chi.conj().T)),
             -min(np.min(np.linalg.eigvalsh((chi + chi.conj().T) / 2)), 0.0),
@@ -664,9 +664,9 @@ class TestKrausArray:
         weights; ``operators`` expands them, once, to the bits of np.eye or
         sqrt(w) * pauli_matrix(a) per label of positive weight."""
         built = []
-        pauli_actions = channels.pauli_actions
-        monkeypatch.setattr(channels, "pauli_actions",
-                            lambda *a: built.append(1) or pauli_actions(*a))
+        pauli_matrices = channels.pauli_matrices
+        monkeypatch.setattr(channels, "pauli_matrices",
+                            lambda *a: built.append(1) or pauli_matrices(*a))
         rng = np.random.default_rng(80 + n)
         d, labels = 2**n, all_labels(n)
         w = np.full(len(labels), 0.3 / 4**n)
@@ -779,10 +779,3 @@ class TestSpecDocuments:
         arr.write_text("[1, 2, 3]")
         with pytest.raises(ChannelSpecError):
             load_channel_spec(arr)
-
-    def test_pauli_basis_matches_label_order(self):
-        for n in range(1, 5):
-            b = pauli_basis(n)
-            assert b.shape == (4**n, 2**n, 2**n)
-            for a in all_labels(n):
-                np.testing.assert_array_equal(b[label_index(a)], pauli_matrix(a))

@@ -9,7 +9,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from chitomo import cli, pauli
-from chitomo.channels import channel_factory, channel_spec_sha256, matrix_to_json
+from chitomo.channels import (
+    channel_factory,
+    channel_spec_sha256,
+    matrix_to_json,
+    read_channel_spec,
+)
 from chitomo.estimator import TripletRecord, write_triplet_log
 from chitomo.oracle import exact_chi
 from chitomo.pauli import PauliLabel
@@ -223,6 +228,7 @@ class TestTripletsAndLogs:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec, indent=3))
         digest, log = channel_spec_sha256(spec), tmp_path / "t.log"
+        assert read_channel_spec(path) == (spec, digest)
         code, out, _ = run(capsys, "estimate-diag", "--channel", str(path), "--m", "X",
                            "--M", "5")
         assert code == 0 and json.loads(out)["manifest"]["channel_sha256"] == digest
@@ -519,8 +525,10 @@ def test_misshapen_kraus_spec_exits_2(capsys, tmp_path, operators):
         {"n": 1, "kind": "unitary", "generator": "X", "theta": False},
         {"n": 1, "kind": "amplitude_damping", "gamma": True},
         {"n": 1, "kind": "pauli_mixture", "weights": {"X": True}},
+        {"n": 1, "kind": "kraus", "operators": [[[[True, 0], [0, 0]], [[0, 0], [True, False]]]]},
+        {"n": 1, "kind": "unitary", "matrix": [[[True, 0], [0, 0]], [[0, 0], [1, 0]]]},
     ],
-    ids=["n", "p", "theta", "gamma", "weight"],
+    ids=["n", "p", "theta", "gamma", "weight", "kraus-entry", "unitary-entry"],
 )
 def test_boolean_spec_numbers_exit_2(capsys, tmp_path, spec):
     """JSON true and false are not numbers, although Python's bool is an int."""

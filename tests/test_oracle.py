@@ -26,6 +26,7 @@ from chitomo.oracle import (
 from chitomo.pauli import DenseCapError, PauliLabel, all_labels, pauli_matrix
 
 from reference import (
+    kron_pauli_basis,
     modified_channel_offdiag,
     pauli_channel_labels,
     random_channel,
@@ -87,6 +88,18 @@ class TestExactChi:
         np.testing.assert_allclose(
             exact_chi(remixed).mat, exact_chi(k).mat, atol=1e-10
         )
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_bit_for_bit_the_kronecker_basis_expansion(self, n):
+        """exact_chi is the sum of c_km conj(c_kn) over the Kraus operators,
+        c_km = Tr(E_m^dag A_k) / D, with E_m the Kronecker-product basis: the
+        same bits, signed zeros included."""
+        basis = kron_pauli_basis(n)
+        for kind, spec in seven_kinds(n).items():
+            channel = channel_factory(spec)
+            c = np.einsum("mji,kji->km", basis.conj(), channel.operators) / 2**n
+            want = np.einsum("km,kn->mn", c, c.conj()).view(np.uint64)
+            assert np.array_equal(exact_chi(channel).mat.view(np.uint64), want), kind
 
     def test_cap_and_override(self):
         big = channel_factory({"n": 5, "kind": "identity"})

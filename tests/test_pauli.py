@@ -23,6 +23,7 @@ from chitomo.pauli import (
     mub_classes,
     pauli_action,
     pauli_actions,
+    pauli_matrices,
     pauli_matrix,
     pauli_mul,
     solve_label_from_constraints,
@@ -31,7 +32,7 @@ from chitomo.pauli import (
     _trace_masks,
 )
 
-from reference import _polymod, gf_mul, gf_trace
+from reference import _polymod, gf_mul, gf_trace, kron_pauli_basis
 
 
 def L(s):
@@ -101,6 +102,17 @@ class TestLabelBasics:
         for i, a in enumerate(labels):
             assert label_index(a) == i
             assert label_from_index(2, i) == a
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_label_index_reads_the_string_in_base_4(self, n):
+        """label_index reads the letters as base-4 digits I=0, X=1, Y=2, Z=3,
+        qubit 0 first; label_from_index inverts it; both follow all_label_masks."""
+        digits = str.maketrans("IXYZ", "0123")
+        xs, zs = all_label_masks(n)
+        for i, (x, z) in enumerate(zip(xs.tolist(), zs.tolist())):
+            a = PauliLabel(n, x, z)
+            assert label_index(a) == int(a.to_string().translate(digits), 4) == i
+            assert label_from_index(n, i) == a
 
     def test_canonical_ordering(self):
         assert [str(a) for a in all_labels(1)] == ["I", "X", "Y", "Z"]
@@ -214,6 +226,19 @@ class TestPauliMatrix:
     def test_closed_form_matches_kron_for_every_label(self, n):
         for a in all_labels(n):
             np.testing.assert_array_equal(pauli_matrix(a), kron_reference(a), err_msg=str(a))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_batch_is_the_kronecker_basis(self, n):
+        """Every label at once, in index order, equals the Kronecker products
+        of the one-qubit pauli_matrix factors, and pauli_matrix is its row; a
+        per-label scale gives the bits of each matrix times its factor."""
+        mats = pauli_matrices(n, *all_label_masks(n))
+        np.testing.assert_array_equal(mats, kron_pauli_basis(n))
+        for a, m in zip(all_labels(n), mats):
+            assert np.array_equal(pauli_matrix(a).view(np.uint64), m.view(np.uint64)), str(a)
+        scale = np.sqrt(np.random.default_rng(n).random(4**n))
+        scaled = pauli_matrices(n, *all_label_masks(n), scale)
+        assert np.array_equal(scaled.view(np.uint64), (scale[:, None, None] * mats).view(np.uint64))
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_closed_form_matches_kron_for_sampled_labels(self, n):
