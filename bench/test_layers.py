@@ -339,7 +339,7 @@ def test_pauli_channel_operators_mixture(benchmark):
     spec = _mixture_spec(4, 64)
     ops = benchmark.pedantic(lambda channel: channel.operators,
                              setup=lambda: ((channel_factory(spec),), {}),
-                             rounds=20, iterations=1)
+                             rounds=100, iterations=1)
     assert ops.shape == (64, 16, 16)
 
 
@@ -378,7 +378,7 @@ def test_oracle_report(benchmark, n):
     """The full identity report of verify --verify-level full, for one channel."""
     channel = channel_factory({"n": n, "kind": "depolarizing", "p": 0.3})
     rep = benchmark.pedantic(oracle_report, args=(channel,), kwargs={"samples": 3},
-                             rounds=3, iterations=1)
+                             rounds=10, iterations=1)
     assert rep.max_residual < 1e-9
 
 

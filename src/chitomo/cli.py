@@ -132,14 +132,8 @@ def _parse_label(text: str, n: int) -> PauliLabel:
 
 
 def _config_from_args(args) -> EstimatorConfig:
-    if args.mode != "exact" and args.M is None and args.epsilon is None:
-        raise CliError(
-            EXIT_MALFORMED, "bad_arguments", "sampled mode needs --M or --epsilon"
-        )
     try:
-        if args.mode == "exact":
-            return EstimatorConfig(seed=args.seed, mode="exact", enumerate_design=True)
-        return EstimatorConfig(M=args.M, epsilon=args.epsilon, seed=args.seed)
+        return EstimatorConfig(M=args.M, epsilon=args.epsilon, seed=args.seed, mode=args.mode)
     except ValueError as exc:
         raise CliError(EXIT_MALFORMED, "bad_arguments", str(exc)) from exc
 

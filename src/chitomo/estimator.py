@@ -83,10 +83,10 @@ def seed_key(seed: int) -> int:
 class EstimatorConfig:
     """How to run a campaign: sample count (or target precision), seed, mode.
 
-    mode "sampled" draws honest discrete outcomes; "exact" replaces each
-    outcome with its exact expectation value.  enumerate_design additionally
-    replaces state sampling with one pass over the full design, which makes
-    exact-mode estimates deterministic equalities (and requires mode="exact").
+    mode "sampled" draws M states of the design and an honest discrete
+    outcome for each; it needs exactly one of M or epsilon.  mode "exact"
+    takes every design state once with its exact expectation value, which
+    makes the estimates deterministic equalities; it takes no M or epsilon.
     The seed must lie in [-2**63, 2**63) (see :func:`seed_key`).
     """
 
@@ -94,19 +94,17 @@ class EstimatorConfig:
     epsilon: float | None = None
     seed: int = 0
     mode: str = "sampled"
-    enumerate_design: bool = False
 
     def __post_init__(self):
         if self.mode not in ("sampled", "exact"):
             raise ValueError(f"mode must be 'sampled' or 'exact', got {self.mode!r}")
+        sizes = (self.M is not None) + (self.epsilon is not None)
+        if sizes != (self.mode == "sampled"):
+            raise ValueError("sampled mode takes exactly one of M or epsilon, exact mode neither")
         if self.M is not None and self.M < 1:
             raise ValueError("M must be >= 1")
-        if self.M is not None and self.epsilon is not None:
-            raise ValueError("supply exactly one of M or epsilon")
-        if self.enumerate_design and self.mode != "exact":
-            raise ValueError("enumerate_design requires mode='exact'")
         seed_key(self.seed)
-        if self.M is not None or self.epsilon is not None:
+        if sizes:
             m_count = self.sample_size("offdiagonal")  # checks epsilon; the larger kind
             if m_count >= 2**63:  # the limit of int64 record columns
                 raise ValueError(f"sample size must be below 2**63, got {m_count}")
@@ -114,12 +112,10 @@ class EstimatorConfig:
     def sample_size(self, kind: str) -> int:
         if self.M is not None:
             return self.M
-        if self.epsilon is not None:
-            return required_sample_size(self.epsilon, kind)
-        raise ValueError("supply exactly one of M or epsilon")
+        return required_sample_size(self.epsilon, kind)
 
     def echo(self) -> dict:
-        return asdict(self)
+        return {**asdict(self), "enumerate_design": self.mode == "exact"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,14 +177,14 @@ def _campaign(
     n: int, cfg: EstimatorConfig, tag: int, kind: str
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Each experiment's state key J*D + k, its row among the D(D+1) rows
-    (4,160 at n=6) of the protocols' state table, and its outcome draw u, None
-    unless sampled; under enumerate_design, every design state once."""
+    (4,160 at n=6) of the protocols' state table, and its outcome draw u;
+    in exact mode, every design state once and no draws."""
     d = 2**n
-    if cfg.enumerate_design:
+    if cfg.mode == "exact":
         return np.arange(d * (d + 1)), None
     m_count, rng = cfg.sample_size(kind), _campaign_rng(cfg.seed, tag)
     js, ks = _sample_states(rng, n, m_count)
-    return js * d + ks, rng.random(m_count) if cfg.mode == "sampled" else None
+    return js * d + ks, rng.random(m_count)
 
 
 # Entries the sieve, the state table and the label lookup hold at once:
@@ -232,7 +228,7 @@ def _base_weights(channel: PauliChannel, cols: np.ndarray) -> np.ndarray:
     return np.bincount(cells.ravel(), weights.ravel(), d * (d + 1)).reshape(d + 1, d)
 
 
-def _pauli_offdiag_table(channel: PauliChannel, m: PauliLabel, n_label: PauliLabel) -> np.ndarray:
+def _pauli_table(channel: PauliChannel, m: PauliLabel, n_label: PauliLabel) -> np.ndarray:
     """Rows J*D + k of (Re, Im of the polarization, survival) in closed form.
     With E_n E_m = i^theta P_c the polarization is q[J, p] i^theta <v_k|P_c|v_k>
     if p = p_m(J) = p_n(J), else 0.  P_c is then i^e times the ascending product
@@ -263,7 +259,7 @@ def _finish(cfg: EstimatorConfig, stats: np.ndarray) -> Estimate:
     rows, m_count = np.atleast_2d(stats), stats.shape[-1]
     means = rows.mean(axis=1)
     value = float(means[0]) if stats.ndim == 1 else complex(*means)
-    if cfg.enumerate_design or m_count < 2:
+    if cfg.mode == "exact" or m_count < 2:
         return Estimate(value, 0.0, m_count)
     se = math.hypot(*rows.std(axis=1, ddof=1)) / math.sqrt(m_count)
     return Estimate(value, se, m_count)
@@ -275,16 +271,14 @@ def estimate_chi_diag(channel: Channel, m: PauliLabel, cfg: EstimatorConfig) -> 
     Per experiment: prepare design state k of base J, apply the channel followed
     by E_m^dag, test survival, i.e. the transition k -> k XOR p_m(J).  The
     survival frequency F-hat inverts to chi-hat = ((D+1) F-hat - 1)/D.  A
-    Pauli channel survives with q[J, p_m(J)] (:func:`_base_weights`).
+    Pauli channel survives with q[J, p_m(J)], the m = n case of :func:`_pauli_table`.
     """
     if m.n != channel.n:
         raise ValueError("label and channel qubit counts differ")
     n, d = channel.n, 2**channel.n
     keys, us = _campaign(n, cfg, _TAG_DIAG, "fidelity")
     if isinstance(channel, PauliChannel):  # every row J*D + k survives with q[J, p_m(J)]
-        cols = commutation_columns(n)
-        p_m = gf2_apply(cols, m.x_bits | m.z_bits << n)
-        survival = np.repeat(_base_weights(channel, cols)[np.arange(d + 1), p_m], d)[:, None]
+        survival = _pauli_table(channel, m, m)[:, 2:]
     else:
         ops, (src, w) = channel.operators, pauli_action(m)
 
@@ -316,7 +310,7 @@ def estimate_chi_offdiag(
     delta = 1.0 if m == n_label else 0.0
     campaigns = [_campaign(n, cfg, tag, "offdiagonal") for tag in (_TAG_OFFDIAG_X, _TAG_OFFDIAG_Y)]
     if isinstance(channel, PauliChannel):
-        table = _pauli_offdiag_table(channel, m, n_label)
+        table = _pauli_table(channel, m, n_label)
     else:
         ops, actions = channel.operators, (pauli_action(m), pauli_action(n_label))
 
@@ -346,7 +340,7 @@ def run_triplet_experiments(channel: Channel, cfg: EstimatorConfig) -> TripletRe
     Only sampled mode makes sense here — a triplet is a discrete event.  A
     Pauli channel's rows are T[k, k'] = q[J, k XOR k'] (:func:`_base_weights`).
     """
-    if cfg.mode != "sampled" or cfg.enumerate_design:
+    if cfg.mode != "sampled":
         raise ValueError("triplet experiments require mode='sampled'")
     n, d = channel.n, 2**channel.n
     if isinstance(channel, PauliChannel):

@@ -60,8 +60,7 @@ class TestEstimateDiag:
     def test_exact_mode_identity(self, capsys, specs):
         path, _ = specs["ident2"]
         code, out, _ = run(
-            capsys, "estimate-diag", "--channel", path, "--m", "II", "--M", "100",
-            "--mode", "exact",
+            capsys, "estimate-diag", "--channel", path, "--m", "II", "--mode", "exact",
         )
         assert code == 0
         row = json.loads(out)["rows"][0]
@@ -141,6 +140,17 @@ class TestEstimateDiag:
         path, _ = specs["dep"]
         code, _, err = run(capsys, "estimate-diag", "--channel", path, "--m", "Z")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate-diag", "--m", "Z", "--M", "100"],
+        ["estimate-offdiag", "--m", "Z", "--n-label", "X", "--epsilon", "0.1"],
+    ], ids=["diag-M", "offdiag-epsilon"])
+    def test_sample_size_with_exact_mode_exits_2(self, capsys, specs, argv):
+        """Exact mode takes every design state once: a sample size is refused,
+        not ignored."""
+        code, out, err = run(capsys, *argv, "--channel", specs["dep"][0], "--mode", "exact")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "bad_arguments"
 
 
 class TestEstimateOffdiag:

@@ -71,7 +71,7 @@ MIX2 = channel_factory(
     {"n": 2, "kind": "pauli_mixture", "weights": {"II": 0.7, "XI": 0.2, "ZZ": 0.1}}
 )
 
-ENUMERATE = EstimatorConfig(mode="exact", enumerate_design=True)
+ENUMERATE = EstimatorConfig(mode="exact")
 
 
 class TestRequiredSampleSize:
@@ -100,9 +100,16 @@ class TestEstimatorConfig:
         with pytest.raises(ValueError):
             EstimatorConfig(M=1, mode="approximate")
         with pytest.raises(ValueError):
-            EstimatorConfig(M=1, mode="sampled", enumerate_design=True)
+            EstimatorConfig(M=1, mode="exact")
         with pytest.raises(ValueError):
             EstimatorConfig(M=0)
+
+    def test_sample_size_is_for_sampled_mode_alone(self):
+        """Exact mode takes every design state once, so it refuses M and
+        epsilon; sampled mode needs one of them."""
+        for kw in ({"M": 10, "mode": "exact"}, {"epsilon": 0.1, "mode": "exact"}, {}):
+            with pytest.raises(ValueError):
+                EstimatorConfig(**kw)
 
     def test_seed_range(self):
         for seed in (-(2**63), 2**63 - 1):
@@ -155,13 +162,6 @@ class TestDiagonalEstimator:
         f_hat = (2 * est.value + 1) / 3
         f_err = 2 * est.std_error / 3
         assert abs(f_hat - 1 / 3) < 5 * f_err
-
-    def test_exact_mode_reduces_variance(self):
-        sampled = estimate_chi_diag(DEPOL1, L("Z"), EstimatorConfig(M=2000, seed=5))
-        exact = estimate_chi_diag(
-            DEPOL1, L("Z"), EstimatorConfig(M=2000, seed=5, mode="exact")
-        )
-        assert exact.std_error < sampled.std_error
 
     def test_deterministic_under_seed(self):
         runs = [
@@ -389,10 +389,10 @@ class TestPauliChannelMatchesDense:
             for seed in (3, 4):
                 cfg = EstimatorConfig(M=400, seed=seed)
                 assert estimate_chi_diag(channel, m, cfg) == estimate_chi_diag(dense, m, cfg)
-            for cfg in (ENUMERATE, EstimatorConfig(M=300, seed=5, mode="exact")):
-                got, want = estimate_chi_diag(channel, m, cfg), estimate_chi_diag(dense, m, cfg)
-                assert abs(got.value - want.value) <= 1e-14
-                assert abs(got.std_error - want.std_error) <= 1e-14 and got.M == want.M
+            got = estimate_chi_diag(channel, m, ENUMERATE)
+            want = estimate_chi_diag(dense, m, ENUMERATE)
+            assert abs(got.value - want.value) <= 1e-14
+            assert abs(got.std_error - want.std_error) <= 1e-14 and got.M == want.M
 
     def test_offdiag_estimates(self, kind, n):
         channel = channel_factory(_pauli_spec(kind, n))
@@ -403,11 +403,10 @@ class TestPauliChannelMatchesDense:
                 cfg = EstimatorConfig(M=400, seed=seed)
                 assert (estimate_chi_offdiag(channel, m, n_label, cfg)
                         == estimate_chi_offdiag(dense, m, n_label, cfg))
-            for cfg in (ENUMERATE, EstimatorConfig(M=300, seed=5, mode="exact")):
-                got = estimate_chi_offdiag(channel, m, n_label, cfg)
-                want = estimate_chi_offdiag(dense, m, n_label, cfg)
-                assert abs(got.value - want.value) <= 1e-14
-                assert abs(got.std_error - want.std_error) <= 1e-14 and got.M == want.M
+            got = estimate_chi_offdiag(channel, m, n_label, ENUMERATE)
+            want = estimate_chi_offdiag(dense, m, n_label, ENUMERATE)
+            assert abs(got.value - want.value) <= 1e-14
+            assert abs(got.std_error - want.std_error) <= 1e-14 and got.M == want.M
 
     def test_triplet_records(self, kind, n):
         channel = channel_factory(_pauli_spec(kind, n))
@@ -450,9 +449,24 @@ def test_pauli_offdiag_rows_match_dense_amplitudes(kind, n):
         x_n = estimator._amplitudes(ops, v, w_n[:, None] * v[src_n])
         polarization = np.sum(x_n.conj() * x_m, axis=1)
         survival = np.sum(np.abs(x_m) ** 2 + np.abs(x_n) ** 2, axis=1) / 2
-        got = estimator._pauli_offdiag_table(channel, m, n_label)[states]
+        got = estimator._pauli_table(channel, m, n_label)[states]
         np.testing.assert_allclose(got, np.array([polarization.real, polarization.imag,
                                                   survival]).T, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("kind", ["identity", "depolarizing", "pauli_mixture"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pauli_survival_column_is_the_base_weight(kind, n):
+    """The survival column the diagonal reads, the m = n case of the closed
+    form, is q[J, p_m(J)] repeated over base J's D states, bit for bit:
+    (q + q) / 2 is q exactly.  Every label."""
+    channel, d = channel_factory(_pauli_spec(kind, n)), 2**n
+    cols = commutation_columns(n)
+    q = estimator._base_weights(channel, cols)
+    for m in all_labels(n):
+        want = np.repeat(q[np.arange(d + 1), gf2_apply(cols, m.x_bits | m.z_bits << n)], d)
+        got = np.ascontiguousarray(estimator._pauli_table(channel, m, m)[:, 2])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_pauli_offdiag_forms_no_operator_and_no_state(monkeypatch):
@@ -493,8 +507,7 @@ def test_slicing_is_invisible(monkeypatch, seed):
         for channel in _slicing_cases():
             n, rng = channel.n, np.random.default_rng(seed)
             m, n_label = random_label(n, rng), random_label(n, rng)
-            for cfg in (EstimatorConfig(M=300, seed=seed), EstimatorConfig(M=300, seed=seed,
-                        mode="exact"), ENUMERATE):
+            for cfg in (EstimatorConfig(M=300, seed=seed), ENUMERATE):
                 (sampled if cfg.mode == "sampled" else exact).extend([
                     estimate_chi_diag(channel, m, cfg),
                     estimate_chi_offdiag(channel, m, n_label, cfg)])
@@ -653,7 +666,7 @@ class TestTripletExperiments:
 
     def test_exact_mode_rejected(self):
         with pytest.raises(ValueError):
-            run_triplet_experiments(IDENT1, EstimatorConfig(M=10, mode="exact"))
+            run_triplet_experiments(IDENT1, EstimatorConfig(mode="exact"))
 
 
 class TestDiagFromTriplets:

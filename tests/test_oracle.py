@@ -8,7 +8,6 @@ from chitomo.channels import (
     KrausSet,
     apply_channel,
     channel_factory,
-    kraus_to_chi,
     modified_channel_diag,
 )
 from chitomo.mub import design_average_survival, design_basis
@@ -243,12 +242,19 @@ class TestOracleReport:
         rng = np.random.default_rng(n)
         rep = oracle_report(random_channel(n, rng), samples=4, seed=7)
         assert rep.max_residual < 1e-9
-        assert rep.chi.mat.shape == (4**n, 4**n)
 
-    def test_chi_matches_direct_computation(self):
-        k = channel_factory({"n": 1, "kind": "amplitude_damping", "gamma": 0.5})
-        rep = oracle_report(k, samples=2, seed=0)
-        np.testing.assert_allclose(rep.chi.mat, kraus_to_chi(k).mat, atol=1e-13)
+    @pytest.mark.parametrize("kind", ["amplitude_damping", "depolarizing"])
+    def test_reads_chi_entries_not_chi(self, monkeypatch, kind):
+        """The report reads the chi entries of its sampled labels alone: it
+        builds no chi matrix, and its residuals still vanish."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("oracle_report built the whole chi matrix")
+
+        monkeypatch.setattr(oracle_module, "exact_chi", refuse)
+        monkeypatch.setattr(oracle_module, "kraus_to_chi", refuse)
+        params = {"gamma": 0.5} if kind == "amplitude_damping" else {"p": 0.3}
+        rep = oracle_report(channel_factory({"n": 2, "kind": kind, **params}), samples=3)
+        assert rep.max_residual < 1e-9
 
 
 def label_pairs(n, rng):
@@ -450,12 +456,15 @@ class TestOracleCosts:
         distinct = all_labels(2) if pairs is None else {a for pair in pairs for a in pair}
         assert sorted(calls, key=str) == sorted(distinct, key=str)
 
-    def test_chi_warning_is_logged_once_per_report(self, caplog):
+    def test_chi_warning_is_logged_by_exact_chi_alone(self, caplog):
+        """Only building the whole chi matrix warns: the report at n=5 reads
+        chi entries and logs nothing."""
         channel = channel_factory({"n": 5, "kind": "identity"})
         with caplog.at_level("WARNING", logger="chitomo.oracle"):
             exact_average_fidelity(channel, max_n=5)
-            assert not caplog.records
             oracle_report(channel, samples=1, max_n=5)
+            assert not caplog.records
+            exact_chi(channel, max_n=5)
         warnings = [r for r in caplog.records if "chi matrix" in r.getMessage()]
         assert len(warnings) == 1
         assert warnings[0].getMessage() == "oracle at n=5 builds a 1024 x 1024 chi matrix"
