@@ -64,6 +64,14 @@ def test_design_bases(benchmark, n):
     assert bases.shape == (2**n + 1, 2**n, 2**n)
 
 
+@pytest.mark.parametrize("n", [4, 8, 12])
+def test_index_bit_tables(benchmark, n):
+    """The (rev, parity, popcount) tables over the 2^n indices, from a cold cache."""
+    rev, _, _ = benchmark.pedantic(index_bit_tables, args=(n,),
+                                   setup=index_bit_tables.cache_clear, rounds=50, iterations=1)
+    assert len(rev) == 2**n
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_pauli_actions_all_labels(benchmark, n):
     """The signed permutations of all 4^n labels as one table."""
@@ -282,6 +290,16 @@ def test_sampled_protocol(benchmark, protocol, kind, n):
            "triplets": lambda: run_triplet_experiments(channel, cfg)}[protocol]
     result = benchmark.pedantic(run, rounds=3, iterations=1)
     assert (len(result) if protocol == "triplets" else result.M) == 2000
+
+
+def test_estimate_chi_diag_mixture_cold(benchmark):
+    """The diagonal of a 64-label n=4 Pauli mixture at M=2000, the survival
+    workload's estimate-diag, with the per-n caches cleared before each round."""
+    channel, cfg = channel_factory(_mixture_spec(4, 64)), EstimatorConfig(M=2000, seed=4)
+    m = label_from_index(4, 27)
+    est = benchmark.pedantic(estimate_chi_diag, args=(channel, m, cfg),
+                             setup=_cold_design_caches, rounds=50, iterations=1)
+    assert est.M == 2000
 
 
 @pytest.mark.parametrize("protocol", ["diag", "offdiag"])

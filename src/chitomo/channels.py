@@ -34,6 +34,8 @@ import numpy as np
 from .pauli import (
     DENSE_QUBIT_CAP,
     DenseCapError,
+    _X_BIT,
+    _Z_BIT,
     PauliLabel,
     _parse_pauli,
     all_label_masks,
@@ -266,7 +268,20 @@ def _pauli_channel(n: int, labels, weights) -> PauliChannel:
 
 def _mixture_labels(n: int, raw: dict) -> tuple[np.ndarray, np.ndarray]:
     """Packed labels and weights of a weight map in map order, each key read as
-    PauliLabel.from_string reads it; the first faulty key fails its first check."""
+    PauliLabel.from_string reads it; the first faulty key fails its first check.
+
+    A well-formed map is read in one pass: its keys normalized as one list,
+    their letters turned into bits as one array.  Any fault sends the map
+    through the per-key checks, which name it."""
+    names = [key.strip().upper() if isinstance(key, str) else "" for key in raw]
+    joined = "".join(names)
+    weights = list(raw.values())
+    if (all(len(s) == n for s in names) and not joined.lstrip("IXYZ")
+            and len(set(names)) == len(names) and all(_is_number(w) and w >= 0 for w in weights)):
+        place = 1 << np.arange(n, dtype=np.int64)  # qubit 0, the leftmost letter, is bit 0
+        x, z = (np.frombuffer(joined.translate(bit).encode(), np.uint8).reshape(-1, n) - 48
+                for bit in (_X_BIT, _Z_BIT))
+        return x @ place | (z @ place) << n, np.array(weights, dtype=float)
     keys = {}  # packed label -> the key that names it
     for key, w in raw.items():
         try:

@@ -208,13 +208,13 @@ def _state_table(n: int, key_arrays: list[np.ndarray], readout, width: int,
     return table
 
 
-def _draw(thresholds: np.ndarray, keys: np.ndarray, us: np.ndarray) -> np.ndarray:
+def _draw(thresholds: np.ndarray, rows: np.ndarray, us: np.ndarray) -> np.ndarray:
     """Each experiment's outcome index: how many of the ascending cumulative
-    thresholds in its state's row, thresholds[key], are <= its draw u, counted
+    thresholds in its state's row, thresholds[row], are <= its draw u, counted
     column by column, so no (M, width) array is built."""
-    counts = np.zeros(len(keys), dtype=np.int64)
+    counts = np.zeros(len(rows), dtype=np.int64)
     for col in thresholds.T:
-        counts += col[keys] <= us
+        counts += col[rows] <= us
     return counts
 
 
@@ -226,6 +226,17 @@ def _base_weights(channel: PauliChannel, cols: np.ndarray) -> np.ndarray:
     cells = gf2_apply(cols[:, None, :], channel.labels) + d * np.arange(d + 1)[:, None]
     weights = np.broadcast_to(channel.weights, cells.shape)
     return np.bincount(cells.ravel(), weights.ravel(), d * (d + 1)).reshape(d + 1, d)
+
+
+def _pauli_survival(channel: PauliChannel, m: PauliLabel) -> np.ndarray:
+    """q[J, p_m(J)] of every base J, shape (D+1,): the weight of the labels a
+    whose commutation vector p_a(J) is p_m(J), summed in label order as
+    :func:`_base_weights` sums a cell, so its entries bit for bit."""
+    n = channel.n
+    cols = commutation_columns(n)
+    p_m = gf2_apply(cols, m.x_bits | m.z_bits << n)
+    js, hits = np.nonzero(gf2_apply(cols[:, None, :], channel.labels) == p_m[:, None])
+    return np.bincount(js, channel.weights[hits], 2**n + 1)
 
 
 def _pauli_table(channel: PauliChannel, m: PauliLabel, n_label: PauliLabel) -> np.ndarray:
@@ -271,14 +282,15 @@ def estimate_chi_diag(channel: Channel, m: PauliLabel, cfg: EstimatorConfig) -> 
     Per experiment: prepare design state k of base J, apply the channel followed
     by E_m^dag, test survival, i.e. the transition k -> k XOR p_m(J).  The
     survival frequency F-hat inverts to chi-hat = ((D+1) F-hat - 1)/D.  A
-    Pauli channel survives with q[J, p_m(J)], the m = n case of :func:`_pauli_table`.
+    Pauli channel's state of base J survives with q[J, p_m(J)]
+    (:func:`_pauli_survival`), read by J alone.
     """
     if m.n != channel.n:
         raise ValueError("label and channel qubit counts differ")
     n, d = channel.n, 2**channel.n
     keys, us = _campaign(n, cfg, _TAG_DIAG, "fidelity")
-    if isinstance(channel, PauliChannel):  # every row J*D + k survives with q[J, p_m(J)]
-        survival = _pauli_table(channel, m, m)[:, 2:]
+    if isinstance(channel, PauliChannel):  # one row per base J
+        rows, survival = keys >> n, _pauli_survival(channel, m)[:, None]
     else:
         ops, (src, w) = channel.operators, pauli_action(m)
 
@@ -287,9 +299,9 @@ def estimate_chi_diag(channel: Channel, m: PauliLabel, cfg: EstimatorConfig) -> 
             return np.sum(np.abs(_amplitudes(ops, w[:, None] * v[src], v)) ** 2,
                           axis=1, keepdims=True)
 
-        survival = _state_table(n, [keys], readout, 1, ops.size // d)
+        rows, survival = keys, _state_table(n, [keys], readout, 1, ops.size // d)
     # the outcome is 1 (survival) below the survival probability, else 0
-    outcome = survival[keys, 0] if us is None else np.array([1.0, 0.0])[_draw(survival, keys, us)]
+    outcome = survival[rows, 0] if us is None else np.array([1.0, 0.0])[_draw(survival, rows, us)]
     return _finish(cfg, ((d + 1) * outcome - 1) / d)
 
 

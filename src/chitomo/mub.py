@@ -18,7 +18,7 @@ import logging
 
 import numpy as np
 
-from .pauli import DENSE_QUBIT_CAP, DenseCapError, class_generators, index_bit_tables, pauli_actions
+from .pauli import DENSE_QUBIT_CAP, DenseCapError, class_generators, index_bit_tables
 
 logger = logging.getLogger(__name__)
 
@@ -31,15 +31,13 @@ def design_bases(n: int) -> np.ndarray:
     Row x of a base is qubit-order basis state q = rev(x) (bit i = qubit i),
     the bit reversal, because qubit 0 is the most significant tensor factor.
     Base 0 is the permutation with column k = |rev(k)>.  For J >= 1 generator
-    i has X only on qubit i, so Z on qubit i flips the sign of generator i
-    alone: state 0 is the n projectors (I + g_i)/2 applied to |0> and
-    normalized, and column k is Z^k applied to it, a sign (-1)^{|rev(x) AND
-    k|} per row.  State 0 has full support, so every column's first amplitude
-    is the positive real one at x = 0.  All D classes J >= 1 are built at
-    once: each projector step applies generator i of every class, read from
-    :func:`chitomo.pauli.class_generators`, as one batch of signed
-    permutations (:func:`chitomo.pauli.pauli_actions`).  O(D^3) in
-    all; the cache holds every n up to the dense cap (4.3 MB at n = 6).
+    i has X only on qubit i and Z on the qubits a of row i of the symmetric
+    bit matrix B_J (its Z mask), so state 0, the n projectors (I + g_i)/2
+    applied to |0>, is psi_J(q) = i^(q^T B_J q mod 4) / D before it is
+    normalized: full support, a positive real first amplitude at x = 0.
+    Column k is Z^k applied to it, a sign (-1)^{|rev(x) AND k|} per row.  All
+    D classes J >= 1 are built at once from :func:`chitomo.pauli.class_generators`.
+    O(D^3) in all; the cache holds every n up to the dense cap (4.3 MB at n = 6).
     """
     if n > DENSE_QUBIT_CAP:
         raise DenseCapError(f"dense states limited to n <= {DENSE_QUBIT_CAP}")
@@ -47,12 +45,11 @@ def design_bases(n: int) -> np.ndarray:
         raise ValueError(f"design states need n >= 1, got n={n}")
     d = 2**n
     rev, parity, _ = index_bit_tables(n)
-    v = np.zeros((d, d), dtype=complex)
-    v[:, 0] = 1.0
-    for i in range(n):
-        src, w = pauli_actions(n, np.full(d, 1 << i), class_generators(n)[1:, i] >> n)
-        v = (v + w * np.take_along_axis(v, src, axis=1)) / 2
-    # Every amplitude is now a power of i over D, so each norm is exact in any
+    q = rev[:, None] >> np.arange(n) & 1  # [x, i]: bit i of q = rev(x)
+    b = class_generators(n)[1:, :, None] >> (n + np.arange(n)) & 1  # [J - 1, i, a]
+    # i^e with every zero part +0 (-1j would have a -0 real part)
+    v = np.array([1, 1j, -1, 0 - 1j])[np.sum((q @ b) * q, axis=-1) & 3] / d
+    # Every amplitude is a power of i over D, so each norm is exact in any
     # summation order: the batch matches one base built at a time, bit for bit.
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     bases = np.empty((d + 1, d, d), dtype=complex)

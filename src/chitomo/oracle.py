@@ -3,11 +3,11 @@
 Everything here is exact (dense linear algebra, full design enumeration) and
 deliberately simple: every identity, the ancilla one included, is one design
 sum on the n-qubit register, which applies a channel with every Kraus
-operator to all D(D+1) design states in one ``apply_channel`` call.  On a
-stack that large ``apply_channel`` builds the channel's superoperator from
-every Kraus operator and maps the stack with one matrix product (up to
-D = 32; above, one operator at a time).  It exists to pin down the Monte
-Carlo paths.
+operator to rank-1 inputs built from all D(D+1) design states in one
+``apply_channel`` call.  On a stack that large ``apply_channel`` builds the
+channel's superoperator from every Kraus operator and maps the stack with
+one matrix product (up to D = 32; above, one operator at a time).  It
+exists to pin down the Monte Carlo paths.
 A channel here is either of its two forms, a Kraus set or a Pauli weight
 map, read through its Kraus operators; chi appears only as this module's
 output.  Desk-scale only: chi matrices are 4**n x 4**n, so the default cap is
@@ -17,7 +17,6 @@ n = 4 with an explicit opt-in for n = 5.
 from __future__ import annotations
 
 import logging
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +35,7 @@ from .pauli import (
     PauliLabel,
     all_labels,
     label_from_index,
+    pauli_matrices,
     pauli_matrix,
 )
 
@@ -86,15 +86,16 @@ def exact_chi_entries(
     return [complex(c[:, col[m]] @ c[:, col[n_label]].conj()) for m, n_label in pairs]
 
 
-def _design_sum(channel: Channel, inputs: Callable[[np.ndarray], np.ndarray] | None = None,
-                max_n: int = ORACLE_QUBIT_CAP) -> complex:
-    """Design average of <v| E(inputs(P_v)) |v>, P_v = |v><v|, over all
+def _design_sum(channel: Channel, left: np.ndarray | None = None,
+                right: np.ndarray | None = None, max_n: int = ORACLE_QUBIT_CAP) -> complex:
+    """Design average of <v| E(L P_v R^dag) |v>, P_v = |v><v|, over all
     D(D+1) design states v, with one ``apply_channel`` call on the whole
-    stack; inputs defaults to P_v itself."""
+    stack.  Each input is rank 1, L P_v R^dag = (L v)(R v)^dag, so no
+    product with P_v is formed; L and R default to the identity."""
     _check_oracle_cap(channel.n, max_n)
     v = design_states(channel.n)
-    proj = v[:, :, None] * v[:, None, :].conj()
-    out = apply_channel(channel, proj if inputs is None else inputs(proj))
+    lv, rv = (v if op is None else v @ op.T for op in (left, right))
+    out = apply_channel(channel, lv[:, :, None] * rv[:, None, :].conj())
     return complex(np.einsum("si,sij,sj->", v.conj(), out, v)) / len(v)
 
 
@@ -113,8 +114,8 @@ def exact_offdiag_average(
 
     Equals (D chi_mn + delta_mn) / (D + 1) for a valid channel.
     """
-    em_dag, en = pauli_matrix(m).conj().T, pauli_matrix(n_label)
-    return _design_sum(channel, lambda proj: em_dag @ proj @ en, max_n)
+    em_dag, en_dag = pauli_matrix(m).conj().T, pauli_matrix(n_label).conj().T
+    return _design_sum(channel, em_dag, en_dag, max_n)
 
 
 def exact_ancilla_polarization(
@@ -141,7 +142,7 @@ def exact_ancilla_polarization(
 
     def design_sum(b: complex) -> float:
         g = (en_dag + np.conj(b) * em_dag) / 2
-        return _design_sum(channel, lambda proj: g @ proj @ g.conj().T, max_n).real
+        return _design_sum(channel, g, g, max_n).real
 
     return design_sum(c) - design_sum(-c)
 
@@ -184,7 +185,9 @@ def trace_identity_residual(
     if pairs is None:
         labels = all_labels(channel.n)
         pairs = [(a, b) for a in labels for b in labels]
-    mats = {a: pauli_matrix(a) for a in {a for pair in pairs for a in pair}}
+    labels = list(dict.fromkeys(a for pair in pairs for a in pair))
+    mats = dict(zip(labels, pauli_matrices(channel.n, [a.x_bits for a in labels],
+                                           [a.z_bits for a in labels])))
     step = max(1, _STACK_ENTRIES // d**2)
     worst = 0.0
     for start in range(0, len(pairs), step):

@@ -183,12 +183,9 @@ def index_bit_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(rev, parity, popcount) over the 2**n indices: rev[c] is c with its n
     bits reversed, popcount[c] its bit count and parity[c] that count's
     parity.  Read-only."""
-    c = np.arange(1 << n)
-    rev = np.zeros_like(c)
-    popcount = np.zeros_like(c)
-    for b in range(n):
-        rev |= ((c >> b) & 1) << (n - 1 - b)
-        popcount += (c >> b) & 1
+    bits = np.arange(1 << n) >> np.arange(n)[:, None] & 1  # bits[b, c]: bit b of c
+    rev = (1 << np.arange(n - 1, -1, -1)) @ bits
+    popcount = bits.sum(axis=0)
     parity = popcount & 1
     for table in (rev, parity, popcount):
         table.setflags(write=False)

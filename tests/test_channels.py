@@ -551,6 +551,12 @@ _MIXTURE_CASES = [
     (2, {"Q": "x", "II": 1.0}),
     (2, {"QQQ": 1.0}),
     (1, {"I": 1, "Y": 0}),  # integer weights
+    (3, {" xyz": 0.5, "iiz ": 0.25, "Yyy\n": 0.25}),  # well formed, lower case and padded
+    (2, {"II": 0.5, "ZX": 0.25, " zx": 0.25}),  # one label only after normalization
+    (1, {"I": True, "X": 0}),  # true as the first weight
+    (2, {"II": 0.5, 7: 0.25, "Q": 0.25}),  # a non-string key from the Python API
+    (2, {"XII": 0.5, "Z": 0.5}),  # wrong lengths that add up to n per key
+    (2, {"X I": 0.5, "II": 0.5}),  # a space inside a key
 ]
 
 

@@ -3,6 +3,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -942,3 +946,31 @@ class TestDeterminism:
                 "--out", str(log))
             logs.append(log.read_bytes())
         assert logs[0] == logs[1]
+
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    """A fresh process runs every subcommand once without importing numpy.ma,
+    which costs milliseconds at first use (np.unique imports it unless asked
+    for one of its return_* arrays)."""
+    spec, _ = write_spec(tmp_path, "mix.json", {"n": 2, "kind": "pauli_mixture",
+                                                "weights": {"II": 0.7, "XI": 0.2, "ZZ": 0.1}})
+    log = str(tmp_path / "t.log")
+    argvs = [["estimate-diag", "--channel", spec, "--m", "XI", "--M", "200"],
+             ["estimate-offdiag", "--channel", spec, "--m", "XI", "--n-label", "ZZ", "--M", "200"],
+             ["triplets", "--channel", spec, "--M", "500", "--seed", "1", "--out", log],
+             ["diag-from-log", "--log", log, "--m", "XI", "--channel", spec],
+             ["sieve", "--log", log, "--threshold", "0.05", "--channel", spec],
+             ["verify", "--n", "2", "--verify-level", "full"]]
+    assert sorted(argv[0] for argv in argvs) == sorted(cli.SUBCOMMANDS)
+    script = ("import contextlib, io, json, sys\n"
+              "from chitomo import cli\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        assert cli.main(argv) == 0, argv\n"
+              "print('numpy.ma' in sys.modules)\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

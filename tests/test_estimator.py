@@ -455,18 +455,33 @@ def test_pauli_offdiag_rows_match_dense_amplitudes(kind, n):
 
 
 @pytest.mark.parametrize("kind", ["identity", "depolarizing", "pauli_mixture"])
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_pauli_survival_column_is_the_base_weight(kind, n):
-    """The survival column the diagonal reads, the m = n case of the closed
-    form, is q[J, p_m(J)] repeated over base J's D states, bit for bit:
-    (q + q) / 2 is q exactly.  Every label."""
+    """The per-base survival the diagonal reads is q[J, p_m(J)] of the base
+    weight table, bit for bit: every label at n <= 3, 40 sampled ones above."""
     channel, d = channel_factory(_pauli_spec(kind, n)), 2**n
     cols = commutation_columns(n)
     q = estimator._base_weights(channel, cols)
-    for m in all_labels(n):
-        want = np.repeat(q[np.arange(d + 1), gf2_apply(cols, m.x_bits | m.z_bits << n)], d)
-        got = np.ascontiguousarray(estimator._pauli_table(channel, m, m)[:, 2])
+    rng = np.random.default_rng(n)
+    labels = all_labels(n) if n <= 3 else [random_label(n, rng) for _ in range(40)]
+    for m in labels:
+        want = q[np.arange(d + 1), gf2_apply(cols, m.x_bits | m.z_bits << n)]
+        got = estimator._pauli_survival(channel, m)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_pauli_diag_reads_one_survival_per_base(monkeypatch):
+    """A Pauli channel's diagonal protocol reads q[J, p_m(J)] per base: it
+    builds no base weight table, no state table and no off-diagonal table."""
+    def refuse(*args):
+        raise AssertionError("table built for a Pauli diagonal")
+
+    channel = channel_factory(_pauli_spec("pauli_mixture", 3))
+    m = PauliLabel.from_string("XYZ")
+    for name in ("_base_weights", "_pauli_table", "_state_table"):
+        monkeypatch.setattr(estimator, name, refuse)
+    for cfg, m_count in ((EstimatorConfig(M=200, seed=1), 200), (ENUMERATE, 72)):
+        assert estimate_chi_diag(channel, m, cfg).M == m_count
 
 
 def test_pauli_offdiag_forms_no_operator_and_no_state(monkeypatch):

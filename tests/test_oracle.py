@@ -10,7 +10,7 @@ from chitomo.channels import (
     channel_factory,
     modified_channel_diag,
 )
-from chitomo.mub import design_average_survival, design_basis
+from chitomo.mub import design_average_survival, design_basis, design_states
 from chitomo.oracle import (
     exact_ancilla_polarization,
     exact_average_fidelity,
@@ -22,7 +22,7 @@ from chitomo.oracle import (
     random_label,
     trace_identity_residual,
 )
-from chitomo.pauli import DenseCapError, PauliLabel, all_labels, pauli_matrix
+from chitomo.pauli import DenseCapError, PauliLabel, all_labels, pauli_matrices, pauli_matrix
 
 from reference import (
     kron_pauli_basis,
@@ -407,6 +407,54 @@ class TestBatchedDesignSums:
             assert abs(design_average_survival(o1, o2) - loop_design_average_survival(o1, o2)) < 1e-12
 
 
+def _product_design_sum(channel, left, right):
+    """A design sum with its inputs formed as products L P_v R^dag, as the
+    oracle formed them before its inputs were rank 1."""
+    v = design_states(channel.n)
+    proj = v[:, :, None] * v[:, None, :].conj()
+    out = apply_channel(channel, left @ proj @ right.conj().T)
+    return complex(np.einsum("si,sij,sj->", v.conj(), out, v)) / len(v)
+
+
+_VERIFY_SPECS = [
+    {"kind": "depolarizing", "p": 0.3},
+    {"kind": "unitary", "generator": "X", "theta": 1.0471975511965976},
+    {"kind": "amplitude_damping", "gamma": 0.25},
+]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("spec", _VERIFY_SPECS, ids=lambda spec: spec["kind"])
+def test_rank_one_design_sums_match_products(n, spec, monkeypatch):
+    """The off-diagonal and ancilla sums of verify's three channels equal
+    the sums of the L P_v R^dag products to 1e-15, and each is one
+    apply_channel call on the D(D+1)-state stack: an oracle report with 3
+    samples makes 3 fidelity calls and 5 calls per sampled pair."""
+    spec = {**spec, "n": n}
+    if "generator" in spec:
+        spec["generator"] += "I" * (n - 1)
+    channel, rng, d = channel_factory(spec), np.random.default_rng(n), 2**n
+    for _ in range(3):
+        m, n_label = random_label(n, rng), random_label(n, rng)
+        em_dag, en_dag = pauli_matrix(m).conj().T, pauli_matrix(n_label).conj().T
+        assert abs(exact_offdiag_average(channel, m, n_label)
+                   - _product_design_sum(channel, em_dag, en_dag)) <= 1e-15
+        for axis, c in (("x", 1), ("y", 1j)):
+            g_plus, g_minus = ((en_dag + np.conj(b) * em_dag) / 2 for b in (c, -c))
+            want = (_product_design_sum(channel, g_plus, g_plus).real
+                    - _product_design_sum(channel, g_minus, g_minus).real)
+            assert abs(exact_ancilla_polarization(channel, m, n_label, axis) - want) <= 1e-15
+    shapes = []
+
+    def spy(channel, rho):
+        shapes.append(np.shape(rho))
+        return apply_channel(channel, rho)
+
+    monkeypatch.setattr(oracle_module, "apply_channel", spy)
+    oracle_report(channel, samples=3, seed=n)
+    assert shapes == [(d * (d + 1), d, d)] * 18
+
+
 class TestOracleCosts:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_every_design_sum_maps_the_n_qubit_register(self, n, monkeypatch):
@@ -443,18 +491,19 @@ class TestOracleCosts:
     @pytest.mark.parametrize("pairs", [None, [(L("XZ"), L("XZ")), (L("XZ"), L("II")),
                                               (L("II"), L("YY")), (L("YY"), L("XZ"))]])
     def test_trace_identity_residual_builds_each_label_once(self, pairs, monkeypatch):
+        """One pauli_matrices call builds the matrix of every distinct label once."""
         calls = []
 
-        def spy(a):
-            calls.append(a)
-            return pauli_matrix(a)
+        def spy(n, xs, zs):
+            calls.append([PauliLabel(n, x, z) for x, z in zip(xs, zs)])
+            return pauli_matrices(n, xs, zs)
 
         channel = channel_factory({"n": 2, "kind": "amplitude_damping", "gamma": 0.25})
         want = trace_identity_residual(channel, pairs)
-        monkeypatch.setattr(oracle_module, "pauli_matrix", spy)
+        monkeypatch.setattr(oracle_module, "pauli_matrices", spy)
         assert trace_identity_residual(channel, pairs) == want
         distinct = all_labels(2) if pairs is None else {a for pair in pairs for a in pair}
-        assert sorted(calls, key=str) == sorted(distinct, key=str)
+        assert len(calls) == 1 and sorted(calls[0], key=str) == sorted(distinct, key=str)
 
     def test_chi_warning_is_logged_by_exact_chi_alone(self, caplog):
         """Only building the whole chi matrix warns: the report at n=5 reads

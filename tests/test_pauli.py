@@ -285,12 +285,14 @@ class TestPauliActions:
         with pytest.raises(DenseCapError):
             pauli_actions(7, [0], [0])
 
-    def test_bit_tables(self):
-        rev, parity, popcount = index_bit_tables(5)
-        c = range(32)
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_bit_tables(self, n):
+        rev, parity, popcount = index_bit_tables(n)
+        c = range(2**n)
         assert list(popcount) == [bin(i).count("1") for i in c]
         assert list(parity) == [bin(i).count("1") & 1 for i in c]
-        assert list(rev) == [int(format(i, "05b")[::-1], 2) for i in c]
+        assert list(rev) == [int(format(i, f"0{n}b")[::-1], 2) for i in c]
+        assert rev.dtype == parity.dtype == popcount.dtype == np.int64
         assert not (rev.flags.writeable or parity.flags.writeable or popcount.flags.writeable)
 
 
