@@ -26,13 +26,11 @@ from .pauli import (
 from .channels import (
     Channel,
     ChannelSpecError,
-    ChiMatrix,
     KrausSet,
     PauliChannel,
     apply_channel,
     channel_factory,
     channel_spec_sha256,
-    kraus_to_chi,
     load_channel_spec,
     modified_channel_diag,
     superoperator,
@@ -55,12 +53,14 @@ from .estimator import (
     write_triplet_log,
 )
 from .oracle import (
+    ChiMatrix,
     OracleReport,
     exact_average_fidelity,
     exact_chi,
     exact_chi_entries,
     exact_offdiag_average,
     haar_closed_form,
+    kraus_to_chi,
     oracle_report,
 )
 

@@ -2,12 +2,11 @@
 
 A channel has one of two forms: a Kraus operator-sum set, or for a Pauli
 channel its label weights, whose ``operators`` expand them on first use.
-The chi matrix over the canonical Pauli operator basis (see
-:func:`chitomo.pauli.label_index` for the ordering) is never an input: it
-appears only as the oracle's output, built by :func:`kraus_to_chi`.  Every
-constructor here validates its output; :func:`apply_channel` acts linearly
-on any input matrix, or stack of them.  :func:`superoperator` builds the same
-action as one D**2 x D**2 matrix from every Kraus operator.
+The chi matrix is not a channel form: it and the Pauli-coefficient
+expansion that builds it belong to :mod:`chitomo.oracle`.  Every constructor
+here validates its output; :func:`apply_channel` acts linearly on any input
+matrix, or stack of them.  :func:`superoperator` builds the same action as
+one D**2 x D**2 matrix from every Kraus operator.
 ``apply_channel`` maps a large stack, such as the oracle's D(D+1) design
 states, through it with one matrix product, and a single matrix or a small
 stack one operator at a time.
@@ -39,7 +38,6 @@ from .pauli import (
     PauliLabel,
     _parse_pauli,
     all_label_masks,
-    label_index,
     pauli_matrices,
     pauli_matrix,
 )
@@ -51,25 +49,6 @@ _SUPEROPERATOR_BYTES = 2**25
 
 class ChannelSpecError(ValueError):
     """Malformed channel-spec document."""
-
-
-@dataclass(frozen=True, eq=False)
-class ChiMatrix:
-    """Process matrix: D**2 x D**2, indexed by canonical Pauli label pairs;
-    the oracle's output, never a channel."""
-
-    n: int
-    mat: np.ndarray
-
-    def __post_init__(self):
-        d2 = 4**self.n
-        if self.mat.shape != (d2, d2):
-            raise ValueError(f"chi matrix for n={self.n} must be {d2}x{d2}")
-
-    def entry(self, m: PauliLabel, n_label: PauliLabel) -> complex:
-        if m.n != self.n or n_label.n != self.n:
-            raise ValueError(f"labels n={m.n}, {n_label.n} do not match chi n={self.n}")
-        return complex(self.mat[label_index(m), label_index(n_label)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,18 +148,6 @@ def kraus_completeness_deviation(k: KrausSet) -> float:
     m = k.operators.reshape(-1, 2**k.n)  # sum_i A_i^dag A_i is one (K D, D) GEMM
     s = m.conj().T @ m
     return float(np.max(np.abs(np.linalg.eigvalsh(s - np.eye(2**k.n)))))
-
-
-def pauli_coefficients(channel: Channel, xs, zs) -> np.ndarray:
-    """c[k, m] = Tr(E_m^dag A_k) / D for the labels m with masks xs[m], zs[m]."""
-    basis = pauli_matrices(channel.n, xs, zs)  # conjugated in place: it is ours
-    return np.einsum("mji,kji->km", np.conj(basis, out=basis), channel.operators) / 2**channel.n
-
-
-def kraus_to_chi(channel: Channel) -> ChiMatrix:
-    """Expand the Kraus operators in the Pauli basis and accumulate chi."""
-    c = pauli_coefficients(channel, *all_label_masks(channel.n))
-    return ChiMatrix(channel.n, np.einsum("km,kn->mn", c, c.conj()))
 
 
 def modified_channel_diag(channel: Channel, m: PauliLabel) -> KrausSet:

@@ -278,7 +278,6 @@ def _verify_rows(n: int, level: str, seed: int) -> list[dict]:
         for name, spec in suite.items():
             channel = channel_factory(spec)
             rep = oracle_report(channel, samples=3, seed=seed)
-            add(f"{name}: design identity", rep.design_residual, 1e-9)
             add(f"{name}: diagonal fidelity identity", rep.fidelity_residual, 1e-9)
             add(f"{name}: off-diagonal identity", rep.offdiag_residual, 1e-9)
             add(f"{name}: ancilla polarization identity", rep.ancilla_residual, 1e-9)
@@ -299,11 +298,13 @@ def _verify_rows(n: int, level: str, seed: int) -> list[dict]:
 def cmd_verify(args) -> int:
     if args.n < 1:
         raise CliError(EXIT_MALFORMED, "bad_arguments", f"--n must be >= 1, got {args.n}")
-    if args.n > DENSE_QUBIT_CAP or (args.verify_level == "full" and args.n > ORACLE_QUBIT_CAP):
+    cap, what = ((ORACLE_QUBIT_CAP, "oracle") if args.verify_level == "full"
+                 else (DENSE_QUBIT_CAP, "dense-simulation"))
+    if args.n > cap:
         raise CliError(
             EXIT_DENSE_CAP,
             "dense_cap",
-            f"verify level {args.verify_level!r} is dense-only; n={args.n} exceeds the cap",
+            f"verify level {args.verify_level!r}: n={args.n} exceeds the {what} cap {cap}",
         )
     try:
         key = seed_key(args.seed)

@@ -10,7 +10,6 @@ import pytest
 from chitomo import channels
 from chitomo.channels import (
     ChannelSpecError,
-    ChiMatrix,
     KrausSet,
     PauliChannel,
     apply_channel,
@@ -18,13 +17,13 @@ from chitomo.channels import (
     channel_factory,
     channel_spec_sha256,
     kraus_completeness_deviation,
-    kraus_to_chi,
     load_channel_spec,
     matrix_from_json,
     matrix_to_json,
     modified_channel_diag,
     superoperator,
 )
+from chitomo.oracle import ChiMatrix, kraus_to_chi
 from chitomo.pauli import (
     DenseCapError,
     PauliLabel,

@@ -857,21 +857,21 @@ class TestVerify:
     def test_full_two_qubit(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "2", "--verify-level", "full")
         assert code == 0
-        assert "19/19 checks passed" in out
+        assert "16/16 checks passed" in out
         assert "FAIL" not in out
 
     def test_full_three_qubit(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "3", "--verify-level", "full")
         assert code == 0
-        assert "19/19 checks passed" in out
+        assert "16/16 checks passed" in out
         rows = out.splitlines()[:-1]
-        assert len(rows) == 19 and all(line.startswith("ok  ") for line in rows)
+        assert len(rows) == 16 and all(line.startswith("ok  ") for line in rows)
 
     def test_negative_seed_runs(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "2", "--verify-level", "full",
                            "--seed", "-1")
         assert code == 0
-        assert "19/19 checks passed" in out
+        assert "16/16 checks passed" in out
 
     @pytest.mark.parametrize("fault", ["repeated-class", "anticommuting-generators"])
     def test_faulty_class_table_fails(self, capsys, monkeypatch, fault):
@@ -889,10 +889,23 @@ class TestVerify:
         assert [line.split()[1] for line in out.splitlines() if line.startswith("FAIL")] == ["mub"]
 
     def test_above_cap_exits_4(self, capsys):
+        """Each level names the cap that refuses it."""
         code, _, err = run(capsys, "verify", "--n", "7")
         assert code == 4
-        assert json.loads(err)["error"] == "dense_cap"
-        assert run(capsys, "verify", "--n", "5", "--verify-level", "full")[0] == 4
+        assert json.loads(err) == {"error": "dense_cap", "message":
+                                   "verify level 'quick': n=7 exceeds the dense-simulation cap 6"}
+        code, _, err = run(capsys, "verify", "--n", "5", "--verify-level", "full")
+        assert code == 4
+        assert json.loads(err) == {"error": "dense_cap", "message":
+                                   "verify level 'full': n=5 exceeds the oracle cap 4"}
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_full_checks_the_design_identity_once(self, capsys, n):
+        code, out, _ = run(capsys, "verify", "--n", str(n), "--verify-level", "full")
+        assert code == 0
+        assert f"16/16 checks passed (n={n}, full)" in out
+        assert "design identity" not in out
+        assert out.count("design average matches Haar closed form") == 1
 
 
 SEED_ARGV = {

@@ -2,6 +2,7 @@
 
 import ast
 import json
+import logging
 import math
 from collections import Counter
 from pathlib import Path
@@ -543,7 +544,9 @@ def test_slicing_is_invisible(monkeypatch, seed):
 def test_estimator_reads_channels_apart_from_the_oracle():
     """The estimator binds no dense Pauli or channel operation, nothing from
     the channel layer but the channel types, and the oracle, which
-    cross-checks it, imports nothing from the estimator."""
+    cross-checks it, imports nothing from the estimator.  Chi is the
+    oracle's alone: the channel layer binds none of it and imports nothing
+    from the oracle."""
     dense = {"pauli_matrix", "commutation_vector", "apply_channel", "superoperator",
              "modified_channel_diag", "modified_channel_offdiag", "kraus_to_chi", "as_kraus"}
     assert dense.isdisjoint(vars(estimator))
@@ -554,13 +557,19 @@ def test_estimator_reads_channels_apart_from_the_oracle():
     bound = {name for name, obj in vars(estimator).items()
              if getattr(obj, "__module__", None) == channels.__name__}
     assert bound == {"PauliChannel"}
-    imported = []
-    for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
-        if isinstance(node, ast.ImportFrom):
-            imported += [node.module or "", *(a.name for a in node.names)]
-        elif isinstance(node, ast.Import):
-            imported += [a.name for a in node.names]
-    assert imported and not any("estimator" in name for name in imported)
+
+    def imported(module):  # every module and name its import statements name
+        names = []
+        for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names += [node.module or "", *(a.name for a in node.names)]
+            elif isinstance(node, ast.Import):
+                names += [a.name for a in node.names]
+        return names
+
+    assert imported(oracle) and not any("estimator" in name for name in imported(oracle))
+    assert imported(channels) and not any("oracle" in name for name in imported(channels))
+    assert {"ChiMatrix", "pauli_coefficients", "kraus_to_chi"}.isdisjoint(vars(channels))
 
 
 class TestStatisticalBehaviour:
@@ -682,6 +691,18 @@ class TestTripletExperiments:
     def test_exact_mode_rejected(self):
         with pytest.raises(ValueError):
             run_triplet_experiments(IDENT1, EstimatorConfig(mode="exact"))
+
+    def test_tiny_negative_weight_is_clamped(self, caplog):
+        """A PauliChannel built in Python may carry a tiny negative weight,
+        which channel specs never give: the outcome rows then hold negative
+        entries, which as_distribution clamps to 0, so X never flips a state
+        of the Z or Y base."""
+        channel = PauliChannel(1, np.array([0, 1]), np.array([1 + 1e-7, -1e-7]))
+        with caplog.at_level(logging.DEBUG, logger="chitomo.mub"):
+            trips = run_triplet_experiments(channel, EstimatorConfig(M=400, seed=1))
+        assert "clamped negative probability mass 4.000e-07 in base 0" in caplog.messages
+        flipping = np.isin(trips.J, [0, 2])
+        assert flipping.any() and np.array_equal(trips.k_prime[flipping], trips.k[flipping])
 
 
 class TestDiagFromTriplets:

@@ -256,6 +256,18 @@ class TestOracleReport:
         rep = oracle_report(channel_factory({"n": 2, "kind": kind, **params}), samples=3)
         assert rep.max_residual < 1e-9
 
+    def test_checks_no_design_identity(self, monkeypatch):
+        """The design identity enters no channel: the report never computes
+        it, and holds the three channel residuals alone."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("oracle_report checked the design identity")
+
+        monkeypatch.setattr(oracle_module, "design_haar_residual", refuse)
+        rep = oracle_report(channel_factory({"n": 2, "kind": "amplitude_damping", "gamma": 0.3}),
+                            samples=3, seed=5)
+        assert list(vars(rep)) == ["fidelity_residual", "offdiag_residual", "ancilla_residual"]
+        assert rep.max_residual < 1e-9
+
 
 def label_pairs(n, rng):
     """Every label pair at n <= 2, and 200 sampled pairs above."""
