@@ -275,6 +275,9 @@ _PROTOCOL_CASES = [(protocol, kind, n) for kind, n in [("depolarizing", 2), ("de
                    for protocol in ("diag", "offdiag", "triplets")]
 _PROTOCOL_CASES += [("diag", "depolarizing", 6), ("offdiag", "depolarizing", 6),
                     ("triplets", "depolarizing", 6)]
+# The dense diagonal and off-diagonal readouts above n = 4.
+_PROTOCOL_CASES += [(protocol, "amplitude_damping", n) for n in (5, 6)
+                    for protocol in ("diag", "offdiag")]
 
 
 @pytest.mark.parametrize("protocol, kind, n", _PROTOCOL_CASES)
@@ -353,12 +356,17 @@ def test_channel_factory_depolarizing_n6(benchmark):
 
 
 def test_pauli_channel_operators_mixture(benchmark):
-    """The dense expansion of a 64-label n=4 mixture, from a fresh channel each round."""
+    """The dense expansion of a 64-label n=4 mixture: 32 fresh channels per
+    round, so that a round lasts milliseconds, each freed after its expansion,
+    so that the round does not time page faults of 32 live expansions."""
     spec = _mixture_spec(4, 64)
-    ops = benchmark.pedantic(lambda channel: channel.operators,
-                             setup=lambda: ((channel_factory(spec),), {}),
-                             rounds=100, iterations=1)
-    assert ops.shape == (64, 16, 16)
+
+    def expand(channels):
+        return [channels.pop().operators.shape for _ in range(32)]
+
+    shapes = benchmark.pedantic(expand, rounds=30, iterations=1,
+                                setup=lambda: (([channel_factory(spec) for _ in range(32)],), {}))
+    assert shapes == [(64, 16, 16)] * 32
 
 
 @pytest.mark.parametrize("n", [3, 4])

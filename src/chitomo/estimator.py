@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -38,7 +38,7 @@ from .pauli import (
     commutation_columns,
     gf2_apply,
     index_bit_tables,
-    pauli_action,
+    pauli_actions,
     pauli_mul,
 )
 
@@ -115,7 +115,8 @@ class EstimatorConfig:
         return required_sample_size(self.epsilon, kind)
 
     def echo(self) -> dict:
-        return {**asdict(self), "enumerate_design": self.mode == "exact"}
+        return {"M": self.M, "epsilon": self.epsilon, "seed": self.seed, "mode": self.mode,
+                "enumerate_design": self.mode == "exact"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,15 +229,13 @@ def _base_weights(channel: PauliChannel, cols: np.ndarray) -> np.ndarray:
     return np.bincount(cells.ravel(), weights.ravel(), d * (d + 1)).reshape(d + 1, d)
 
 
-def _pauli_survival(channel: PauliChannel, m: PauliLabel) -> np.ndarray:
-    """q[J, p_m(J)] of every base J, shape (D+1,): the weight of the labels a
-    whose commutation vector p_a(J) is p_m(J), summed in label order as
+def _pauli_survival(channel: PauliChannel, cols: np.ndarray, p_m: np.ndarray) -> np.ndarray:
+    """q[J, p_m(J)] of every base J, shape (D+1,), given the commutation
+    columns of every base and a label's commutation vectors p_m in them: the
+    weight of the labels a whose p_a(J) is p_m(J), summed in label order as
     :func:`_base_weights` sums a cell, so its entries bit for bit."""
-    n = channel.n
-    cols = commutation_columns(n)
-    p_m = gf2_apply(cols, m.x_bits | m.z_bits << n)
     js, hits = np.nonzero(gf2_apply(cols[:, None, :], channel.labels) == p_m[:, None])
-    return np.bincount(js, channel.weights[hits], 2**n + 1)
+    return np.bincount(js, channel.weights[hits], 2**channel.n + 1)
 
 
 def _pauli_table(channel: PauliChannel, m: PauliLabel, n_label: PauliLabel) -> np.ndarray:
@@ -281,23 +280,25 @@ def estimate_chi_diag(channel: Channel, m: PauliLabel, cfg: EstimatorConfig) -> 
 
     Per experiment: prepare design state k of base J, apply the channel followed
     by E_m^dag, test survival, i.e. the transition k -> k XOR p_m(J).  The
-    survival frequency F-hat inverts to chi-hat = ((D+1) F-hat - 1)/D.  A
-    Pauli channel's state of base J survives with q[J, p_m(J)]
-    (:func:`_pauli_survival`), read by J alone.
+    survival frequency F-hat inverts to chi-hat = ((D+1) F-hat - 1)/D.  The
+    label is read only through p_m(J): a Pauli channel's state of base J
+    survives with q[J, p_m(J)] (:func:`_pauli_survival`), read by J alone, and
+    a dense channel's state k with sum_i |<v_{k XOR p_m(J)}|A_i|v_k>|^2.
     """
     if m.n != channel.n:
         raise ValueError("label and channel qubit counts differ")
     n, d = channel.n, 2**channel.n
+    cols = commutation_columns(n)
+    p_m = gf2_apply(cols, m.x_bits | m.z_bits << n)
     keys, us = _campaign(n, cfg, _TAG_DIAG, "fidelity")
     if isinstance(channel, PauliChannel):  # one row per base J
-        rows, survival = keys >> n, _pauli_survival(channel, m)[:, None]
+        rows, survival = keys >> n, _pauli_survival(channel, cols, p_m)[:, None]
     else:
-        ops, (src, w) = channel.operators, pauli_action(m)
+        ops = channel.operators
 
-        def readout(js, ks):  # E_m v_k is v_{k XOR p_m(J)} up to a phase, so
-            v = design_bases(n)[js, :, ks].T  # sum_i |<E_m v_k|A_i|v_k>|^2 is that row entry
-            return np.sum(np.abs(_amplitudes(ops, w[:, None] * v[src], v)) ** 2,
-                          axis=1, keepdims=True)
+        def readout(js, ks):  # E_m v_k is v_{k XOR p_m(J)} up to a phase that |.|^2 drops
+            v, moved = (design_bases(n)[js, :, k].T for k in (ks, ks ^ p_m[js]))
+            return np.sum(np.abs(_amplitudes(ops, moved, v)) ** 2, axis=1, keepdims=True)
 
         rows, survival = keys, _state_table(n, [keys], readout, 1, ops.size // d)
     # the outcome is 1 (survival) below the survival probability, else 0
@@ -324,11 +325,12 @@ def estimate_chi_offdiag(
     if isinstance(channel, PauliChannel):
         table = _pauli_table(channel, m, n_label)
     else:
-        ops, actions = channel.operators, (pauli_action(m), pauli_action(n_label))
+        ops = channel.operators
+        srcs, ws = pauli_actions(n, [m.x_bits, n_label.x_bits], [m.z_bits, n_label.z_bits])
 
         def readout(js, ks):  # [state, (Re and Im of the polarization, survival)]; E^dag is E
             v = design_bases(n)[js, :, ks].T
-            x_m, x_n = (_amplitudes(ops, v, w[:, None] * v[src]) for src, w in actions)
+            x_m, x_n = (_amplitudes(ops, v, w[:, None] * v[src]) for src, w in zip(srcs, ws))
             polarization = np.sum(x_n.conj() * x_m, axis=1)
             survival = np.sum(np.abs(x_m) ** 2 + np.abs(x_n) ** 2, axis=1) / 2
             return np.array([polarization.real, polarization.imag, survival]).T

@@ -215,13 +215,6 @@ def pauli_actions(n: int, xs, zs) -> tuple[np.ndarray, np.ndarray]:
     return src, _PHASES[popcount[xs & zs]][:, None] * _SIGNS[parity[rev[zs][:, None] & src]]
 
 
-def pauli_action(a: PauliLabel) -> tuple[np.ndarray, np.ndarray]:
-    """A label's matrix as a signed permutation: (P v)[r] = w[r] * v[src[r]];
-    the one-label case of :func:`pauli_actions`."""
-    src, w = pauli_actions(a.n, [a.x_bits], [a.z_bits])
-    return src[0], w[0]
-
-
 def pauli_matrices(n: int, xs, zs, scale=None) -> np.ndarray:
     """Dense Hermitian representative matrices of many labels, shape (L, D, D),
     scattered from the signed permutations of :func:`pauli_actions`; each

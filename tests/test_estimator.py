@@ -51,7 +51,7 @@ from chitomo.pauli import (
     gf2_apply,
     label_from_index,
     mub_class,
-    pauli_action,
+    pauli_actions,
     pauli_matrix,
     solve_label_from_constraints,
 )
@@ -445,9 +445,8 @@ def test_pauli_offdiag_rows_match_dense_amplitudes(kind, n):
              else [*rng.integers(0, 4**n, size=(6, 2)), (5, 5), (0, 0)])
     for a, b in pairs:
         m, n_label = label_from_index(n, int(a)), label_from_index(n, int(b))
-        (src_m, w_m), (src_n, w_n) = pauli_action(m), pauli_action(n_label)
-        x_m = estimator._amplitudes(ops, v, w_m[:, None] * v[src_m])
-        x_n = estimator._amplitudes(ops, v, w_n[:, None] * v[src_n])
+        src, w = pauli_actions(n, [m.x_bits, n_label.x_bits], [m.z_bits, n_label.z_bits])
+        x_m, x_n = (estimator._amplitudes(ops, v, w[i][:, None] * v[src[i]]) for i in (0, 1))
         polarization = np.sum(x_n.conj() * x_m, axis=1)
         survival = np.sum(np.abs(x_m) ** 2 + np.abs(x_n) ** 2, axis=1) / 2
         got = estimator._pauli_table(channel, m, n_label)[states]
@@ -466,9 +465,9 @@ def test_pauli_survival_column_is_the_base_weight(kind, n):
     rng = np.random.default_rng(n)
     labels = all_labels(n) if n <= 3 else [random_label(n, rng) for _ in range(40)]
     for m in labels:
-        want = q[np.arange(d + 1), gf2_apply(cols, m.x_bits | m.z_bits << n)]
-        got = estimator._pauli_survival(channel, m)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        p_m = gf2_apply(cols, m.x_bits | m.z_bits << n)
+        got = estimator._pauli_survival(channel, cols, p_m)
+        assert np.array_equal(got.view(np.uint64), q[np.arange(d + 1), p_m].view(np.uint64))
 
 
 def test_pauli_diag_reads_one_survival_per_base(monkeypatch):
@@ -483,6 +482,61 @@ def test_pauli_diag_reads_one_survival_per_base(monkeypatch):
         monkeypatch.setattr(estimator, name, refuse)
     for cfg, m_count in ((EstimatorConfig(M=200, seed=1), 200), (ENUMERATE, 72)):
         assert estimate_chi_diag(channel, m, cfg).M == m_count
+
+
+def test_diag_applies_no_pauli_operator(monkeypatch):
+    """The diagonal reads its label through p_m(J) alone, on either channel
+    form: it builds no signed permutation of E_m."""
+    def refuse(*args):
+        raise AssertionError("Pauli operator applied in the diagonal")
+
+    monkeypatch.setattr(estimator, "pauli_actions", refuse)
+    m = PauliLabel.from_string("XYZ")
+    dense = channel_factory({"n": 3, "kind": "amplitude_damping", "gamma": 0.3})
+    for channel in (dense, channel_factory(_pauli_spec("pauli_mixture", 3))):
+        for cfg, m_count in ((EstimatorConfig(M=200, seed=1), 200), (ENUMERATE, 72)):
+            assert estimate_chi_diag(channel, m, cfg).M == m_count
+
+
+def _dense_diag_channels(n):
+    yield channel_factory({"n": n, "kind": "amplitude_damping", "gamma": 0.3})
+    yield channel_factory({"n": n, "kind": "unitary", "generator": "Y" * n, "theta": 0.7})
+    yield channel_factory({"n": n, "kind": "compose", "children": [
+        {"n": n, "kind": "depolarizing", "p": 0.2},
+        {"n": n, "kind": "unitary", "generator": "X" + "Z" * (n - 1), "theta": 1.1}]})
+    yield random_channel(n, np.random.default_rng(80 + n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_dense_diag_table_is_the_modified_survival(monkeypatch, n):
+    """The dense diagonal's state table, read at v_{k XOR p_m(J)}, is bit for
+    bit sum_i |<E_m v_k|A_i|v_k>|^2 with E_m applied as a signed permutation:
+    every label at n = 1, 12 sampled ones above, on every design state, in
+    the state table's slices (a product's last bits follow them)."""
+    tables = []
+
+    def spy(*args):
+        tables.append(state_table(*args))
+        return tables[-1]
+
+    state_table, d = estimator._state_table, 2**n
+    monkeypatch.setattr(estimator, "_state_table", spy)
+    v = design_bases(n).transpose(1, 0, 2).reshape(d, -1)
+    rng = np.random.default_rng(90 + n)
+    labels = [label_from_index(n, int(i))
+              for i in (range(4) if n == 1 else rng.integers(0, 4**n, size=12))]
+    src, w = pauli_actions(n, [a.x_bits for a in labels], [a.z_bits for a in labels])
+    for channel in _dense_diag_channels(n):
+        ops = channel.operators
+        step = max(1, estimator._SPREAD_ENTRIES // (ops.size // d))
+        for i, m in enumerate(labels):
+            estimate_chi_diag(channel, m, ENUMERATE)
+            moved = w[i][:, None] * v[src[i]]
+            want = np.concatenate([np.abs(estimator._amplitudes(
+                ops, moved[:, lo:lo + step], v[:, lo:lo + step])) ** 2
+                for lo in range(0, d * (d + 1), step)])
+            want = np.sum(want, axis=1, keepdims=True)
+            assert np.array_equal(tables.pop().view(np.uint64), want.view(np.uint64))
 
 
 def test_pauli_offdiag_forms_no_operator_and_no_state(monkeypatch):

@@ -21,7 +21,6 @@ from chitomo.pauli import (
     label_index,
     mub_class,
     mub_classes,
-    pauli_action,
     pauli_actions,
     pauli_matrices,
     pauli_matrix,
@@ -264,9 +263,6 @@ def _assert_actions_bit_equal(n, idx):
         ref_src, ref_w = _pauli_action_reference(a)
         np.testing.assert_array_equal(s, ref_src, err_msg=str(a))
         assert np.array_equal(v.view(np.uint64), ref_w.view(np.uint64)), str(a)
-        one_src, one_w = pauli_action(a)
-        assert np.array_equal(one_src, s)
-        assert np.array_equal(one_w.view(np.uint64), v.view(np.uint64))
 
 
 class TestPauliActions:
