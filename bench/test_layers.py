@@ -399,6 +399,29 @@ def test_oracle_one_pair(benchmark, how):
     assert abs(value) < 1e-12
 
 
+def test_oracle_one_diagonal_fresh_channel(benchmark):
+    """One diagonal chi entry of a 64-label n=4 mixture built fresh each
+    round, as estimate-diag reads its oracle column once per channel: no
+    round reads a dense expansion that an earlier round cached."""
+    spec, m = _mixture_spec(4, 64), label_from_index(4, 27)
+    value = benchmark.pedantic(lambda channel: exact_chi_entries(channel, [(m, m)])[0],
+                               setup=lambda: ((channel_factory(spec),), {}),
+                               rounds=200, iterations=1)
+    assert value == 1 / 64
+
+
+@pytest.mark.parametrize("kind, n", [("depolarizing", 3), ("depolarizing", 4),
+                                     ("amplitude_damping", 5)])
+def test_exact_chi(benchmark, kind, n):
+    """The whole chi of kraus_to_chi, every label's Pauli expansion and the
+    chi sum, for 4^n or 2^n Kraus operators expanded before the timing."""
+    channel = _protocol_channel(kind, n)
+    assert len(channel.operators) == (4**n if kind == "depolarizing" else 2**n)
+    chi = benchmark.pedantic(exact_chi, args=(channel,), kwargs={"max_n": 5},
+                             rounds=5, iterations=1)
+    assert abs(np.trace(chi.mat) - 1) < 1e-12
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_oracle_report(benchmark, n):
     """The full identity report of verify --verify-level full, for one channel."""

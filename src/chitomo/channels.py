@@ -195,9 +195,9 @@ def channel_spec_sha256(spec: dict) -> str:
 
 def read_channel_spec(path) -> tuple[dict, str]:
     """A channel-spec file's document and its :func:`channel_spec_sha256` digest."""
-    try:
-        with open(path) as fh:
-            spec = json.load(fh)
+    try:  # decoded as UTF-8 whatever the locale; json.loads of bytes would take UTF-16
+        with open(path, "rb") as fh:
+            spec = json.loads(fh.read().decode("utf-8"))
     except OSError as exc:
         raise ChannelSpecError(f"cannot read channel spec: {exc}") from exc
     except UnicodeDecodeError as exc:

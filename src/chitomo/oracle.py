@@ -9,7 +9,9 @@ channel's superoperator from every Kraus operator and maps the stack with
 one matrix product (up to D = 32; above, one operator at a time).  It
 exists to pin down the Monte Carlo paths.
 A channel here is either of its two forms, a Kraus set or a Pauli weight
-map, read through its Kraus operators.  Chi is this module's output and
+map, read through its Kraus operators; only :func:`exact_chi_entries` reads
+a Pauli channel's chi_mn = w_m delta_mn off its weight map instead, while
+:func:`exact_chi` expands both forms.  Chi is this module's output and
 lives here alone: :class:`ChiMatrix`, the Pauli-coefficient expansion
 c_km = Tr(E_m^dag A_k) / D over the canonical Pauli basis (see
 :func:`chitomo.pauli.label_index` for the ordering), and
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, apply_channel, modified_channel_diag
+from .channels import Channel, PauliChannel, apply_channel, modified_channel_diag
 from .mub import design_average_survival, design_states
 from .pauli import (
     DenseCapError,
@@ -104,11 +106,18 @@ def exact_chi_entries(
 ) -> list[complex]:
     """chi_mn for each (m, n) pair, without building the rest of chi.
 
-    The Kraus operators are expanded over the distinct labels of the pairs
-    only: c_km = Tr(E_m^dag A_k) / D and chi_mn = sum_k c_km conj(c_kn), the
-    same sums :func:`exact_chi` does for every label.  O(K D^2) per distinct
-    label, so no oracle cap applies beyond the dense one of ``pauli_matrices``.
+    A Pauli channel's chi is diagonal, chi_mm the sum of its weights on label
+    m (a repeated label's weights add up): it is read off the weight map, with
+    no operator built, in O(K) per pair.  A Kraus set is expanded over the
+    distinct labels of the pairs only: c_km = Tr(E_m^dag A_k) / D and
+    chi_mn = sum_k c_km conj(c_kn), the same sums :func:`exact_chi` does for
+    every label.  O(K D^2) per distinct label, so no oracle cap applies
+    beyond the dense one of ``pauli_matrices``.
     """
+    if isinstance(channel, PauliChannel):
+        n, labels, weights = channel.n, channel.labels, channel.weights
+        return [complex(weights[labels == (m.x_bits | m.z_bits << n)].sum()) if m == n_label
+                else 0j for m, n_label in pairs]
     if not pairs:
         return []
     labels = list(dict.fromkeys(a for pair in pairs for a in pair))

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from chitomo import cli, pauli
 from chitomo.channels import (
+    PauliChannel,
     channel_factory,
     channel_spec_sha256,
     matrix_to_json,
@@ -586,6 +587,22 @@ def test_undecodable_files_exit_2(capsys, specs, tmp_path, target):
     assert json.loads(err)["error"] == "malformed_input"
 
 
+def test_utf8_spec_reads_under_an_ascii_locale(tmp_path):
+    """A spec is decoded as UTF-8 whatever the locale's encoding: a non-ASCII
+    string in it is read in a process whose locale is C and UTF-8 mode off."""
+    spec = tmp_path / "spec.json"
+    spec.write_bytes('{"n": 1, "kind": "identity", "note": "é"}'.encode())
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from chitomo import cli; sys.exit(cli.main())",
+         "estimate-diag", "--channel", str(spec), "--m", "X", "--M", "50"],
+        capture_output=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src, "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+             "LC_ALL": "C"})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["rows"][0]["oracle_re"] == 0.0
+
+
 # One valid call of each subcommand and one with an = form (WELL_FORMED), then
 # argv that argparse refuses, helps or answers with its version.
 PARSER_CORPUS = [
@@ -812,6 +829,52 @@ class TestOracleColumns:
                 assert abs(got - want) < 1e-12, (argv[0], row["m"])
                 checked += 1
         assert checked >= 9
+
+    @pytest.mark.parametrize("spec", [
+        {"n": 2, "kind": "identity"},
+        {"n": 3, "kind": "depolarizing", "p": 0.3},
+        {"n": 4, "kind": "pauli_mixture",
+         "weights": {"IIII": 0.5, "XIII": 0.2, "ZZII": 0.1, "YXZI": 0.2}},
+    ], ids=lambda spec: spec["kind"])
+    def test_pauli_commands_expand_no_operator(self, capsys, tmp_path, monkeypatch, spec):
+        """Every command on a Pauli spec runs without its dense operators, and
+        a diagonal row's oracle is the spec's weight exactly, 0.0 off the map."""
+        def refuse(*args):
+            raise AssertionError("a Pauli channel expanded into dense operators")
+
+        n, d = spec["n"], 2 ** spec["n"]
+        if spec["kind"] == "identity":
+            weights = {"I" * n: 1.0}
+        elif spec["kind"] == "depolarizing":  # the factory's arithmetic
+            weights = {str(a): spec["p"] / d**2 for a in pauli.all_labels(n)}
+            weights["I" * n] = 1 - spec["p"] + spec["p"] / d**2
+        else:
+            weights = spec["weights"]
+        monkeypatch.setattr(PauliChannel, "operators", property(refuse))
+        path, _ = write_spec(tmp_path, "p.json", spec)
+        log = str(tmp_path / "p.log")
+        m, n_label, absent = "X" + "I" * (n - 1), "Z" * 2 + "I" * (n - 2), "Y" * n
+        commands = [
+            ["estimate-diag", "--channel", path, "--m", m, "--M", "300"],
+            ["estimate-diag", "--channel", path, "--m", absent, "--mode", "exact"],
+            ["estimate-offdiag", "--channel", path, "--m", m, "--n-label", n_label,
+             "--M", "300"],
+            ["triplets", "--channel", path, "--M", "2000", "--seed", "3", "--out", log],
+            ["diag-from-log", "--log", log, "--channel", path, "--m", f"{m},{absent}",
+             "--m", "I" * n],
+            ["sieve", "--log", log, "--channel", path, "--threshold", "0.02"],
+        ]
+        diagonal = 0
+        for argv in commands:
+            code, out, err = run(capsys, *argv)
+            assert code == 0, (argv[0], err)
+            for row in json.loads(out)["rows"] if out else []:
+                if row["n_label"] is None:
+                    assert row["oracle_re"] == weights.get(row["m"], 0.0), (argv[0], row["m"])
+                    diagonal += 1
+                else:
+                    assert row["oracle_re"] == row["oracle_im"] == 0.0
+        assert diagonal >= 6
 
 
 class TestReports:

@@ -6,6 +6,7 @@ import pytest
 import chitomo.oracle as oracle_module
 from chitomo.channels import (
     KrausSet,
+    PauliChannel,
     apply_channel,
     channel_factory,
     modified_channel_diag,
@@ -299,6 +300,19 @@ class TestExactChiEntries:
         full = exact_chi(channel)
         want = [full.entry(m, n_label) for m, n_label in pairs]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_pauli_channel_with_a_repeated_label_and_a_zero_weight(self, n):
+        """A weight map built in Python may name a label twice, and its
+        weights add up as in the dense expansion; a zero weight reads 0."""
+        z = 1 << n  # Z on qubit 0, packed x | z << n
+        channel = PauliChannel(n, np.array([0, z, 1, z, 3]), np.array([0.5, 0.1, 0.2, 0.2, 0.0]))
+        pairs = label_pairs(n, None)
+        got = exact_chi_entries(channel, pairs)
+        full = exact_chi(channel)
+        want = [full.entry(m, n_label) for m, n_label in pairs]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+        assert got[pairs.index((L("Z" + "I" * (n - 1)),) * 2)] == 0.1 + 0.2
 
     def test_repeated_labels_and_order(self):
         channel = channel_factory(seven_kinds(2)["compose"])

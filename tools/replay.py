@@ -18,9 +18,12 @@ Three sections, one JSON line per record:
 
 A command's record holds its argv, exit code and the sha256 of its stdout,
 its stderr and the file it writes with ``--out`` (a triplet log), if any.
-Report timestamps and the work directory are masked first.  ``--diff``
-names each record and field that differ, and exits 1 if any do.  BLAS runs
-on one thread, since a product's last bits may depend on the thread count.
+When stdout is a JSON report, ``stdout_fields`` adds a digest of each
+top-level value and of each row field, keyed as ``manifest`` or
+``rows[0].oracle_re``.  Report timestamps and the work directory are masked
+first.  ``--diff`` names each record and field that differ, a report's row
+fields among them, and exits 1 if any do.  BLAS runs on one thread, since a
+product's last bits may depend on the thread count.
 """
 
 from __future__ import annotations
@@ -62,16 +65,34 @@ def _mask(data: bytes, work: str) -> bytes:
     return _TIMESTAMP.sub(b'"timestamp": "-"', data.replace(work.encode(), b"<work>"))
 
 
+def _report_fields(stdout: bytes) -> dict[str, str] | None:
+    """The first 16 hex digits of the sha256 of each top-level value of a
+    JSON report and of each field of its rows; None for any other stdout."""
+    try:
+        report = json.loads(stdout)
+    except ValueError:
+        return None
+    if not isinstance(report, dict):
+        return None
+    values = [(key, value) for key, value in report.items() if key != "rows"]
+    values += [(f"rows[{i}].{field}", value) for i, row in enumerate(report.get("rows", []))
+               for field, value in row.items()]
+    return {key: _sha256(json.dumps(value, sort_keys=True).encode())[:16]
+            for key, value in values}
+
+
 def _command_record(record_id: str, argv: list[str], work: str) -> dict:
     for cache in package_caches():
         cache.cache_clear()
     code, out, err, _ = run_command(cli, argv)
     out_file = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
+    stdout = _mask(out.encode(), work)
     return {
         "id": record_id,
         "argv": [a.replace(work, "<work>") for a in argv],
         "exit": code,
-        "stdout": _sha256(_mask(out.encode(), work)),
+        "stdout": _sha256(stdout),
+        "stdout_fields": _report_fields(stdout),
         "stderr": _sha256(_mask(err.encode(), work)),
         "out_file": (_sha256(_mask(out_file.read_bytes(), work))
                      if out_file and out_file.is_file() else None),
@@ -100,6 +121,19 @@ def replay(seeds: list[int], small: bool = False):
             yield {"id": f"exact_chi:{kind}:{n}", "sha256": _sha256(chi.view(np.uint64).tobytes())}
 
 
+def _differing(a: dict, b: dict) -> list[str]:
+    """The fields of two records that differ, in name order; where both hold
+    report fields, the report's differing fields in report order instead."""
+    differ = []
+    for f in sorted(a.keys() | b.keys()):
+        fa, fb = a.get(f), b.get(f)
+        if f == "stdout_fields" and fa and fb:
+            differ += [key for key in {**fa, **fb} if fa.get(key) != fb.get(key)]
+        elif fa != fb:
+            differ.append(f)
+    return differ
+
+
 def diff(path_a: Path, path_b: Path) -> dict[str, list[str]]:
     """The fields that differ, by record id; a record that only one file
     holds differs in its id."""
@@ -107,9 +141,7 @@ def diff(path_a: Path, path_b: Path) -> dict[str, list[str]]:
             for p in (path_a, path_b))
     fields = {rid: ["id"] for rid in a.keys() ^ b.keys()}
     for rid in a.keys() & b.keys():
-        differ = [f for f in sorted(a[rid].keys() | b[rid].keys())
-                  if a[rid].get(f) != b[rid].get(f)]
-        if differ:
+        if differ := _differing(a[rid], b[rid]):
             fields[rid] = differ
     return dict(sorted(fields.items()))
 

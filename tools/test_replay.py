@@ -20,14 +20,21 @@ def test_replay_is_reproducible_and_diff_names_a_change(tmp_path, capsys):
     sections = {r["id"].split(":")[0] for r in records}
     assert sections == {"plan", "verify", "exact_chi"}
     assert any(r.get("out_file") for r in records)  # the triplet logs are read
+    reports = [bool(r.get("stdout_fields")) for r in records]
+    assert any(reports) and not all(reports)  # verify and exact_chi records hold none
     assert replay.main(["--diff", *map(str, files)]) == 0
     assert capsys.readouterr().out == "0 differing records\n"
 
     records[3]["stdout"] = "0" * 64
+    # a moved oracle value: the stdout digest and one row field's
+    moved = next(r for r in records if "rows[0].oracle_re" in (r.get("stdout_fields") or {}))
+    moved["stdout"] = "1" * 64
+    moved["stdout_fields"]["rows[0].oracle_re"] = "0" * 16
     altered = tmp_path / "altered.jsonl"
     altered.write_text("".join(json.dumps(r) + "\n" for r in records[:-1]))
     assert replay.main(["--diff", str(files[0]), str(altered)]) == 1
     assert capsys.readouterr().out.splitlines() == [
-        *sorted([f"{records[3]['id']}: stdout differ", f"{records[-1]['id']}: id differ"]),
-        "2 differing records",
+        *sorted([f"{records[3]['id']}: stdout differ", f"{records[-1]['id']}: id differ",
+                 f"{moved['id']}: stdout, rows[0].oracle_re differ"]),
+        "3 differing records",
     ]
