@@ -8,6 +8,7 @@ import contextlib
 import io
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -210,6 +211,56 @@ def test_read_triplet_log(benchmark, tmp_path):
     write_triplet_log(path, record, 6, "ab" * 32)
     loaded, _ = benchmark(read_triplet_log, path)
     assert loaded == record
+
+
+def test_write_triplet_log_n12(benchmark, tmp_path):
+    """An n=12, M=2e5 record written as a triplet log."""
+    record = _random_record(12, 200_000, seed=12)
+    path = tmp_path / "t.log"
+    benchmark(write_triplet_log, path, record, 12, "ab" * 32)
+    assert path.stat().st_size > 200_000 * 28
+
+
+def test_read_triplet_log_n12(benchmark, tmp_path):
+    """An n=12, M=2e5 triplet log read back into columns."""
+    record = _random_record(12, 200_000, seed=12)
+    path = tmp_path / "t.log"
+    write_triplet_log(path, record, 12, "ab" * 32)
+    loaded, _ = benchmark(read_triplet_log, path)
+    assert loaded == record
+
+
+def test_read_triplet_log_log_sieve_shape(benchmark, tmp_path):
+    """An n=5, M=6000 triplet log, the size of the log-sieve workload's
+    synthetic log, read back into columns."""
+    record = _random_record(5, 6000, seed=5)
+    path = tmp_path / "t.log"
+    write_triplet_log(path, record, 5, "ab" * 32)
+    loaded, _ = benchmark(read_triplet_log, path)
+    assert loaded == record
+
+
+def test_triplet_log_peak_memory(tmp_path):
+    """tracemalloc peaks per record of writing and reading an n=12, M=1e6
+    log: the writer holds one slice, less than the file; the reader holds
+    the file's bytes (30.7 B per record), its int64 columns (24 B) and one
+    slice, under 150 B."""
+    m_count = 1_000_000
+    record = _random_record(12, m_count, seed=13)
+    path = tmp_path / "t.log"
+
+    def peak_per_record(call, *args):
+        tracemalloc.start()
+        try:
+            call(*args)
+            return tracemalloc.get_traced_memory()[1] / m_count
+        finally:
+            tracemalloc.stop()
+
+    write_peak = peak_per_record(write_triplet_log, path, record, 12, "ab" * 32)
+    assert write_peak < path.stat().st_size / m_count
+    del record
+    assert peak_per_record(read_triplet_log, path) < 150
 
 
 def test_estimate_diags_from_triplets(benchmark):

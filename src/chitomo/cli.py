@@ -19,6 +19,7 @@ with a stable exit code:
     1 verification failure      4 dense cap exceeded
     2 malformed spec/log/args   5 channel hash mismatch
       or an unwritable --out
+      or a closed stdout
     3 invalid Pauli label       6 sieve needs more than one base
 """
 
@@ -27,6 +28,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from datetime import datetime, timezone
 
@@ -93,22 +95,37 @@ def _manifest(command: str, channel_hash: str | None, config: dict) -> dict:
 
 
 @contextlib.contextmanager
-def _writing(out_path: str):
-    """Report a failure to write --out as a bad_arguments error naming it."""
+def _writing(out_path: str | None):
+    """Report a failure to write --out, or stdout when no --out is given, as
+    a bad_arguments error naming it."""
     try:
         yield
     except OSError as exc:
+        if not out_path:
+            _silence_stdout()
+        target = f"--out {out_path!r}" if out_path else "stdout"
         raise CliError(EXIT_MALFORMED, "bad_arguments",
-                       f"cannot write --out {out_path!r}: {exc.strerror or exc}") from exc
+                       f"cannot write {target}: {exc.strerror or exc}") from exc
+
+
+def _silence_stdout() -> None:
+    """Point a closed stdout's file descriptor at the null device, so the
+    flush at interpreter exit has somewhere to put what is still buffered."""
+    with contextlib.suppress(AttributeError, OSError, ValueError):  # no descriptor
+        fd = sys.stdout.fileno()
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, fd)
+        os.close(null)
 
 
 def _emit(document: dict, out_path: str | None) -> None:
     text = json.dumps(document, allow_nan=False)
-    if out_path:
-        with _writing(out_path), open(out_path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    with _writing(out_path):
+        if out_path:
+            with open(out_path, "w") as fh:
+                fh.write(text + "\n")
+        else:
+            print(text, flush=True)
 
 
 def _load_channel(path: str):
@@ -315,11 +332,14 @@ def cmd_verify(args) -> int:
         ) from exc
     rows = _verify_rows(args.n, args.verify_level, key)
     width = max(len(r["check"]) for r in rows)
-    for r in rows:
-        status = "ok  " if r["ok"] else "FAIL"
-        print(f"{status} {r['check']:<{width}} residual {r['residual']:.3e} (tol {r['tol']:.1e})")
     failed = [r for r in rows if not r["ok"]]
-    print(f"{len(rows) - len(failed)}/{len(rows)} checks passed (n={args.n}, {args.verify_level})")
+    with _writing(None):
+        for r in rows:
+            status = "ok  " if r["ok"] else "FAIL"
+            print(f"{status} {r['check']:<{width}} residual {r['residual']:.3e} "
+                  f"(tol {r['tol']:.1e})")
+        print(f"{len(rows) - len(failed)}/{len(rows)} checks passed "
+              f"(n={args.n}, {args.verify_level})", flush=True)
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 

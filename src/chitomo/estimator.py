@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .channels import Channel, PauliChannel
 from .mub import as_distribution, design_bases
@@ -553,26 +552,39 @@ def estimation_report(
 
 # A record line is J<TAB>k<TAB>k'<LF or CRLF>: J as 1 to len(str(D)) ASCII
 # digits, k and k' as n ASCII bits, bit 0 first.  Both functions work on the
-# log's bytes as numpy columns; a line's fields sit at fixed offsets from its end.
+# log's bytes in slices of at most _SLICE lines, as numpy columns: each field
+# of a line sits at a fixed offset back from the line's end.
 _TAB, _LF, _CR, _ZERO = b"\t\n\r0"
+_SLICE = 1 << 16
 
 
 def write_triplet_log(path, record: TripletRecord, seed: int, channel_hash: str) -> None:
     n = record.n
     header = f"# {TRIPLET_LOG_VERSION} n={n} seed={seed} M={len(record)} channel={channel_hash}\n"
-    w = len(str(2**n))
+    d, w = 2**n, len(str(2**n))
+    # Lookup tables gathered by value, each row one void item: J's digits,
+    # right-aligned, for J = 0..D; TAB and the bits of k for k = 0..D-1; and
+    # which bytes of a line J keeps (none of J's leading zeros).
+    values = np.arange(d + 1)
     powers = 10 ** np.arange(w - 1, -1, -1)
-    bits = np.arange(n)
-    rows = np.empty((len(record), w + 2 * n + 3), dtype=np.uint8)
-    rows[:, :w] = _ZERO + record.J[:, None] // powers % 10
-    rows[:, w] = rows[:, w + n + 1] = _TAB
-    rows[:, w + 1:w + n + 1] = _ZERO + (record.k[:, None] >> bits & 1)
-    rows[:, w + n + 2:-1] = _ZERO + (record.k_prime[:, None] >> bits & 1)
-    rows[:, -1] = _LF
-    keep = np.ones(rows.shape, dtype=bool)
-    keep[:, :w - 1] = record.J[:, None] >= powers[:-1]  # no leading zeros
+    digits = (_ZERO + values[:, None] // powers % 10).astype(np.uint8)
+    bits = np.full((d, n + 1), _TAB, dtype=np.uint8)
+    bits[:, 1:] = _ZERO + (values[:d, None] >> np.arange(n) & 1)
+    keep = np.ones((d + 1, w + 2 * n + 3), dtype=bool)
+    keep[:, :w - 1] = values[:, None] >= powers[:-1]
+    digits, bits, keep = (t.view(f"V{t.shape[1]}")[:, 0] for t in (digits, bits, keep))
+    line = np.dtype([("J", digits.dtype), ("k", bits.dtype), ("k_prime", bits.dtype),
+                     ("end", np.uint8)])
     with open(path, "wb") as fh:
-        fh.write(header.encode() + rows[keep].tobytes())
+        fh.write(header.encode())
+        for lo in range(0, len(record), _SLICE):
+            J = record.J[lo:lo + _SLICE]
+            rows = np.empty(len(J), dtype=line)
+            rows["J"] = digits[J]
+            rows["k"] = bits[record.k[lo:lo + _SLICE]]
+            rows["k_prime"] = bits[record.k_prime[lo:lo + _SLICE]]
+            rows["end"] = _LF
+            fh.write(rows.view(np.uint8)[keep[J].view(bool)])
 
 
 _HEADER_RE = re.compile(
@@ -589,9 +601,9 @@ def read_triplet_log(path) -> tuple[TripletRecord, dict]:
         raise TripletLogError(f"cannot read triplet log: {exc}") from exc
     if not data:
         raise TripletLogError("empty triplet log")
-    head, _, body = data.partition(b"\n")
+    body = data.find(b"\n") + 1 or len(data)  # where the record lines start
     try:
-        head = head.removesuffix(b"\r").decode()
+        head = data[:body].removesuffix(b"\n").removesuffix(b"\r").decode()
     except UnicodeDecodeError as exc:
         raise TripletLogError(f"bad triplet log header: {exc}") from exc
     match = _HEADER_RE.match(head)
@@ -602,55 +614,88 @@ def read_triplet_log(path) -> tuple[TripletRecord, dict]:
     except ValueError as exc:
         raise TripletLogError(f"bad triplet log header: {exc}") from exc
     meta = {"n": n, "seed": seed, "M": m_count, "channel": match.group(4)}
-    if body and not body.endswith(b"\n"):
-        body += b"\n"
-    lines = body.count(b"\n")
+    if body < len(data) and not data.endswith(b"\n"):
+        data += b"\n"
+    buf = np.frombuffer(data, dtype=np.uint8)
+    lines = np.count_nonzero(buf[body:] == _LF)
     if lines != m_count:
         raise TripletLogError(f"log claims M={m_count} but has {lines} triplets")
     if not 1 <= n <= MUB_QUBIT_CAP:  # the line shape below grows with n
         raise TripletLogError(
             f"bad triplet log: triplet records need 1 <= n <= {MUB_QUBIT_CAP}, got n={n}")
-    columns = _record_columns(body, n)
+    columns = np.empty((3, lines), dtype=np.int64)
+    step, row = _SLICE * (2 * n + 4), 0  # a slice's bytes hold at most _SLICE good lines
+    while body < len(data):
+        end = data.rfind(b"\n", body, body + step) + 1 or data.find(b"\n", body) + 1
+        row += _record_columns(buf, body, end, n, columns[:, row:], row + 2)
+        body = end
     try:
         return TripletRecord(n, *columns), meta
     except (ValueError, OverflowError) as exc:
         raise TripletLogError(f"bad triplet log: {exc}") from exc
 
 
-def _record_columns(body: bytes, n: int) -> np.ndarray:
-    """(J, k, k') rows of the record lines in body, which ends in a newline.
+def _record_columns(buf: np.ndarray, lo: int, hi: int, n: int, out: np.ndarray,
+                    line_no: int) -> int:
+    """Parse the record lines in the log bytes buf[lo:hi], which end in a
+    newline, into the first columns of out (J, k, k' rows); returns the
+    line count.
 
-    Each line is read through a window of its last w + 2n + 2 bytes (w the
-    digit count of D), which holds J right-aligned when the line is well
-    formed.  A malformed line raises TripletLogError naming the first one.
+    Each field is read as one byte column at a fixed offset back from the
+    line ends.  A malformed line raises TripletLogError naming the first
+    one, line_no being the number of the slice's first line in the file.
     """
     w = len(str(2**n))
-    width, tabs = w + 2 * n + 2, [w, w + n + 1]  # window width, columns of the tabs
-    place = np.zeros((3, width), dtype=np.int64)  # column place values in J, k, k'
-    place[0, :w] = 10 ** np.arange(w - 1, -1, -1)
-    place[1, w + 1:w + n + 1] = place[2, w + n + 2:] = 1 << np.arange(n)
-    top = np.where(np.arange(width) < w, 9, 1).astype(np.uint8)  # largest digit of each column
-    top[tabs] = 255
-    buf = np.frombuffer(bytes(width) + body, dtype=np.uint8)  # room for every window
-    ends = np.flatnonzero(buf == _LF)
-    starts = np.append(width, ends + 1)[:-1]
+    width = w + 2 * n + 2  # bytes back from a line's end to its longest J's first digit
+    ends = np.flatnonzero(buf[lo:hi] == _LF) + lo
+    starts = np.append(lo, ends[:-1] + 1)
     ends -= buf[ends - 1] == _CR
-    win = sliding_window_view(buf, width)[ends - width]
     j_len = ends - starts - 2 * n - 2
-    digits = win - _ZERO  # bytes below '0' wrap past 9
-    digits[:, :w] *= np.arange(w) >= w - j_len[:, None]  # zero the columns before J
-    bad = (j_len < 1) | (j_len > w) | np.any(win[:, tabs] != _TAB, axis=1)
-    bad[np.flatnonzero(digits > top) // width] = True
+    # The header line, longer than width, precedes every record line, so
+    # each byte column below can read its offset back from any line's end.
+    at = ends - width
+
+    def back(offset: int) -> np.ndarray:
+        return buf[width - offset:][at]
+
+    bad = (j_len < 1) | (j_len > w) | (back(n + 1) != _TAB) | (back(2 * n + 2) != _TAB)
+    above = np.zeros(len(ends), dtype=np.uint8)  # OR of bit bytes XOR '0': above 1 if not 0/1
+    for field, last_bit in ((2, 1), (1, n + 2)):  # k' and k, read from bit n-1 down
+        value = np.zeros(len(ends), dtype=np.uint16)
+        for offset in range(last_bit, last_bit + n):
+            bit = back(offset)
+            bit ^= _ZERO
+            above |= bit
+            value <<= 1
+            value |= bit
+        out[field, :len(ends)] = value
+    bad |= above > 1
+    value = np.zeros(len(ends), dtype=np.uint16)
+    for place in range(w):  # J's digit of 10**place, zero before J's first digit
+        digit = back(2 * n + 3 + place) - np.uint8(_ZERO)  # bytes below '0' wrap past 9
+        digit *= j_len > place
+        bad |= digit > 9
+        value += digit * np.uint16(10**place)
+    out[0, :len(ends)] = value
     if bad.any():
         i = int(np.argmax(bad))
-        fields, j = np.count_nonzero(buf[starts[i]:ends[i]] == _TAB) + 1, j_len[i]
-        reason = next(why for hit, why in (
-            (fields != 3, f"field count {fields}, not 3"),
-            (j < 0 or np.any(win[i, tabs] != _TAB), f"k and k' must have {n} bits each"),
-            (j == 0, "empty J"),
-            (j > w, f"J has {j} characters, D={2**n} has {w}"),
-            (np.any(digits[i, :w] > 9), "J must be ASCII digits"),
-            (True, "k and k' must be 0s and 1s"),
-        ) if hit)
-        raise TripletLogError(f"line {i + 2}: expected J<TAB>k<TAB>k' ({reason})")
-    return place @ digits.T
+        line = buf[starts[i]:ends[i]].tobytes()
+        raise TripletLogError(
+            f"line {line_no + i}: expected J<TAB>k<TAB>k' ({_line_fault(line, n, w)})")
+    return len(ends)
+
+
+def _line_fault(line: bytes, n: int, w: int) -> str:
+    """Why a malformed record line, without its line end, is not J<TAB>k<TAB>k'."""
+    fields, j = line.count(b"\t") + 1, len(line) - 2 * n - 2
+    if fields != 3:
+        return f"field count {fields}, not 3"
+    if j < 0 or line[j] != _TAB or line[j + n + 1] != _TAB:
+        return f"k and k' must have {n} bits each"
+    if j == 0:
+        return "empty J"
+    if j > w:
+        return f"J has {j} characters, D={2**n} has {w}"
+    if not line[:j].isdigit():
+        return "J must be ASCII digits"
+    return "k and k' must be 0s and 1s"

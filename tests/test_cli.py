@@ -456,6 +456,49 @@ def test_unwritable_out_exits_2(capsys, specs, tmp_path, argv, out):
     assert not (tmp_path / "missing").exists()
 
 
+class _ClosedStdout:
+    """A stdout whose reader has gone: every write fails as a closed pipe's does."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    flush = write
+
+
+_CLOSED_STDOUT_ERROR = '{"error": "bad_arguments", "message": "cannot write stdout: Broken pipe"}\n'
+_STDOUT_COMMANDS = [["estimate-diag", "--channel", "{dep}", "--m", "Z", "--M", "50"],
+                    ["verify", "--n", "1"]]
+
+
+@pytest.mark.parametrize("argv", _STDOUT_COMMANDS, ids=["estimate-diag", "verify"])
+def test_closed_stdout_exits_2(capsys, monkeypatch, specs, argv):
+    """A report or verify table whose stdout is closed is a bad_arguments
+    error on stderr, not a traceback."""
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    code = cli.main([a.format(dep=specs["dep"][0]) for a in argv])
+    assert code == 2 and capsys.readouterr().err == _CLOSED_STDOUT_ERROR
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", _STDOUT_COMMANDS, ids=["estimate-diag", "verify"])
+def test_closed_stdout_pipe_exits_2(specs, argv, unbuffered):
+    """A child whose stdout pipe has no reader prints the one-line JSON error
+    and nothing else: no traceback, and no "Exception ignored" at exit."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=src, **({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from chitomo import cli; sys.exit(cli.main())",
+             *(a.format(dep=specs["dep"][0]) for a in argv)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120, env=env)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2 and proc.stderr == _CLOSED_STDOUT_ERROR
+
+
 @pytest.mark.parametrize("second", ["xi", " xi "])
 def test_mixture_keys_naming_one_label_exit_2(capsys, tmp_path, second):
     path, _ = write_spec(tmp_path, "dup.json", {

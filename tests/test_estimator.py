@@ -1037,6 +1037,12 @@ _BAD_LINES = {
 }
 
 
+def _random_record(n: int, m_count: int, seed: int) -> TripletRecord:
+    rng = np.random.default_rng(seed)
+    d = 2**n
+    return TripletRecord(n, *(rng.integers(0, top, size=m_count) for top in (d + 1, d, d)))
+
+
 class TestTripletLogs:
     def test_bit_formatting_round_trip(self, tmp_path):
         """Every k and k' value at n = 1, 3, 5 survives write -> read, bit 0
@@ -1082,6 +1088,51 @@ class TestTripletLogs:
         path.write_bytes(text.encode())
         loaded, meta = read_triplet_log(path)
         assert loaded == original[0] and meta == original[1]
+
+    @pytest.mark.parametrize("case", ["missing-field", "non-binary-bits", "J-longer-than-w"])
+    def test_bad_line_past_first_slice_named_in_file(self, tmp_path, case):
+        """A bad line in a later slice is named by its line number in the whole
+        file, with the reason a one-slice log gives."""
+        _, bad, reason = _BAD_LINES[case]
+        path = tmp_path / "big.log"
+        write_triplet_log(path, _random_record(4, 3 * estimator._SLICE, seed=4), 0, "ab" * 32)
+        lines = path.read_bytes().split(b"\n")
+        line_no = 2 * estimator._SLICE + 17
+        assert len(b"\n".join(lines[1:line_no - 1])) > estimator._SLICE * (2 * 4 + 4)
+        lines[line_no - 1] = bad.encode()
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(TripletLogError) as info:
+            read_triplet_log(path)
+        assert str(info.value) == f"line {line_no}: expected J<TAB>k<TAB>k' ({reason})"
+
+    @pytest.mark.parametrize("variant", ["crlf", "no-final-newline"])
+    def test_accepted_variants_past_first_slice(self, tmp_path, variant):
+        path = tmp_path / "big.log"
+        record = _random_record(5, 2 * estimator._SLICE + 3, seed=5)
+        write_triplet_log(path, record, 0, "ab" * 32)
+        text = path.read_bytes()
+        assert len(text) > 2 * estimator._SLICE * (2 * 5 + 4)
+        original = read_triplet_log(path)
+        path.write_bytes(text.replace(b"\n", b"\r\n") if variant == "crlf" else text[:-1])
+        loaded, meta = read_triplet_log(path)
+        assert loaded == original[0] == record and meta == original[1]
+
+    def test_n12_round_trip_past_first_slice(self, tmp_path):
+        path = tmp_path / "n12.log"
+        record = _random_record(12, estimator._SLICE + 1000, seed=12)
+        write_triplet_log(path, record, 0, "ab" * 32)
+        assert path.stat().st_size > estimator._SLICE * (2 * 12 + 4)
+        assert read_triplet_log(path)[0] == record
+
+    @pytest.mark.parametrize("n", [4, 7, 12])
+    def test_first_record_with_one_digit_J(self, tmp_path, n):
+        """The first record's J columns reach back past its line, into the
+        header; a one-digit J there still reads as itself."""
+        path = tmp_path / "t.log"
+        record = TripletRecord(n, [7, 2**n, 0], [1, 2, 2**n - 1], [0, 2**n - 1, 3])
+        write_triplet_log(path, record, 0, "ab" * 32)
+        assert path.read_text().splitlines()[1].startswith("7\t")
+        assert read_triplet_log(path)[0] == record
 
     def test_write_read_round_trip(self, tmp_path):
         trips = run_triplet_experiments(MIX2, EstimatorConfig(M=120, seed=21))

@@ -37,8 +37,16 @@ def records(draw):
 @settings(max_examples=30, deadline=None)
 @given(record=records(), seed=st.integers(-(2**63), 2**63 - 1))
 def test_log_write_read_round_trip(tmp_path_factory, record, seed):
+    """The writer's bytes are the record formatted line by line, and the
+    reader gives the record back."""
     path = tmp_path_factory.mktemp("logs") / "t.log"
     write_triplet_log(path, record, seed, "ab" * 32)
+    n = record.n
+    bits = [format(v, f"0{n}b")[::-1] for v in range(2**n)]  # bit 0 first
+    lines = [f"{j}\t{bits[k]}\t{bits[kp]}\n"
+             for j, k, kp in zip(record.J.tolist(), record.k.tolist(), record.k_prime.tolist())]
+    header = f"# seqpt-triplets v1 n={n} seed={seed} M={len(record)} channel={'ab' * 32}\n"
+    assert path.read_bytes() == (header + "".join(lines)).encode()
     loaded, meta = read_triplet_log(path)
     assert loaded == record
     assert meta == {"n": record.n, "seed": seed, "M": len(record), "channel": "ab" * 32}

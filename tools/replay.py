@@ -20,10 +20,13 @@ A command's record holds its argv, exit code and the sha256 of its stdout,
 its stderr and the file it writes with ``--out`` (a triplet log), if any.
 When stdout is a JSON report, ``stdout_fields`` adds a digest of each
 top-level value and of each row field, keyed as ``manifest`` or
-``rows[0].oracle_re``.  Report timestamps and the work directory are masked
-first.  ``--diff`` names each record and field that differ, a report's row
-fields among them, and exits 1 if any do.  BLAS runs on one thread, since a
-product's last bits may depend on the thread count.
+``rows[0].oracle_re``; ``out_file_blocks`` adds a digest of each block of
+512 lines of the ``--out`` file.  Report timestamps and the work directory
+are masked first.  ``--diff`` names each record and field that differ, a
+report's row fields among them and the first differing line range of an
+``--out`` file (``out_file lines 513-1024``), and exits 1 if any do.  BLAS
+runs on one thread, since a product's last bits may depend on the thread
+count.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from worker import package_caches, run_command  # noqa: E402
 from workloads import WORKLOADS, _small_specs, build_plan, write_inputs  # noqa: E402
 
 VERIFY_SEEDS = (0, 12)
+BLOCK_LINES = 512
 _TIMESTAMP = re.compile(rb'"timestamp": "[^"]*"')
 
 
@@ -81,12 +85,27 @@ def _report_fields(stdout: bytes) -> dict[str, str] | None:
             for key, value in values}
 
 
+def _line_blocks(data: bytes) -> list[str]:
+    """The first 16 hex digits of the sha256 of each block of BLOCK_LINES
+    lines of data, line ends included."""
+    lines = data.splitlines(keepends=True)
+    return [_sha256(b"".join(lines[i:i + BLOCK_LINES]))[:16]
+            for i in range(0, len(lines), BLOCK_LINES)]
+
+
+def _first_block(a: list[str], b: list[str]) -> str:
+    """The line range of the first block that differs between a and b."""
+    i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    return f"out_file lines {i * BLOCK_LINES + 1}-{(i + 1) * BLOCK_LINES}"
+
+
 def _command_record(record_id: str, argv: list[str], work: str) -> dict:
     for cache in package_caches():
         cache.cache_clear()
     code, out, err, _ = run_command(cli, argv)
     out_file = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
     stdout = _mask(out.encode(), work)
+    written = _mask(out_file.read_bytes(), work) if out_file and out_file.is_file() else None
     return {
         "id": record_id,
         "argv": [a.replace(work, "<work>") for a in argv],
@@ -94,8 +113,8 @@ def _command_record(record_id: str, argv: list[str], work: str) -> dict:
         "stdout": _sha256(stdout),
         "stdout_fields": _report_fields(stdout),
         "stderr": _sha256(_mask(err.encode(), work)),
-        "out_file": (_sha256(_mask(out_file.read_bytes(), work))
-                     if out_file and out_file.is_file() else None),
+        "out_file": None if written is None else _sha256(written),
+        "out_file_blocks": None if written is None else _line_blocks(written),
     }
 
 
@@ -123,12 +142,15 @@ def replay(seeds: list[int], small: bool = False):
 
 def _differing(a: dict, b: dict) -> list[str]:
     """The fields of two records that differ, in name order; where both hold
-    report fields, the report's differing fields in report order instead."""
+    report fields, the report's differing fields in report order instead,
+    and where both hold --out file blocks, the first differing line range."""
     differ = []
     for f in sorted(a.keys() | b.keys()):
         fa, fb = a.get(f), b.get(f)
         if f == "stdout_fields" and fa and fb:
             differ += [key for key in {**fa, **fb} if fa.get(key) != fb.get(key)]
+        elif f == "out_file_blocks" and fa and fb:
+            differ += [_first_block(fa, fb)] if fa != fb else []
         elif fa != fb:
             differ.append(f)
     return differ

@@ -19,7 +19,9 @@ def test_replay_is_reproducible_and_diff_names_a_change(tmp_path, capsys):
     records = [json.loads(line) for line in files[0].read_text().splitlines()]
     sections = {r["id"].split(":")[0] for r in records}
     assert sections == {"plan", "verify", "exact_chi"}
-    assert any(r.get("out_file") for r in records)  # the triplet logs are read
+    logs = [r for r in records if r.get("out_file")]  # the triplet logs are read
+    assert logs and all(r["out_file_blocks"] for r in logs)
+    log = next(r for r in logs if len(r["out_file_blocks"]) == 4)  # log-sieve's 2,001 lines
     reports = [bool(r.get("stdout_fields")) for r in records]
     assert any(reports) and not all(reports)  # verify and exact_chi records hold none
     assert replay.main(["--diff", *map(str, files)]) == 0
@@ -30,11 +32,24 @@ def test_replay_is_reproducible_and_diff_names_a_change(tmp_path, capsys):
     moved = next(r for r in records if "rows[0].oracle_re" in (r.get("stdout_fields") or {}))
     moved["stdout"] = "1" * 64
     moved["stdout_fields"]["rows[0].oracle_re"] = "0" * 16
+    # a log whose lines 513-1024 moved
+    log["out_file"] = "2" * 64
+    log["out_file_blocks"][1] = "0" * 16
     altered = tmp_path / "altered.jsonl"
     altered.write_text("".join(json.dumps(r) + "\n" for r in records[:-1]))
     assert replay.main(["--diff", str(files[0]), str(altered)]) == 1
     assert capsys.readouterr().out.splitlines() == [
         *sorted([f"{records[3]['id']}: stdout differ", f"{records[-1]['id']}: id differ",
-                 f"{moved['id']}: stdout, rows[0].oracle_re differ"]),
-        "3 differing records",
+                 f"{moved['id']}: stdout, rows[0].oracle_re differ",
+                 f"{log['id']}: out_file, out_file lines 513-1024 differ"]),
+        "4 differing records",
     ]
+
+
+def test_first_differing_block_names_its_lines():
+    text = b"".join(b"%d\n" % i for i in range(1100))
+    blocks = replay._line_blocks(text)
+    assert len(blocks) == 3 and replay._line_blocks(text.replace(b"\n", b"\r\n")) != blocks
+    edited = replay._line_blocks(text.replace(b"\n700\n", b"\n7\n"))
+    assert replay._first_block(blocks, edited) == "out_file lines 513-1024"
+    assert replay._first_block(blocks, blocks[:2]) == "out_file lines 1025-1536"
