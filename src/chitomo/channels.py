@@ -3,10 +3,10 @@
 A channel has one of two forms: a Kraus operator-sum set, or for a Pauli
 channel its label weights, whose ``operators`` expand them on first use.
 The chi matrix is not a channel form: it and the Pauli-coefficient
-expansion that builds it belong to :mod:`chitomo.oracle`.  Every constructor
-here validates its output; :func:`apply_channel` acts linearly on any input
-matrix, or stack of them.  :func:`superoperator` builds the same action as
-one D**2 x D**2 matrix from every Kraus operator.
+expansion that builds it belong to :mod:`chitomo.oracle`.  Each form checks
+its own fields, so the factory builds them directly; :func:`apply_channel`
+acts linearly on any input matrix, or stack of them.  :func:`superoperator`
+builds the same action as one D**2 x D**2 matrix from every Kraus operator.
 ``apply_channel`` maps a large stack, such as the oracle's D(D+1) design
 states, through it with one matrix product, and a single matrix or a small
 stack one operator at a time.
@@ -75,11 +75,25 @@ class PauliChannel:
     """Pauli channel E(rho) = sum_a w_a P_a rho P_a held as a weight map: the
     packed labels a (x bits low, z bits above, as
     :func:`chitomo.pauli.commutation_columns` reads them) as int64 and their
-    positive weights.  Dense consumers read its ``operators``."""
+    positive weights: labels of weight 0 are dropped, and anything but 1-D
+    integer labels in [0, 4**n) with finite weights >= 0, some positive,
+    raises ValueError.  Dense consumers read its ``operators``."""
 
     n: int
     labels: np.ndarray
     weights: np.ndarray
+
+    def __post_init__(self):
+        labels, weights = np.asarray(self.labels), np.asarray(self.weights, dtype=float)
+        if labels.ndim != 1 or weights.shape != labels.shape:
+            raise ValueError("PauliChannel labels and weights must be 1-D and of equal length")
+        if not (weights.size and weights.min() >= 0 and 0 < weights.max() < np.inf):
+            raise ValueError("PauliChannel weights must be finite and >= 0, some of them > 0")
+        if labels.dtype.kind not in "iu" or labels.min() < 0 or labels.max() >= 4**self.n:
+            raise ValueError(f"PauliChannel labels for n={self.n} must be integers in [0, 4**n)")
+        kept = weights > 0
+        object.__setattr__(self, "labels", labels.astype(np.int64)[kept])
+        object.__setattr__(self, "weights", weights[kept])
 
     @functools.cached_property
     def operators(self) -> np.ndarray:
@@ -226,45 +240,37 @@ def _require_n(spec: dict) -> int:
     return n
 
 
-def _pauli_channel(n: int, labels, weights) -> PauliChannel:
-    """The packed labels of positive weight, with their weights."""
-    weights = np.asarray(weights, dtype=float)
-    kept = weights > 0
-    return PauliChannel(n, np.asarray(labels, dtype=np.int64)[kept], weights[kept])
-
-
 def _mixture_labels(n: int, raw: dict) -> tuple[np.ndarray, np.ndarray]:
     """Packed labels and weights of a weight map in map order, each key read as
     PauliLabel.from_string reads it; the first faulty key fails its first check.
 
-    A well-formed map is read in one pass: its keys normalized as one list,
-    their letters turned into bits as one array.  Any fault sends the map
-    through the per-key checks, which name it."""
+    The map is checked in one pass: its keys normalized as one list and
+    their letters turned into bits as one array.  A map that pass refuses
+    goes through the per-key checks, whose only job is to name its fault."""
     names = [key.strip().upper() if isinstance(key, str) else "" for key in raw]
     joined = "".join(names)
     weights = list(raw.values())
-    if (all(len(s) == n for s in names) and not joined.lstrip("IXYZ")
+    if not (all(len(s) == n for s in names) and not joined.lstrip("IXYZ")
             and len(set(names)) == len(names) and all(_is_number(w) and w >= 0 for w in weights)):
-        place = 1 << np.arange(n, dtype=np.int64)  # qubit 0, the leftmost letter, is bit 0
-        x, z = (np.frombuffer(joined.translate(bit).encode(), np.uint8).reshape(-1, n) - 48
-                for bit in (_X_BIT, _Z_BIT))
-        return x @ place | (z @ place) << n, np.array(weights, dtype=float)
-    keys = {}  # packed label -> the key that names it
-    for key, w in raw.items():
-        try:
-            size, x, z = _parse_pauli(key)
-        except ValueError as exc:
-            raise ChannelSpecError(f"bad Pauli string {key!r}: {exc}") from exc
-        if size != n:
-            raise ChannelSpecError(f"weight key {key!r} has wrong qubit count")
-        label = x | z << n
-        if label in keys:
-            raise ChannelSpecError(f"weight keys {keys[label]!r} and {key!r} name one "
-                                   f"label {PauliLabel(n, x, z)}")
-        keys[label] = key
-        if not (_is_number(w) and w >= 0):
-            raise ChannelSpecError(f"weight for {key!r} must be >= 0")
-    return np.array(list(keys), dtype=np.int64), np.array(list(raw.values()), dtype=float)
+        keys = {}  # packed label -> the key that names it
+        for key, w in raw.items():
+            try:
+                size, x, z = _parse_pauli(key)
+            except ValueError as exc:
+                raise ChannelSpecError(f"bad Pauli string {key!r}: {exc}") from exc
+            if size != n:
+                raise ChannelSpecError(f"weight key {key!r} has wrong qubit count")
+            label = x | z << n
+            if label in keys:
+                raise ChannelSpecError(f"weight keys {keys[label]!r} and {key!r} name one "
+                                       f"label {PauliLabel(n, x, z)}")
+            keys[label] = key
+            if not (_is_number(w) and w >= 0):
+                raise ChannelSpecError(f"weight for {key!r} must be >= 0")
+    place = 1 << np.arange(n, dtype=np.int64)  # qubit 0, the leftmost letter, is bit 0
+    x, z = (np.frombuffer(joined.translate(bit).encode(), np.uint8).reshape(-1, n) - 48
+            for bit in (_X_BIT, _Z_BIT))
+    return x @ place | (z @ place) << n, np.array(weights, dtype=float)
 
 
 def _has_kraus(spec: dict) -> bool:
@@ -294,7 +300,7 @@ def channel_factory(spec: dict) -> Channel:
     d = 2**n
 
     if kind == "identity":
-        return _pauli_channel(n, [0], [1.0])
+        return PauliChannel(n, [0], [1.0])
 
     if kind == "depolarizing":
         p = spec.get("p")
@@ -303,7 +309,7 @@ def channel_factory(spec: dict) -> Channel:
         weights = np.full(d**2, p / d**2)
         weights[0] = 1 - p + p / d**2
         xs, zs = all_label_masks(n)
-        return _pauli_channel(n, xs | zs << n, weights)
+        return PauliChannel(n, xs | zs << n, weights)
 
     if kind == "pauli_mixture":
         raw = spec.get("weights")
@@ -313,7 +319,7 @@ def channel_factory(spec: dict) -> Channel:
         total = sum(weights.tolist())
         if not abs(total - 1) <= 1e-9:
             raise ChannelSpecError(f"mixture weights sum to {total!r}, expected 1")
-        return _pauli_channel(n, labels, weights)
+        return PauliChannel(n, labels, weights)
 
     if kind == "unitary":
         if "matrix" in spec:

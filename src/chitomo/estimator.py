@@ -16,11 +16,13 @@ order-independent regardless of evaluation order.  The two log protocols
 draw nothing: they are deterministic readouts of the log.
 
 Estimates are never clipped or projected; a slightly negative chi-hat is
-honest shot noise and callers decide what to do with it.
+honest shot noise and callers decide what to do with it.  Nor are outcome
+rows, none of them negative: the triplet sampler only renormalizes them.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import re
 from dataclasses import dataclass
@@ -29,7 +31,7 @@ from typing import Iterable
 import numpy as np
 
 from .channels import Channel, PauliChannel
-from .mub import as_distribution, design_bases
+from .mub import design_bases
 from .pauli import (
     MUB_QUBIT_CAP,
     PauliLabel,
@@ -40,6 +42,8 @@ from .pauli import (
     pauli_actions,
     pauli_mul,
 )
+
+logger = logging.getLogger(__name__)
 
 # Campaign tags keying the per-protocol Philox streams.
 _TAG_DIAG = 1
@@ -136,9 +140,9 @@ class TripletRecord:
             object.__setattr__(self, name, col)
             if col.ndim != 1 or col.shape != self.J.shape or not col.size:
                 raise ValueError("triplet columns must be non-empty, 1-D and of equal length")
-            bad = np.flatnonzero((col < 0) | (col > top))
-            if len(bad):
-                raise ValueError(f"record {bad[0] + 1}: {name}={col[bad[0]]} out of range")
+            if col.min() < 0 or col.max() > top:
+                bad = np.flatnonzero((col < 0) | (col > top))[0]
+                raise ValueError(f"record {bad + 1}: {name}={col[bad]} out of range")
 
     def __len__(self) -> int:
         return len(self.J)
@@ -255,6 +259,21 @@ def _pauli_table(channel: PauliChannel, m: PauliLabel, n_label: PauliLabel) -> n
     polarization = (q[bases, p_m] * sign)[:, None] * (1 - 2 * parity[s])
     survival = np.repeat((q[bases, p_m] + q[bases, p_n]) / 2, d)
     return np.column_stack([polarization.real.ravel(), polarization.imag.ravel(), survival])
+
+
+def _distribution(rows: np.ndarray, js: np.ndarray) -> np.ndarray:
+    """Outcome rows, row s of base js[s], each a sum of squared amplitudes or
+    of checked weights, scaled to sum to 1.  A mass off by more than 1e-6
+    raises and one off by more than 1e-9 is logged, each naming the base of
+    the first row at fault."""
+    mass = np.sum(rows, axis=1, keepdims=True)
+    off = np.abs(mass[:, 0] - 1)
+    if (bad := np.flatnonzero(~(off <= 1e-6))).size:
+        raise ValueError(f"base-{js[bad[0]]} probabilities are not a distribution "
+                         f"(mass off by {off[bad[0]]:.3e})")
+    if off.max() > 1e-9:
+        logger.debug("base-%d probability mass deviates by %.3e", js[off > 1e-9][0], off.max())
+    return rows / mass
 
 
 def _amplitudes(ops: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -375,7 +394,7 @@ def run_triplet_experiments(channel: Channel, cfg: EstimatorConfig) -> TripletRe
 
     keys, us = _campaign(n, cfg, _TAG_TRIPLETS, "fidelity")
     cum = _state_table(
-        n, [keys], lambda js, ks: np.cumsum(as_distribution(rows(js, ks), js), axis=1), d,
+        n, [keys], lambda js, ks: np.cumsum(_distribution(rows(js, ks), js), axis=1), d,
         entries)
     # k' is the first outcome whose cumulative probability exceeds u, or the
     # last one: the count of the first D-1 cumulative entries <= u

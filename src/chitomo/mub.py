@@ -8,19 +8,17 @@ computational basis, and every other base is one stabilizer vector times a
 D x D sign matrix, O(D^2) work per base; all D+1 bases of n are built in one
 batch.  The full set of D(D+1) states is an
 exact state 2-design, which is what makes design averages interchangeable
-with Haar averages.
+with Haar averages.  The module builds states only: the triplet sampler of
+:mod:`chitomo.estimator` checks and renormalizes its own outcome rows.
 """
 
 from __future__ import annotations
 
 import functools
-import logging
 
 import numpy as np
 
 from .pauli import DENSE_QUBIT_CAP, DenseCapError, class_generators, index_bit_tables
-
-logger = logging.getLogger(__name__)
 
 
 @functools.lru_cache(maxsize=None)
@@ -98,27 +96,3 @@ def design_average_survival(op1: np.ndarray, op2: np.ndarray) -> complex:
     e2 = np.sum((v.conj() @ op2) * v, axis=1)
     return complex(e1 @ e2) / len(v)
 
-
-def as_distribution(probs: np.ndarray, J) -> np.ndarray:
-    """Check and tidy outcome probabilities (one row per last axis) of base
-    J, one base for every row or one per row.
-
-    Clamps tiny negative probabilities to zero and renormalizes each row;
-    deviations beyond 1e-6 raise, smaller ones are logged, each naming the
-    base of the first row at fault.
-    """
-    def base(faults):  # of the first row at fault
-        return np.broadcast_to(J, np.shape(probs)[:-1]).ravel()[faults][0]
-    off = np.abs(np.sum(probs, axis=-1) - 1).ravel()
-    bad = (off > 1e-6) | (np.min(probs, axis=-1).ravel() < -1e-6)
-    if bad.any():
-        raise ValueError(f"base-{base(bad)} probabilities are not a distribution "
-                         f"(mass off by {off[bad][0]:.3e})")
-    if off.max() > 1e-9:
-        logger.debug("base-%d probability mass deviates by %.3e", base(off > 1e-9), off.max())
-    clamped = np.clip(probs, 0.0, None)
-    clip = np.sum(clamped - probs, axis=-1).ravel()
-    if clip.any():
-        logger.debug("clamped negative probability mass %.3e in base %d",
-                     clip.sum(), base(clip > 0))
-    return clamped / np.sum(clamped, axis=-1, keepdims=True)

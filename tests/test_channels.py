@@ -27,6 +27,7 @@ from chitomo.oracle import ChiMatrix, kraus_to_chi
 from chitomo.pauli import (
     DenseCapError,
     PauliLabel,
+    all_label_masks,
     all_labels,
     label_from_index,
     label_index,
@@ -576,6 +577,68 @@ def test_mixture_parse_matches_per_key_reference(n, raw):
         assert channel.labels.dtype == np.int64
         assert channel.labels.tolist() == [a for a, k in zip(labels, kept) if k]
         assert channel.weights.tolist() == [w for w, k in zip(weights, kept) if k]
+
+
+def _parent_pauli_channel(n, labels, weights):
+    """The filter the factory once applied before building a PauliChannel:
+    the packed labels of positive weight, as int64, with their weights."""
+    weights = np.asarray(weights, dtype=float)
+    kept = weights > 0
+    return np.asarray(labels, dtype=np.int64)[kept], weights[kept]
+
+
+class TestPauliChannelChecks:
+    """A PauliChannel checks its own weight map and drops zero weights."""
+
+    @pytest.mark.parametrize("labels, weights, match", [
+        ([0, 1], [1 + 1e-7, -1e-7], "weights must be finite"),
+        ([0, 1], [1.0, np.nan], "weights must be finite"),
+        ([0, 1], [1.0, np.inf], "weights must be finite"),
+        ([0, 1], [1.0, -np.inf], "weights must be finite"),
+        ([0, 1], [0.0, 0.0], "some of them > 0"),
+        ([], [], "some of them > 0"),
+        ([-1, 0], [0.5, 0.5], r"integers in \[0, 4\*\*n\)"),
+        ([0, 16], [0.5, 0.5], r"integers in \[0, 4\*\*n\)"),
+        ([0.0, 1.0], [0.5, 0.5], r"integers in \[0, 4\*\*n\)"),
+        ([[0, 1]], [[0.5, 0.5]], "1-D and of equal length"),
+        ([0, 1], [[0.5, 0.5]], "1-D and of equal length"),
+        ([[0], [1, 2]], [0.5, 0.5], None),  # ragged: numpy's own ValueError
+        ([0, 1, 2], [0.5, 0.5], "1-D and of equal length"),
+        ([0, 1], [1.0], "1-D and of equal length"),
+    ])
+    def test_malformed_map_refused(self, labels, weights, match):
+        with pytest.raises(ValueError, match=match):
+            PauliChannel(2, labels, weights)
+
+    def test_zero_weights_dropped(self):
+        channel = PauliChannel(2, np.array([3, 0, 7, 9], dtype=np.uint8), [0.0, 0.5, 0.0, 0.5])
+        assert channel.labels.dtype == np.int64 and channel.labels.tolist() == [0, 9]
+        assert channel.weights.dtype == np.float64 and channel.weights.tolist() == [0.5, 0.5]
+        assert channel.operators.shape == (2, 4, 4)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_factory_maps_match_the_parent_filter(self, n):
+        """identity, depolarizing and pauli_mixture hold the labels and weights
+        that the factory's filter gave before the channel checked its own map,
+        bit for bit."""
+        rng = np.random.default_rng(60 + n)
+        xs, zs = all_label_masks(n)
+        cases = [({"n": n, "kind": "identity"}, ([0], [1.0]))]
+        for p in (0.0, 0.3, 1.0):
+            w = np.full(4**n, p / 4**n)
+            w[0] = 1 - p + p / 4**n
+            cases.append(({"n": n, "kind": "depolarizing", "p": p}, (xs | zs << n, w)))
+        raw = rng.random(4**n) * (rng.random(4**n) < 0.5)
+        raw[0] = 1.0
+        order = rng.permutation(4**n)
+        mixture = {str(label_from_index(n, int(i))): float(x) for i, x in zip(order, raw / raw.sum())}
+        cases.append(({"n": n, "kind": "pauli_mixture", "weights": mixture},
+                      _mixture_reference(n, mixture)))
+        for spec, (labels, weights) in cases:
+            got = channel_factory(spec)
+            want_labels, want_weights = _parent_pauli_channel(n, labels, weights)
+            assert np.array_equal(_bits(got.labels), _bits(want_labels))
+            assert np.array_equal(_bits(got.weights), _bits(want_weights))
 
 
 def _kron_loop_operators(factors, n):

@@ -746,17 +746,57 @@ class TestTripletExperiments:
         with pytest.raises(ValueError):
             run_triplet_experiments(IDENT1, EstimatorConfig(mode="exact"))
 
-    def test_tiny_negative_weight_is_clamped(self, caplog):
-        """A PauliChannel built in Python may carry a tiny negative weight,
-        which channel specs never give: the outcome rows then hold negative
-        entries, which as_distribution clamps to 0, so X never flips a state
-        of the Z or Y base."""
-        channel = PauliChannel(1, np.array([0, 1]), np.array([1 + 1e-7, -1e-7]))
-        with caplog.at_level(logging.DEBUG, logger="chitomo.mub"):
-            trips = run_triplet_experiments(channel, EstimatorConfig(M=400, seed=1))
-        assert "clamped negative probability mass 4.000e-07 in base 0" in caplog.messages
-        flipping = np.isin(trips.J, [0, 2])
-        assert flipping.any() and np.array_equal(trips.k_prime[flipping], trips.k[flipping])
+    def test_tiny_negative_weight_is_refused(self):
+        """A PauliChannel built in Python checks its weights, so a tiny
+        negative weight, which no channel spec gives, never reaches the
+        sampler's rows."""
+        with pytest.raises(ValueError, match="weights must be finite and >= 0"):
+            PauliChannel(1, np.array([0, 1]), np.array([1 + 1e-7, -1e-7]))
+
+
+def _base_probabilities(rho, n, j):
+    b = design_basis(n, j)
+    return np.einsum("ik,ij,jk->k", b.conj(), rho, b).real
+
+
+class TestDistribution:
+    """The sampler's row renormalization, one base per row."""
+
+    def test_non_distribution_rejected(self):
+        with pytest.raises(ValueError, match=r"base-0 .*mass off by 3.000e\+00"):
+            estimator._distribution(_base_probabilities(2 * np.eye(2), 1, 0)[None], np.array([0]))
+        with pytest.raises(ValueError, match="base-0 "):
+            estimator._distribution(np.array([[0.5, 0.5], [0.7, 0.7]]), np.array([0, 0]))
+        with pytest.raises(ValueError, match="mass off by nan"):
+            estimator._distribution(np.array([[np.nan, 0.5]]), np.array([0]))
+
+    def test_rows_sum_to_one(self):
+        rng = np.random.default_rng(8)
+        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        rho = g @ g.conj().T
+        rho /= np.trace(rho)
+        for j in range(5):
+            rows = np.stack([
+                _base_probabilities(rho, 2, j),
+                _base_probabilities(np.eye(4) / 4, 2, j),
+                *(_base_probabilities(np.outer(v, v.conj()), 2, j) for v in design_basis(2, j).T),
+            ])
+            probs = estimator._distribution(rows, np.full(len(rows), j))
+            np.testing.assert_allclose(probs.sum(axis=1), 1, atol=1e-12)
+            np.testing.assert_allclose(probs[1], 0.25, atol=1e-12)
+            np.testing.assert_allclose(probs[2:], np.eye(4), atol=1e-12)
+
+    def test_rows_of_several_bases_name_the_faulty_base(self, caplog):
+        """The error and the log name the base of the first row at fault,
+        not the first row's base."""
+        with pytest.raises(ValueError, match="base-3 "):
+            estimator._distribution(np.array([[0.5, 0.5], [0.7, 0.7]]), np.array([1, 3]))
+        with caplog.at_level(logging.DEBUG, logger="chitomo.estimator"):
+            probs = estimator._distribution(
+                np.array([[0.5, 0.5], [1 - 1e-10, 0.0], [1 + 1e-8, 0.0]]), np.array([1, 2, 4]))
+        np.testing.assert_allclose(probs, [[0.5, 0.5], [1, 0], [1, 0]], atol=1e-15)
+        assert [r.getMessage() for r in caplog.records] == [
+            "base-4 probability mass deviates by 1.000e-08"]
 
 
 class TestDiagFromTriplets:

@@ -1,12 +1,9 @@
 """The explicit MUB state vectors and their 2-design behaviour."""
 
-import logging
-
 import numpy as np
 import pytest
 
 from chitomo.mub import (
-    as_distribution,
     design_average_survival,
     design_bases,
     design_basis,
@@ -199,56 +196,3 @@ class TestPauliAction:
             target = b[:, ks ^ commutation_vector(a, mub_class(n, j))]
             overlaps = np.abs(np.sum(target.conj() * (pauli_matrix(a) @ b), axis=0))
             np.testing.assert_allclose(overlaps, 1, atol=1e-10)
-
-
-def _base_probabilities(rho, n, j):
-    b = design_basis(n, j)
-    return np.einsum("ik,ij,jk->k", b.conj(), rho, b).real
-
-
-class TestAsDistribution:
-    def test_non_distribution_rejected(self):
-        with pytest.raises(ValueError):
-            as_distribution(_base_probabilities(2 * np.eye(2), 1, 0), 0)
-        with pytest.raises(ValueError):
-            as_distribution(np.array([1.1, -0.1]), 0)
-        with pytest.raises(ValueError):
-            as_distribution(np.array([[0.5, 0.5], [0.7, 0.7]]), 0)
-
-    def test_rows_sum_to_one(self):
-        rng = np.random.default_rng(8)
-        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        rho = g @ g.conj().T
-        rho /= np.trace(rho)
-        for j in range(5):
-            rows = np.stack([
-                _base_probabilities(rho, 2, j),
-                _base_probabilities(np.eye(4) / 4, 2, j),
-                *(_base_probabilities(np.outer(v, v.conj()), 2, j) for v in design_basis(2, j).T),
-            ])
-            probs = as_distribution(rows, j)
-            np.testing.assert_allclose(probs.sum(axis=1), 1, atol=1e-12)
-            assert probs.min() >= 0
-            np.testing.assert_allclose(probs[1], 0.25, atol=1e-12)
-            np.testing.assert_allclose(probs[2:], np.eye(4), atol=1e-12)
-
-    def test_tiny_negative_entries_clamped(self):
-        probs = as_distribution(np.array([[1 + 4e-8, -4e-8], [0.5, 0.5]]), 0)
-        assert probs.min() >= 0
-        np.testing.assert_allclose(probs, [[1, 0], [0.5, 0.5]], atol=1e-15)
-        np.testing.assert_allclose(probs.sum(axis=1), 1, atol=1e-15)
-
-    def test_rows_of_several_bases_name_the_faulty_base(self, caplog):
-        """With one base per row, the error and both logs name the base of
-        the first row at fault, not the first row's base."""
-        with pytest.raises(ValueError, match="base-3 "):
-            as_distribution(np.array([[0.5, 0.5], [0.7, 0.7]]), np.array([1, 3]))
-        with pytest.raises(ValueError, match="base-3 "):
-            as_distribution(np.array([[0.5, 0.5], [1.1, -0.1]]), np.array([1, 3]))
-        with caplog.at_level(logging.DEBUG, logger="chitomo.mub"):
-            probs = as_distribution(np.array([[0.5, 0.5], [1 + 4e-8, -4e-8], [1 + 1e-8, 0.0]]),
-                                    np.array([1, 2, 4]))
-        np.testing.assert_allclose(probs, [[0.5, 0.5], [1, 0], [1, 0]], atol=1e-15)
-        assert [r.getMessage() for r in caplog.records] == [
-            "base-4 probability mass deviates by 1.000e-08",
-            "clamped negative probability mass 4.000e-08 in base 2"]

@@ -20,13 +20,17 @@ A command's record holds its argv, exit code and the sha256 of its stdout,
 its stderr and the file it writes with ``--out`` (a triplet log), if any.
 When stdout is a JSON report, ``stdout_fields`` adds a digest of each
 top-level value and of each row field, keyed as ``manifest`` or
-``rows[0].oracle_re``; ``out_file_blocks`` adds a digest of each block of
-512 lines of the ``--out`` file.  Report timestamps and the work directory
-are masked first.  ``--diff`` names each record and field that differ, a
-report's row fields among them and the first differing line range of an
-``--out`` file (``out_file lines 513-1024``), and exits 1 if any do.  BLAS
-runs on one thread, since a product's last bits may depend on the thread
-count.
+``rows[0].oracle_re``; any other stdout (``verify``'s table) gets
+``stdout_lines``, a digest of each line; ``out_file_blocks`` adds a digest
+of each block of 512 lines of the ``--out`` file.  Report timestamps and
+the work directory are masked first.  ``--diff`` names each record and field
+that differ, a report's row fields among them, the first differing line of
+a non-JSON stdout (``stdout line 7``) and the first differing line range of
+an ``--out`` file (``out_file lines 513-1024``), and exits 1 if any do.  A
+field that only one of the two records holds, as in a file written before
+that field existed, is not compared; the whole-output digests always are.
+BLAS runs on one thread, since a product's last bits may depend on the
+thread count.
 """
 
 from __future__ import annotations
@@ -85,17 +89,23 @@ def _report_fields(stdout: bytes) -> dict[str, str] | None:
             for key, value in values}
 
 
-def _line_blocks(data: bytes) -> list[str]:
-    """The first 16 hex digits of the sha256 of each block of BLOCK_LINES
+def _line_blocks(data: bytes, lines_per_block: int = BLOCK_LINES) -> list[str]:
+    """The first 16 hex digits of the sha256 of each block of lines_per_block
     lines of data, line ends included."""
     lines = data.splitlines(keepends=True)
-    return [_sha256(b"".join(lines[i:i + BLOCK_LINES]))[:16]
-            for i in range(0, len(lines), BLOCK_LINES)]
+    return [_sha256(b"".join(lines[i:i + lines_per_block]))[:16]
+            for i in range(0, len(lines), lines_per_block)]
+
+
+def _first_difference(a: list[str], b: list[str]) -> int:
+    """The index of the first entry that differs between a and b, or the
+    shorter length if one is a prefix of the other."""
+    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
 
 
 def _first_block(a: list[str], b: list[str]) -> str:
     """The line range of the first block that differs between a and b."""
-    i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    i = _first_difference(a, b)
     return f"out_file lines {i * BLOCK_LINES + 1}-{(i + 1) * BLOCK_LINES}"
 
 
@@ -106,12 +116,14 @@ def _command_record(record_id: str, argv: list[str], work: str) -> dict:
     out_file = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
     stdout = _mask(out.encode(), work)
     written = _mask(out_file.read_bytes(), work) if out_file and out_file.is_file() else None
+    fields = _report_fields(stdout)
     return {
         "id": record_id,
         "argv": [a.replace(work, "<work>") for a in argv],
         "exit": code,
         "stdout": _sha256(stdout),
-        "stdout_fields": _report_fields(stdout),
+        "stdout_fields": fields,
+        "stdout_lines": _line_blocks(stdout, 1) if fields is None else None,
         "stderr": _sha256(_mask(err.encode(), work)),
         "out_file": None if written is None else _sha256(written),
         "out_file_blocks": None if written is None else _line_blocks(written),
@@ -141,14 +153,17 @@ def replay(seeds: list[int], small: bool = False):
 
 
 def _differing(a: dict, b: dict) -> list[str]:
-    """The fields of two records that differ, in name order; where both hold
-    report fields, the report's differing fields in report order instead,
+    """The fields that both records hold and that differ, in name order;
+    where both hold report fields, the report's differing fields in report
+    order instead, where both hold stdout lines, the first differing line,
     and where both hold --out file blocks, the first differing line range."""
     differ = []
-    for f in sorted(a.keys() | b.keys()):
-        fa, fb = a.get(f), b.get(f)
+    for f in sorted(a.keys() & b.keys()):
+        fa, fb = a[f], b[f]
         if f == "stdout_fields" and fa and fb:
             differ += [key for key in {**fa, **fb} if fa.get(key) != fb.get(key)]
+        elif f == "stdout_lines" and fa is not None and fb is not None:
+            differ += [f"stdout line {_first_difference(fa, fb) + 1}"] if fa != fb else []
         elif f == "out_file_blocks" and fa and fb:
             differ += [_first_block(fa, fb)] if fa != fb else []
         elif fa != fb:

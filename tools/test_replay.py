@@ -24,6 +24,11 @@ def test_replay_is_reproducible_and_diff_names_a_change(tmp_path, capsys):
     log = next(r for r in logs if len(r["out_file_blocks"]) == 4)  # log-sieve's 2,001 lines
     reports = [bool(r.get("stdout_fields")) for r in records]
     assert any(reports) and not all(reports)  # verify and exact_chi records hold none
+    # every other stdout, verify's table among them, is digested line by line
+    commands = [r for r in records if "stdout" in r]
+    assert all((r["stdout_fields"] is None) == (r["stdout_lines"] is not None) for r in commands)
+    table = next(r for r in records if r["id"].startswith("verify:"))
+    assert len(table["stdout_lines"]) >= 7
     assert replay.main(["--diff", *map(str, files)]) == 0
     assert capsys.readouterr().out == "0 differing records\n"
 
@@ -35,14 +40,18 @@ def test_replay_is_reproducible_and_diff_names_a_change(tmp_path, capsys):
     # a log whose lines 513-1024 moved
     log["out_file"] = "2" * 64
     log["out_file_blocks"][1] = "0" * 16
+    # a verify table whose line 7 moved
+    table["stdout"] = "3" * 64
+    table["stdout_lines"][6] = "0" * 16
     altered = tmp_path / "altered.jsonl"
     altered.write_text("".join(json.dumps(r) + "\n" for r in records[:-1]))
     assert replay.main(["--diff", str(files[0]), str(altered)]) == 1
     assert capsys.readouterr().out.splitlines() == [
         *sorted([f"{records[3]['id']}: stdout differ", f"{records[-1]['id']}: id differ",
                  f"{moved['id']}: stdout, rows[0].oracle_re differ",
-                 f"{log['id']}: out_file, out_file lines 513-1024 differ"]),
-        "4 differing records",
+                 f"{log['id']}: out_file, out_file lines 513-1024 differ",
+                 f"{table['id']}: stdout, stdout line 7 differ"]),
+        "5 differing records",
     ]
 
 
@@ -53,3 +62,18 @@ def test_first_differing_block_names_its_lines():
     edited = replay._line_blocks(text.replace(b"\n700\n", b"\n7\n"))
     assert replay._first_block(blocks, edited) == "out_file lines 513-1024"
     assert replay._first_block(blocks, blocks[:2]) == "out_file lines 1025-1536"
+
+
+def test_first_differing_stdout_line_is_named():
+    record = {"id": "verify:3:0", "stdout": "a", "stdout_fields": None,
+              "stdout_lines": replay._line_blocks(b"".join(b"row %d\n" % i for i in range(9)), 1)}
+    assert len(record["stdout_lines"]) == 9
+    moved = {**record, "stdout": "b", "stdout_lines": [*record["stdout_lines"]]}
+    moved["stdout_lines"][6] = "0" * 16
+    assert replay._differing(record, moved) == ["stdout", "stdout line 7"]
+    shorter = {**record, "stdout": "b", "stdout_lines": record["stdout_lines"][:4]}
+    assert replay._differing(record, shorter) == ["stdout", "stdout line 5"]
+    # a field that a record written before it existed lacks is not compared
+    older = {key: value for key, value in record.items() if key != "stdout_lines"}
+    assert replay._differing(older, record) == []
+    assert replay._differing(older, moved) == ["stdout"]
