@@ -232,15 +232,6 @@ def _base_weights(channel: PauliChannel, cols: np.ndarray) -> np.ndarray:
     return np.bincount(cells.ravel(), weights.ravel(), d * (d + 1)).reshape(d + 1, d)
 
 
-def _pauli_survival(channel: PauliChannel, cols: np.ndarray, p_m: np.ndarray) -> np.ndarray:
-    """q[J, p_m(J)] of every base J, shape (D+1,), given the commutation
-    columns of every base and a label's commutation vectors p_m in them: the
-    weight of the labels a whose p_a(J) is p_m(J), summed in label order as
-    :func:`_base_weights` sums a cell, so its entries bit for bit."""
-    js, hits = np.nonzero(gf2_apply(cols[:, None, :], channel.labels) == p_m[:, None])
-    return np.bincount(js, channel.weights[hits], 2**channel.n + 1)
-
-
 def _pauli_table(channel: PauliChannel, m: PauliLabel, n_label: PauliLabel) -> np.ndarray:
     """Rows J*D + k of (Re, Im of the polarization, survival) in closed form.
     With E_n E_m = i^theta P_c the polarization is q[J, p] i^theta <v_k|P_c|v_k>
@@ -300,8 +291,10 @@ def estimate_chi_diag(channel: Channel, m: PauliLabel, cfg: EstimatorConfig) -> 
     by E_m^dag, test survival, i.e. the transition k -> k XOR p_m(J).  The
     survival frequency F-hat inverts to chi-hat = ((D+1) F-hat - 1)/D.  The
     label is read only through p_m(J): a Pauli channel's state of base J
-    survives with q[J, p_m(J)] (:func:`_pauli_survival`), read by J alone, and
-    a dense channel's state k with sum_i |<v_{k XOR p_m(J)}|A_i|v_k>|^2.
+    survives with q[J, p_m(J)] of its base weight table (:func:`_base_weights`),
+    read by J alone, and a dense channel's state k with
+    sum_i |<v_{k XOR p_m(J)}|A_i|v_k>|^2.  The Pauli diagonal thus holds the
+    whole (D+1, D) table to read D+1 entries of it.
     """
     if m.n != channel.n:
         raise ValueError("label and channel qubit counts differ")
@@ -310,7 +303,7 @@ def estimate_chi_diag(channel: Channel, m: PauliLabel, cfg: EstimatorConfig) -> 
     p_m = gf2_apply(cols, m.x_bits | m.z_bits << n)
     keys, us = _campaign(n, cfg, _TAG_DIAG, "fidelity")
     if isinstance(channel, PauliChannel):  # one row per base J
-        rows, survival = keys >> n, _pauli_survival(channel, cols, p_m)[:, None]
+        rows, survival = keys >> n, _base_weights(channel, cols)[np.arange(d + 1), p_m, None]
     else:
         ops = channel.operators
 

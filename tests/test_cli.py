@@ -609,6 +609,39 @@ def test_non_string_generator_exits_2(capsys, tmp_path, generator):
     assert error["message"] == f"expected a Pauli string, got {generator!r}"
 
 
+@pytest.mark.parametrize("spec, message", [
+    ({"n": 1, "kind": "kraus", "operators": [[]]}, "Kraus operator 0 must be two-dimensional"),
+    ({"n": 1, "kind": "compose", "children": [1]}, "channel spec must be a JSON object"),
+    ({"n": 1, "kind": "unitary", "matrix": [[[1, 0]]]}, "unitary matrix must be 2x2"),
+    ({"n": 2, "kind": "unitary", "generator": "X", "theta": 1.0},
+     "generator has wrong qubit count"),
+], ids=["kraus-empty-operator", "compose-child-not-object", "unitary-1x1", "generator-qubits"])
+def test_malformed_spec_message_exits_2(capsys, tmp_path, spec, message):
+    """A spec the factory refuses is malformed input: one JSON line with the
+    factory's message, no traceback."""
+    path, _ = write_spec(tmp_path, "spec.json", spec)
+    argv = ["estimate-diag", "--channel", path, "--m", "X" * spec["n"], "--M", "50"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert json.loads(err) == {"error": "malformed_input", "message": message}
+
+
+def test_label_of_another_qubit_count_exits_3(capsys, specs):
+    code, out, err = run(capsys, "estimate-diag", "--channel", specs["dep"][0], "--m", "XX",
+                         "--M", "50")
+    assert code == 3 and out == ""
+    assert json.loads(err) == {"error": "invalid_label",
+                               "message": "label 'XX' has 2 qubits, expected 1"}
+
+
+def test_empty_log_exits_2(capsys, tmp_path):
+    log = tmp_path / "empty.log"
+    log.write_bytes(b"")
+    code, out, err = run(capsys, "diag-from-log", "--log", str(log), "--m", "Z")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "malformed_input", "message": "empty triplet log"}
+
+
 @pytest.mark.parametrize("target", ["log", "log-header", "spec"])
 def test_undecodable_files_exit_2(capsys, specs, tmp_path, target):
     """A 0xFF byte in a log's bit field or header, or in a spec string, is malformed input."""

@@ -179,6 +179,11 @@ class TestDiagonalEstimator:
 
 
 class TestOffdiagonalEstimator:
+    @pytest.mark.parametrize("m, n_label", [("XX", "I"), ("I", "XX")])
+    def test_label_mismatch_rejected(self, m, n_label):
+        with pytest.raises(ValueError, match="^labels and channel qubit counts differ$"):
+            estimate_chi_offdiag(IDENT1, L(m), L(n_label), EstimatorConfig(M=10))
+
     def test_identity_channel_exact_zero(self):
         est = estimate_chi_offdiag(IDENT1, L("I"), L("X"), ENUMERATE)
         assert abs(est.value) < 1e-12 and est.std_error == 0.0
@@ -457,31 +462,45 @@ def test_pauli_offdiag_rows_match_dense_amplitudes(kind, n):
 @pytest.mark.parametrize("kind", ["identity", "depolarizing", "pauli_mixture"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_pauli_survival_column_is_the_base_weight(kind, n):
-    """The per-base survival the diagonal reads is q[J, p_m(J)] of the base
-    weight table, bit for bit: every label at n <= 3, 40 sampled ones above."""
+    """The exact diagonal of a Pauli channel inverts the survival column
+    q[J, p_m(J)] of the base weight table, D states per base, bit for bit,
+    and that inversion is the channel's weight of m: every label at n <= 3,
+    40 sampled ones above."""
     channel, d = channel_factory(_pauli_spec(kind, n)), 2**n
     cols = commutation_columns(n)
     q = estimator._base_weights(channel, cols)
     rng = np.random.default_rng(n)
     labels = all_labels(n) if n <= 3 else [random_label(n, rng) for _ in range(40)]
     for m in labels:
-        p_m = gf2_apply(cols, m.x_bits | m.z_bits << n)
-        got = estimator._pauli_survival(channel, cols, p_m)
-        assert np.array_equal(got.view(np.uint64), q[np.arange(d + 1), p_m].view(np.uint64))
+        packed = m.x_bits | m.z_bits << n
+        survival = np.repeat(q[np.arange(d + 1), gf2_apply(cols, packed)], d)
+        want = float((((d + 1) * survival - 1) / d).mean())
+        got = estimate_chi_diag(channel, m, ENUMERATE).value
+        assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
+        assert abs(got - channel.weights[channel.labels == packed].sum()) <= 1e-12
 
 
 def test_pauli_diag_reads_one_survival_per_base(monkeypatch):
-    """A Pauli channel's diagonal protocol reads q[J, p_m(J)] per base: it
-    builds no base weight table, no state table and no off-diagonal table."""
+    """A Pauli channel's diagonal protocol reads q[J, p_m(J)] per base from one
+    base weight table: it builds no state table and no off-diagonal table."""
     def refuse(*args):
         raise AssertionError("table built for a Pauli diagonal")
 
+    calls, base_weights = [], estimator._base_weights
+
+    def counted(*args):
+        calls.append(args)
+        return base_weights(*args)
+
     channel = channel_factory(_pauli_spec("pauli_mixture", 3))
     m = PauliLabel.from_string("XYZ")
-    for name in ("_base_weights", "_pauli_table", "_state_table"):
+    for name in ("_pauli_table", "_state_table"):
         monkeypatch.setattr(estimator, name, refuse)
+    monkeypatch.setattr(estimator, "_base_weights", counted)
     for cfg, m_count in ((EstimatorConfig(M=200, seed=1), 200), (ENUMERATE, 72)):
+        calls.clear()
         assert estimate_chi_diag(channel, m, cfg).M == m_count
+        assert len(calls) == 1
 
 
 def test_diag_applies_no_pauli_operator(monkeypatch):

@@ -88,6 +88,10 @@ class TestStateConstruction:
         with pytest.raises(DenseCapError):
             design_basis(7, 0)
 
+    def test_no_qubits_rejected(self):
+        with pytest.raises(ValueError, match="^design states need n >= 1, got n=0$"):
+            design_bases(0)
+
     def test_cache_holds_every_base_at_the_dense_cap(self):
         """One build per n holds all D+1 bases, read-only, and design_basis
         reads them without building again."""

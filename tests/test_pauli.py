@@ -83,6 +83,20 @@ class TestLabelBasics:
         with pytest.raises(ValueError, match=re.escape(f"expected a Pauli string, got {value!r}")):
             PauliLabel.from_string(value)
 
+    @pytest.mark.parametrize("n, x_bits, z_bits, message", [
+        (0, 0, 0, "qubit count must be >= 1, got 0"),
+        (1, 2, 0, "bit masks out of range for n=1"),
+        (1, 0, -1, "bit masks out of range for n=1"),
+    ])
+    def test_malformed_label_rejected(self, n, x_bits, z_bits, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PauliLabel(n, x_bits, z_bits)
+
+    @pytest.mark.parametrize("idx", [-1, 4])
+    def test_index_out_of_range_rejected(self, idx):
+        with pytest.raises(ValueError, match=f"^index {idx} out of range for n=1$"):
+            label_from_index(1, idx)
+
     def test_identity_label(self):
         ident = PauliLabel.identity(3)
         assert ident.is_identity

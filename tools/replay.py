@@ -14,7 +14,7 @@ Three sections, one JSON line per record:
   first, as a benchmark worker runs them (``perfbench/worker.py``);
 * ``verify``: ``verify --verify-level full`` at n = 1-4, seeds 0 and 12;
 * ``exact_chi``: the oracle's chi of one channel of each spec kind at
-  n = 1-3, as a uint64 view.
+  n = 1-4, and of the amplitude damping one at n = 5, as a uint64 view.
 
 A command's record holds its argv, exit code and the sha256 of its stdout,
 its stderr and the file it writes with ``--out`` (a triplet log), if any.
@@ -146,10 +146,13 @@ def replay(seeds: list[int], small: bool = False):
             for seed in VERIFY_SEEDS:
                 argv = ["verify", "--n", str(n), "--verify-level", "full", "--seed", str(seed)]
                 yield _command_record(f"verify:{n}:{seed}", argv, work)
-    for n in range(1, 4):
-        for kind, spec in _small_specs(random.Random(f"replay:{n}"), n).items():
-            chi = np.ascontiguousarray(exact_chi(channel_factory(spec)).mat)
-            yield {"id": f"exact_chi:{kind}:{n}", "sha256": _sha256(chi.view(np.uint64).tobytes())}
+    specs = [(kind, n, spec) for n in range(1, 5)
+             for kind, spec in _small_specs(random.Random(f"replay:{n}"), n).items()]
+    specs.append(("amplitude_damping", 5,
+                  _small_specs(random.Random("replay:5"), 5)["amplitude_damping"]))
+    for kind, n, spec in specs:
+        chi = np.ascontiguousarray(exact_chi(channel_factory(spec), max_n=n).mat)
+        yield {"id": f"exact_chi:{kind}:{n}", "sha256": _sha256(chi.view(np.uint64).tobytes())}
 
 
 def _differing(a: dict, b: dict) -> list[str]:

@@ -19,6 +19,11 @@ def test_replay_is_reproducible_and_diff_names_a_change(tmp_path, capsys):
     records = [json.loads(line) for line in files[0].read_text().splitlines()]
     sections = {r["id"].split(":")[0] for r in records}
     assert sections == {"plan", "verify", "exact_chi"}
+    kinds = ("identity", "depolarizing", "pauli_mixture", "unitary", "amplitude_damping",
+             "kraus", "compose")
+    assert [r["id"] for r in records if r["id"].startswith("exact_chi:")] == [
+        *(f"exact_chi:{kind}:{n}" for n in range(1, 5) for kind in kinds),
+        "exact_chi:amplitude_damping:5"]
     logs = [r for r in records if r.get("out_file")]  # the triplet logs are read
     assert logs and all(r["out_file_blocks"] for r in logs)
     log = next(r for r in logs if len(r["out_file_blocks"]) == 4)  # log-sieve's 2,001 lines

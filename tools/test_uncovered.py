@@ -1,0 +1,50 @@
+"""The unexecuted-statement lister names a raise until a test reaches it."""
+
+import os
+
+import pytest
+
+import uncovered
+
+GUARDED = '''def check(x):
+    """x, if it is not negative."""
+    if x < 0:
+        raise ValueError(
+            "negative")
+    try:
+        return int(x)
+    except TypeError:
+        return None
+'''
+
+
+def test_a_raise_is_listed_until_a_test_reaches_it(tmp_path, capsys):
+    source, tests = tmp_path / "pkg", tmp_path / "tests"
+    source.mkdir()
+    tests.mkdir()
+    (source / "guarded.py").write_text(GUARDED)
+    (tests / "test_positive.py").write_text(
+        "import guarded\n\ndef test_positive():\n    assert guarded.check(2) == 2\n")
+    argv = ["-q", "-p", "no:cacheprovider", "--import-mode=importlib",
+            "-o", f"pythonpath={source}", str(tests)]
+    path = os.path.relpath(source / "guarded.py")
+
+    assert uncovered.main(argv, source=source) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "1 passed" in "\n".join(out)
+    assert out[-4:] == [f"{path}:4: raise ValueError(", f"{path}:8: except TypeError:",
+                        f"{path}:9: return None", "3 unexecuted statements, 1 of them raise"]
+
+    (tests / "test_negative.py").write_text(
+        "import pytest, guarded\n\ndef test_negative():\n"
+        "    with pytest.raises(ValueError):\n        guarded.check(-1)\n")
+    assert uncovered.main(argv, source=source) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-3:] == [f"{path}:8: except TypeError:", f"{path}:9: return None",
+                        "2 unexecuted statements, 0 of them raise"]
+
+    # with no raise listed, a failing test still fails the run
+    (tests / "test_wrong.py").write_text(
+        "import guarded\n\ndef test_wrong():\n    assert guarded.check(3) == 2\n")
+    assert uncovered.main(argv, source=source) == pytest.ExitCode.TESTS_FAILED
+    assert capsys.readouterr().out.splitlines()[-1] == "2 unexecuted statements, 0 of them raise"
