@@ -340,13 +340,14 @@ def test_sampled_protocol(benchmark, protocol, kind, n):
     """One sampled protocol at M=2000 on a depolarizing channel (4^n labels)
     or a 4-label Pauli mixture, whose weights every protocol reads, or on an
     amplitude damping channel (2^n Kraus operators), which every protocol
-    reads dense."""
+    reads dense.  Each round times 3 calls, after one warm-up round that
+    fills the per-n caches, and the row to cite is its min."""
     channel, cfg = _protocol_channel(kind, n), EstimatorConfig(M=2000, seed=n)
     m, n_label = label_from_index(n, 5), label_from_index(n, 9)
     run = {"diag": lambda: estimate_chi_diag(channel, m, cfg),
            "offdiag": lambda: estimate_chi_offdiag(channel, m, n_label, cfg),
            "triplets": lambda: run_triplet_experiments(channel, cfg)}[protocol]
-    result = benchmark.pedantic(run, rounds=3, iterations=1)
+    result = benchmark.pedantic(run, rounds=5, iterations=3, warmup_rounds=1)
     assert (len(result) if protocol == "triplets" else result.M) == 2000
 
 
@@ -468,7 +469,7 @@ def test_oracle_one_diagonal_fresh_channel(benchmark):
 @pytest.mark.parametrize("kind, n", [("depolarizing", 3), ("depolarizing", 4),
                                      ("amplitude_damping", 5)])
 def test_exact_chi(benchmark, kind, n):
-    """The whole chi of kraus_to_chi, every label's Pauli expansion and the
+    """The whole chi of exact_chi, every label's Pauli expansion and the
     chi sum, for 4^n or 2^n Kraus operators expanded before the timing."""
     channel = _protocol_channel(kind, n)
     assert len(channel.operators) == (4**n if kind == "depolarizing" else 2**n)

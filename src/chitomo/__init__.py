@@ -60,7 +60,6 @@ from .oracle import (
     exact_chi_entries,
     exact_offdiag_average,
     haar_closed_form,
-    kraus_to_chi,
     oracle_report,
 )
 

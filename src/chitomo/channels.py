@@ -18,7 +18,7 @@ The JSON channel-spec format accepted by :func:`channel_factory`:
 with kinds identity | depolarizing | pauli_mixture | unitary |
 amplitude_damping | kraus | compose.  Complex matrices serialize row-major
 with each entry a [re, im] pair; ``compose`` children are full specs applied
-first-listed-first.
+first-listed-first, nested at most ``COMPOSE_DEPTH_CAP`` deep.
 """
 
 from __future__ import annotations
@@ -41,6 +41,11 @@ from .pauli import (
     pauli_matrices,
     pauli_matrix,
 )
+
+_FLOAT_MAX = float(np.finfo(float).max)
+# Building a compose spec recurses into its children, so their nesting is
+# capped well inside the interpreter's recursion limit.
+COMPOSE_DEPTH_CAP = 100
 
 # apply_channel maps a stack through the superoperator only while S takes at
 # most this many bytes (D <= 32, so up to the oracle's n = 5 hard cap at 16 MB).
@@ -160,7 +165,8 @@ def kraus_completeness_deviation(k: KrausSet) -> float:
     """Spectral-norm deviation of sum A^dag A from the identity, which bounds
     how far any state's outcome probabilities can sum from 1."""
     m = k.operators.reshape(-1, 2**k.n)  # sum_i A_i^dag A_i is one (K D, D) GEMM
-    s = m.conj().T @ m
+    with np.errstate(over="ignore", invalid="ignore"):  # huge entries: inf or nan, refused
+        s = m.conj().T @ m
     return float(np.max(np.abs(np.linalg.eigvalsh(s - np.eye(2**k.n)))))
 
 
@@ -186,10 +192,10 @@ def matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
         for row in obj:
             rows.append([complex(re, im) for re, im in row])
         mat = np.array(rows, dtype=complex)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # overflow: an integer past float
         raise ChannelSpecError(f"{what} is not a nested [re, im] array") from exc
     if not all(_is_number(x) for row in obj for entry in row for x in entry):
-        raise ChannelSpecError(f"{what} has a true or false entry, not a number")
+        raise ChannelSpecError(f"{what} has an entry that is not a finite number")
     if mat.ndim != 2:
         raise ChannelSpecError(f"{what} must be two-dimensional")
     return mat
@@ -199,7 +205,7 @@ def canonical_spec_bytes(spec: dict) -> bytes:
     """Canonical serialization used for hashing and log headers."""
     try:
         return json.dumps(spec, sort_keys=True, separators=(",", ":"), allow_nan=False).encode()
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:
         raise ChannelSpecError(f"spec is not JSON-serializable: {exc}") from exc
 
 
@@ -216,7 +222,7 @@ def read_channel_spec(path) -> tuple[dict, str]:
         raise ChannelSpecError(f"cannot read channel spec: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ChannelSpecError(f"channel spec is not UTF-8: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (RecursionError, ValueError) as exc:  # bad JSON, too deep, or too long an integer
         raise ChannelSpecError(f"channel spec is not valid JSON: {exc}") from exc
     if not isinstance(spec, dict):
         raise ChannelSpecError("channel spec must be a JSON object")
@@ -229,8 +235,8 @@ def load_channel_spec(path) -> dict:
 
 
 def _is_number(x) -> bool:
-    """A JSON number; bool is an int subclass, but true and false are not numbers."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A JSON number that a float holds; true and false, though bools are ints, are not."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= _FLOAT_MAX
 
 
 def _require_n(spec: dict) -> int:
@@ -247,7 +253,8 @@ def _mixture_labels(n: int, raw: dict) -> tuple[np.ndarray, np.ndarray]:
     The map is checked in one pass: its keys normalized as one list and
     their letters turned into bits as one array.  A map that pass refuses
     goes through the per-key checks, whose only job is to name its fault."""
-    names = [key.strip().upper() if isinstance(key, str) else "" for key in raw]
+    names = [key.strip() if isinstance(key, str) else "" for key in raw]
+    names = [s.upper() if s.isascii() else "" for s in names]  # upper maps U+0131 to I
     joined = "".join(names)
     weights = list(raw.values())
     if not (all(len(s) == n for s in names) and not joined.lstrip("IXYZ")
@@ -285,10 +292,11 @@ def _check_complete(k: KrausSet, what: str) -> None:
         raise ChannelSpecError(f"{what} not complete (deviation {dev:.3e})")
 
 
-def channel_factory(spec: dict) -> Channel:
+def channel_factory(spec: dict, _depth: int = 0) -> Channel:
     """Build a channel from a spec document: the identity, depolarizing and
     pauli_mixture kinds as a :class:`PauliChannel`, the rest as a
-    :class:`KrausSet`.  Raises ChannelSpecError."""
+    :class:`KrausSet`; _depth counts the compose specs around this one.
+    Raises ChannelSpecError."""
     if not isinstance(spec, dict):
         raise ChannelSpecError("channel spec must be a JSON object")
     n = _require_n(spec)
@@ -334,13 +342,14 @@ def channel_factory(spec: dict) -> Channel:
             if g.n != n:
                 raise ChannelSpecError("generator has wrong qubit count")
             theta = spec.get("theta")
-            if not _is_number(theta) or not np.isfinite(theta):
+            if not _is_number(theta):
                 raise ChannelSpecError("unitary generator needs a finite numeric 'theta'")
             # exp(-i theta P / 2) for an involutory generator P
             u = np.cos(theta / 2) * np.eye(d) - 1j * np.sin(theta / 2) * pauli_matrix(g)
         else:
             raise ChannelSpecError("unitary needs 'matrix' or 'generator'")
-        dev = float(np.max(np.abs(u @ u.conj().T - np.eye(d))))
+        with np.errstate(over="ignore", invalid="ignore"):  # huge entries: inf or nan, refused
+            dev = float(np.max(np.abs(u @ u.conj().T - np.eye(d))))
         if not dev <= 1e-9:
             raise ChannelSpecError(f"matrix is not unitary (deviation {dev:.3e})")
         return KrausSet(n, (u,))
@@ -370,7 +379,9 @@ def channel_factory(spec: dict) -> Channel:
         children = spec.get("children")
         if not isinstance(children, list) or not children:
             raise ChannelSpecError("compose needs a non-empty 'children' list")
-        built = [channel_factory(c) for c in children]
+        if _depth == COMPOSE_DEPTH_CAP:
+            raise ChannelSpecError(f"compose specs nest at most {COMPOSE_DEPTH_CAP} deep")
+        built = [channel_factory(c, _depth + 1) for c in children]
         if any(c.n != n for c in built):
             raise ChannelSpecError("compose children must share the parent 'n'")
         # first listed acts first: B_j A_i at index j * len(A) + i

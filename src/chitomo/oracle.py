@@ -15,10 +15,10 @@ a Pauli channel's chi_mn = w_m delta_mn off its weight map instead, while
 lives here alone: :class:`ChiMatrix`, the Pauli-coefficient expansion
 c_km = Tr(E_m^dag A_k) / D over the canonical Pauli basis (see
 :func:`chitomo.pauli.label_index` for the ordering), and
-chi_mn = sum_k c_km conj(c_kn), summed by :func:`kraus_to_chi` for every
+chi_mn = sum_k c_km conj(c_kn), summed by :func:`exact_chi` for every
 label pair and by :func:`exact_chi_entries` for the pairs asked.
-Desk-scale only: chi matrices are 4**n x 4**n, so the default cap is n = 4
-with an explicit opt-in for n = 5.
+Desk-scale only: chi matrices are 4**n x 4**n, so :func:`exact_chi` caps n
+at 4, with an opt-in up to the hard cap n = 5, where the design sums stop.
 """
 
 from __future__ import annotations
@@ -69,7 +69,16 @@ class ChiMatrix:
         return complex(self.mat[label_index(m), label_index(n_label)])
 
 
-def _check_oracle_cap(n: int, max_n: int) -> None:
+def pauli_coefficients(channel: Channel, xs, zs) -> np.ndarray:
+    """c[k, m] = Tr(E_m^dag A_k) / D for the labels m with masks xs[m], zs[m]."""
+    basis = pauli_matrices(channel.n, xs, zs)  # conjugated in place: it is ours
+    return np.einsum("mji,kji->km", np.conj(basis, out=basis), channel.operators) / 2**channel.n
+
+
+def exact_chi(channel: Channel, max_n: int = ORACLE_QUBIT_CAP) -> ChiMatrix:
+    """Exact process matrix, independent of the Kraus decomposition used:
+    every label's Pauli expansion c, summed into chi_mn = sum_k c_km conj(c_kn)."""
+    n = channel.n
     if max_n > ORACLE_QUBIT_HARD_CAP:
         raise ValueError(f"oracle cap cannot exceed {ORACLE_QUBIT_HARD_CAP}")
     if n > max_n:
@@ -78,27 +87,10 @@ def _check_oracle_cap(n: int, max_n: int) -> None:
             f"pass max_n={min(n, ORACLE_QUBIT_HARD_CAP)} to override up to "
             f"{ORACLE_QUBIT_HARD_CAP}"
         )
-
-
-def pauli_coefficients(channel: Channel, xs, zs) -> np.ndarray:
-    """c[k, m] = Tr(E_m^dag A_k) / D for the labels m with masks xs[m], zs[m]."""
-    basis = pauli_matrices(channel.n, xs, zs)  # conjugated in place: it is ours
-    return np.einsum("mji,kji->km", np.conj(basis, out=basis), channel.operators) / 2**channel.n
-
-
-def kraus_to_chi(channel: Channel) -> ChiMatrix:
-    """Expand the Kraus operators in the Pauli basis and accumulate chi."""
-    c = pauli_coefficients(channel, *all_label_masks(channel.n))
-    return ChiMatrix(channel.n, np.einsum("km,kn->mn", c, c.conj()))
-
-
-def exact_chi(channel: Channel, max_n: int = ORACLE_QUBIT_CAP) -> ChiMatrix:
-    """Exact process matrix, independent of the Kraus decomposition used."""
-    n = channel.n
-    _check_oracle_cap(n, max_n)
     if n >= ORACLE_QUBIT_HARD_CAP:
         logger.warning("oracle at n=%d builds a %d x %d chi matrix", n, 4**n, 4**n)
-    return kraus_to_chi(channel)
+    c = pauli_coefficients(channel, *all_label_masks(n))
+    return ChiMatrix(n, np.einsum("km,kn->mn", c, c.conj()))
 
 
 def exact_chi_entries(
@@ -127,44 +119,37 @@ def exact_chi_entries(
 
 
 def _design_sum(channel: Channel, left: np.ndarray | None = None,
-                right: np.ndarray | None = None, max_n: int = ORACLE_QUBIT_CAP) -> complex:
+                right: np.ndarray | None = None) -> complex:
     """Design average of <v| E(L P_v R^dag) |v>, P_v = |v><v|, over all
     D(D+1) design states v, with one ``apply_channel`` call on the whole
     stack.  Each input is rank 1, L P_v R^dag = (L v)(R v)^dag, so no
-    product with P_v is formed; L and R default to the identity."""
-    _check_oracle_cap(channel.n, max_n)
+    product with P_v is formed; L and R default to the identity.  Every
+    identity goes through here, so here alone n above the hard cap is refused."""
+    if channel.n > ORACLE_QUBIT_HARD_CAP:
+        raise DenseCapError(f"oracle design sum for n={channel.n} exceeds the hard cap "
+                            f"{ORACLE_QUBIT_HARD_CAP}")
     v = design_states(channel.n)
     lv, rv = (v if op is None else v @ op.T for op in (left, right))
     out = apply_channel(channel, lv[:, :, None] * rv[:, None, :].conj())
     return complex(np.einsum("si,sij,sj->", v.conj(), out, v)) / len(v)
 
 
-def exact_average_fidelity(channel: Channel, max_n: int = ORACLE_QUBIT_CAP) -> float:
+def exact_average_fidelity(channel: Channel) -> float:
     """Average survival probability, enumerated over the full state design."""
-    return _design_sum(channel, max_n=max_n).real
+    return _design_sum(channel).real
 
 
-def exact_offdiag_average(
-    channel: Channel,
-    m: PauliLabel,
-    n_label: PauliLabel,
-    max_n: int = ORACLE_QUBIT_CAP,
-) -> complex:
+def exact_offdiag_average(channel: Channel, m: PauliLabel, n_label: PauliLabel) -> complex:
     """Design average of <psi| E(E_m^dag P_psi E_n) |psi>.
 
     Equals (D chi_mn + delta_mn) / (D + 1) for a valid channel.
     """
     em_dag, en_dag = pauli_matrix(m).conj().T, pauli_matrix(n_label).conj().T
-    return _design_sum(channel, em_dag, en_dag, max_n)
+    return _design_sum(channel, em_dag, en_dag)
 
 
-def exact_ancilla_polarization(
-    channel: Channel,
-    m: PauliLabel,
-    n_label: PauliLabel,
-    axis: str,
-    max_n: int = ORACLE_QUBIT_CAP,
-) -> float:
+def exact_ancilla_polarization(channel: Channel, m: PauliLabel, n_label: PauliLabel,
+                               axis: str) -> float:
     """Design-averaged expectation of sigma_axis (x) P_psi after the
     ancilla-assisted circuit for the (m, n_label) coefficient.
 
@@ -174,7 +159,6 @@ def exact_ancilla_polarization(
     G = (E_n^dag + conj(c) E_m^dag)/2; with S(c) that map's design sum,
     <sigma (x) P> = S(c) - S(-c): two design sums on the n-qubit register.
     """
-    _check_oracle_cap(channel.n, max_n)
     if axis not in ("x", "y"):
         raise ValueError("axis must be 'x' or 'y'")
     c = 1 if axis == "x" else 1j
@@ -182,7 +166,7 @@ def exact_ancilla_polarization(
 
     def design_sum(b: complex) -> float:
         g = (en_dag + np.conj(b) * em_dag) / 2
-        return _design_sum(channel, g, g, max_n).real
+        return _design_sum(channel, g, g).real
 
     return design_sum(c) - design_sum(-c)
 
@@ -258,22 +242,16 @@ def random_label(n: int, rng: np.random.Generator) -> PauliLabel:
     return label_from_index(n, int(rng.integers(0, 4**n)))
 
 
-def oracle_report(
-    channel: Channel,
-    samples: int = 5,
-    seed: int = 0,
-    max_n: int = ORACLE_QUBIT_CAP,
-) -> OracleReport:
+def oracle_report(channel: Channel, samples: int = 5, seed: int = 0) -> OracleReport:
     """Worst-case residuals over sampled labels, each identity checked
     against the exact chi entries of its labels alone."""
-    _check_oracle_cap(channel.n, max_n)
     rng = np.random.default_rng(seed)
     d = 2**channel.n
 
     fid_res = 0.0
     for _ in range(samples):
         m = random_label(channel.n, rng)
-        fid = exact_average_fidelity(modified_channel_diag(channel, m), max_n)
+        fid = exact_average_fidelity(modified_channel_diag(channel, m))
         want = (d * exact_chi_entries(channel, [(m, m)])[0].real + 1) / (d + 1)
         fid_res = max(fid_res, abs(fid - want))
 
@@ -284,10 +262,10 @@ def oracle_report(
         n_label = random_label(channel.n, rng)
         delta = 1.0 if m == n_label else 0.0
         want = (d * exact_chi_entries(channel, [(m, n_label)])[0] + delta) / (d + 1)
-        off = exact_offdiag_average(channel, m, n_label, max_n)
+        off = exact_offdiag_average(channel, m, n_label)
         off_res = max(off_res, abs(off - want))
-        px = exact_ancilla_polarization(channel, m, n_label, "x", max_n)
-        py = exact_ancilla_polarization(channel, m, n_label, "y", max_n)
+        px = exact_ancilla_polarization(channel, m, n_label, "x")
+        py = exact_ancilla_polarization(channel, m, n_label, "y")
         anc_res = max(anc_res, abs(px - want.real), abs(py - want.imag))
 
     return OracleReport(fid_res, off_res, anc_res)

@@ -30,6 +30,8 @@ DENSE_QUBIT_CAP = 6
 # MUB classes need GF(2**n); the irreducible-polynomial table below limits n.
 MUB_QUBIT_CAP = 12
 
+# A label's letters in either ASCII case; str.upper would also read U+0131 as I.
+_UPPER = str.maketrans("ixyz", "IXYZ")
 # Each letter's X bit and Z bit.
 _X_BIT = str.maketrans("IXYZ", "0110")
 _Z_BIT = str.maketrans("IXYZ", "0011")
@@ -58,10 +60,11 @@ class DenseCapError(ValueError):
 
 def _parse_pauli(s) -> tuple[int, int, int]:
     """(n, x_bits, z_bits) of a Pauli string such as " xIz", or ValueError
-    naming a non-string, an empty string or the first letter outside IXYZ."""
+    naming a non-string, an empty string or the first letter outside IXYZ in
+    either ASCII case."""
     if not isinstance(s, str):
         raise ValueError(f"expected a Pauli string, got {s!r}")
-    s = s.strip().upper()
+    s = s.strip().translate(_UPPER)
     if not s:
         raise ValueError("empty Pauli string")
     if bad := s.lstrip("IXYZ"):
@@ -91,7 +94,7 @@ class PauliLabel:
 
     @classmethod
     def from_string(cls, s: str) -> "PauliLabel":
-        """Parse a Pauli string such as "XIZ" (case-insensitive)."""
+        """Parse a Pauli string such as "XIZ" (ASCII case-insensitive)."""
         return cls(*_parse_pauli(s))
 
     def to_string(self) -> str:

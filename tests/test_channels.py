@@ -3,12 +3,14 @@
 import itertools
 import json
 import re
+import sys
 
 import numpy as np
 import pytest
 
 from chitomo import channels
 from chitomo.channels import (
+    COMPOSE_DEPTH_CAP,
     ChannelSpecError,
     KrausSet,
     PauliChannel,
@@ -23,7 +25,7 @@ from chitomo.channels import (
     modified_channel_diag,
     superoperator,
 )
-from chitomo.oracle import ChiMatrix, kraus_to_chi
+from chitomo.oracle import ChiMatrix, exact_chi
 from chitomo.pauli import (
     DenseCapError,
     PauliLabel,
@@ -83,21 +85,21 @@ def chi_faults(chi, n):
 
 class TestKrausToChi:
     def test_identity(self):
-        chi = kraus_to_chi(channel_factory({"n": 1, "kind": "identity"}))
+        chi = exact_chi(channel_factory({"n": 1, "kind": "identity"}))
         want = np.zeros((4, 4))
         want[0, 0] = 1
         np.testing.assert_allclose(chi.mat, want, atol=1e-15)
 
     def test_x_gate(self):
         u = channel_factory({"n": 1, "kind": "pauli_mixture", "weights": {"X": 1.0}})
-        chi = kraus_to_chi(u)
+        chi = exact_chi(u)
         assert abs(chi.entry(L("X"), L("X")) - 1) < 1e-14
         assert abs(chi.mat.sum() - 1) < 1e-13
 
     @pytest.mark.parametrize("n,p", [(1, 0.2), (2, 0.48)])
     def test_depolarizing_diagonal(self, n, p):
         """(1-p) + p/D^2 at the identity, p/D^2 everywhere else."""
-        chi = kraus_to_chi(channel_factory({"n": n, "kind": "depolarizing", "p": p}))
+        chi = exact_chi(channel_factory({"n": n, "kind": "depolarizing", "p": p}))
         d2 = 4**n
         want = np.full(d2, p / d2)
         want[0] += 1 - p
@@ -106,7 +108,7 @@ class TestKrausToChi:
 
     def test_amplitude_damping_entries(self):
         """gamma = 0.36 has rational Pauli coefficients: a=0.9, b=0.1."""
-        chi = kraus_to_chi(
+        chi = exact_chi(
             channel_factory({"n": 1, "kind": "amplitude_damping", "gamma": 0.36})
         )
         assert abs(chi.entry(L("I"), L("I")) - 0.81) < 1e-12
@@ -121,12 +123,12 @@ class TestKrausToChi:
         """chi of every factory kind is Hermitian and positive semidefinite,
         and sum_mn chi_mn E_n^dag E_m = I (trace preservation)."""
         for kind, spec in seven_kinds(n).items():
-            hermiticity, negativity, trace = chi_faults(kraus_to_chi(channel_factory(spec)).mat, n)
+            hermiticity, negativity, trace = chi_faults(exact_chi(channel_factory(spec)).mat, n)
             assert hermiticity <= 1e-12 and negativity <= 1e-12 and trace <= 1e-12, kind
 
     def test_chi_faults_detect_each_failure_mode(self):
         """A non-Hermitian, a non-positive and a scaled chi each fail one check."""
-        good = kraus_to_chi(channel_factory({"n": 1, "kind": "identity"})).mat
+        good = exact_chi(channel_factory({"n": 1, "kind": "identity"})).mat
         assert max(chi_faults(good, 1)) <= 1e-15
         herm, neg = good.copy(), good.copy()
         herm[0, 1] = 1e-6
@@ -142,10 +144,10 @@ class TestKrausToChi:
         want = np.zeros((4**n, 4**n))
         for a, w in zip(pauli_channel_labels(channel), channel.weights):
             want[label_index(a), label_index(a)] = w
-        np.testing.assert_allclose(kraus_to_chi(channel).mat, want, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(exact_chi(channel).mat, want, rtol=0, atol=1e-15)
 
     def test_entry_refuses_labels_of_another_n(self):
-        chi = kraus_to_chi(channel_factory(
+        chi = exact_chi(channel_factory(
             {"n": 2, "kind": "pauli_mixture", "weights": {"II": 0.7, "IX": 0.3}}))
         assert abs(chi.entry(L("IX"), L("IX")) - 0.3) < 1e-15
         for m, n_label in ((L("X"), L("X")), (L("IX"), L("X")), (L("X"), L("IX")),
@@ -497,6 +499,19 @@ class TestChannelFactory:
             channel_factory({"n": 1, "kind": "pauli_mixture", "weights": weights})
         assert str(info.value) == f"bad Pauli string {key!r}: expected a Pauli string, got {key!r}"
 
+    def test_mixture_non_ascii_key_rejected(self):
+        """The batch check of a weight map folds only ASCII letters to upper
+        case, so a dotless i (U+0131) is no I: the per-key check names it.
+        Whitespace around a key, non-ASCII too, is still stripped first."""
+        weights = {"II": 0.5, "ıX": 0.5}
+        with pytest.raises(ChannelSpecError) as info:
+            channel_factory({"n": 2, "kind": "pauli_mixture", "weights": weights})
+        assert str(info.value) == "bad Pauli string 'ıX': invalid Pauli character 'ı' in 'ıX'"
+        assert str(info.value) == _mixture_reference(2, weights)
+        padded = channel_factory({"n": 2, "kind": "pauli_mixture",
+                                  "weights": {"II": 0.5, "\u00a0xi\u3000": 0.5}})
+        assert padded.labels.tolist() == [0, 1] and padded.weights.tolist() == [0.5, 0.5]
+
 
 def _mixture_reference(n, raw):
     """The per-key parse of a weight map that the batched one replaced:
@@ -847,3 +862,25 @@ class TestSpecDocuments:
         arr.write_text("[1, 2, 3]")
         with pytest.raises(ChannelSpecError):
             load_channel_spec(arr)
+
+    def test_nesting_past_the_stack_is_malformed(self):
+        """Hashing walks a spec's nesting by recursion: a spec nested deeper
+        than the interpreter's stack is a malformed spec, not a RecursionError."""
+        spec = {"n": 1, "kind": "identity"}
+        for _ in range(sys.getrecursionlimit()):
+            spec = {"n": 1, "kind": "compose", "children": [spec]}
+        with pytest.raises(ChannelSpecError, match="^spec is not JSON-serializable: maximum "
+                                                   "recursion depth exceeded"):
+            channel_spec_sha256(spec)
+
+    def test_compose_nesting_capped(self):
+        """Building recurses into a compose spec's children, so compose specs
+        nest at most COMPOSE_DEPTH_CAP deep, far inside the stack."""
+        spec = {"n": 1, "kind": "depolarizing", "p": 0.2}
+        for _ in range(COMPOSE_DEPTH_CAP):
+            spec = {"n": 1, "kind": "compose", "children": [spec]}
+        np.testing.assert_array_equal(channel_factory(spec).operators,
+                                      channel_factory(spec["children"][0]).operators)
+        with pytest.raises(ChannelSpecError) as info:
+            channel_factory({"n": 1, "kind": "compose", "children": [spec]})
+        assert str(info.value) == f"compose specs nest at most {COMPOSE_DEPTH_CAP} deep"

@@ -499,6 +499,21 @@ def test_closed_stdout_pipe_exits_2(specs, argv, unbuffered):
     assert proc.returncode == 2 and proc.stderr == _CLOSED_STDOUT_ERROR
 
 
+def test_closed_stdout_pipe_in_process_points_at_null(capsys, monkeypatch, specs):
+    """In this process, on a stdout that is a real pipe with no reader: the
+    report fails to write, and the pipe's descriptor is pointed at the null
+    device, so closing the stdout flushes what it still buffers without a
+    second error."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = cli.main(["estimate-diag", "--channel", specs["dep"][0], "--m", "Z", "--M", "50"])
+        null, fd = os.stat(os.devnull), os.fstat(write_end)
+        assert (fd.st_dev, fd.st_ino, fd.st_rdev) == (null.st_dev, null.st_ino, null.st_rdev)
+    assert code == 2 and capsys.readouterr().err == _CLOSED_STDOUT_ERROR
+
+
 @pytest.mark.parametrize("second", ["xi", " xi "])
 def test_mixture_keys_naming_one_label_exit_2(capsys, tmp_path, second):
     path, _ = write_spec(tmp_path, "dup.json", {
@@ -624,6 +639,86 @@ def test_malformed_spec_message_exits_2(capsys, tmp_path, spec, message):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and err.count("\n") == 1
     assert json.loads(err) == {"error": "malformed_input", "message": message}
+
+
+_HUGE = 10**400  # past the float range, but within Python's integer-string limit
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"n": 1, "kind": "unitary", "generator": "X", "theta": _HUGE},
+     "unitary generator needs a finite numeric 'theta'"),
+    ({"n": 1, "kind": "pauli_mixture", "weights": {"X": _HUGE}}, "weight for 'X' must be >= 0"),
+    ({"n": 1, "kind": "kraus", "operators": [[[[_HUGE, 0], [0, 0]], [[0, 0], [1, 0]]]]},
+     "Kraus operator 0 is not a nested [re, im] array"),
+    ({"n": 1, "kind": "kraus", "operators": [[[[1e308, 0], [0, 0]], [[0, 0], [1, 0]]]]},
+     "Kraus set not complete (deviation nan)"),
+    ({"n": 1, "kind": "unitary", "matrix": [[[1e308, 1e308], [0, 0]], [[0, 0], [1, 0]]]},
+     "matrix is not unitary (deviation nan)"),
+], ids=["theta-integer", "weight-integer", "kraus-integer", "kraus-1e308", "unitary-1e308"])
+@pytest.mark.filterwarnings("error")
+def test_spec_number_out_of_float_range_exits_2(capsys, tmp_path, spec, message):
+    """An integer past the float range is no number, and a float whose square
+    overflows fails the completeness check: one JSON line each, with no
+    traceback and no overflow warning on stderr."""
+    path, _ = write_spec(tmp_path, "spec.json", spec)
+    code, out, err = run(capsys, "estimate-diag", "--channel", path, "--m", "X", "--M", "50")
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert json.loads(err) == {"error": "malformed_input", "message": message}
+
+
+def _nested_compose(depth):
+    """A compose spec nested depth levels deep, as text: json.dumps would run
+    out of recursion on it before the reader does."""
+    return ('{"n": 1, "kind": "compose", "children": [' * depth + '{"n": 1, "kind": "identity"}'
+            + "]}" * depth)
+
+
+def test_deeply_nested_compose_exits_2(capsys, tmp_path):
+    """A compose spec nested 400 to 1,000 deep is malformed input at every
+    depth, whichever refuses it first: the decoder's recursion, the hash's,
+    or the compose depth cap; one JSON line and no traceback each."""
+    path = tmp_path / "deep.json"
+    for depth in range(400, 1001, 10):
+        path.write_text(_nested_compose(depth))
+        code, out, err = run(capsys, "estimate-diag", "--channel", str(path), "--m", "X",
+                             "--M", "5")
+        assert code == 2 and out == "" and err.count("\n") == 1, depth
+        assert json.loads(err)["error"] == "malformed_input"
+
+
+@pytest.mark.parametrize("text", ["[" * 1000 + "]" * 1000,
+                                  '{"n": ' + "1" * 5000 + ', "kind": "identity"}'],
+                         ids=["array-1000-deep", "n-5000-digits"])
+def test_undecodable_spec_exits_2(capsys, tmp_path, text):
+    """JSON too deep for the decoder's recursion, or an integer too long for
+    Python's integer-string limit, is malformed input."""
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "estimate-diag", "--channel", str(path), "--m", "X", "--M", "5")
+    assert code == 2 and out == "" and err.count("\n") == 1
+    error = json.loads(err)
+    assert error["error"] == "malformed_input"
+    assert error["message"].startswith("channel spec is not valid JSON: ")
+
+
+@pytest.mark.parametrize("spec, flags, code", [
+    ({"n": 4, "kind": "identity"}, ["--m", "ıIII"], 3),
+    ({"n": 4, "kind": "identity"}, ["--m", "IIII", "--n-label", "ıIII"], 3),
+    ({"n": 4, "kind": "pauli_mixture", "weights": {"IIII": 0.5, "ıXII": 0.5}},
+     ["--m", "IIII"], 2),
+    ({"n": 4, "kind": "unitary", "generator": "ıXII", "theta": 1.0}, ["--m", "IIII"], 2),
+], ids=["m", "n-label", "weight-key", "generator"])
+def test_non_ascii_label_letter_refused(capsys, tmp_path, spec, flags, code):
+    """str.upper reads the dotless i (U+0131) as I; a label takes the letters
+    IXYZ in either ASCII case only, so the dotless i is an invalid label on
+    the command line and a malformed spec in a weight key or generator."""
+    path, _ = write_spec(tmp_path, "spec.json", spec)
+    command = "estimate-offdiag" if "--n-label" in flags else "estimate-diag"
+    got, out, err = run(capsys, command, "--channel", path, *flags, "--M", "5")
+    assert got == code and out == "" and err.count("\n") == 1
+    error = json.loads(err)
+    assert error["error"] == ("invalid_label" if code == 3 else "malformed_input")
+    assert "invalid Pauli character 'ı'" in error["message"]
 
 
 def test_label_of_another_qubit_count_exits_3(capsys, specs):

@@ -252,7 +252,6 @@ class TestOracleReport:
             raise AssertionError("oracle_report built the whole chi matrix")
 
         monkeypatch.setattr(oracle_module, "exact_chi", refuse)
-        monkeypatch.setattr(oracle_module, "kraus_to_chi", refuse)
         params = {"gamma": 0.5} if kind == "amplitude_damping" else {"p": 0.3}
         rep = oracle_report(channel_factory({"n": 2, "kind": kind, **params}), samples=3)
         assert rep.max_residual < 1e-9
@@ -268,6 +267,21 @@ class TestOracleReport:
                             samples=3, seed=5)
         assert list(vars(rep)) == ["fidelity_residual", "offdiag_residual", "ancilla_residual"]
         assert rep.max_residual < 1e-9
+
+    @pytest.mark.parametrize("identity", [
+        lambda ch, a: exact_average_fidelity(ch),
+        lambda ch, a: exact_offdiag_average(ch, a, a),
+        lambda ch, a: exact_ancilla_polarization(ch, a, a, "y"),
+        lambda ch, a: oracle_report(ch, samples=1),
+    ], ids=["fidelity", "offdiag", "ancilla", "report"])
+    def test_design_sums_refuse_above_the_hard_cap(self, identity):
+        """Every identity is a design sum, and the design sum alone refuses
+        n = 6, above the oracle's hard cap: there is no cap to raise."""
+        channel = channel_factory({"n": 6, "kind": "identity"})
+        with pytest.raises(DenseCapError) as info:
+            identity(channel, PauliLabel.identity(6))
+        assert str(info.value) == "oracle design sum for n=6 exceeds the hard cap 5"
+        assert info.traceback[-1].name == "_design_sum"
 
 
 def label_pairs(n, rng):
@@ -536,8 +550,8 @@ class TestOracleCosts:
         chi entries and logs nothing."""
         channel = channel_factory({"n": 5, "kind": "identity"})
         with caplog.at_level("WARNING", logger="chitomo.oracle"):
-            exact_average_fidelity(channel, max_n=5)
-            oracle_report(channel, samples=1, max_n=5)
+            exact_average_fidelity(channel)
+            oracle_report(channel, samples=1)
             assert not caplog.records
             exact_chi(channel, max_n=5)
         warnings = [r for r in caplog.records if "chi matrix" in r.getMessage()]

@@ -78,6 +78,13 @@ class TestLabelBasics:
         with pytest.raises(ValueError, match=re.escape(f"invalid Pauli character {bad!r}")):
             L(text)
 
+    @pytest.mark.parametrize("text", ["ı", "ıIII", "Xı", " xı "])
+    def test_non_ascii_letter_rejected(self, text):
+        """Only the ASCII letters fold to upper case: str.upper reads the
+        dotless i (U+0131) as I, and the parser refuses it."""
+        with pytest.raises(ValueError, match=re.escape("invalid Pauli character 'ı'")):
+            L(text)
+
     @pytest.mark.parametrize("value", [5, None, ["X"], b"X"])
     def test_non_strings_rejected(self, value):
         with pytest.raises(ValueError, match=re.escape(f"expected a Pauli string, got {value!r}")):
