@@ -43,9 +43,7 @@ from .estimator import (
     TripletRecord,
     estimate_chi_diag,
     estimate_chi_offdiag,
-    estimate_diag_from_triplets,
     estimate_diags_from_triplets,
-    estimation_report,
     read_triplet_log,
     required_sample_size,
     run_triplet_experiments,

@@ -18,7 +18,8 @@ The JSON channel-spec format accepted by :func:`channel_factory`:
 with kinds identity | depolarizing | pauli_mixture | unitary |
 amplitude_damping | kraus | compose.  Complex matrices serialize row-major
 with each entry a [re, im] pair; ``compose`` children are full specs applied
-first-listed-first, nested at most ``COMPOSE_DEPTH_CAP`` deep.
+first-listed-first, nested at most ``COMPOSE_DEPTH_CAP`` deep, whose composed
+set holds at most ``COMPOSE_ENTRY_CAP`` operator entries.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +48,9 @@ _FLOAT_MAX = float(np.finfo(float).max)
 # Building a compose spec recurses into its children, so their nesting is
 # capped well inside the interpreter's recursion limit.
 COMPOSE_DEPTH_CAP = 100
+# A composed Kraus set holds at most this many operator entries, K D^2:
+# depolarizing's own expansion at n = 6 (268 MB).
+COMPOSE_ENTRY_CAP = 2**24
 
 # apply_channel maps a stack through the superoperator only while S takes at
 # most this many bytes (D <= 32, so up to the oracle's n = 5 hard cap at 16 MB).
@@ -384,6 +389,13 @@ def channel_factory(spec: dict, _depth: int = 0) -> Channel:
         built = [channel_factory(c, _depth + 1) for c in children]
         if any(c.n != n for c in built):
             raise ChannelSpecError("compose children must share the parent 'n'")
+        # Sized before any product, a Pauli child by its labels, so that no
+        # child is expanded only to be refused.
+        count = math.prod(len(c.labels) if isinstance(c, PauliChannel) else len(c.operators)
+                          for c in built)
+        if count * d * d > COMPOSE_ENTRY_CAP:
+            raise DenseCapError(f"compose would build {count} Kraus operators of {d}x{d}, "
+                                f"more than {COMPOSE_ENTRY_CAP} entries in all")
         # first listed acts first: B_j A_i at index j * len(A) + i
         ops = built[0].operators
         for nxt in built[1:]:

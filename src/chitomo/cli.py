@@ -9,7 +9,9 @@ Subcommands::
     chitomo sieve            --log t.log --threshold 0.08 [--channel spec.json]
     chitomo verify           --n 2 --verify-level full
 
-Reports are JSON on stdout (or --out); triplet logs always need --out.
+Reports are JSON on stdout (or --out); triplet logs always need --out.  This
+module alone builds them: the config, a row per estimate with its oracle
+columns and z-score, and the manifest.
 Every run is fully determined by its flags and --seed.  Flags may be
 abbreviated where unambiguous (--eps).  An argument-syntax error (an unknown
 or missing flag, a refused value such as --M two, --M with --epsilon) exits 2
@@ -43,7 +45,6 @@ from .estimator import (
     estimate_chi_diag,
     estimate_chi_offdiag,
     estimate_diags_from_triplets,
-    estimation_report,
     read_triplet_log,
     run_triplet_experiments,
     seed_key,
@@ -155,20 +156,44 @@ def _config_from_args(args) -> EstimatorConfig:
         raise CliError(EXIT_MALFORMED, "bad_arguments", str(exc)) from exc
 
 
-def _report(command: str, config: dict, entries: list, channel, channel_hash: str | None,
-            out: str | None, **extra) -> int:
-    """Emit one estimating command's report: a row per (protocol, m, n_label,
-    Estimate) entry, then the manifest and the extra keys.  The oracle column
-    is exact chi_mn, real for a diagonal row (n_label None), when the channel
-    is given and within the oracle cap."""
-    oracles = None
+def _z_score(diff: float, std_error: float) -> float | None:
+    """diff in standard errors; None (JSON null) when an exact estimate
+    (std_error 0) misses its oracle, where no finite score exists."""
+    if std_error > 0:
+        return diff / std_error
+    return 0.0 if abs(diff) <= 1e-9 else None
+
+
+def _report(command: str, config: dict | EstimatorConfig, entries: list, channel,
+            channel_hash: str | None, out: str | None, **extra) -> int:
+    """Emit one estimating command's report: the config (an EstimatorConfig's
+    fields), a row per (protocol, m, n_label, Estimate) entry, then the
+    manifest and the extra keys.  The oracle columns are exact chi_mn, real
+    for a diagonal row (n_label None), when the channel is given and within
+    the oracle cap.  The z-score is then signed for a real estimate and a
+    magnitude for a complex one."""
+    if isinstance(config, EstimatorConfig):
+        config = {"M": config.M, "epsilon": config.epsilon, "seed": config.seed,
+                  "mode": config.mode, "enumerate_design": config.mode == "exact"}
+    oracles = [None] * len(entries)
     if channel is not None and channel.n <= ORACLE_QUBIT_CAP:
-        pairs = [(m, m if n_label is None else n_label) for _, m, n_label, _ in entries]
-        oracles = [complex(v.real) if n_label is None else v for v, (_, _, n_label, _)
-                   in zip(exact_chi_entries(channel, pairs), entries)]
-    report = estimation_report(config, entries, oracles)
-    report["manifest"] = _manifest(command, channel_hash, config)
-    report.update(extra)
+        oracles = exact_chi_entries(
+            channel, [(m, m if n_label is None else n_label) for _, m, n_label, _ in entries])
+    rows = []
+    for (protocol, m, n_label, est), oracle in zip(entries, oracles, strict=True):
+        value = complex(est.value)
+        row = {"protocol": protocol, "m": str(m),
+               "n_label": None if n_label is None else str(n_label),
+               "value_re": value.real, "value_im": value.imag, "std_error": est.std_error,
+               "M": est.M, "oracle_re": None, "oracle_im": None, "z_score": None}
+        if oracle is not None:
+            oracle = complex(oracle.real if n_label is None else oracle)
+            diff = value - oracle
+            row.update(oracle_re=oracle.real, oracle_im=oracle.imag, z_score=_z_score(
+                abs(diff) if isinstance(est.value, complex) else diff.real, est.std_error))
+        rows.append(row)
+    report = {"config": config, "rows": rows,
+              "manifest": _manifest(command, channel_hash, config), **extra}
     _emit(report, out)
     return EXIT_OK
 
@@ -178,7 +203,7 @@ def cmd_estimate_diag(args) -> int:
     m = _parse_label(args.m, channel.n)
     cfg = _config_from_args(args)
     est = estimate_chi_diag(channel, m, cfg)
-    return _report("estimate-diag", cfg.echo(), [("diag", m, None, est)], channel,
+    return _report("estimate-diag", cfg, [("diag", m, None, est)], channel,
                    digest, args.out)
 
 
@@ -188,7 +213,7 @@ def cmd_estimate_offdiag(args) -> int:
     n_label = _parse_label(args.n_label, channel.n)
     cfg = _config_from_args(args)
     est = estimate_chi_offdiag(channel, m, n_label, cfg)
-    return _report("estimate-offdiag", cfg.echo(), [("offdiag", m, n_label, est)], channel,
+    return _report("estimate-offdiag", cfg, [("offdiag", m, n_label, est)], channel,
                    digest, args.out)
 
 

@@ -18,6 +18,7 @@ draw nothing: they are deterministic readouts of the log.
 Estimates are never clipped or projected; a slightly negative chi-hat is
 honest shot noise and callers decide what to do with it.  Nor are outcome
 rows, none of them negative: the triplet sampler only renormalizes them.
+This module returns estimates only: :mod:`chitomo.cli` builds the reports.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import logging
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -116,10 +116,6 @@ class EstimatorConfig:
         if self.M is not None:
             return self.M
         return required_sample_size(self.epsilon, kind)
-
-    def echo(self) -> dict:
-        return {"M": self.M, "epsilon": self.epsilon, "seed": self.seed, "mode": self.mode,
-                "enumerate_design": self.mode == "exact"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,16 +268,21 @@ def _amplitudes(ops: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndar
     return np.einsum("as,ias->si", left.conj(), ops @ right)
 
 
-def _finish(cfg: EstimatorConfig, stats: np.ndarray) -> Estimate:
+def _finish(cfg: EstimatorConfig, stats: np.ndarray, spread: float) -> Estimate:
     """Estimate from per-experiment statistics: one row for a real value, or
-    (Re, Im) rows for a complex one, whose errors add in quadrature."""
+    (Re, Im) rows for a complex one, whose errors add in quadrature.  A
+    sampled row of deviation 0, its values all equal (as one value is),
+    takes spread, the largest deviation its outcomes allow, as its own: no
+    sampled estimate has a zero error.  Every value is a dyadic rational, so
+    equal values sum exactly and deviate by exactly 0."""
     rows, m_count = np.atleast_2d(stats), stats.shape[-1]
     means = rows.mean(axis=1)
     value = float(means[0]) if stats.ndim == 1 else complex(*means)
-    if cfg.mode == "exact" or m_count < 2:
+    if cfg.mode == "exact":
         return Estimate(value, 0.0, m_count)
-    se = math.hypot(*rows.std(axis=1, ddof=1)) / math.sqrt(m_count)
-    return Estimate(value, se, m_count)
+    deviations = rows.std(axis=1, ddof=1) if m_count > 1 else np.zeros(len(rows))
+    deviations[deviations == 0] = spread
+    return Estimate(value, math.hypot(*deviations) / math.sqrt(m_count), m_count)
 
 
 def estimate_chi_diag(channel: Channel, m: PauliLabel, cfg: EstimatorConfig) -> Estimate:
@@ -314,7 +315,7 @@ def estimate_chi_diag(channel: Channel, m: PauliLabel, cfg: EstimatorConfig) -> 
         rows, survival = keys, _state_table(n, [keys], readout, 1, ops.size // d)
     # the outcome is 1 (survival) below the survival probability, else 0
     outcome = survival[rows, 0] if us is None else np.array([1.0, 0.0])[_draw(survival, rows, us)]
-    return _finish(cfg, ((d + 1) * outcome - 1) / d)
+    return _finish(cfg, ((d + 1) * outcome - 1) / d, (d + 1) / (2 * d))
 
 
 def estimate_chi_offdiag(
@@ -356,7 +357,7 @@ def estimate_chi_offdiag(
         outcome = (out[keys] if us is None
                    else np.array([1.0, -1.0, 0.0])[_draw(thresholds, keys, us)])
         stats.append(((d + 1) * outcome - shift) / d)
-    return _finish(cfg, np.array(stats))
+    return _finish(cfg, np.array(stats), (d + 1) / d)
 
 
 def run_triplet_experiments(channel: Channel, cfg: EstimatorConfig) -> TripletRecord:
@@ -402,8 +403,11 @@ def _count_table(record: TripletRecord) -> tuple[np.ndarray, np.ndarray]:
 
 def _chi_from_hits(d: int, hits: np.ndarray, m_count: int) -> tuple[np.ndarray, np.ndarray]:
     """Mean and standard error of the statistics ((D+1) [k XOR k' = p_m(J)] - 1)/D
-    of m_count records, of which hits = sum_J N[J, p_m(J)] are 1."""
+    of m_count records, of which hits = sum_J N[J, p_m(J)] are 1.  When all
+    are equal (hits 0 or m_count) the 0/1 indicator takes its largest
+    variance, 1/4, so no error is zero."""
     variance = hits * (m_count - hits) / (m_count * max(m_count - 1, 1))
+    variance[variance == 0] = 0.25
     return ((d + 1) * hits / m_count - 1) / d, (d + 1) / d * np.sqrt(variance / m_count)
 
 
@@ -431,12 +435,6 @@ def estimate_diags_from_triplets(
         hits[l0:l0 + step] = np.sum(np.where(keys[at] == cells, counts[at], 0), axis=1)
     values, errors = _chi_from_hits(d, hits, len(record))
     return [Estimate(float(v), float(e), len(record)) for v, e in zip(values, errors)]
-
-
-def estimate_diag_from_triplets(record: TripletRecord, m: PauliLabel) -> Estimate:
-    """chi_mm from a shared triplet log; the one-label case of
-    :func:`estimate_diags_from_triplets`."""
-    return estimate_diags_from_triplets(record, [m])[0]
 
 
 def sieve_large_diagonals(
@@ -502,61 +500,6 @@ def sieve_large_diagonals(
         stats.update(pairs_processed=pairs, total_pairs=total_pairs, candidates=candidates)
     return [(PauliLabel(n, int(v) & (d - 1), int(v) >> n), Estimate(float(x), float(e), m_count))
             for v, x, e in zip(labels[order], values[order], errors[order])]
-
-
-# ---------------------------------------------------------------------------
-# Reports
-
-def _z_score(diff: float, std_error: float) -> float | None:
-    """diff in standard errors; None (JSON null) when an exact estimate
-    (std_error 0) misses its oracle, where no finite score exists."""
-    if std_error > 0:
-        return diff / std_error
-    return 0.0 if abs(diff) <= 1e-9 else None
-
-
-def estimation_report(
-    config_echo: dict,
-    entries: Iterable[tuple[str, PauliLabel, PauliLabel | None, Estimate]],
-    oracle_values: Iterable[complex | None] | None = None,
-) -> dict:
-    """Assemble the JSON-ready report: config echo plus one row per estimate.
-
-    Each entry is (protocol, m, n_label-or-None, Estimate); oracle_values,
-    when given, pairs up with entries and populates the comparison columns.
-    The z-score is signed for real estimates and a magnitude for complex
-    ones; an exact estimate (std_error 0) scores 0 when it matches its
-    oracle and None when it does not.
-    """
-    entries = list(entries)
-    oracles = list(oracle_values) if oracle_values is not None else [None] * len(entries)
-    if len(oracles) != len(entries):
-        raise ValueError("oracle_values length does not match entries")
-    rows = []
-    for (protocol, m, n_label, est), oracle in zip(entries, oracles):
-        value = complex(est.value)
-        row = {
-            "protocol": protocol,
-            "m": str(m),
-            "n_label": None if n_label is None else str(n_label),
-            "value_re": value.real,
-            "value_im": value.imag,
-            "std_error": est.std_error,
-            "M": est.M,
-            "oracle_re": None,
-            "oracle_im": None,
-            "z_score": None,
-        }
-        if oracle is not None:
-            oracle = complex(oracle)
-            row["oracle_re"] = oracle.real
-            row["oracle_im"] = oracle.imag
-            if isinstance(est.value, complex):
-                row["z_score"] = _z_score(abs(value - oracle), est.std_error)
-            else:
-                row["z_score"] = _z_score(value.real - oracle.real, est.std_error)
-        rows.append(row)
-    return {"config": dict(config_echo), "rows": rows}
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from chitomo.estimator import (
     EstimatorConfig,
     estimate_chi_diag,
     estimate_chi_offdiag,
-    estimate_diag_from_triplets,
+    estimate_diags_from_triplets,
     run_triplet_experiments,
     sieve_large_diagonals,
 )
@@ -228,7 +228,7 @@ def test_07_triplet_record_reproduces_direct_estimates():
     triplets = run_triplet_experiments(mix, EstimatorConfig(M=100_000, seed=11))
     for text, weight in weights.items():
         m = PauliLabel.from_string(text)
-        from_log = estimate_diag_from_triplets(triplets, m)
+        from_log, = estimate_diags_from_triplets(triplets, [m])
         direct = estimate_chi_diag(mix, m, EstimatorConfig(M=100_000, seed=12))
         combined = float(np.hypot(from_log.std_error, direct.std_error))
         assert abs(from_log.value - direct.value) < 5 * combined
@@ -240,7 +240,7 @@ def test_07_triplet_record_reproduces_direct_estimates():
             t0 = time.perf_counter()
             record = run_triplet_experiments(mix, EstimatorConfig(M=m_count, seed=13))
             for text in weights:
-                estimate_diag_from_triplets(record, PauliLabel.from_string(text))
+                estimate_diags_from_triplets(record, [PauliLabel.from_string(text)])
             best = min(best, time.perf_counter() - t0)
         return best
 

@@ -543,7 +543,7 @@ _MIXTURE_CASES = [
     (3, {"XYZ": 0.1, "IIZ": 0.2, "YYY": 0.3, "III": 0.4}),
     (2, {"II": 0.5, "XQ": 0.5}),  # a bad character
     (2, {"II": 0.5, "Xé": 0.5}),  # non-ASCII
-    (2, {"II": 0.5, "ıX": 0.5}),  # dotless i upper cases to I
+    (2, {"II": 0.5, "ıX": 0.5}),  # dotless i: refused, as the per-key parser refuses it
     (2, {"II": 0.5, "Xß": 0.5}),  # sharp s upper cases to SS
     (2, {"II": 0.5, "X\ud800": 0.5}),  # a lone surrogate
     (1, {"I": 0.5, "": 0.5}),  # an empty key
@@ -884,3 +884,19 @@ class TestSpecDocuments:
         with pytest.raises(ChannelSpecError) as info:
             channel_factory({"n": 1, "kind": "compose", "children": [spec]})
         assert str(info.value) == f"compose specs nest at most {COMPOSE_DEPTH_CAP} deep"
+
+    def test_compose_entry_cap(self, monkeypatch):
+        """A composed set of K operators holds K D^2 entries: at most
+        COMPOSE_ENTRY_CAP, checked before any product.  Depolarizing (4
+        labels) after amplitude damping (2 operators) at n = 1 holds 32."""
+        assert channels.COMPOSE_ENTRY_CAP == 2**24  # depolarizing's own size at n = 6
+        spec = {"n": 1, "kind": "compose", "children": [
+            {"n": 1, "kind": "amplitude_damping", "gamma": 0.3},
+            {"n": 1, "kind": "depolarizing", "p": 0.2}]}
+        monkeypatch.setattr(channels, "COMPOSE_ENTRY_CAP", 32)
+        assert channel_factory(spec).operators.shape == (8, 2, 2)
+        monkeypatch.setattr(channels, "COMPOSE_ENTRY_CAP", 31)
+        with pytest.raises(DenseCapError) as info:
+            channel_factory(spec)
+        assert str(info.value) == "compose would build 8 Kraus operators of 2x2, more than " \
+                                  "31 entries in all"

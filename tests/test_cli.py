@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -20,9 +21,13 @@ from chitomo.channels import (
     matrix_to_json,
     read_channel_spec,
 )
-from chitomo.estimator import TripletRecord, write_triplet_log
+from chitomo.estimator import Estimate, EstimatorConfig, TripletRecord, write_triplet_log
 from chitomo.oracle import exact_chi
 from chitomo.pauli import PauliLabel
+
+
+def L(s):
+    return PauliLabel.from_string(s)
 
 
 def run(capsys, *argv):
@@ -537,6 +542,24 @@ def test_kraus_spec_incomplete_in_spectral_norm_exits_2(capsys, tmp_path):
                        "--out", out)
     assert code == 2
     assert json.loads(err)["error"] == "malformed_input"
+
+
+def test_compose_past_the_entry_cap_exits_4(capsys, tmp_path, monkeypatch):
+    """Three depolarizing children at n = 4 would compose 256**3 operators of
+    16 x 16: refused with exit 4 before any child is expanded."""
+    def refuse(*args):
+        raise AssertionError("a Pauli child expanded into dense operators")
+
+    monkeypatch.setattr(PauliChannel, "operators", property(refuse))
+    child = {"n": 4, "kind": "depolarizing", "p": 0.1}
+    path, _ = write_spec(tmp_path, "c.json", {"n": 4, "kind": "compose",
+                                              "children": [child] * 3})
+    code, out, err = run(capsys, "estimate-diag", "--channel", path, "--m", "XIII",
+                         "--M", "10")
+    assert (code, out, err.count("\n")) == (4, "", 1)
+    assert json.loads(err) == {"error": "dense_cap", "message": (
+        "compose would build 16777216 Kraus operators of 16x16, more than 16777216 "
+        "entries in all")}
 
 
 def test_compose_of_kraus_children_incomplete_as_a_whole_exits_2(capsys, tmp_path):
@@ -1080,6 +1103,70 @@ class TestReports:
                     assert row["oracle_im"] == 0.0, command
                 else:
                     assert abs(row["oracle_im"] - offdiag.imag) < 1e-12
+
+
+class TestReportRows:
+    """cli._report's rows and scores, with exact_chi_entries patched to
+    return the given oracle values."""
+
+    @staticmethod
+    def report(capsys, monkeypatch, entries, oracles, config=None):
+        monkeypatch.setattr(cli, "exact_chi_entries", lambda channel, pairs: oracles)
+        channel = channel_factory({"n": 1, "kind": "identity"})
+        assert cli._report("estimate-diag", config or {}, entries, channel, None, None) == 0
+        return json.loads(capsys.readouterr().out)
+
+    def test_empty(self, capsys, monkeypatch):
+        report = self.report(capsys, monkeypatch, [], [], {"seed": 0})
+        assert report["config"] == {"seed": 0} and report["rows"] == []
+        report = self.report(capsys, monkeypatch, [], [], EstimatorConfig(M=5, seed=-2))
+        assert report["config"] == {"M": 5, "epsilon": None, "seed": -2, "mode": "sampled",
+                                    "enumerate_design": False}
+        assert report["manifest"]["config"] == report["config"]
+
+    def test_diag_row_with_oracle(self, capsys, monkeypatch):
+        est = Estimate(0.052, 0.002, 1000)
+        row, = self.report(capsys, monkeypatch, [("diag", L("Z"), None, est)],
+                           [0.05 + 0.3j])["rows"]
+        assert row == {"protocol": "diag", "m": "Z", "n_label": None, "value_re": 0.052,
+                       "value_im": 0.0, "std_error": 0.002, "M": 1000, "oracle_re": 0.05,
+                       "oracle_im": 0.0, "z_score": row["z_score"]}
+        assert abs(row["z_score"] - 1.0) < 1e-12
+
+    def test_complex_row_uses_magnitude_z(self, capsys, monkeypatch):
+        est = Estimate(0.1 + 0.2j, 0.05, 100)
+        row, = self.report(capsys, monkeypatch, [("offdiag", L("I"), L("X"), est)],
+                           [0.1 + 0.1j])["rows"]
+        assert (row["n_label"], row["oracle_re"], row["oracle_im"]) == ("X", 0.1, 0.1)
+        assert abs(row["z_score"] - 2.0) < 1e-12
+
+    def test_exact_row_scores_zero(self, capsys, monkeypatch):
+        est = Estimate(1.0, 0.0, 6)
+        row, = self.report(capsys, monkeypatch, [("diag", L("I"), None, est)], [1.0])["rows"]
+        assert row["z_score"] == 0.0
+
+    def test_exact_row_missing_oracle_scores_null(self, capsys, monkeypatch):
+        est = Estimate(0.5, 0.0, 6)
+        row, = self.report(capsys, monkeypatch, [("diag", L("I"), None, est)], [1.0])["rows"]
+        assert row["z_score"] is None  # written as null: the report is strict JSON
+
+    def test_sampled_rows_report_no_zero_error(self, capsys, tmp_path):
+        """estimate-diag on the n = 4 identity, --m XIII --M 5: at 7 of seeds
+        1-12 no experiment survives and all five values are -1/16.  Their
+        error is then the largest spread a diagonal experiment allows,
+        (D+1)/(2D), over sqrt(M), and every z-score is finite."""
+        path, _ = write_spec(tmp_path, "id4.json", {"n": 4, "kind": "identity"})
+        equal = 0
+        for seed in range(1, 13):
+            code, out, _ = run(capsys, "estimate-diag", "--channel", path, "--m", "XIII",
+                               "--M", "5", "--seed", str(seed))
+            row, = json.loads(out)["rows"]
+            assert code == 0 and row["std_error"] > 0 and row["z_score"] is not None
+            if row["value_re"] == -1 / 16:
+                equal += 1
+                assert row["std_error"] == pytest.approx(17 / 32 / math.sqrt(5))
+                assert row["z_score"] == pytest.approx(-1 / 16 / row["std_error"])
+        assert equal == 7
 
 
 class TestVerify:

@@ -1,7 +1,6 @@
 """Monte Carlo estimators against the exact oracle, plus the triplet sieve."""
 
 import ast
-import json
 import logging
 import math
 from collections import Counter
@@ -20,15 +19,12 @@ from chitomo.channels import (
     modified_channel_diag,
 )
 from chitomo.estimator import (
-    Estimate,
     EstimatorConfig,
     TripletLogError,
     TripletRecord,
     estimate_chi_diag,
     estimate_chi_offdiag,
-    estimate_diag_from_triplets,
     estimate_diags_from_triplets,
-    estimation_report,
     read_triplet_log,
     required_sample_size,
     run_triplet_experiments,
@@ -218,6 +214,34 @@ class TestOffdiagonalEstimator:
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
+
+
+class TestNoZeroSampledError:
+    """A sampled campaign whose values are all equal reports the largest
+    spread its outcomes allow over sqrt(M): (D+1)/(2D) for a diagonal or log
+    experiment, (D+1)/D for each off-diagonal part."""
+
+    def test_single_experiment(self):
+        assert estimate_chi_diag(DEPOL1, L("Z"), EstimatorConfig(M=1, seed=3)).std_error == 0.75
+        est = estimate_chi_offdiag(DEPOL1, L("I"), L("Z"), EstimatorConfig(M=1, seed=3))
+        assert est.std_error == math.hypot(1.5, 1.5)
+
+    def test_offdiag_part_all_equal(self):
+        """Under the identity, chi_II's real part reads +1 in every experiment
+        and its imaginary part +-3/2 at random."""
+        est = estimate_chi_offdiag(IDENT1, L("I"), L("I"), EstimatorConfig(M=200, seed=5))
+        assert est.value.real == 1.0 and abs(est.value.imag) < 1.5
+        imag_sd = math.sqrt(200 / 199 * (1.5**2 - est.value.imag**2))
+        assert est.std_error == pytest.approx(math.hypot(1.5, imag_sd) / math.sqrt(200))
+
+    def test_log_labels_with_no_hits_or_all_hits(self):
+        """Three identity records in the X and Y bases: Z hits none of them,
+        I all of them and X two."""
+        record = TripletRecord(1, [1, 2, 1], [0, 0, 1], [0, 0, 1])
+        none, every, some = estimate_diags_from_triplets(record, [L("Z"), L("I"), L("X")])
+        assert (none.value, every.value) == (-0.5, 1.0)
+        assert none.std_error == every.std_error == pytest.approx(0.75 / math.sqrt(3))
+        assert some.std_error == pytest.approx(0.5)  # 1.5 sqrt(2 * 1 / (3 * 2) / 3)
 
 
 class TestEnumerateModeIsUnbiased:
@@ -821,14 +845,14 @@ class TestDistribution:
 class TestDiagFromTriplets:
     def test_identity_types(self):
         trips = run_triplet_experiments(IDENT1, EstimatorConfig(M=400, seed=4))
-        assert estimate_diag_from_triplets(trips, L("I")).value == 1.0
-        est = estimate_diag_from_triplets(trips, L("Z"))
+        assert estimate_diags_from_triplets(trips, [L("I")])[0].value == 1.0
+        est, = estimate_diags_from_triplets(trips, [L("Z")])
         assert abs(est.value) < 5 * est.std_error
 
     def test_mixture_weights_recovered(self):
         trips = run_triplet_experiments(MIX2, EstimatorConfig(M=30_000, seed=5))
         for label, weight in (("II", 0.7), ("XI", 0.2), ("ZZ", 0.1)):
-            est = estimate_diag_from_triplets(trips, L(label))
+            est, = estimate_diags_from_triplets(trips, [L(label)])
             assert abs(est.value - weight) < 5 * est.std_error
 
     def test_count_table_matches_record_scan(self):
@@ -841,7 +865,7 @@ class TestDiagFromTriplets:
                 ((d + 1) * (k ^ kp == commutation_vector(label, mub_class(2, int(j)))) - 1) / d
                 for j, k, kp in zip(trips.J, trips.k, trips.k_prime)
             ]
-            est = estimate_diag_from_triplets(trips, label)
+            est, = estimate_diags_from_triplets(trips, [label])
             assert abs(est.value - np.mean(stats_)) < 1e-12
             assert abs(est.std_error - np.std(stats_, ddof=1) / math.sqrt(700)) < 1e-12
             assert est.M == 700
@@ -851,7 +875,7 @@ class TestDiagFromTriplets:
         trips = run_triplet_experiments(channel, EstimatorConfig(M=2_000, seed=32))
         labels = all_labels(3)
         assert estimate_diags_from_triplets(trips, labels) == [
-            estimate_diag_from_triplets(trips, m) for m in labels
+            estimate_diags_from_triplets(trips, [m])[0] for m in labels
         ]
         with pytest.raises(ValueError):
             estimate_diags_from_triplets(trips, [L("XYZ"), L("XY")])
@@ -859,7 +883,7 @@ class TestDiagFromTriplets:
     def test_agrees_with_direct_estimator(self):
         trips = run_triplet_experiments(MIX2, EstimatorConfig(M=30_000, seed=6))
         direct = estimate_chi_diag(MIX2, L("XI"), EstimatorConfig(M=30_000, seed=7))
-        from_log = estimate_diag_from_triplets(trips, L("XI"))
+        from_log, = estimate_diags_from_triplets(trips, [L("XI")])
         combined = math.hypot(direct.std_error, from_log.std_error)
         assert abs(direct.value - from_log.value) < 5 * combined
 
@@ -867,7 +891,7 @@ class TestDiagFromTriplets:
         with pytest.raises(ValueError):
             TripletRecord(1, [], [], [])
         with pytest.raises(ValueError):
-            estimate_diag_from_triplets(TripletRecord(1, [0], [0], [0]), L("XX"))
+            estimate_diags_from_triplets(TripletRecord(1, [0], [0], [0]), [L("XX")])
 
     @pytest.mark.parametrize(
         "n, columns",
@@ -1039,41 +1063,6 @@ class TestSieveAgainstPairs:
         assert [m for m, _ in got] == [m for m, _ in want]
         assert all(abs(est.value - v) < 1e-12 for (_, est), (_, v) in zip(got, want))
         assert stats_out == want_stats
-
-
-class TestEstimationReport:
-    def test_empty(self):
-        report = estimation_report({"seed": 0}, [])
-        assert report == {"config": {"seed": 0}, "rows": []}
-
-    def test_diag_row_with_oracle(self):
-        est = Estimate(0.052, 0.002, 1000)
-        report = estimation_report({}, [("diag", L("Z"), None, est)], [0.05])
-        row = report["rows"][0]
-        assert row["protocol"] == "diag"
-        assert row["m"] == "Z" and row["n_label"] is None
-        assert row["value_re"] == 0.052 and row["value_im"] == 0.0
-        assert abs(row["z_score"] - 1.0) < 1e-12
-
-    def test_complex_row_uses_magnitude_z(self):
-        est = Estimate(0.1 + 0.2j, 0.05, 100)
-        report = estimation_report({}, [("offdiag", L("I"), L("X"), est)], [0.1 + 0.1j])
-        assert abs(report["rows"][0]["z_score"] - 2.0) < 1e-12
-
-    def test_exact_row_scores_zero(self):
-        est = Estimate(1.0, 0.0, 6)
-        report = estimation_report({}, [("diag", L("I"), None, est)], [1.0])
-        assert report["rows"][0]["z_score"] == 0.0
-
-    def test_exact_row_missing_oracle_scores_null(self):
-        est = Estimate(0.5, 0.0, 6)
-        report = estimation_report({}, [("diag", L("I"), None, est)], [1.0])
-        assert report["rows"][0]["z_score"] is None
-        assert '"z_score": null' in json.dumps(report, allow_nan=False)
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            estimation_report({}, [("diag", L("I"), None, Estimate(1.0, 0.0, 1))], [1.0, 2.0])
 
 
 # A valid n=4 log (J has up to w=2 digits) and bad lines for its records.

@@ -12,6 +12,12 @@ clause in a function body none of whose own lines ran is printed as
 own.  A statement that compiles to no code, as a docstring does, is never
 listed.  The exit code is 1 when any listed statement is a ``raise``, and
 pytest's otherwise.
+
+A test whose recursion reaches the interpreter's limit can make the trace
+function's own call fail, and CPython then unsets it: every later line
+would count as unexecuted.  So the tracer is checked after each test, and
+if it is gone the run names the first test after which it was gone,
+lists nothing and exits 1.
 """
 
 from __future__ import annotations
@@ -76,23 +82,38 @@ def unexecuted(path: Path, executed: set[int]) -> list[ast.AST]:
     return sorted(missed, key=lambda item: (item.lineno, item.col_offset))
 
 
-def run_traced(pytest_args: list[str], source: Path) -> tuple[int, dict[str, set[int]]]:
-    """pytest's exit code and the lines it executed, by real path, in the
-    files under source."""
+class _TracerWatch:
+    """A pytest plugin that notes the first test after which no trace
+    function is set."""
+
+    lost_after: str | None = None
+
+    def pytest_runtest_logfinish(self, nodeid: str) -> None:
+        if self.lost_after is None and sys.gettrace() is None:
+            self.lost_after = nodeid
+
+
+def run_traced(pytest_args: list[str],
+               source: Path) -> tuple[int, dict[str, set[int]], str | None]:
+    """pytest's exit code, the lines it executed, by real path, in the files
+    under source, and the first test after which the tracer was gone, if any."""
     prefix = os.path.realpath(source) + os.sep
-    tracer = trace.Trace(count=1, trace=0)
+    tracer, watch = trace.Trace(count=1, trace=0), _TracerWatch()
     # trace.Ignore keeps one verdict per file base name, so another package's
     # cli.py, run first, would hide this one's: decide by path instead.
     tracer.ignore.names = lambda filename, modulename: not filename.startswith(prefix)
-    code = tracer.runfunc(pytest.main, pytest_args)
+    code = tracer.runfunc(pytest.main, pytest_args, plugins=[watch])
     lines = {}
     for filename, line in tracer.results().counts:
         lines.setdefault(os.path.realpath(filename), set()).add(line)
-    return int(code), lines
+    return int(code), lines, watch.lost_after
 
 
 def main(argv: list[str] | None = None, source: Path = SOURCE) -> int:
-    code, lines = run_traced(sys.argv[1:] if argv is None else argv, source)
+    code, lines, lost_after = run_traced(sys.argv[1:] if argv is None else argv, source)
+    if lost_after is not None:
+        print(f"the line tracer was gone after {lost_after}; no statement is listed")
+        return 1
     listed = raises = 0
     for path in sorted(source.rglob("*.py")):
         text = path.read_text().splitlines()
