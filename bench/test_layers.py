@@ -35,8 +35,8 @@ from chitomo.oracle import (
 )
 from chitomo.pauli import (
     PauliLabel,
-    all_label_masks,
     all_labels,
+    all_packed_labels,
     class_generators,
     commutation_vector,
     index_bit_tables,
@@ -76,8 +76,7 @@ def test_index_bit_tables(benchmark, n):
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_pauli_actions_all_labels(benchmark, n):
     """The signed permutations of all 4^n labels as one table."""
-    xs, zs = all_label_masks(n)
-    src, w = benchmark(pauli_actions, n, xs, zs)
+    src, w = benchmark(pauli_actions, n, all_packed_labels(n))
     assert src.shape == w.shape == (4**n, 2**n)
 
 
@@ -414,13 +413,14 @@ def test_channel_factory_depolarizing_n6(benchmark):
 def test_pauli_channel_operators_mixture(benchmark):
     """The dense expansion of a 64-label n=4 mixture: 32 fresh channels per
     round, so that a round lasts milliseconds, each freed after its expansion,
-    so that the round does not time page faults of 32 live expansions."""
+    so that the round does not time page faults of 32 live expansions.  30
+    rounds of one call each, after one warm-up round; the row to cite is its min."""
     spec = _mixture_spec(4, 64)
 
     def expand(channels):
         return [channels.pop().operators.shape for _ in range(32)]
 
-    shapes = benchmark.pedantic(expand, rounds=30, iterations=1,
+    shapes = benchmark.pedantic(expand, rounds=30, iterations=1, warmup_rounds=1,
                                 setup=lambda: (([channel_factory(spec) for _ in range(32)],), {}))
     assert shapes == [(64, 16, 16)] * 32
 

@@ -35,11 +35,9 @@ import numpy as np
 from .pauli import (
     DENSE_QUBIT_CAP,
     DenseCapError,
-    _X_BIT,
-    _Z_BIT,
     PauliLabel,
-    _parse_pauli,
-    all_label_masks,
+    all_packed_labels,
+    packed_from_strings,
     pauli_matrices,
     pauli_matrix,
 )
@@ -83,8 +81,7 @@ class KrausSet:
 @dataclass(frozen=True, eq=False)
 class PauliChannel:
     """Pauli channel E(rho) = sum_a w_a P_a rho P_a held as a weight map: the
-    packed labels a (x bits low, z bits above, as
-    :func:`chitomo.pauli.commutation_columns` reads them) as int64 and their
+    packed labels a (:attr:`chitomo.pauli.PauliLabel.packed`) as int64 and their
     positive weights: labels of weight 0 are dropped, and anything but 1-D
     integer labels in [0, 4**n) with finite weights >= 0, some positive,
     raises ValueError.  Dense consumers read its ``operators``."""
@@ -109,8 +106,7 @@ class PauliChannel:
     def operators(self) -> np.ndarray:
         """sqrt(w_a) P_a per label as one (K, D, D) array, all written from
         one table of signed permutations, built on first use and kept."""
-        n = self.n
-        return pauli_matrices(n, self.labels & (2**n - 1), self.labels >> n, np.sqrt(self.weights))
+        return pauli_matrices(self.n, self.labels, np.sqrt(self.weights))
 
 
 Channel = KrausSet | PauliChannel
@@ -264,25 +260,21 @@ def _mixture_labels(n: int, raw: dict) -> tuple[np.ndarray, np.ndarray]:
     weights = list(raw.values())
     if not (all(len(s) == n for s in names) and not joined.lstrip("IXYZ")
             and len(set(names)) == len(names) and all(_is_number(w) and w >= 0 for w in weights)):
-        keys = {}  # packed label -> the key that names it
+        keys = {}  # label -> the key that names it
         for key, w in raw.items():
             try:
-                size, x, z = _parse_pauli(key)
+                label = PauliLabel.from_string(key)
             except ValueError as exc:
                 raise ChannelSpecError(f"bad Pauli string {key!r}: {exc}") from exc
-            if size != n:
+            if label.n != n:
                 raise ChannelSpecError(f"weight key {key!r} has wrong qubit count")
-            label = x | z << n
             if label in keys:
                 raise ChannelSpecError(f"weight keys {keys[label]!r} and {key!r} name one "
-                                       f"label {PauliLabel(n, x, z)}")
+                                       f"label {label}")
             keys[label] = key
             if not (_is_number(w) and w >= 0):
                 raise ChannelSpecError(f"weight for {key!r} must be >= 0")
-    place = 1 << np.arange(n, dtype=np.int64)  # qubit 0, the leftmost letter, is bit 0
-    x, z = (np.frombuffer(joined.translate(bit).encode(), np.uint8).reshape(-1, n) - 48
-            for bit in (_X_BIT, _Z_BIT))
-    return x @ place | (z @ place) << n, np.array(weights, dtype=float)
+    return packed_from_strings(n, joined), np.array(weights, dtype=float)
 
 
 def _has_kraus(spec: dict) -> bool:
@@ -321,8 +313,7 @@ def channel_factory(spec: dict, _depth: int = 0) -> Channel:
             raise ChannelSpecError("depolarizing needs 'p' in [0, 1]")
         weights = np.full(d**2, p / d**2)
         weights[0] = 1 - p + p / d**2
-        xs, zs = all_label_masks(n)
-        return PauliChannel(n, xs | zs << n, weights)
+        return PauliChannel(n, all_packed_labels(n), weights)
 
     if kind == "pauli_mixture":
         raw = spec.get("weights")

@@ -78,6 +78,13 @@ EXIT_HASH_MISMATCH = 5
 EXIT_SINGLE_BASE = 6
 
 
+# The error kind and exit code of each library error that reaches main.
+_LIBRARY_ERRORS = {ChannelSpecError: ("malformed_input", EXIT_MALFORMED),
+                   TripletLogError: ("malformed_input", EXIT_MALFORMED),
+                   DenseCapError: ("dense_cap", EXIT_DENSE_CAP),
+                   SingleBaseError: ("single_base", EXIT_SINGLE_BASE)}
+
+
 class CliError(Exception):
     def __init__(self, exit_code: int, kind: str, message: str):
         super().__init__(message)
@@ -141,11 +148,8 @@ def _parse_label(text: str, n: int) -> PauliLabel:
     except ValueError as exc:
         raise CliError(EXIT_BAD_LABEL, "invalid_label", str(exc)) from exc
     if label.n != n:
-        raise CliError(
-            EXIT_BAD_LABEL,
-            "invalid_label",
-            f"label {text!r} has {label.n} qubits, expected {n}",
-        )
+        raise CliError(EXIT_BAD_LABEL, "invalid_label",
+                       f"label {text!r} has {label.n} qubits, expected {n}")
     return label
 
 
@@ -261,10 +265,7 @@ def cmd_sieve(args) -> int:
         raise CliError(EXIT_MALFORMED, "bad_arguments", "--threshold must be finite and positive")
     record, meta, channel = _load_log_with_optional_channel(args)
     stats: dict = {}
-    try:
-        found = sieve_large_diagonals(record, args.threshold, stats=stats)
-    except SingleBaseError as exc:
-        raise CliError(EXIT_SINGLE_BASE, "single_base", str(exc)) from exc
+    found = sieve_large_diagonals(record, args.threshold, stats=stats)
     entries = [("sieve", m, None, est) for m, est in found]
     config = {"log": args.log, "threshold": args.threshold, **meta}
     return _report("sieve", config, entries, channel, meta["channel"], args.out,
@@ -382,33 +383,35 @@ _SAMPLING = (
 _MODE = ("--mode", {"choices": ("sampled", "exact"), "default": "sampled",
                     "help": "sampled outcomes or exact design enumeration"})
 _OUT = ("--out", {"help": "report path (default stdout)"})
+_CHANNEL = ("--channel", {"required": True, "help": "channel-spec JSON path"})
 _OPTIONAL_CHANNEL = ("--channel", {"help": "optional spec for hash check + oracle columns"})
+_M = ("--m", {"required": True, "help": "Pauli label, e.g. XI"})
+_LOG = ("--log", {"required": True, "help": "triplet log path"})
 
 _COMMANDS = {
     "estimate-diag": ("estimate one diagonal coefficient", {"func": cmd_estimate_diag}, (
-        ("--channel", {"required": True, "help": "channel-spec JSON path"}),
-        ("--m", {"required": True, "help": "Pauli label, e.g. XI"}),
-        *_SAMPLING, _MODE, _OUT)),
+        _CHANNEL, _M, *_SAMPLING, _MODE, _OUT)),
     "estimate-offdiag": ("estimate one off-diagonal coefficient",
                          {"func": cmd_estimate_offdiag}, (
-        ("--channel", {"required": True}), ("--m", {"required": True}),
-        ("--n-label", {"required": True}), *_SAMPLING, _MODE, _OUT)),
+        _CHANNEL, _M, ("--n-label", {"required": True, "help": "second Pauli label, e.g. ZY"}),
+        *_SAMPLING, _MODE, _OUT)),
     "triplets": ("run experiments and write a triplet log",
                  {"func": cmd_triplets, "mode": "sampled"}, (
-        ("--channel", {"required": True}), *_SAMPLING,
-        ("--out", {"required": True, "help": "triplet log path"}))),
+        _CHANNEL, *_SAMPLING, ("--out", {"required": True, "help": "triplet log path"}))),
     "diag-from-log": ("estimate diagonals from a triplet log", {"func": cmd_diag_from_log}, (
-        ("--log", {"required": True}),
+        _LOG,
         ("--m", {"required": True, "action": "append",
                  "help": "label (repeatable, comma-separable)"}),
         _OPTIONAL_CHANNEL, _OUT)),
     "sieve": ("find all heavy diagonal coefficients in a log", {"func": cmd_sieve}, (
-        ("--log", {"required": True}), ("--threshold", {"required": True, "type": float}),
+        _LOG, ("--threshold", {"required": True, "type": float,
+                               "help": "report labels whose estimate exceeds it (> 0)"}),
         _OPTIONAL_CHANNEL, _OUT)),
     "verify": ("run the identity verification suites", {"func": cmd_verify}, (
-        ("--n", {"required": True, "type": int}),
-        ("--verify-level", {"choices": ("quick", "full"), "default": "quick"}),
-        ("--seed", {"type": int, "default": 0}))),
+        ("--n", {"required": True, "type": int, "help": "qubit count"}),
+        ("--verify-level", {"choices": ("quick", "full"), "default": "quick",
+                            "help": "quick: the design checks; full: the oracle identities too"}),
+        ("--seed", {"type": int, "default": 0, "help": "seed of sampled checks (default 0)"}))),
 }
 SUBCOMMANDS = tuple(_COMMANDS)
 
@@ -489,12 +492,10 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         _print_error(exc.kind, str(exc))
         return exc.exit_code
-    except (ChannelSpecError, TripletLogError) as exc:
-        _print_error("malformed_input", str(exc))
-        return EXIT_MALFORMED
-    except DenseCapError as exc:
-        _print_error("dense_cap", str(exc))
-        return EXIT_DENSE_CAP
+    except tuple(_LIBRARY_ERRORS) as exc:
+        kind, code = next(v for cls, v in _LIBRARY_ERRORS.items() if isinstance(exc, cls))
+        _print_error(kind, str(exc))
+        return code
 
 
 def _print_error(kind: str, message: str) -> None:

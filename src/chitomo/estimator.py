@@ -237,7 +237,7 @@ def _pauli_table(channel: PauliChannel, m: PauliLabel, n_label: PauliLabel) -> n
     i^e = (-1)^{sum_b floor(r_b / 2)}, r_b = sum_{a in S} (Z mask of a)_b."""
     n, d = channel.n, 2**channel.n
     cols, bases, parity = commutation_columns(n), np.arange(d + 1), index_bit_tables(n)[1]
-    p_m, p_n = (gf2_apply(cols, a.x_bits | a.z_bits << n) for a in (m, n_label))
+    p_m, p_n = (gf2_apply(cols, a.packed) for a in (m, n_label))
     q, (c, theta) = _base_weights(channel, cols), pauli_mul(n_label, m)
     in_s = np.flatnonzero(c.x_bits >> np.arange(n) & 1)
     r = np.sum(class_generators(n)[:, in_s, None] >> (in_s + n) & 1, axis=1)
@@ -301,7 +301,7 @@ def estimate_chi_diag(channel: Channel, m: PauliLabel, cfg: EstimatorConfig) -> 
         raise ValueError("label and channel qubit counts differ")
     n, d = channel.n, 2**channel.n
     cols = commutation_columns(n)
-    p_m = gf2_apply(cols, m.x_bits | m.z_bits << n)
+    p_m = gf2_apply(cols, m.packed)
     keys, us = _campaign(n, cfg, _TAG_DIAG, "fidelity")
     if isinstance(channel, PauliChannel):  # one row per base J
         rows, survival = keys >> n, _base_weights(channel, cols)[np.arange(d + 1), p_m, None]
@@ -338,7 +338,7 @@ def estimate_chi_offdiag(
         table = _pauli_table(channel, m, n_label)
     else:
         ops = channel.operators
-        srcs, ws = pauli_actions(n, [m.x_bits, n_label.x_bits], [m.z_bits, n_label.z_bits])
+        srcs, ws = pauli_actions(n, [m.packed, n_label.packed])
 
         def readout(js, ks):  # [state, (Re and Im of the polarization, survival)]; E^dag is E
             v = design_bases(n)[js, :, ks].T
@@ -423,7 +423,7 @@ def estimate_diags_from_triplets(
     if any(m.n != record.n for m in labels):
         raise ValueError("label and triplet qubit counts differ")
     n, d = record.n, 2**record.n
-    packed = np.array([m.x_bits | (m.z_bits << n) for m in labels], dtype=np.int64)
+    packed = np.array([m.packed for m in labels], dtype=np.int64)
     keys, counts = _count_table(record)
     bases = np.flatnonzero(np.bincount(keys >> n))
     cols = commutation_columns(n, bases)
@@ -498,7 +498,7 @@ def sieve_large_diagonals(
     order = np.lexsort((first, -votes, -values))  # by value, votes, first vote
     if stats is not None:
         stats.update(pairs_processed=pairs, total_pairs=total_pairs, candidates=candidates)
-    return [(PauliLabel(n, int(v) & (d - 1), int(v) >> n), Estimate(float(x), float(e), m_count))
+    return [(PauliLabel.from_packed(n, v), Estimate(float(x), float(e), m_count))
             for v, x, e in zip(labels[order], values[order], errors[order])]
 
 

@@ -33,8 +33,8 @@ from .mub import design_average_survival, design_states
 from .pauli import (
     DenseCapError,
     PauliLabel,
-    all_label_masks,
     all_labels,
+    all_packed_labels,
     label_from_index,
     label_index,
     pauli_matrices,
@@ -69,9 +69,9 @@ class ChiMatrix:
         return complex(self.mat[label_index(m), label_index(n_label)])
 
 
-def pauli_coefficients(channel: Channel, xs, zs) -> np.ndarray:
-    """c[k, m] = Tr(E_m^dag A_k) / D for the labels m with masks xs[m], zs[m]."""
-    basis = pauli_matrices(channel.n, xs, zs)  # conjugated in place: it is ours
+def pauli_coefficients(channel: Channel, labels) -> np.ndarray:
+    """c[k, m] = Tr(E_m^dag A_k) / D for the packed labels m = labels[m]."""
+    basis = pauli_matrices(channel.n, labels)  # conjugated in place: it is ours
     return np.einsum("mji,kji->km", np.conj(basis, out=basis), channel.operators) / 2**channel.n
 
 
@@ -89,7 +89,7 @@ def exact_chi(channel: Channel, max_n: int = ORACLE_QUBIT_CAP) -> ChiMatrix:
         )
     if n >= ORACLE_QUBIT_HARD_CAP:
         logger.warning("oracle at n=%d builds a %d x %d chi matrix", n, 4**n, 4**n)
-    c = pauli_coefficients(channel, *all_label_masks(n))
+    c = pauli_coefficients(channel, all_packed_labels(n))
     return ChiMatrix(n, np.einsum("km,kn->mn", c, c.conj()))
 
 
@@ -107,14 +107,13 @@ def exact_chi_entries(
     beyond the dense one of ``pauli_matrices``.
     """
     if isinstance(channel, PauliChannel):
-        n, labels, weights = channel.n, channel.labels, channel.weights
-        return [complex(weights[labels == (m.x_bits | m.z_bits << n)].sum()) if m == n_label
+        return [complex(channel.weights[channel.labels == m.packed].sum()) if m == n_label
                 else 0j for m, n_label in pairs]
     if not pairs:
         return []
     labels = list(dict.fromkeys(a for pair in pairs for a in pair))
     col = {a: i for i, a in enumerate(labels)}
-    c = pauli_coefficients(channel, [a.x_bits for a in labels], [a.z_bits for a in labels])
+    c = pauli_coefficients(channel, [a.packed for a in labels])
     return [complex(c[:, col[m]] @ c[:, col[n_label]].conj()) for m, n_label in pairs]
 
 
@@ -210,8 +209,7 @@ def trace_identity_residual(
         labels = all_labels(channel.n)
         pairs = [(a, b) for a in labels for b in labels]
     labels = list(dict.fromkeys(a for pair in pairs for a in pair))
-    mats = dict(zip(labels, pauli_matrices(channel.n, [a.x_bits for a in labels],
-                                           [a.z_bits for a in labels])))
+    mats = dict(zip(labels, pauli_matrices(channel.n, [a.packed for a in labels])))
     step = max(1, _STACK_ENTRIES // d**2)
     worst = 0.0
     for start in range(0, len(pairs), step):

@@ -8,7 +8,9 @@ and Y the Z bit, so a qubit's letter is "IXZY"[x + 2z]; the canonical index
 digits (:func:`label_index`) are I=0, X=1, Y=2, Z=3.  The representative matrix
 of a label is the Hermitian tensor-product Pauli: a qubit with both bits set
 contributes the standard Y.  Products of two representatives close up to a
-power of i, which :func:`pauli_mul` tracks as an exponent mod 4.
+power of i, which :func:`pauli_mul` tracks as an exponent mod 4.  Arrays of
+labels hold each one packed into one int64, x_bits low and z_bits above them
+(:attr:`PauliLabel.packed`); this module alone packs and unpacks them.
 
 The module also builds the partition of the 4**n labels into D+1 maximal
 commuting classes (D = 2**n), one per mutually unbiased basis, using the
@@ -19,6 +21,7 @@ per qubit count.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,21 +61,6 @@ class DenseCapError(ValueError):
     """Raised when an operation would require dense matrices beyond the cap."""
 
 
-def _parse_pauli(s) -> tuple[int, int, int]:
-    """(n, x_bits, z_bits) of a Pauli string such as " xIz", or ValueError
-    naming a non-string, an empty string or the first letter outside IXYZ in
-    either ASCII case."""
-    if not isinstance(s, str):
-        raise ValueError(f"expected a Pauli string, got {s!r}")
-    s = s.strip().translate(_UPPER)
-    if not s:
-        raise ValueError("empty Pauli string")
-    if bad := s.lstrip("IXYZ"):
-        raise ValueError(f"invalid Pauli character {bad[0]!r} in {s!r}")
-    rev = s[::-1]  # qubit 0, the leftmost letter, is bit 0
-    return len(s), int(rev.translate(_X_BIT), 2), int(rev.translate(_Z_BIT), 2)
-
-
 @dataclass(frozen=True)
 class PauliLabel:
     """Phase-free n-qubit Pauli operator in symplectic form."""
@@ -94,8 +82,23 @@ class PauliLabel:
 
     @classmethod
     def from_string(cls, s: str) -> "PauliLabel":
-        """Parse a Pauli string such as "XIZ" (ASCII case-insensitive)."""
-        return cls(*_parse_pauli(s))
+        """Parse a Pauli string such as " xIz"; ValueError names a non-string,
+        an empty string or the first letter outside IXYZ in either ASCII case."""
+        if not isinstance(s, str):
+            raise ValueError(f"expected a Pauli string, got {s!r}")
+        s = s.strip().translate(_UPPER)
+        if not s:
+            raise ValueError("empty Pauli string")
+        if bad := s.lstrip("IXYZ"):
+            raise ValueError(f"invalid Pauli character {bad[0]!r} in {s!r}")
+        rev = s[::-1]  # qubit 0, the leftmost letter, is bit 0
+        return cls(len(s), int(rev.translate(_X_BIT), 2), int(rev.translate(_Z_BIT), 2))
+
+    @classmethod
+    def from_packed(cls, n: int, v) -> "PauliLabel":
+        """Inverse of :attr:`packed`: v any integer, numpy's included."""
+        v = operator.index(v)
+        return cls(n, v & ((1 << n) - 1), v >> n)
 
     def to_string(self) -> str:
         x, z = self.x_bits, self.z_bits
@@ -105,13 +108,9 @@ class PauliLabel:
         return self.to_string()
 
     @property
-    def is_identity(self) -> bool:
-        return self.x_bits == 0 and self.z_bits == 0
-
-    @property
-    def weight(self) -> int:
-        """Number of non-identity tensor factors."""
-        return (self.x_bits | self.z_bits).bit_count()
+    def packed(self) -> int:
+        """The label as one 2n-bit int, x_bits low and z_bits above them."""
+        return self.x_bits | self.z_bits << self.n
 
 
 def label_index(a: PauliLabel) -> int:
@@ -124,32 +123,39 @@ def label_index(a: PauliLabel) -> int:
     return sum(((x ^ z) >> i & 1 | (z >> i & 1) << 1) << 2 * (a.n - 1 - i) for i in range(a.n))
 
 
-def _index_masks(n: int, idx):
-    """(x_bits, z_bits) of the canonical index idx, an int or an int array."""
-    xs = zs = 0
+def _index_packed(n: int, idx):
+    """Packed label of the canonical index idx, an int or an int array."""
+    v = 0
     for i in range(n):
         digit = (idx >> 2 * (n - 1 - i)) & 3  # I=0, X=1, Y=2, Z=3
-        xs = xs | ((digit + 1) >> 1 & 1) << i
-        zs = zs | (digit >> 1) << i
-    return xs, zs
+        v = v | ((digit + 1) >> 1 & 1) << i | (digit >> 1) << (n + i)
+    return v
 
 
 def label_from_index(n: int, idx: int) -> PauliLabel:
     """Inverse of :func:`label_index`."""
     if not 0 <= idx < 4**n:
         raise ValueError(f"index {idx} out of range for n={n}")
-    return PauliLabel(n, *_index_masks(n, idx))
+    return PauliLabel.from_packed(n, _index_packed(n, idx))
 
 
 def all_labels(n: int) -> list[PauliLabel]:
     """All 4**n labels in canonical index order."""
-    xs, zs = all_label_masks(n)
-    return [PauliLabel(n, x, z) for x, z in zip(xs.tolist(), zs.tolist())]
+    return [PauliLabel.from_packed(n, v) for v in all_packed_labels(n).tolist()]
 
 
-def all_label_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(x_bits, z_bits) of all 4**n labels in canonical index order, as arrays."""
-    return _index_masks(n, np.arange(4**n))
+def all_packed_labels(n: int) -> np.ndarray:
+    """All 4**n packed labels in canonical index order, as one int64 array."""
+    return _index_packed(n, np.arange(4**n))
+
+
+def packed_from_strings(n: int, letters: str) -> np.ndarray:
+    """Packed labels of the n-letter Pauli strings joined in ``letters``,
+    which holds only the upper-case letters IXYZ."""
+    place = 1 << np.arange(n, dtype=np.int64)  # qubit 0, the leftmost letter, is bit 0
+    x, z = (np.frombuffer(letters.translate(bit).encode(), np.uint8).reshape(-1, n) - 48
+            for bit in (_X_BIT, _Z_BIT))
+    return x @ place | (z @ place) << n
 
 
 def _check_same_n(a: PauliLabel, b: PauliLabel) -> None:
@@ -201,9 +207,9 @@ _PHASES = np.array([1j**(k % 4) for k in range(DENSE_QUBIT_CAP + 1)])
 _SIGNS = np.array([1, -1])
 
 
-def pauli_actions(n: int, xs, zs) -> tuple[np.ndarray, np.ndarray]:
-    """Signed permutations of many labels at once: (P_l v)[r] = w[l, r] *
-    v[src[l, r]] for the label l with masks xs[l], zs[l], as (L, D) arrays.
+def pauli_actions(n: int, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Signed permutations of many packed labels at once: (P_l v)[r] =
+    w[l, r] * v[src[l, r]] for the label labels[l], as (L, D) arrays.
 
     P|q> = i^{|x AND z|} (-1)^{|z AND q|} |q XOR x> in qubit order q (bit i
     = qubit i).  Matrix index c is q = rev(c), because qubit 0 is the most
@@ -213,16 +219,17 @@ def pauli_actions(n: int, xs, zs) -> tuple[np.ndarray, np.ndarray]:
     if n > DENSE_QUBIT_CAP:
         raise DenseCapError(f"dense matrices limited to n <= {DENSE_QUBIT_CAP}, got n={n}")
     rev, parity, popcount = index_bit_tables(n)
-    xs, zs = np.asarray(xs, dtype=np.int64), np.asarray(zs, dtype=np.int64)
+    labels = np.asarray(labels, dtype=np.int64)
+    xs, zs = labels & ((1 << n) - 1), labels >> n
     src = np.arange(1 << n) ^ rev[xs][:, None]
     return src, _PHASES[popcount[xs & zs]][:, None] * _SIGNS[parity[rev[zs][:, None] & src]]
 
 
-def pauli_matrices(n: int, xs, zs, scale=None) -> np.ndarray:
-    """Dense Hermitian representative matrices of many labels, shape (L, D, D),
-    scattered from the signed permutations of :func:`pauli_actions`; each
-    times scale[l], if given, applied to the (L, D) weights before the scatter."""
-    src, w = pauli_actions(n, xs, zs)
+def pauli_matrices(n: int, labels, scale=None) -> np.ndarray:
+    """Dense Hermitian representative matrices of many packed labels, shape
+    (L, D, D), scattered from the signed permutations of :func:`pauli_actions`;
+    each times scale[l], if given, applied to the (L, D) weights before the scatter."""
+    src, w = pauli_actions(n, labels)
     if scale is not None:
         w = np.asarray(scale)[:, None] * w
     d = src.shape[1]
@@ -234,7 +241,7 @@ def pauli_matrices(n: int, xs, zs, scale=None) -> np.ndarray:
 def pauli_matrix(a: PauliLabel) -> np.ndarray:
     """Dense Hermitian representative matrix of a label (2**n x 2**n): the
     one-label case of :func:`pauli_matrices`."""
-    return pauli_matrices(a.n, [a.x_bits], [a.z_bits])[0]
+    return pauli_matrices(a.n, [a.packed])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +299,7 @@ def mub_class(n: int, J: int) -> MubClass:
     if not 0 <= J <= (1 << n):
         raise ValueError(f"base index J={J} out of range for n={n}")
     gens = class_generators(n)[J].tolist()
-    return MubClass(J, tuple(PauliLabel(n, g & ((1 << n) - 1), g >> n) for g in gens))
+    return MubClass(J, tuple(PauliLabel.from_packed(n, g) for g in gens))
 
 
 def mub_classes(n: int) -> list[MubClass]:
@@ -361,4 +368,4 @@ def solve_label_from_constraints(
         rows[col], rows[pivot] = rows[pivot], rows[col]
         rows = [r ^ rows[col] if r >> col & 1 and i != col else r for i, r in enumerate(rows)]
     v = sum((r >> w) << col for col, r in enumerate(rows))  # row col is now bit col
-    return PauliLabel(n, v & ((1 << n) - 1), v >> n)
+    return PauliLabel.from_packed(n, v)

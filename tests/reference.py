@@ -103,8 +103,8 @@ def random_channel(n: int, rng: np.random.Generator) -> KrausSet:
 
 
 def random_pauli_channel(n: int, rng: np.random.Generator, ops: int = 4) -> PauliChannel:
-    """A Pauli channel on ``ops`` distinct random labels, packed as x | z << n,
-    with random positive weights that sum to 1."""
+    """A Pauli channel on ``ops`` distinct random packed labels, with random
+    positive weights that sum to 1."""
     labels = rng.choice(4**n, size=min(ops, 4**n), replace=False).astype(np.int64)
     w = rng.random(len(labels)) + 0.1
     return PauliChannel(n, labels, w / w.sum())
@@ -122,8 +122,7 @@ def kron_pauli_basis(n: int) -> np.ndarray:
 
 def pauli_channel_labels(channel: PauliChannel) -> list[PauliLabel]:
     """The channel's packed labels as PauliLabel objects, in order."""
-    d = 2**channel.n
-    return [PauliLabel(channel.n, int(a) & (d - 1), int(a) >> channel.n) for a in channel.labels]
+    return [PauliLabel.from_packed(channel.n, a) for a in channel.labels]
 
 
 def seven_kinds(n):

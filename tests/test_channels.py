@@ -29,7 +29,6 @@ from chitomo.oracle import ChiMatrix, exact_chi
 from chitomo.pauli import (
     DenseCapError,
     PauliLabel,
-    all_label_masks,
     all_labels,
     label_from_index,
     label_index,
@@ -533,7 +532,7 @@ def _mixture_reference(n, raw):
     total = sum(weights.values())
     if not abs(total - 1) <= 1e-9:
         return f"mixture weights sum to {total!r}, expected 1"
-    return [a.x_bits | a.z_bits << n for a in weights], list(weights.values())
+    return [a.packed for a in weights], list(weights.values())
 
 
 _MIXTURE_CASES = [
@@ -637,12 +636,12 @@ class TestPauliChannelChecks:
         that the factory's filter gave before the channel checked its own map,
         bit for bit."""
         rng = np.random.default_rng(60 + n)
-        xs, zs = all_label_masks(n)
+        packed = [a.packed for a in all_labels(n)]
         cases = [({"n": n, "kind": "identity"}, ([0], [1.0]))]
         for p in (0.0, 0.3, 1.0):
             w = np.full(4**n, p / 4**n)
             w[0] = 1 - p + p / 4**n
-            cases.append(({"n": n, "kind": "depolarizing", "p": p}, (xs | zs << n, w)))
+            cases.append(({"n": n, "kind": "depolarizing", "p": p}, (packed, w)))
         raw = rng.random(4**n) * (rng.random(4**n) < 0.5)
         raw[0] = 1.0
         order = rng.permutation(4**n)
@@ -767,7 +766,7 @@ class TestKrausArray:
             assert isinstance(got, PauliChannel) and got.n == n
             kept = [L(a) for a, x in weights.items() if x > 0]
             assert got.labels.dtype == np.int64
-            assert got.labels.tolist() == [a.x_bits | a.z_bits << n for a in kept]
+            assert got.labels.tolist() == [a.packed for a in kept]
             assert got.weights.tolist() == [weights[str(a)] for a in kept]
             built.clear()
             ops = got.operators

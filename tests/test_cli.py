@@ -897,6 +897,15 @@ class TestParser:
         sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
         assert tuple(sub.choices) == cli.SUBCOMMANDS
 
+    @pytest.mark.parametrize("command", cli.SUBCOMMANDS)
+    def test_every_flag_prints_help(self, command):
+        """Every flag in the command's table has a non-empty help line, and
+        the subcommand's parser shows it."""
+        sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        shown = {a.option_strings[0]: a.help for a in sub.choices[command]._actions}
+        for flag, opts in cli._COMMANDS[command][2]:
+            assert opts.get("help", "").strip() and shown[flag] == opts["help"], flag
+
 
 # Values drawn for a flag: well formed for its converter or choices (a plain
 # negative number included), or odd: refused, read otherwise by argparse, or

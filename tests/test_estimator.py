@@ -474,7 +474,7 @@ def test_pauli_offdiag_rows_match_dense_amplitudes(kind, n):
              else [*rng.integers(0, 4**n, size=(6, 2)), (5, 5), (0, 0)])
     for a, b in pairs:
         m, n_label = label_from_index(n, int(a)), label_from_index(n, int(b))
-        src, w = pauli_actions(n, [m.x_bits, n_label.x_bits], [m.z_bits, n_label.z_bits])
+        src, w = pauli_actions(n, [m.packed, n_label.packed])
         x_m, x_n = (estimator._amplitudes(ops, v, w[i][:, None] * v[src[i]]) for i in (0, 1))
         polarization = np.sum(x_n.conj() * x_m, axis=1)
         survival = np.sum(np.abs(x_m) ** 2 + np.abs(x_n) ** 2, axis=1) / 2
@@ -496,7 +496,7 @@ def test_pauli_survival_column_is_the_base_weight(kind, n):
     rng = np.random.default_rng(n)
     labels = all_labels(n) if n <= 3 else [random_label(n, rng) for _ in range(40)]
     for m in labels:
-        packed = m.x_bits | m.z_bits << n
+        packed = m.packed
         survival = np.repeat(q[np.arange(d + 1), gf2_apply(cols, packed)], d)
         want = float((((d + 1) * survival - 1) / d).mean())
         got = estimate_chi_diag(channel, m, ENUMERATE).value
@@ -568,7 +568,7 @@ def test_dense_diag_table_is_the_modified_survival(monkeypatch, n):
     rng = np.random.default_rng(90 + n)
     labels = [label_from_index(n, int(i))
               for i in (range(4) if n == 1 else rng.integers(0, 4**n, size=12))]
-    src, w = pauli_actions(n, [a.x_bits for a in labels], [a.z_bits for a in labels])
+    src, w = pauli_actions(n, [a.packed for a in labels])
     for channel in _dense_diag_channels(n):
         ops = channel.operators
         step = max(1, estimator._SPREAD_ENTRIES // (ops.size // d))
@@ -985,7 +985,7 @@ class TestSieve:
 def _coset(n, J, x):
     """s + C_J as packed labels: C_J spanned by the class-J generators, s = X^x
     for J = 0 and Z^x for J >= 1."""
-    gens = np.array([g.x_bits | (g.z_bits << n) for g in mub_class(n, J).generators])
+    gens = np.array([g.packed for g in mub_class(n, J).generators])
     return (x if J == 0 else x << n) ^ gf2_apply(gens, np.arange(2**n))
 
 
@@ -997,8 +997,7 @@ class TestCosetIdentity:
         for J in range(2**n + 1):
             by_vector = {}
             for m in all_labels(n):
-                packed = m.x_bits | (m.z_bits << n)
-                by_vector.setdefault(commutation_vector(m, mub_class(n, J)), set()).add(packed)
+                by_vector.setdefault(commutation_vector(m, mub_class(n, J)), set()).add(m.packed)
             for x in range(2**n):
                 coset = _coset(n, J, x).tolist()
                 assert len(set(coset)) == 2**n
@@ -1011,7 +1010,7 @@ class TestCosetIdentity:
             J, x = int(rng.integers(0, 2**n + 1)), int(rng.integers(0, 2**n))
             members = rng.choice(_coset(n, J, x), size=16, replace=False)
             for v in members:
-                m = PauliLabel(n, int(v) & (2**n - 1), int(v) >> n)
+                m = PauliLabel.from_packed(n, v)
                 assert commutation_vector(m, mub_class(n, J)) == x
 
 

@@ -319,7 +319,7 @@ class TestExactChiEntries:
     def test_pauli_channel_with_a_repeated_label_and_a_zero_weight(self, n):
         """A weight map built in Python may name a label twice, and its
         weights add up as in the dense expansion; a zero weight reads 0."""
-        z = 1 << n  # Z on qubit 0, packed x | z << n
+        z = L("Z" + "I" * (n - 1)).packed
         channel = PauliChannel(n, np.array([0, z, 1, z, 3]), np.array([0.5, 0.1, 0.2, 0.2, 0.0]))
         pairs = label_pairs(n, None)
         got = exact_chi_entries(channel, pairs)
@@ -534,9 +534,9 @@ class TestOracleCosts:
         """One pauli_matrices call builds the matrix of every distinct label once."""
         calls = []
 
-        def spy(n, xs, zs):
-            calls.append([PauliLabel(n, x, z) for x, z in zip(xs, zs)])
-            return pauli_matrices(n, xs, zs)
+        def spy(n, labels):
+            calls.append([PauliLabel.from_packed(n, v) for v in labels])
+            return pauli_matrices(n, labels)
 
         channel = channel_factory({"n": 2, "kind": "amplitude_damping", "gamma": 0.25})
         want = trace_identity_residual(channel, pairs)

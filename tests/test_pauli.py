@@ -10,8 +10,8 @@ from chitomo.pauli import (
     MUB_QUBIT_CAP,
     MubClass,
     PauliLabel,
-    all_label_masks,
     all_labels,
+    all_packed_labels,
     class_generators,
     commutation_columns,
     commutation_vector,
@@ -21,6 +21,7 @@ from chitomo.pauli import (
     label_index,
     mub_class,
     mub_classes,
+    packed_from_strings,
     pauli_actions,
     pauli_matrices,
     pauli_matrix,
@@ -106,10 +107,8 @@ class TestLabelBasics:
 
     def test_identity_label(self):
         ident = PauliLabel.identity(3)
-        assert ident.is_identity
-        assert ident.x_bits == 0 and ident.z_bits == 0
+        assert ident.x_bits == 0 and ident.z_bits == 0 and ident.packed == 0
         assert str(ident) == "III"
-        assert not L("XII").is_identity
 
     def test_equality_ignores_nothing_but_bits(self):
         assert L("XZ") == PauliLabel(2, x_bits=0b01, z_bits=0b10)
@@ -126,11 +125,10 @@ class TestLabelBasics:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_label_index_reads_the_string_in_base_4(self, n):
         """label_index reads the letters as base-4 digits I=0, X=1, Y=2, Z=3,
-        qubit 0 first; label_from_index inverts it; both follow all_label_masks."""
+        qubit 0 first; label_from_index inverts it; both follow all_packed_labels."""
         digits = str.maketrans("IXYZ", "0123")
-        xs, zs = all_label_masks(n)
-        for i, (x, z) in enumerate(zip(xs.tolist(), zs.tolist())):
-            a = PauliLabel(n, x, z)
+        for i, v in enumerate(all_packed_labels(n).tolist()):
+            a = PauliLabel.from_packed(n, v)
             assert label_index(a) == int(a.to_string().translate(digits), 4) == i
             assert label_from_index(n, i) == a
 
@@ -140,14 +138,35 @@ class TestLabelBasics:
         assert [str(a) for a in all_labels(2)[:5]] == ["II", "IX", "IY", "IZ", "XI"]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_label_masks_in_index_order(self, n):
-        xs, zs = all_label_masks(n)
-        assert [(int(x), int(z)) for x, z in zip(xs, zs)] == [
-            (a.x_bits, a.z_bits) for a in all_labels(n)]
+    def test_packed_labels_in_index_order(self, n):
+        packed = all_packed_labels(n)
+        assert packed.dtype == np.int64
+        assert packed.tolist() == [a.packed for a in all_labels(n)]
 
-    def test_weight(self):
-        assert L("IXYZ").weight == 3
-        assert PauliLabel.identity(4).weight == 0
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_packed_round_trip(self, n):
+        """packed holds x_bits low and z_bits above them; from_packed inverts
+        it, from a numpy integer too."""
+        for a in all_labels(n):
+            assert a.packed == a.x_bits | a.z_bits << n
+            assert PauliLabel.from_packed(n, a.packed) == a
+            b = PauliLabel.from_packed(n, np.int64(a.packed))
+            assert b == a and type(b.x_bits) is type(b.z_bits) is int
+
+    @pytest.mark.parametrize("v", [4, -1, 2**63])
+    def test_packed_out_of_range_rejected(self, v):
+        with pytest.raises(ValueError, match="^bit masks out of range for n=1$"):
+            PauliLabel.from_packed(1, v)
+
+    def test_packed_non_integer_rejected(self):
+        with pytest.raises(TypeError):
+            PauliLabel.from_packed(1, 1.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_packed_from_strings(self, n):
+        """Joined strings in index order pack to the canonical table."""
+        joined = "".join(map(str, all_labels(n)))
+        assert np.array_equal(packed_from_strings(n, joined), all_packed_labels(n))
 
 
 class TestPauliMul:
@@ -249,15 +268,18 @@ class TestPauliMatrix:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_batch_is_the_kronecker_basis(self, n):
-        """Every label at once, in index order, equals the Kronecker products
-        of the one-qubit pauli_matrix factors, and pauli_matrix is its row; a
+        """Every packed label at once, in index order, equals the Kronecker
+        products of the one-qubit pauli_matrix factors and, bit for bit up to
+        the sign of a zero, kron_reference; pauli_matrix is its row; a
         per-label scale gives the bits of each matrix times its factor."""
-        mats = pauli_matrices(n, *all_label_masks(n))
+        mats = pauli_matrices(n, all_packed_labels(n))
         np.testing.assert_array_equal(mats, kron_pauli_basis(n))
         for a, m in zip(all_labels(n), mats):
+            assert np.array_equal((kron_reference(a) + 0).view(np.uint64),
+                                  (m + 0).view(np.uint64)), str(a)  # + 0 turns -0 into 0
             assert np.array_equal(pauli_matrix(a).view(np.uint64), m.view(np.uint64)), str(a)
         scale = np.sqrt(np.random.default_rng(n).random(4**n))
-        scaled = pauli_matrices(n, *all_label_masks(n), scale)
+        scaled = pauli_matrices(n, all_packed_labels(n), scale)
         assert np.array_equal(scaled.view(np.uint64), (scale[:, None, None] * mats).view(np.uint64))
 
     @pytest.mark.parametrize("n", [5, 6])
@@ -278,7 +300,7 @@ def _pauli_action_reference(a):
 
 def _assert_actions_bit_equal(n, idx):
     labels = [label_from_index(n, int(i)) for i in idx]
-    src, w = pauli_actions(n, [a.x_bits for a in labels], [a.z_bits for a in labels])
+    src, w = pauli_actions(n, [a.packed for a in labels])
     assert src.shape == w.shape == (len(labels), 2**n)
     for a, s, v in zip(labels, src, w):
         ref_src, ref_w = _pauli_action_reference(a)
@@ -300,7 +322,7 @@ class TestPauliActions:
 
     def test_dense_cap(self):
         with pytest.raises(DenseCapError):
-            pauli_actions(7, [0], [0])
+            pauli_actions(7, [0])
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_bit_tables(self, n):
@@ -360,7 +382,7 @@ class TestMubClasses:
                 for i in range(n):
                     if (mask >> i) & 1:
                         label, _ = pauli_mul(label, gens[i])
-                assert not label.is_identity  # independence
+                assert label != PauliLabel.identity(n)  # independence
                 assert label not in seen, f"{label} in classes {seen.get(label)}, {cls.J}"
                 seen[label] = cls.J
         assert len(seen) == 4**n - 1  # cover
@@ -397,7 +419,7 @@ class TestMubClasses:
         rng = np.random.default_rng(n)
         js = range(2**n + 1) if n <= 8 else rng.choice(2**n + 1, size=300, replace=False)
         for j in map(int, js):
-            packed = [g.x_bits | g.z_bits << n for g in mub_class(n, j).generators]
+            packed = [g.packed for g in mub_class(n, j).generators]
             assert table[j].tolist() == packed, j
 
     def test_table_is_read_only(self):
@@ -438,7 +460,7 @@ class TestSolveLabelFromConstraints:
     def test_all_zero_gives_identity(self):
         for n in (1, 2, 3):
             label = solve_label_from_constraints(mub_class(n, 0), 0, mub_class(n, 1), 0)
-            assert label.is_identity
+            assert label == PauliLabel.identity(n)
 
     def test_single_qubit_case(self):
         label = solve_label_from_constraints(mub_class(1, 0), 1, mub_class(1, 1), 0)
@@ -482,7 +504,7 @@ class TestCommutationColumns:
     def test_match_symplectic_products(self, n):
         classes = mub_classes(n)
         labels = all_labels(n)
-        packed = np.array([a.x_bits | (a.z_bits << n) for a in labels])
+        packed = np.array([a.packed for a in labels])
         got = gf2_apply(commutation_columns(n), packed[:, None])
         want = [
             [sum(symplectic_product(a, g) << i for i, g in enumerate(c.generators))
