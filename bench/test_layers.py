@@ -5,6 +5,7 @@
 """
 
 import contextlib
+import functools
 import io
 import json
 import sys
@@ -273,8 +274,8 @@ def test_estimate_diags_from_triplets(benchmark):
     record = run_triplet_experiments(channel_factory(spec), EstimatorConfig(M=2000, seed=5))
     rng = np.random.default_rng(5)
     labels = [label_from_index(5, int(i)) for i in rng.integers(0, 4**5, size=8)]
-    estimates = benchmark(estimate_diags_from_triplets, record, labels)
-    assert len(estimates) == 8 and all(est.M == 2000 for est in estimates)
+    values, errors = benchmark(estimate_diags_from_triplets, record, labels)
+    assert values.shape == errors.shape == (8,)
 
 
 def test_estimate_diags_from_triplets_n12(benchmark):
@@ -282,8 +283,8 @@ def test_estimate_diags_from_triplets_n12(benchmark):
     record = _random_record(12, 3000, seed=12)
     rng = np.random.default_rng(12)
     labels = [label_from_index(12, int(i)) for i in rng.integers(0, 4**12, size=64)]
-    estimates = benchmark(estimate_diags_from_triplets, record, labels)
-    assert len(estimates) == 64 and all(est.M == 3000 for est in estimates)
+    values, errors = benchmark(estimate_diags_from_triplets, record, labels)
+    assert values.shape == errors.shape == (64,)
 
 
 def _synthetic_pauli_log(n, m_count, weights, seed):
@@ -299,13 +300,44 @@ def _synthetic_pauli_log(n, m_count, weights, seed):
     return TripletRecord(n, js, ks, k_primes)
 
 
+def _sieve_weights(n):
+    return {"I" * n: 0.6, "X" + "I" * (n - 1): 0.25, "IZZ" + "I" * (n - 3): 0.15}
+
+
 @pytest.mark.parametrize("n, m_count", [(5, 6000), (8, 3000)])
 def test_sieve_large_diagonals(benchmark, n, m_count):
     """The sieve on a synthetic log of a 3-label Pauli channel."""
-    weights = {"I" * n: 0.6, "X" + "I" * (n - 1): 0.25, "IZZ" + "I" * (n - 3): 0.15}
-    record = _synthetic_pauli_log(n, m_count, weights, seed=n)
-    found = benchmark(sieve_large_diagonals, record, 0.08)
-    assert [str(label) for label, _ in found] == list(weights)
+    record = _synthetic_pauli_log(n, m_count, _sieve_weights(n), seed=n)
+    labels, _, _, _ = benchmark(sieve_large_diagonals, record, 0.08)
+    assert [str(PauliLabel.from_packed(n, a)) for a in labels] == list(_sieve_weights(n))
+
+
+@functools.cache
+def _every_candidate_log():
+    """The n=12, M=3000 synthetic log of the 3-label channel, on which every
+    one of the sieve's 1.7M candidates passes threshold 1e-12."""
+    return _synthetic_pauli_log(12, 3000, _sieve_weights(12), seed=12)
+
+
+def test_sieve_every_candidate(benchmark):
+    """The threshold-1e-12 sieve returns every candidate as columns: one round."""
+    labels, values, errors, stats = benchmark.pedantic(
+        sieve_large_diagonals, args=(_every_candidate_log(), 1e-12), rounds=1, iterations=1)
+    assert len(labels) == len(values) == len(errors) == stats["candidates"] > 1_500_000
+    assert [str(PauliLabel.from_packed(12, a)) for a in labels[:3]] == list(_sieve_weights(12))
+
+
+def test_sieve_every_candidate_peak_memory():
+    """tracemalloc peak of the same call: the result columns (24 B per label)
+    and the slices, under 300 MB."""
+    record = _every_candidate_log()
+    tracemalloc.start()
+    try:
+        sieve_large_diagonals(record, 1e-12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 300e6
 
 
 def _mixture_spec(n, count):

@@ -39,6 +39,7 @@ import numpy as np
 from . import __version__
 from .channels import ChannelSpecError, channel_factory, read_channel_spec
 from .estimator import (
+    Estimate,
     EstimatorConfig,
     SingleBaseError,
     TripletLogError,
@@ -82,6 +83,7 @@ EXIT_SINGLE_BASE = 6
 _LIBRARY_ERRORS = {ChannelSpecError: ("malformed_input", EXIT_MALFORMED),
                    TripletLogError: ("malformed_input", EXIT_MALFORMED),
                    DenseCapError: ("dense_cap", EXIT_DENSE_CAP),
+                   MemoryError: ("out_of_memory", EXIT_DENSE_CAP),
                    SingleBaseError: ("single_base", EXIT_SINGLE_BASE)}
 
 
@@ -173,14 +175,14 @@ def _report(command: str, config: dict | EstimatorConfig, entries: list, channel
     """Emit one estimating command's report: the config (an EstimatorConfig's
     fields), a row per (protocol, m, n_label, Estimate) entry, then the
     manifest and the extra keys.  The oracle columns are exact chi_mn, real
-    for a diagonal row (n_label None), when the channel is given and within
-    the oracle cap.  The z-score is then signed for a real estimate and a
-    magnitude for a complex one."""
+    for a diagonal row (n_label None), when the channel is given.  The
+    z-score is then signed for a real estimate and a magnitude for a complex
+    one."""
     if isinstance(config, EstimatorConfig):
         config = {"M": config.M, "epsilon": config.epsilon, "seed": config.seed,
                   "mode": config.mode, "enumerate_design": config.mode == "exact"}
     oracles = [None] * len(entries)
-    if channel is not None and channel.n <= ORACLE_QUBIT_CAP:
+    if channel is not None:
         oracles = exact_chi_entries(
             channel, [(m, m if n_label is None else n_label) for _, m, n_label, _ in entries])
     rows = []
@@ -234,28 +236,24 @@ def _load_log_with_optional_channel(args):
     record, meta = read_triplet_log(args.log)
     channel = None
     if args.channel is not None:
-        # Only the oracle columns read the channel: up to their cap the spec is
-        # built, its only validation, before its hash is checked.
+        # Only the oracle columns read the channel: at every n the factory
+        # builds, the spec is built, its only validation, before its hash is checked.
         spec, digest = read_channel_spec(args.channel)
-        if meta["n"] <= ORACLE_QUBIT_CAP:
+        if meta["n"] <= DENSE_QUBIT_CAP:
             channel = channel_factory(spec)
         if digest != meta["channel"]:
-            raise CliError(
-                EXIT_HASH_MISMATCH,
-                "hash_mismatch",
-                f"log was produced for channel {meta['channel'][:12]}..., "
-                f"spec hashes to {digest[:12]}...",
-            )
+            raise CliError(EXIT_HASH_MISMATCH, "hash_mismatch",
+                           f"log was produced for channel {meta['channel'][:12]}..., "
+                           f"spec hashes to {digest[:12]}...")
     return record, meta, channel
 
 
 def cmd_diag_from_log(args) -> int:
     record, meta, channel = _load_log_with_optional_channel(args)
-    labels = [
-        _parse_label(text, meta["n"]) for arg in args.m for text in arg.split(",")
-    ]
-    estimates = estimate_diags_from_triplets(record, labels)
-    entries = [("triplet_diag", m, None, est) for m, est in zip(labels, estimates)]
+    labels = [_parse_label(text, meta["n"]) for arg in args.m for text in arg.split(",")]
+    values, errors = estimate_diags_from_triplets(record, labels)
+    entries = [("triplet_diag", m, None, Estimate(value, error, len(record)))
+               for m, value, error in zip(labels, values.tolist(), errors.tolist())]
     return _report("diag-from-log", {"log": args.log, **meta}, entries, channel,
                    meta["channel"], args.out)
 
@@ -264,9 +262,9 @@ def cmd_sieve(args) -> int:
     if not (args.threshold > 0 and np.isfinite(args.threshold)):
         raise CliError(EXIT_MALFORMED, "bad_arguments", "--threshold must be finite and positive")
     record, meta, channel = _load_log_with_optional_channel(args)
-    stats: dict = {}
-    found = sieve_large_diagonals(record, args.threshold, stats=stats)
-    entries = [("sieve", m, None, est) for m, est in found]
+    labels, values, errors, stats = sieve_large_diagonals(record, args.threshold)
+    entries = [("sieve", PauliLabel.from_packed(record.n, a), None, Estimate(x, e, len(record)))
+               for a, x, e in zip(labels.tolist(), values.tolist(), errors.tolist())]
     config = {"log": args.log, "threshold": args.threshold, **meta}
     return _report("sieve", config, entries, channel, meta["channel"], args.out,
                    sieve_stats=stats)
@@ -343,19 +341,13 @@ def cmd_verify(args) -> int:
     cap, what = ((ORACLE_QUBIT_CAP, "oracle") if args.verify_level == "full"
                  else (DENSE_QUBIT_CAP, "dense-simulation"))
     if args.n > cap:
-        raise CliError(
-            EXIT_DENSE_CAP,
-            "dense_cap",
-            f"verify level {args.verify_level!r}: n={args.n} exceeds the {what} cap {cap}",
-        )
+        raise CliError(EXIT_DENSE_CAP, "dense_cap", f"verify level {args.verify_level!r}: "
+                       f"n={args.n} exceeds the {what} cap {cap}")
     try:
         key = seed_key(args.seed)
     except ValueError as exc:
-        raise CliError(
-            EXIT_MALFORMED,
-            "bad_arguments",
-            f"--seed must be in [-2**63, 2**63), got {args.seed}",
-        ) from exc
+        raise CliError(EXIT_MALFORMED, "bad_arguments",
+                       f"--seed must be in [-2**63, 2**63), got {args.seed}") from exc
     rows = _verify_rows(args.n, args.verify_level, key)
     width = max(len(r["check"]) for r in rows)
     failed = [r for r in rows if not r["ok"]]

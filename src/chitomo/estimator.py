@@ -413,12 +413,13 @@ def _chi_from_hits(d: int, hits: np.ndarray, m_count: int) -> tuple[np.ndarray, 
 
 def estimate_diags_from_triplets(
     record: TripletRecord, labels: list[PauliLabel]
-) -> list[Estimate]:
+) -> tuple[np.ndarray, np.ndarray]:
     """chi_mm for each label from a shared triplet log: frequency of k XOR k' = p_m(J).
 
     One readout of the record's (J, k XOR k') count table: O(M log M) to
     build the table, then one search of its sorted keys for every label's
     cells (J, p_m(J)) over the bases present, at most _SPREAD_ENTRIES at once.
+    Returns float64 values and standard errors in label order, of M = len(record).
     """
     if any(m.n != record.n for m in labels):
         raise ValueError("label and triplet qubit counts differ")
@@ -433,15 +434,12 @@ def estimate_diags_from_triplets(
         cells = gf2_apply(cols, packed[l0:l0 + step, None]) | bases << n  # [label, base]
         at = np.minimum(np.searchsorted(keys, cells), len(keys) - 1)
         hits[l0:l0 + step] = np.sum(np.where(keys[at] == cells, counts[at], 0), axis=1)
-    values, errors = _chi_from_hits(d, hits, len(record))
-    return [Estimate(float(v), float(e), len(record)) for v, e in zip(values, errors)]
+    return _chi_from_hits(d, hits, len(record))
 
 
 def sieve_large_diagonals(
-    record: TripletRecord,
-    threshold: float,
-    stats: dict | None = None,
-) -> list[tuple[PauliLabel, Estimate]]:
+    record: TripletRecord, threshold: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
     """Find every Pauli label whose chi_mm estimate exceeds the threshold.
 
     The records of cell (J, x) of the count table are consistent with the D
@@ -454,8 +452,8 @@ def sieve_large_diagonals(
     votes, the record pairs from distinct bases consistent with it.  Every
     such pair votes for one label; none is sampled.  Candidates are the labels
     hit in two bases or more, ordered by value, votes and then first vote,
-    their earliest pair of cells in table order.  ``stats``, if given, is
-    filled with the pair counters.
+    their earliest pair of cells in table order.  Returns the heavy labels
+    (packed int64) in that order, their values and errors, and the pair counters.
     """
     if not threshold > 0:
         raise ValueError("threshold must be positive")
@@ -496,10 +494,8 @@ def sieve_large_diagonals(
 
     labels, values, errors, votes, first = (np.concatenate(col) for col in zip(*found))
     order = np.lexsort((first, -votes, -values))  # by value, votes, first vote
-    if stats is not None:
-        stats.update(pairs_processed=pairs, total_pairs=total_pairs, candidates=candidates)
-    return [(PauliLabel.from_packed(n, v), Estimate(float(x), float(e), m_count))
-            for v, x, e in zip(labels[order], values[order], errors[order])]
+    stats = {"pairs_processed": pairs, "total_pairs": total_pairs, "candidates": candidates}
+    return labels[order], values[order], errors[order], stats
 
 
 # ---------------------------------------------------------------------------

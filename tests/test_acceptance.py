@@ -228,11 +228,11 @@ def test_07_triplet_record_reproduces_direct_estimates():
     triplets = run_triplet_experiments(mix, EstimatorConfig(M=100_000, seed=11))
     for text, weight in weights.items():
         m = PauliLabel.from_string(text)
-        from_log, = estimate_diags_from_triplets(triplets, [m])
+        (value,), (error,) = estimate_diags_from_triplets(triplets, [m])
         direct = estimate_chi_diag(mix, m, EstimatorConfig(M=100_000, seed=12))
-        combined = float(np.hypot(from_log.std_error, direct.std_error))
-        assert abs(from_log.value - direct.value) < 5 * combined
-        assert abs(from_log.value - weight) < 5 * from_log.std_error
+        combined = float(np.hypot(error, direct.std_error))
+        assert abs(value - direct.value) < 5 * combined
+        assert abs(value - weight) < 5 * error
 
     def timed(m_count):
         best = np.inf
@@ -263,10 +263,9 @@ def test_08_sieve_recovers_sparse_support():
     successes = 0
     for seed in range(20):
         triplets = run_triplet_experiments(mix, EstimatorConfig(M=2000, seed=seed))
-        stats = {}
-        found = sieve_large_diagonals(triplets, 0.08, stats=stats)
+        labels, _, _, stats = sieve_large_diagonals(triplets, 0.08)
         assert stats["pairs_processed"] <= 2000 * 2001 // 2
-        if {str(label) for label, _ in found} == expected:
+        if {str(PauliLabel.from_packed(4, a)) for a in labels} == expected:
             successes += 1
     assert successes >= 19
     elapsed = time.perf_counter() - start

@@ -208,7 +208,7 @@ class TestEstimateOffdiag:
             )
             assert code == 0
             row = json.loads(out)["rows"][0]
-            assert row["oracle_re"] is None
+            assert complex(row["oracle_re"], row["oracle_im"]) == want
             value = complex(row["value_re"], row["value_im"])
             assert 0 < row["std_error"] < 0.05
             assert abs(value - want) < 5 * row["std_error"]
@@ -327,10 +327,11 @@ class TestTripletsAndLogs:
         assert json.loads(err)["error"] == "malformed_input"
 
 
-class TestLogsAboveDenseCap:
-    """Above the oracle cap a --channel spec is not built, within the dense cap
-    (n=6) or beyond it (n=8): only its hash is checked against the log, and
-    the report has no oracle columns."""
+class TestLogsAtAndAboveDenseCap:
+    """A --channel spec is built for a log of any n the factory builds, up to
+    the dense cap (n=6), before its hash is checked, and the report has
+    oracle columns; above the cap (n=8) the spec is not built, only its hash
+    is checked against the log, and the report has no oracle columns."""
 
     @pytest.fixture(params=[6, 8])
     def log(self, request, tmp_path):
@@ -348,22 +349,33 @@ class TestLogsAboveDenseCap:
         [["diag-from-log", "--m", "I{rest},X{rest}"], ["sieve", "--threshold", "0.5"]],
         ids=["diag-from-log", "sieve"],
     )
-    def test_matching_spec_reports_without_oracle(self, capsys, monkeypatch, tmp_path, log,
-                                                  argv):
+    def test_matching_spec_reports_oracle_up_to_dense_cap(self, capsys, monkeypatch,
+                                                          tmp_path, log, argv):
         n, log, spec_path = log
         argv = [arg.format(rest="I" * (n - 1)) for arg in argv]
-        built = []
-        monkeypatch.setattr(cli, "channel_factory", lambda spec: built.append(spec))
+        built, factory = [], cli.channel_factory
+        monkeypatch.setattr(cli, "channel_factory",
+                            lambda spec: built.append(spec["kind"]) or factory(spec))
         code, out, _ = run(capsys, *argv, "--log", log, "--channel", spec_path)
         assert code == 0
         rows = json.loads(out)["rows"]
         assert rows[0]["m"] == "I" * n and rows[0]["value_re"] == 1.0
-        assert all(r["oracle_re"] is None and r["z_score"] is None for r in rows)
+        if n <= pauli.DENSE_QUBIT_CAP:
+            assert [r["oracle_re"] for r in rows] == [1.0, 0.0][:len(rows)]
+            assert all(r["z_score"] is not None for r in rows)
+        else:
+            assert all(r["oracle_re"] is None and r["z_score"] is None for r in rows)
         other, _ = write_spec(tmp_path, "dep.json", {"n": n, "kind": "depolarizing", "p": 0.1})
         code, _, err = run(capsys, *argv, "--log", log, "--channel", other)
         assert code == 5
         assert json.loads(err)["error"] == "hash_mismatch"
-        assert built == []
+        # A malformed spec is refused before its hash where it is built.
+        bad, _ = write_spec(tmp_path, "bad.json", {"n": n, "kind": "depolarizing", "p": 2})
+        code, _, err = run(capsys, *argv, "--log", log, "--channel", bad)
+        assert (code, json.loads(err)["error"]) == (
+            (2, "malformed_input") if n <= pauli.DENSE_QUBIT_CAP else (5, "hash_mismatch"))
+        assert built == (["identity", "depolarizing", "depolarizing"]
+                         if n <= pauli.DENSE_QUBIT_CAP else [])
 
 
 class TestSieveCommand:
@@ -459,6 +471,25 @@ def test_unwritable_out_exits_2(capsys, specs, tmp_path, argv, out):
     error = json.loads(err)
     assert error["error"] == "bad_arguments" and repr(out_path) in error["message"]
     assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("size", [["--M", "1000000000000000"], ["--epsilon", "1e-8"]],
+                         ids=["M", "epsilon"])
+@pytest.mark.parametrize("argv", [
+    ["estimate-diag", "--channel", "{dep}", "--m", "Z"],
+    ["estimate-offdiag", "--channel", "{dep}", "--m", "Z", "--n-label", "X"],
+    ["triplets", "--channel", "{dep}", "--out", "{out}"],
+], ids=["estimate-diag", "estimate-offdiag", "triplets"])
+def test_sample_size_beyond_memory_exits_4(capsys, specs, tmp_path, argv, size):
+    """A sample size below 2**63 whose draws numpy cannot allocate (10^15
+    int64 values and more, beyond any address space) exits 4 with one JSON
+    line, and triplets writes no log."""
+    out = tmp_path / "t.log"
+    code, stdout, err = run(capsys, *(a.format(dep=specs["dep"][0], out=out) for a in argv),
+                            *size)
+    assert code == 4 and stdout == ""
+    assert err.count("\n") == 1 and json.loads(err)["error"] == "out_of_memory"
+    assert not out.exists()
 
 
 class _ClosedStdout:

@@ -59,6 +59,11 @@ def L(s):
     return PauliLabel.from_string(s)
 
 
+def _names(n, labels):
+    """Packed labels as their strings, in order."""
+    return [str(PauliLabel.from_packed(n, a)) for a in labels]
+
+
 IDENT1 = channel_factory({"n": 1, "kind": "identity"})
 DEPOL1 = channel_factory({"n": 1, "kind": "depolarizing", "p": 0.2})
 ROT_X_HALF = channel_factory(
@@ -238,10 +243,10 @@ class TestNoZeroSampledError:
         """Three identity records in the X and Y bases: Z hits none of them,
         I all of them and X two."""
         record = TripletRecord(1, [1, 2, 1], [0, 0, 1], [0, 0, 1])
-        none, every, some = estimate_diags_from_triplets(record, [L("Z"), L("I"), L("X")])
-        assert (none.value, every.value) == (-0.5, 1.0)
-        assert none.std_error == every.std_error == pytest.approx(0.75 / math.sqrt(3))
-        assert some.std_error == pytest.approx(0.5)  # 1.5 sqrt(2 * 1 / (3 * 2) / 3)
+        values, errors = estimate_diags_from_triplets(record, [L("Z"), L("I"), L("X")])
+        assert values[:2].tolist() == [-0.5, 1.0]
+        assert errors[0] == errors[1] == pytest.approx(0.75 / math.sqrt(3))
+        assert errors[2] == pytest.approx(0.5)  # 1.5 sqrt(2 * 1 / (3 * 2) / 3)
 
 
 class TestEnumerateModeIsUnbiased:
@@ -626,7 +631,8 @@ def test_slicing_is_invisible(monkeypatch, seed):
                     estimate_chi_offdiag(channel, m, n_label, cfg)])
             record = run_triplet_experiments(channel, EstimatorConfig(M=300, seed=seed))
             labels = [random_label(n, rng) for _ in range(6)]
-            sampled += [record, estimate_diags_from_triplets(record, labels)]
+            columns = estimate_diags_from_triplets(record, labels)
+            sampled += [record, *(column.tolist() for column in columns)]
         return sampled, exact
 
     sampled, exact = run_all()
@@ -845,15 +851,16 @@ class TestDistribution:
 class TestDiagFromTriplets:
     def test_identity_types(self):
         trips = run_triplet_experiments(IDENT1, EstimatorConfig(M=400, seed=4))
-        assert estimate_diags_from_triplets(trips, [L("I")])[0].value == 1.0
-        est, = estimate_diags_from_triplets(trips, [L("Z")])
-        assert abs(est.value) < 5 * est.std_error
+        values, errors = estimate_diags_from_triplets(trips, [L("I"), L("Z")])
+        assert values.dtype == errors.dtype == np.float64 and values.shape == (2,)
+        assert values[0] == 1.0
+        assert abs(values[1]) < 5 * errors[1]
 
     def test_mixture_weights_recovered(self):
         trips = run_triplet_experiments(MIX2, EstimatorConfig(M=30_000, seed=5))
         for label, weight in (("II", 0.7), ("XI", 0.2), ("ZZ", 0.1)):
-            est, = estimate_diags_from_triplets(trips, [L(label)])
-            assert abs(est.value - weight) < 5 * est.std_error
+            (value,), (error,) = estimate_diags_from_triplets(trips, [L(label)])
+            assert abs(value - weight) < 5 * error
 
     def test_count_table_matches_record_scan(self):
         """Every label at n=2 against a per-record scan of the same record."""
@@ -865,27 +872,27 @@ class TestDiagFromTriplets:
                 ((d + 1) * (k ^ kp == commutation_vector(label, mub_class(2, int(j)))) - 1) / d
                 for j, k, kp in zip(trips.J, trips.k, trips.k_prime)
             ]
-            est, = estimate_diags_from_triplets(trips, [label])
-            assert abs(est.value - np.mean(stats_)) < 1e-12
-            assert abs(est.std_error - np.std(stats_, ddof=1) / math.sqrt(700)) < 1e-12
-            assert est.M == 700
+            (value,), (error,) = estimate_diags_from_triplets(trips, [label])
+            assert abs(value - np.mean(stats_)) < 1e-12
+            assert abs(error - np.std(stats_, ddof=1) / math.sqrt(700)) < 1e-12
 
     def test_many_labels_equal_per_label_calls(self):
         channel = random_channel(3, np.random.default_rng(32))
         trips = run_triplet_experiments(channel, EstimatorConfig(M=2_000, seed=32))
         labels = all_labels(3)
-        assert estimate_diags_from_triplets(trips, labels) == [
-            estimate_diags_from_triplets(trips, [m])[0] for m in labels
-        ]
+        values, errors = estimate_diags_from_triplets(trips, labels)
+        singles = [estimate_diags_from_triplets(trips, [m]) for m in labels]
+        assert values.tolist() == [value[0] for value, _ in singles]
+        assert errors.tolist() == [error[0] for _, error in singles]
         with pytest.raises(ValueError):
             estimate_diags_from_triplets(trips, [L("XYZ"), L("XY")])
 
     def test_agrees_with_direct_estimator(self):
         trips = run_triplet_experiments(MIX2, EstimatorConfig(M=30_000, seed=6))
         direct = estimate_chi_diag(MIX2, L("XI"), EstimatorConfig(M=30_000, seed=7))
-        from_log, = estimate_diags_from_triplets(trips, [L("XI")])
-        combined = math.hypot(direct.std_error, from_log.std_error)
-        assert abs(direct.value - from_log.value) < 5 * combined
+        (value,), (error,) = estimate_diags_from_triplets(trips, [L("XI")])
+        combined = math.hypot(direct.std_error, error)
+        assert abs(direct.value - value) < 5 * combined
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -913,34 +920,32 @@ class TestDiagFromTriplets:
 class TestSieve:
     def test_identity_channel_returns_identity_only(self):
         trips = run_triplet_experiments(IDENT1, EstimatorConfig(M=50, seed=8))
-        found = sieve_large_diagonals(trips, 0.5)
-        assert [str(lbl) for lbl, _ in found] == ["I"]
-        assert abs(found[0][1].value - 1) < 0.2
+        labels, values, errors, _ = sieve_large_diagonals(trips, 0.5)
+        assert labels.dtype == np.int64 and _names(1, labels) == ["I"]
+        assert abs(values[0] - 1) < 0.2
 
     def test_sparse_mixture_support_recovered_at_n4(self):
         mix4 = channel_factory(
             {"n": 4, "kind": "pauli_mixture", "weights": {"IIII": 0.6, "XIII": 0.25, "ZZII": 0.15}}
         )
         trips = run_triplet_experiments(mix4, EstimatorConfig(M=2000, seed=10))
-        stats_out: dict = {}
-        found = sieve_large_diagonals(trips, 0.08, stats=stats_out)
-        assert [str(lbl) for lbl, _ in found] == ["IIII", "XIII", "ZZII"]
-        for (lbl, est), weight in zip(found, (0.6, 0.25, 0.15)):
-            assert abs(est.value - weight) < 5 * est.std_error
+        labels, values, errors, stats_out = sieve_large_diagonals(trips, 0.08)
+        assert _names(4, labels) == ["IIII", "XIII", "ZZII"]
+        for value, error, weight in zip(values, errors, (0.6, 0.25, 0.15)):
+            assert abs(value - weight) < 5 * error
         assert stats_out["pairs_processed"] <= 2000 * 2001 // 2
         assert stats_out["pairs_processed"] == stats_out["total_pairs"]
 
     def test_small_depolarizing_keeps_identity_only(self):
         dep = channel_factory({"n": 3, "kind": "depolarizing", "p": 0.05})
         trips = run_triplet_experiments(dep, EstimatorConfig(M=3000, seed=11))
-        found = sieve_large_diagonals(trips, 0.5)
-        assert [str(lbl) for lbl, _ in found] == ["III"]
+        labels, _, _, _ = sieve_large_diagonals(trips, 0.5)
+        assert _names(3, labels) == ["III"]
 
     def test_results_sorted_descending(self):
         trips = run_triplet_experiments(MIX2, EstimatorConfig(M=5000, seed=12))
-        found = sieve_large_diagonals(trips, 0.05)
-        values = [est.value for _, est in found]
-        assert values == sorted(values, reverse=True)
+        _, values, _, _ = sieve_large_diagonals(trips, 0.05)
+        assert values.tolist() == sorted(values, reverse=True)
 
     def test_large_record_processes_every_pair(self):
         """A large record still has every one of its ~2.1e7 record pairs vote."""
@@ -948,10 +953,9 @@ class TestSieve:
             {"n": 1, "kind": "pauli_mixture", "weights": {"I": 0.8, "X": 0.2}}
         )
         trips = run_triplet_experiments(mix, EstimatorConfig(M=8000, seed=13))
-        stats_out: dict = {}
-        found = sieve_large_diagonals(trips, 0.1, stats=stats_out)
+        labels, _, _, stats_out = sieve_large_diagonals(trips, 0.1)
         assert stats_out["pairs_processed"] == stats_out["total_pairs"]
-        assert {str(lbl) for lbl, _ in found} == {"I", "X"}
+        assert set(_names(1, labels)) == {"I", "X"}
 
     def test_synthetic_pauli_log_above_dense_cap(self):
         """n=7 records drawn from a Pauli channel with commutation vectors only."""
@@ -966,11 +970,11 @@ class TestSieve:
             k ^ commutation_vector(labels[a], mub_class(n, int(j)))
             for j, k, a in zip(js, ks, drawn)
         ]
-        stats_out: dict = {}
-        found = sieve_large_diagonals(TripletRecord(n, js, ks, k_primes), 0.08, stats_out)
-        assert [str(lbl) for lbl, _ in found] == list(weights)
-        for (_, est), weight in zip(found, weights.values()):
-            assert abs(est.value - weight) < 5 * est.std_error
+        record = TripletRecord(n, js, ks, k_primes)
+        labels, values, errors, stats_out = sieve_large_diagonals(record, 0.08)
+        assert _names(n, labels) == list(weights)
+        for value, error, weight in zip(values, errors, weights.values()):
+            assert abs(value - weight) < 5 * error
         assert stats_out["pairs_processed"] == stats_out["total_pairs"]
 
     def test_input_validation(self):
@@ -1057,10 +1061,9 @@ class TestSieveAgainstPairs:
         record = make()
         want, want_stats, keys = _pair_reference(record, 1e-12)
         assert any(a == b for a, b in zip(keys, keys[1:]))  # ties the first vote breaks
-        stats_out: dict = {}
-        got = sieve_large_diagonals(record, 1e-12, stats_out)
-        assert [m for m, _ in got] == [m for m, _ in want]
-        assert all(abs(est.value - v) < 1e-12 for (_, est), (_, v) in zip(got, want))
+        labels, values, _, stats_out = sieve_large_diagonals(record, 1e-12)
+        assert _names(record.n, labels) == [str(m) for m, _ in want]
+        assert all(abs(value - v) < 1e-12 for value, (_, v) in zip(values, want, strict=True))
         assert stats_out == want_stats
 
 
