@@ -58,7 +58,7 @@ def test_exact_mode_equals_oracle(kind, n):
     spec, m, n_label = _case(kind, n)
     channel = channel_factory(spec)
     m, n_label = PauliLabel.from_string(m), PauliLabel.from_string(n_label)
-    diag, offdiag = exact_chi_entries(channel, [(m, m), (m, n_label)])
+    diag, offdiag = exact_chi_entries(channel, [m.packed] * 2, [m.packed, n_label.packed])
     assert abs(diag) > 1e-3 or abs(offdiag) > 1e-3  # not a trivial zero
     assert abs(estimate_chi_diag(channel, m, ENUMERATE).value - diag) <= 1e-9
     assert abs(estimate_chi_offdiag(channel, m, n_label, ENUMERATE).value - offdiag) <= 1e-9

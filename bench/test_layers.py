@@ -340,6 +340,20 @@ def test_sieve_every_candidate_peak_memory():
     assert peak < 300e6
 
 
+def test_sieve_every_candidate_report(benchmark, tmp_path):
+    """`chitomo sieve --threshold 1e-12` end to end on the n=12, M=1000 log
+    of the 3-label channel, where all 243,658 candidates pass: the sieve,
+    the batch label printer and the JSON report written to --out, one round."""
+    log, out = tmp_path / "t.log", tmp_path / "report.json"
+    write_triplet_log(log, _synthetic_pauli_log(12, 1000, _sieve_weights(12), seed=12), 12,
+                      "ab" * 32)
+    argv = ["sieve", "--log", str(log), "--threshold", "1e-12", "--out", str(out)]
+    code = benchmark.pedantic(cli.main, args=(argv,), rounds=1, iterations=1)
+    report = json.loads(out.read_text())
+    assert code == 0 and len(report["rows"]) == report["sieve_stats"]["candidates"] == 243_658
+    assert [row["m"] for row in report["rows"][:3]] == list(_sieve_weights(12))
+
+
 def _mixture_spec(n, count):
     """An equal-weight Pauli mixture over the first `count` labels."""
     return {"n": n, "kind": "pauli_mixture",
@@ -481,7 +495,7 @@ def test_oracle_one_pair(benchmark, how):
     channel = channel_factory(_mixture_spec(4, 64))
     m, n_label = label_from_index(4, 5), label_from_index(4, 9)
     if how == "entries":
-        value = benchmark(lambda: exact_chi_entries(channel, [(m, n_label)])[0])
+        value = benchmark(lambda: exact_chi_entries(channel, [m.packed], [n_label.packed])[0])
     else:
         value = benchmark(lambda: exact_chi(channel).entry(m, n_label))
     assert abs(value) < 1e-12
@@ -491,8 +505,8 @@ def test_oracle_one_diagonal_fresh_channel(benchmark):
     """One diagonal chi entry of a 64-label n=4 mixture built fresh each
     round, as estimate-diag reads its oracle column once per channel: no
     round reads a dense expansion that an earlier round cached."""
-    spec, m = _mixture_spec(4, 64), label_from_index(4, 27)
-    value = benchmark.pedantic(lambda channel: exact_chi_entries(channel, [(m, m)])[0],
+    spec, m = _mixture_spec(4, 64), label_from_index(4, 27).packed
+    value = benchmark.pedantic(lambda channel: exact_chi_entries(channel, [m], [m])[0],
                                setup=lambda: ((channel_factory(spec),), {}),
                                rounds=200, iterations=1)
     assert value == 1 / 64

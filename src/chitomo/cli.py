@@ -39,7 +39,6 @@ import numpy as np
 from . import __version__
 from .channels import ChannelSpecError, channel_factory, read_channel_spec
 from .estimator import (
-    Estimate,
     EstimatorConfig,
     SingleBaseError,
     TripletLogError,
@@ -68,6 +67,7 @@ from .pauli import (
     class_generators,
     commutation_columns,
     gf2_apply,
+    label_strings,
 )
 
 EXIT_OK = 0
@@ -170,33 +170,31 @@ def _z_score(diff: float, std_error: float) -> float | None:
     return 0.0 if abs(diff) <= 1e-9 else None
 
 
-def _report(command: str, config: dict | EstimatorConfig, entries: list, channel,
-            channel_hash: str | None, out: str | None, **extra) -> int:
-    """Emit one estimating command's report: the config (an EstimatorConfig's
-    fields), a row per (protocol, m, n_label, Estimate) entry, then the
+def _report(command: str, config: dict, protocol: str, n: int, m, n_label, values, errors,
+            sample_count: int, channel, channel_hash: str | None, out: str | None,
+            **extra) -> int:
+    """Emit one estimating command's report: the config, a row per entry of
+    the columns (packed n-qubit labels m and n_label, None for diagonal rows;
+    value and error arrays, all from sample_count experiments), then the
     manifest and the extra keys.  The oracle columns are exact chi_mn, real
-    for a diagonal row (n_label None), when the channel is given.  The
-    z-score is then signed for a real estimate and a magnitude for a complex
-    one."""
-    if isinstance(config, EstimatorConfig):
-        config = {"M": config.M, "epsilon": config.epsilon, "seed": config.seed,
-                  "mode": config.mode, "enumerate_design": config.mode == "exact"}
-    oracles = [None] * len(entries)
-    if channel is not None:
-        oracles = exact_chi_entries(
-            channel, [(m, m if n_label is None else n_label) for _, m, n_label, _ in entries])
+    for a diagonal row, when the channel is given; the z-score is then signed
+    for a real value and a magnitude for a complex one."""
+    m_text = label_strings(n, m)
+    n_text = [None] * len(m_text) if n_label is None else label_strings(n, n_label)
+    oracles = ([None] * len(m_text) if channel is None
+               else exact_chi_entries(channel, m, m if n_label is None else n_label))
     rows = []
-    for (protocol, m, n_label, est), oracle in zip(entries, oracles, strict=True):
-        value = complex(est.value)
-        row = {"protocol": protocol, "m": str(m),
-               "n_label": None if n_label is None else str(n_label),
-               "value_re": value.real, "value_im": value.imag, "std_error": est.std_error,
-               "M": est.M, "oracle_re": None, "oracle_im": None, "z_score": None}
+    for m_str, n_str, raw, error, oracle in zip(m_text, n_text, values.tolist(),
+                                                errors.tolist(), oracles, strict=True):
+        value = complex(raw)
+        row = {"protocol": protocol, "m": m_str, "n_label": n_str,
+               "value_re": value.real, "value_im": value.imag, "std_error": error,
+               "M": sample_count, "oracle_re": None, "oracle_im": None, "z_score": None}
         if oracle is not None:
-            oracle = complex(oracle.real if n_label is None else oracle)
+            oracle = complex(oracle.real if n_str is None else oracle)
             diff = value - oracle
             row.update(oracle_re=oracle.real, oracle_im=oracle.imag, z_score=_z_score(
-                abs(diff) if isinstance(est.value, complex) else diff.real, est.std_error))
+                abs(diff) if isinstance(raw, complex) else diff.real, error))
         rows.append(row)
     report = {"config": config, "rows": rows,
               "manifest": _manifest(command, channel_hash, config), **extra}
@@ -204,22 +202,19 @@ def _report(command: str, config: dict | EstimatorConfig, entries: list, channel
     return EXIT_OK
 
 
-def cmd_estimate_diag(args) -> int:
+def cmd_estimate(args) -> int:
+    """estimate-diag, whose args.n_label is None, and estimate-offdiag."""
     channel, digest = _load_channel(args.channel)
     m = _parse_label(args.m, channel.n)
+    n_label = None if args.n_label is None else _parse_label(args.n_label, channel.n)
     cfg = _config_from_args(args)
-    est = estimate_chi_diag(channel, m, cfg)
-    return _report("estimate-diag", cfg, [("diag", m, None, est)], channel,
-                   digest, args.out)
-
-
-def cmd_estimate_offdiag(args) -> int:
-    channel, digest = _load_channel(args.channel)
-    m = _parse_label(args.m, channel.n)
-    n_label = _parse_label(args.n_label, channel.n)
-    cfg = _config_from_args(args)
-    est = estimate_chi_offdiag(channel, m, n_label, cfg)
-    return _report("estimate-offdiag", cfg, [("offdiag", m, n_label, est)], channel,
+    est = (estimate_chi_diag(channel, m, cfg) if n_label is None
+           else estimate_chi_offdiag(channel, m, n_label, cfg))
+    config = {"M": cfg.M, "epsilon": cfg.epsilon, "seed": cfg.seed, "mode": cfg.mode,
+              "enumerate_design": cfg.mode == "exact"}
+    return _report(args.command, config, "diag" if n_label is None else "offdiag", channel.n,
+                   [m.packed], None if n_label is None else [n_label.packed],
+                   np.array([est.value]), np.array([est.std_error]), est.M, channel,
                    digest, args.out)
 
 
@@ -252,10 +247,9 @@ def cmd_diag_from_log(args) -> int:
     record, meta, channel = _load_log_with_optional_channel(args)
     labels = [_parse_label(text, meta["n"]) for arg in args.m for text in arg.split(",")]
     values, errors = estimate_diags_from_triplets(record, labels)
-    entries = [("triplet_diag", m, None, Estimate(value, error, len(record)))
-               for m, value, error in zip(labels, values.tolist(), errors.tolist())]
-    return _report("diag-from-log", {"log": args.log, **meta}, entries, channel,
-                   meta["channel"], args.out)
+    return _report("diag-from-log", {"log": args.log, **meta}, "triplet_diag", record.n,
+                   [a.packed for a in labels], None, values, errors, len(record),
+                   channel, meta["channel"], args.out)
 
 
 def cmd_sieve(args) -> int:
@@ -263,11 +257,9 @@ def cmd_sieve(args) -> int:
         raise CliError(EXIT_MALFORMED, "bad_arguments", "--threshold must be finite and positive")
     record, meta, channel = _load_log_with_optional_channel(args)
     labels, values, errors, stats = sieve_large_diagonals(record, args.threshold)
-    entries = [("sieve", PauliLabel.from_packed(record.n, a), None, Estimate(x, e, len(record)))
-               for a, x, e in zip(labels.tolist(), values.tolist(), errors.tolist())]
     config = {"log": args.log, "threshold": args.threshold, **meta}
-    return _report("sieve", config, entries, channel, meta["channel"], args.out,
-                   sieve_stats=stats)
+    return _report("sieve", config, "sieve", record.n, labels, None, values, errors,
+                   len(record), channel, meta["channel"], args.out, sieve_stats=stats)
 
 
 # ---------------------------------------------------------------------------
@@ -381,10 +373,10 @@ _M = ("--m", {"required": True, "help": "Pauli label, e.g. XI"})
 _LOG = ("--log", {"required": True, "help": "triplet log path"})
 
 _COMMANDS = {
-    "estimate-diag": ("estimate one diagonal coefficient", {"func": cmd_estimate_diag}, (
+    "estimate-diag": ("estimate one diagonal coefficient",
+                      {"func": cmd_estimate, "n_label": None}, (
         _CHANNEL, _M, *_SAMPLING, _MODE, _OUT)),
-    "estimate-offdiag": ("estimate one off-diagonal coefficient",
-                         {"func": cmd_estimate_offdiag}, (
+    "estimate-offdiag": ("estimate one off-diagonal coefficient", {"func": cmd_estimate}, (
         _CHANNEL, _M, ("--n-label", {"required": True, "help": "second Pauli label, e.g. ZY"}),
         *_SAMPLING, _MODE, _OUT)),
     "triplets": ("run experiments and write a triplet log",

@@ -16,7 +16,7 @@ lives here alone: :class:`ChiMatrix`, the Pauli-coefficient expansion
 c_km = Tr(E_m^dag A_k) / D over the canonical Pauli basis (see
 :func:`chitomo.pauli.label_index` for the ordering), and
 chi_mn = sum_k c_km conj(c_kn), summed by :func:`exact_chi` for every
-label pair and by :func:`exact_chi_entries` for the pairs asked.
+label pair and by :func:`exact_chi_entries` for the label rows asked.
 Desk-scale only: chi matrices are 4**n x 4**n, so :func:`exact_chi` caps n
 at 4, with an opt-in up to the hard cap n = 5, where the design sums stop.
 """
@@ -46,7 +46,8 @@ logger = logging.getLogger(__name__)
 ORACLE_QUBIT_CAP = 4
 ORACLE_QUBIT_HARD_CAP = 5
 
-# trace_identity_residual applies the channel to this many matrix entries at a time
+# pauli_coefficients expands the bases of, and trace_identity_residual applies
+# the channel to, this many matrix entries at a time
 _STACK_ENTRIES = 2**20
 
 
@@ -70,9 +71,15 @@ class ChiMatrix:
 
 
 def pauli_coefficients(channel: Channel, labels) -> np.ndarray:
-    """c[k, m] = Tr(E_m^dag A_k) / D for the packed labels m = labels[m]."""
-    basis = pauli_matrices(channel.n, labels)  # conjugated in place: it is ours
-    return np.einsum("mji,kji->km", np.conj(basis, out=basis), channel.operators) / 2**channel.n
+    """c[k, m] = Tr(E_m^dag A_k) / D for the packed labels m = labels[m],
+    from their dense bases built at most 2**20 matrix entries at a time."""
+    c = np.empty((len(channel.operators), len(labels)), dtype=complex)
+    step = max(1, _STACK_ENTRIES // 4**channel.n)
+    for start in range(0, len(labels), step):
+        basis = pauli_matrices(channel.n, labels[start:start + step])  # ours: conjugated in place
+        c[:, start:start + step] = np.einsum("mji,kji->km", np.conj(basis, out=basis),
+                                             channel.operators) / 2**channel.n
+    return c
 
 
 def exact_chi(channel: Channel, max_n: int = ORACLE_QUBIT_CAP) -> ChiMatrix:
@@ -93,28 +100,29 @@ def exact_chi(channel: Channel, max_n: int = ORACLE_QUBIT_CAP) -> ChiMatrix:
     return ChiMatrix(n, np.einsum("km,kn->mn", c, c.conj()))
 
 
-def exact_chi_entries(
-    channel: Channel, pairs: list[tuple[PauliLabel, PauliLabel]]
-) -> list[complex]:
-    """chi_mn for each (m, n) pair, without building the rest of chi.
+def exact_chi_entries(channel: Channel, m, n_label) -> list[complex]:
+    """chi_mn for each row (m[i], n_label[i]) of two equal-length columns of
+    labels packed for the channel's n, without building the rest of chi;
+    ValueError names the first label outside [0, 4**n).
 
     A Pauli channel's chi is diagonal, chi_mm the sum of its weights on label
     m (a repeated label's weights add up): it is read off the weight map, with
-    no operator built, in O(K) per pair.  A Kraus set is expanded over the
-    distinct labels of the pairs only: c_km = Tr(E_m^dag A_k) / D and
-    chi_mn = sum_k c_km conj(c_kn), the same sums :func:`exact_chi` does for
-    every label.  O(K D^2) per distinct label, so no oracle cap applies
-    beyond the dense one of ``pauli_matrices``.
+    no operator built, in O(K) per row.  A Kraus set is expanded over the
+    distinct labels of the rows only, in order of first appearance:
+    c_km = Tr(E_m^dag A_k) / D and chi_mn = sum_k c_km conj(c_kn), the same
+    sums :func:`exact_chi` does for every label.  O(K D^2) per distinct
+    label, so no oracle cap applies beyond the dense one of ``pauli_matrices``.
     """
+    pairs = list(zip(np.asarray(m).tolist(), np.asarray(n_label).tolist(), strict=True))
+    labels = [a for pair in pairs for a in pair]
+    if (bad := next((a for a in labels if not 0 <= a < 4**channel.n), None)) is not None:
+        raise ValueError(f"packed label {bad} out of range for n={channel.n}")
     if isinstance(channel, PauliChannel):
-        return [complex(channel.weights[channel.labels == m.packed].sum()) if m == n_label
-                else 0j for m, n_label in pairs]
-    if not pairs:
-        return []
-    labels = list(dict.fromkeys(a for pair in pairs for a in pair))
-    col = {a: i for i, a in enumerate(labels)}
-    c = pauli_coefficients(channel, [a.packed for a in labels])
-    return [complex(c[:, col[m]] @ c[:, col[n_label]].conj()) for m, n_label in pairs]
+        return [complex(channel.weights[channel.labels == a].sum()) if a == b else 0j
+                for a, b in pairs]
+    col = {a: i for i, a in enumerate(dict.fromkeys(labels))}
+    c = pauli_coefficients(channel, list(col))
+    return [complex(c[:, col[a]] @ c[:, col[b]].conj()) for a, b in pairs]
 
 
 def _design_sum(channel: Channel, left: np.ndarray | None = None,
@@ -250,7 +258,7 @@ def oracle_report(channel: Channel, samples: int = 5, seed: int = 0) -> OracleRe
     for _ in range(samples):
         m = random_label(channel.n, rng)
         fid = exact_average_fidelity(modified_channel_diag(channel, m))
-        want = (d * exact_chi_entries(channel, [(m, m)])[0].real + 1) / (d + 1)
+        want = (d * exact_chi_entries(channel, [m.packed], [m.packed])[0].real + 1) / (d + 1)
         fid_res = max(fid_res, abs(fid - want))
 
     off_res = 0.0
@@ -259,7 +267,7 @@ def oracle_report(channel: Channel, samples: int = 5, seed: int = 0) -> OracleRe
         m = random_label(channel.n, rng)
         n_label = random_label(channel.n, rng)
         delta = 1.0 if m == n_label else 0.0
-        want = (d * exact_chi_entries(channel, [(m, n_label)])[0] + delta) / (d + 1)
+        want = (d * exact_chi_entries(channel, [m.packed], [n_label.packed])[0] + delta) / (d + 1)
         off = exact_offdiag_average(channel, m, n_label)
         off_res = max(off_res, abs(off - want))
         px = exact_ancilla_polarization(channel, m, n_label, "x")

@@ -101,8 +101,8 @@ class PauliLabel:
         return cls(n, v & ((1 << n) - 1), v >> n)
 
     def to_string(self) -> str:
-        x, z = self.x_bits, self.z_bits
-        return "".join("IXZY"[(x >> i & 1) + 2 * (z >> i & 1)] for i in range(self.n))
+        """The one-label case of :func:`label_strings`."""
+        return label_strings(self.n, [self.packed])[0]
 
     def __str__(self) -> str:
         return self.to_string()
@@ -156,6 +156,15 @@ def packed_from_strings(n: int, letters: str) -> np.ndarray:
     x, z = (np.frombuffer(letters.translate(bit).encode(), np.uint8).reshape(-1, n) - 48
             for bit in (_X_BIT, _Z_BIT))
     return x @ place | (z @ place) << n
+
+
+def label_strings(n: int, labels) -> list[str]:
+    """The n-letter strings of many packed labels (Python ints past 63 bits,
+    n > 31), qubit 0 leftmost: a qubit's letter is "IXZY"[x + 2z]."""
+    labels = np.asarray(labels, dtype=np.int64 if n < 32 else object)[:, None]
+    qubits = np.arange(n)
+    codes = ((labels >> qubits & 1) | (labels >> (qubits + n) & 1) << 1).astype(np.uint8)
+    return np.frombuffer(b"IXZY", np.uint8)[codes].view(f"S{n}").astype(f"U{n}").ravel().tolist()
 
 
 def _check_same_n(a: PauliLabel, b: PauliLabel) -> None:

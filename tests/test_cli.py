@@ -21,7 +21,7 @@ from chitomo.channels import (
     matrix_to_json,
     read_channel_spec,
 )
-from chitomo.estimator import Estimate, EstimatorConfig, TripletRecord, write_triplet_log
+from chitomo.estimator import TripletRecord, write_triplet_log
 from chitomo.oracle import exact_chi
 from chitomo.pauli import PauliLabel
 
@@ -145,6 +145,17 @@ class TestEstimateDiag:
         )
         assert code == 4
         assert json.loads(err)["error"] == "dense_cap"
+
+    def test_labels_are_read_before_the_sampling_flags(self, capsys, specs):
+        """estimate-offdiag reads the spec, --m, --n-label, then the sampling
+        flags: a bad --n-label exits 3 even beside a refused --M 0."""
+        path, _ = specs["dep"]
+        code, _, err = run(capsys, "estimate-offdiag", "--channel", path, "--m", "X",
+                           "--n-label", "Q", "--M", "0")
+        assert code == 3 and json.loads(err)["error"] == "invalid_label"
+        code, _, err = run(capsys, "estimate-offdiag", "--channel", path, "--m", "X",
+                           "--n-label", "Z", "--M", "0")
+        assert code == 2 and json.loads(err)["error"] == "bad_arguments"
 
     def test_missing_sample_size_exits_2(self, capsys, specs):
         path, _ = specs["dep"]
@@ -1146,27 +1157,33 @@ class TestReports:
 
 
 class TestReportRows:
-    """cli._report's rows and scores, with exact_chi_entries patched to
-    return the given oracle values."""
+    """cli._report's rows and scores from label columns, with
+    exact_chi_entries patched to return the given oracle values."""
 
     @staticmethod
-    def report(capsys, monkeypatch, entries, oracles, config=None):
-        monkeypatch.setattr(cli, "exact_chi_entries", lambda channel, pairs: oracles)
+    def report(capsys, monkeypatch, protocol, m, n_label, values, errors, sample_count,
+               oracles, config=None):
+        monkeypatch.setattr(cli, "exact_chi_entries", lambda channel, m, n_label: oracles)
         channel = channel_factory({"n": 1, "kind": "identity"})
-        assert cli._report("estimate-diag", config or {}, entries, channel, None, None) == 0
+        packed = [L(a).packed for a in m]
+        n_packed = None if n_label is None else [L(a).packed for a in n_label]
+        assert cli._report("estimate-diag", config or {}, protocol, 1, packed, n_packed,
+                           np.array(values), np.array(errors), sample_count, channel,
+                           None, None) == 0
         return json.loads(capsys.readouterr().out)
 
-    def test_empty(self, capsys, monkeypatch):
-        report = self.report(capsys, monkeypatch, [], [], {"seed": 0})
-        assert report["config"] == {"seed": 0} and report["rows"] == []
-        report = self.report(capsys, monkeypatch, [], [], EstimatorConfig(M=5, seed=-2))
+    def test_empty(self, capsys, monkeypatch, specs):
+        path, _ = specs["dep"]  # an estimate's config echo: the EstimatorConfig's fields
+        report = json.loads(run(capsys, "estimate-diag", "--channel", path, "--m", "Z",
+                                "--M", "5", "--seed", "-2")[1])
         assert report["config"] == {"M": 5, "epsilon": None, "seed": -2, "mode": "sampled",
                                     "enumerate_design": False}
         assert report["manifest"]["config"] == report["config"]
+        report = self.report(capsys, monkeypatch, "diag", [], None, [], [], 0, [], {"seed": 0})
+        assert report["config"] == {"seed": 0} and report["rows"] == []
 
     def test_diag_row_with_oracle(self, capsys, monkeypatch):
-        est = Estimate(0.052, 0.002, 1000)
-        row, = self.report(capsys, monkeypatch, [("diag", L("Z"), None, est)],
+        row, = self.report(capsys, monkeypatch, "diag", ["Z"], None, [0.052], [0.002], 1000,
                            [0.05 + 0.3j])["rows"]
         assert row == {"protocol": "diag", "m": "Z", "n_label": None, "value_re": 0.052,
                        "value_im": 0.0, "std_error": 0.002, "M": 1000, "oracle_re": 0.05,
@@ -1174,20 +1191,19 @@ class TestReportRows:
         assert abs(row["z_score"] - 1.0) < 1e-12
 
     def test_complex_row_uses_magnitude_z(self, capsys, monkeypatch):
-        est = Estimate(0.1 + 0.2j, 0.05, 100)
-        row, = self.report(capsys, monkeypatch, [("offdiag", L("I"), L("X"), est)],
-                           [0.1 + 0.1j])["rows"]
+        row, = self.report(capsys, monkeypatch, "offdiag", ["I"], ["X"], [0.1 + 0.2j], [0.05],
+                           100, [0.1 + 0.1j])["rows"]
         assert (row["n_label"], row["oracle_re"], row["oracle_im"]) == ("X", 0.1, 0.1)
         assert abs(row["z_score"] - 2.0) < 1e-12
 
     def test_exact_row_scores_zero(self, capsys, monkeypatch):
-        est = Estimate(1.0, 0.0, 6)
-        row, = self.report(capsys, monkeypatch, [("diag", L("I"), None, est)], [1.0])["rows"]
+        row, = self.report(capsys, monkeypatch, "diag", ["I"], None, [1.0], [0.0], 6,
+                           [1.0])["rows"]
         assert row["z_score"] == 0.0
 
     def test_exact_row_missing_oracle_scores_null(self, capsys, monkeypatch):
-        est = Estimate(0.5, 0.0, 6)
-        row, = self.report(capsys, monkeypatch, [("diag", L("I"), None, est)], [1.0])["rows"]
+        row, = self.report(capsys, monkeypatch, "diag", ["I"], None, [0.5], [0.0], 6,
+                           [1.0])["rows"]
         assert row["z_score"] is None  # written as null: the report is strict JSON
 
     def test_sampled_rows_report_no_zero_error(self, capsys, tmp_path):

@@ -1,5 +1,7 @@
 """The exact ground-truth layer: chi, fidelities, and channel identities."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,14 @@ from chitomo.oracle import (
     random_label,
     trace_identity_residual,
 )
-from chitomo.pauli import DenseCapError, PauliLabel, all_labels, pauli_matrices, pauli_matrix
+from chitomo.pauli import (
+    DenseCapError,
+    PauliLabel,
+    all_labels,
+    all_packed_labels,
+    pauli_matrices,
+    pauli_matrix,
+)
 
 from reference import (
     kron_pauli_basis,
@@ -284,6 +293,12 @@ class TestOracleReport:
         assert info.traceback[-1].name == "_design_sum"
 
 
+def chi_entries(channel, pairs):
+    """exact_chi_entries on the packed columns of (m, n_label) label pairs."""
+    return exact_chi_entries(channel, [m.packed for m, _ in pairs],
+                             [n_label.packed for _, n_label in pairs])
+
+
 def label_pairs(n, rng):
     """Every label pair at n <= 2, and 200 sampled pairs above."""
     if n <= 2:
@@ -299,7 +314,7 @@ class TestExactChiEntries:
         channel = channel_factory(seven_kinds(n)[kind])
         chi = exact_chi(channel)
         pairs = label_pairs(n, np.random.default_rng(n))
-        got = exact_chi_entries(channel, pairs)
+        got = chi_entries(channel, pairs)
         want = [chi.entry(m, n_label) for m, n_label in pairs]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -310,7 +325,7 @@ class TestExactChiEntries:
         rng = np.random.default_rng(n + 40)
         channel = random_pauli_channel(n, rng, ops=2 * n + 1)
         pairs = [(a, a) for a in pauli_channel_labels(channel)] + label_pairs(n, rng)
-        got = exact_chi_entries(channel, pairs)
+        got = chi_entries(channel, pairs)
         full = exact_chi(channel)
         want = [full.entry(m, n_label) for m, n_label in pairs]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -322,19 +337,65 @@ class TestExactChiEntries:
         z = L("Z" + "I" * (n - 1)).packed
         channel = PauliChannel(n, np.array([0, z, 1, z, 3]), np.array([0.5, 0.1, 0.2, 0.2, 0.0]))
         pairs = label_pairs(n, None)
-        got = exact_chi_entries(channel, pairs)
+        got = chi_entries(channel, pairs)
         full = exact_chi(channel)
         want = [full.entry(m, n_label) for m, n_label in pairs]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
         assert got[pairs.index((L("Z" + "I" * (n - 1)),) * 2)] == 0.1 + 0.2
 
-    def test_repeated_labels_and_order(self):
+    def test_repeated_labels_and_order(self, monkeypatch):
+        """Rows come back in order; each distinct label is expanded once, in
+        order of first appearance."""
         channel = channel_factory(seven_kinds(2)["compose"])
         chi = exact_chi(channel)
+        expanded = []
+
+        def pauli_coefficients(channel, labels):
+            expanded.append(list(labels))
+            return coefficients(channel, labels)
+
+        coefficients = oracle_module.pauli_coefficients
+        monkeypatch.setattr(oracle_module, "pauli_coefficients", pauli_coefficients)
         pairs = [(L("XZ"), L("II")), (L("II"), L("XZ")), (L("XZ"), L("XZ")), (L("II"), L("XZ"))]
-        got = exact_chi_entries(channel, pairs)
+        got = chi_entries(channel, pairs)
         np.testing.assert_allclose(got, [chi.entry(m, n) for m, n in pairs], atol=1e-12)
-        assert exact_chi_entries(channel, []) == []
+        assert expanded == [[L("XZ").packed, 0]]
+        assert exact_chi_entries(channel, [], []) == []
+
+    @pytest.mark.parametrize("spec", [{"n": 1, "kind": "depolarizing", "p": 0.3},
+                                      {"n": 1, "kind": "amplitude_damping", "gamma": 0.3}])
+    def test_labels_outside_the_channel_are_refused(self, spec):
+        """Both channel forms refuse a packed label outside [0, 4**n), as the
+        2-qubit ZZ (12) at n = 1, naming the first in row order (m, then
+        n_label, row by row); a 2-qubit label that fits, XX (3), reads as
+        the 1-qubit Y it packs to."""
+        channel = channel_factory(spec)
+        for m, n_label, bad in (([12], [12], 12), ([0, 1], [5, 4], 5), ([4], [-1], 4),
+                                ([0], [-1], -1)):
+            with pytest.raises(ValueError, match=rf"^packed label {bad} out of range for n=1$"):
+                exact_chi_entries(channel, m, n_label)
+        assert exact_chi_entries(channel, [3], [3]) == chi_entries(channel, [(L("Y"), L("Y"))])
+
+    def test_sliced_expansion_equals_one_expansion(self, monkeypatch):
+        """At n = 5 all 1,024 labels fit in one expansion of 2**20 basis
+        entries; in slices of 16 labels (2**14 entries) the coefficients and
+        entries are the same bits, and the tracemalloc peak stays far below
+        the 16 MB of the whole basis."""
+        channel = channel_factory(seven_kinds(5)["kraus"])
+        labels = all_packed_labels(5)
+        rows = np.random.default_rng(5).integers(0, 4**5, size=(2, 200))
+        whole = oracle_module.pauli_coefficients(channel, labels)
+        whole_entries = exact_chi_entries(channel, *rows)
+        monkeypatch.setattr(oracle_module, "_STACK_ENTRIES", 2**14)
+        tracemalloc.start()
+        try:
+            sliced = oracle_module.pauli_coefficients(channel, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(whole.view(np.uint64), sliced.view(np.uint64))
+        assert exact_chi_entries(channel, *rows) == whole_entries
+        assert peak < 2e6
 
 
 # Per-state loops of the design sums, one apply_channel call per design state:

@@ -18,6 +18,7 @@ from chitomo.pauli import (
     gf2_apply,
     index_bit_tables,
     label_from_index,
+    label_strings,
     label_index,
     mub_class,
     mub_classes,
@@ -56,6 +57,23 @@ def kron_reference(a):
 
 
 class TestLabelBasics:
+    def test_label_strings_print_each_label(self):
+        """The batch printer equals one label printed at a time, and the
+        per-qubit letter rule: every label at n = 1-3, and 1,000 seeded
+        labels at n = 12."""
+        def letters(a):
+            return "".join("IXZY"[(a.x_bits >> i & 1) + 2 * (a.z_bits >> i & 1)]
+                           for i in range(a.n))
+
+        columns = [(n, all_packed_labels(n)) for n in (1, 2, 3)]
+        columns.append((12, np.random.default_rng(12).integers(0, 4**12, size=1000)))
+        for n, labels in columns:
+            one = [PauliLabel.from_packed(n, a) for a in labels]
+            assert label_strings(n, labels) == [str(a) for a in one] == list(map(letters, one))
+        assert label_strings(1, [0, 1, 2, 3]) == ["I", "X", "Z", "Y"]
+        assert label_strings(3, np.array([], dtype=np.int64)) == label_strings(2, []) == []
+        assert str(L("xyzi" * 10)) == "XYZI" * 10  # 80 bits, read as a Python int
+
     def test_string_round_trip(self):
         for s in ("I", "X", "Y", "Z", "XIZ", "YYXZ", "IIII"):
             assert L(s).to_string() == s

@@ -6,7 +6,7 @@ Usage, from the repository root:
     python tools/replay.py --out A.jsonl --seed 11 --seed 12
     python tools/replay.py --diff A.jsonl B.jsonl
 
-Three sections, one JSON line per record:
+Four sections, one JSON line per record:
 
 * ``plan``: every command of the three benchmark plans
   (``perfbench/workloads.py``) at each seed, run in order through
@@ -14,7 +14,11 @@ Three sections, one JSON line per record:
   first, as a benchmark worker runs them (``perfbench/worker.py``);
 * ``verify``: ``verify --verify-level full`` at n = 1-4, seeds 0 and 12;
 * ``exact_chi``: the oracle's chi of one channel of each spec kind at
-  n = 1-4, and of the amplitude damping one at n = 5, as a uint64 view.
+  n = 1-4, and of the amplitude damping one at n = 5, as a uint64 view;
+* ``logs``: for one channel of each spec kind at n = 2 and 4 (n = 2 alone
+  with ``--small``), and the amplitude damping one at n = 6, ``triplets
+  --M 2000``, then ``sieve --threshold 1e-12`` and ``diag-from-log`` on 8
+  seeded labels, both with ``--channel``, so with oracle columns.
 
 A command's record holds its argv, exit code and the sha256 of its stdout,
 its stderr and the file it writes with ``--out`` (a triplet log), if any.
@@ -56,7 +60,7 @@ import chitomo.cli as cli  # noqa: E402
 from chitomo.channels import channel_factory  # noqa: E402
 from chitomo.oracle import exact_chi  # noqa: E402
 from worker import package_caches, run_command  # noqa: E402
-from workloads import WORKLOADS, _small_specs, build_plan, write_inputs  # noqa: E402
+from workloads import WORKLOADS, _small_specs, build_plan, random_label, write_inputs  # noqa: E402
 
 VERIFY_SEEDS = (0, 12)
 BLOCK_LINES = 512
@@ -130,9 +134,30 @@ def _command_record(record_id: str, argv: list[str], work: str) -> dict:
     }
 
 
+def _log_records(small: bool):
+    """Yield the records of the logs section: per channel, its triplet log,
+    then the sieve and diag-from-log reports read from it."""
+    channels = [(kind, n, spec) for n in ((2,) if small else (2, 4))
+                for kind, spec in _small_specs(random.Random(f"replay-logs:{n}"), n).items()]
+    channels.append(("amplitude_damping", 6,
+                     _small_specs(random.Random("replay-logs:6"), 6)["amplitude_damping"]))
+    with tempfile.TemporaryDirectory() as work:
+        for kind, n, spec in channels:
+            rid = f"logs:{kind}:{n}"
+            path, log = Path(work, f"{kind}{n}.json"), str(Path(work, f"{kind}{n}.log"))
+            path.write_text(json.dumps(spec))
+            rng = random.Random(rid)
+            labels = ",".join(random_label(rng, n) for _ in range(8))
+            for argv in (["triplets", "--channel", str(path), "--M", "2000", "--seed", "7",
+                          "--out", log],
+                         ["sieve", "--log", log, "--threshold", "1e-12", "--channel", str(path)],
+                         ["diag-from-log", "--log", log, "--m", labels, "--channel", str(path)]):
+                yield _command_record(f"{rid}:{argv[0]}", argv, work)
+
+
 def replay(seeds: list[int], small: bool = False):
-    """Yield the records of the plans at each seed, then of the verify and
-    exact_chi sections."""
+    """Yield the records of the plans at each seed, then of the verify,
+    exact_chi and logs sections."""
     for seed in seeds:
         for name in WORKLOADS:
             with tempfile.TemporaryDirectory() as tmp:
@@ -153,6 +178,7 @@ def replay(seeds: list[int], small: bool = False):
     for kind, n, spec in specs:
         chi = np.ascontiguousarray(exact_chi(channel_factory(spec), max_n=n).mat)
         yield {"id": f"exact_chi:{kind}:{n}", "sha256": _sha256(chi.view(np.uint64).tobytes())}
+    yield from _log_records(small)
 
 
 def _differing(a: dict, b: dict) -> list[str]:

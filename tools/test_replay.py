@@ -18,12 +18,20 @@ def test_replay_is_reproducible_and_diff_names_a_change(tmp_path, capsys):
     assert files[0].read_bytes() == files[1].read_bytes()
     records = [json.loads(line) for line in files[0].read_text().splitlines()]
     sections = {r["id"].split(":")[0] for r in records}
-    assert sections == {"plan", "verify", "exact_chi"}
+    assert sections == {"plan", "verify", "exact_chi", "logs"}
     kinds = ("identity", "depolarizing", "pauli_mixture", "unitary", "amplitude_damping",
              "kraus", "compose")
     assert [r["id"] for r in records if r["id"].startswith("exact_chi:")] == [
         *(f"exact_chi:{kind}:{n}" for n in range(1, 5) for kind in kinds),
         "exact_chi:amplitude_damping:5"]
+    # the logs section, n = 2 alone when small: a log, then two reports with oracle columns
+    assert [r["id"] for r in records if r["id"].startswith("logs:")] == [
+        f"logs:{channel}:{command}" for channel in (*(f"{kind}:2" for kind in kinds),
+                                                     "amplitude_damping:6")
+        for command in ("triplets", "sieve", "diag-from-log")]
+    for r in records[-24:]:
+        assert r["exit"] == 0 and (r["out_file"] if r["id"].endswith(":triplets") else
+                                   "rows[0].oracle_re" in r["stdout_fields"])
     logs = [r for r in records if r.get("out_file")]  # the triplet logs are read
     assert logs and all(r["out_file_blocks"] for r in logs)
     log = next(r for r in logs if len(r["out_file_blocks"]) == 4)  # log-sieve's 2,001 lines
