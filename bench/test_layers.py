@@ -396,6 +396,22 @@ def test_sampled_protocol(benchmark, protocol, kind, n):
     assert (len(result) if protocol == "triplets" else result.M) == 2000
 
 
+def test_triplets_pauli_peak_memory():
+    """tracemalloc peak of triplets on depolarizing at n=6, M=2000, after one
+    call fills the per-n caches: each experiment draws its error label from
+    the 4,096 weights, so no (D+1) x D table or per-state row is held, and
+    the peak stays under 1 MB."""
+    channel, cfg = _protocol_channel("depolarizing", 6), EstimatorConfig(M=2000, seed=6)
+    run_triplet_experiments(channel, cfg)
+    tracemalloc.start()
+    try:
+        run_triplet_experiments(channel, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
 def test_estimate_chi_diag_mixture_cold(benchmark):
     """The diagonal of a 64-label n=4 Pauli mixture at M=2000, the survival
     workload's estimate-diag, with the per-n caches cleared before each round."""

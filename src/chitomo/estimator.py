@@ -364,35 +364,31 @@ def run_triplet_experiments(channel: Channel, cfg: EstimatorConfig) -> TripletRe
     """Sample M (J, k, k') records: prepare, apply the channel, measure in J.
 
     Only sampled mode makes sense here — a triplet is a discrete event.  A
-    Pauli channel's rows are T[k, k'] = q[J, k XOR k'] (:func:`_base_weights`).
+    Pauli channel draws each error a by u from its weights: k' = k XOR p_a(J).
     """
     if cfg.mode != "sampled":
         raise ValueError("triplet experiments require mode='sampled'")
     n, d = channel.n, 2**channel.n
-    if isinstance(channel, PauliChannel):
-        q, entries = _base_weights(channel, commutation_columns(n)), d
-
-        def rows(js, ks):
-            return q[js[:, None], ks[:, None] ^ np.arange(d)]
-    else:
-        ops = channel.operators
-        entries = ops.size // d
-
-        def rows(js, ks):  # the full rows T[s, k'] = sum_i |<v_k'|A_i|v_s>|^2, one
-            out = np.empty((len(js), d))  # product per base of the slice
-            for s in np.split(np.arange(len(js)), np.flatnonzero(np.diff(js)) + 1):
-                v = design_bases(n)[js[s[0]]]
-                amps = v.conj().T @ (ops @ v[:, ks[s]])  # [i, k', s]
-                out[s] = np.sum(np.abs(amps) ** 2, axis=0).T
-            return out
-
     keys, us = _campaign(n, cfg, _TAG_TRIPLETS, "fidelity")
-    cum = _state_table(
-        n, [keys], lambda js, ks: np.cumsum(_distribution(rows(js, ks), js), axis=1), d,
-        entries)
+    js, ks = keys >> n, keys & (d - 1)
+    if isinstance(channel, PauliChannel):
+        cum = np.cumsum(_distribution(channel.weights[None], js.min(keepdims=True))[0])
+        a = channel.labels[np.searchsorted(cum[:-1], us, side="right")]
+        return TripletRecord(n, js, ks, ks ^ gf2_apply(commutation_columns(n)[js], a))
+    ops = channel.operators
+
+    def readout(js, ks):  # cumulative rows T[s, k'] = sum_i |<v_k'|A_i|v_s>|^2, one
+        rows = np.empty((len(js), d))  # product per base of the slice
+        for s in np.split(np.arange(len(js)), np.flatnonzero(np.diff(js)) + 1):
+            v = design_bases(n)[js[s[0]]]
+            amps = v.conj().T @ (ops @ v[:, ks[s]])  # [i, k', s]
+            rows[s] = np.sum(np.abs(amps) ** 2, axis=0).T
+        return np.cumsum(_distribution(rows, js), axis=1)
+
+    cum = _state_table(n, [keys], readout, d, ops.size // d)
     # k' is the first outcome whose cumulative probability exceeds u, or the
     # last one: the count of the first D-1 cumulative entries <= u
-    return TripletRecord(n, keys >> n, keys & (d - 1), _draw(cum[:, :-1], keys, us))
+    return TripletRecord(n, js, ks, _draw(cum[:, :-1], keys, us))
 
 
 def _count_table(record: TripletRecord) -> tuple[np.ndarray, np.ndarray]:

@@ -161,10 +161,14 @@ def packed_from_strings(n: int, letters: str) -> np.ndarray:
 def label_strings(n: int, labels) -> list[str]:
     """The n-letter strings of many packed labels (Python ints past 63 bits,
     n > 31), qubit 0 leftmost: a qubit's letter is "IXZY"[x + 2z]."""
-    labels = np.asarray(labels, dtype=np.int64 if n < 32 else object)[:, None]
-    qubits = np.arange(n)
-    codes = ((labels >> qubits & 1) | (labels >> (qubits + n) & 1) << 1).astype(np.uint8)
-    return np.frombuffer(b"IXZY", np.uint8)[codes].view(f"S{n}").astype(f"U{n}").ravel().tolist()
+    labels = np.asarray(labels, dtype=np.int64 if n < 32 else object)
+    qubits, out = np.arange(n), []
+    for lo in range(0, len(labels), 1 << 16):  # (labels, n) arrays of 2**16 labels at most
+        part = labels[lo:lo + (1 << 16), None]
+        codes = ((part >> qubits & 1) | (part >> (qubits + n) & 1) << 1).astype(np.uint8)
+        letters = np.frombuffer(b"IXZY", np.uint8)[codes].view(f"S{n}")
+        out += letters.astype(f"U{n}").ravel().tolist()
+    return out
 
 
 def _check_same_n(a: PauliLabel, b: PauliLabel) -> None:

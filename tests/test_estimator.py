@@ -1,6 +1,8 @@
 """Monte Carlo estimators against the exact oracle, plus the triplet sieve."""
 
 import ast
+import bisect
+import itertools
 import logging
 import math
 from collections import Counter
@@ -443,12 +445,47 @@ class TestPauliChannelMatchesDense:
             assert abs(got.value - want.value) <= 1e-14
             assert abs(got.std_error - want.std_error) <= 1e-14 and got.M == want.M
 
-    def test_triplet_records(self, kind, n):
+    def test_triplet_records_draw_each_error(self, kind, n):
+        """Each record is the plain inverse-CDF reference on the campaign's own
+        draws: u picks the first label whose cumulative weight exceeds it, or
+        the last, and k' = k XOR p_a(J)."""
         channel = channel_factory(_pauli_spec(kind, n))
+        weights = channel.weights.tolist()
+        cum = list(itertools.accumulate(w / sum(weights) for w in weights))
         for seed in (3, 4):
             cfg = EstimatorConfig(M=400, seed=seed)
-            assert run_triplet_experiments(channel, cfg) == run_triplet_experiments(
-                KrausSet(n, channel.operators), cfg)
+            keys, us = estimator._campaign(n, cfg, estimator._TAG_TRIPLETS, "fidelity")
+            want = []
+            for key, u in zip(keys.tolist(), us.tolist()):
+                j, k = divmod(key, 2**n)
+                a = int(channel.labels[min(bisect.bisect_right(cum, u), len(cum) - 1)])
+                want.append((j, k, k ^ commutation_vector(PauliLabel.from_packed(n, a),
+                                                          mub_class(n, j))))
+            record = run_triplet_experiments(channel, cfg)
+            assert list(zip(record.J.tolist(), record.k.tolist(),
+                            record.k_prime.tolist())) == want
+
+    def test_triplet_counts_follow_the_transition_table(self, kind, n):
+        """At M = 2*10^4 the counts of k XOR k' per base pass a chi-square
+        test against the dense transition table sum_i |<v_k'|A_i|v_k>|^2 of
+        the channel's operators, whose cells of probability 0 stay empty."""
+        channel = channel_factory(_pauli_spec(kind, n))
+        d, ops = 2**n, channel.operators
+        record = run_triplet_experiments(channel, EstimatorConfig(M=20_000, seed=5))
+        counts = np.zeros((d + 1, d))
+        np.add.at(counts, (record.J, record.k ^ record.k_prime), 1)
+        statistic, dof = 0.0, 0
+        for j in range(d + 1):
+            v = design_basis(n, j)
+            table = np.sum(np.abs(v.conj().T @ (ops @ v)) ** 2, axis=0).T  # [k, k']
+            prob = table[np.arange(d)[:, None], np.arange(d)[:, None] ^ np.arange(d)].mean(axis=0)
+            live = prob > 1e-12
+            assert not counts[j, ~live].any()
+            want = counts[j].sum() * prob[live]
+            statistic += np.sum((counts[j, live] - want) ** 2 / want)
+            dof += live.sum() - 1
+        assert counts.sum() == 20_000
+        assert dof == 0 or stats.chi2.sf(statistic, dof) > 1e-3
 
     def test_weight_table_is_the_transition_table(self, kind, n):
         """q[J, k XOR k'] = sum_i |<v_k'|A_i|v_k>|^2 for every J, k and k'."""
@@ -766,6 +803,11 @@ def test_draw_matches_searchsorted(width):
     assert np.array_equal(got, want)
 
 
+def _scaled_pauli2(scale):
+    """A 4-label Pauli channel built in Python, its weights times scale."""
+    return PauliChannel(2, np.array([0, 1, 5, 10]), np.array([0.55, 0.2, 0.15, 0.1]) * scale)
+
+
 class TestTripletExperiments:
     def test_identity_channel_returns_prepared_state(self):
         trips = run_triplet_experiments(IDENT1, EstimatorConfig(M=200, seed=1))
@@ -801,6 +843,21 @@ class TestTripletExperiments:
         sampler's rows."""
         with pytest.raises(ValueError, match="weights must be finite and >= 0"):
             PauliChannel(1, np.array([0, 1]), np.array([1 + 1e-7, -1e-7]))
+
+    def test_pauli_weights_off_by_1e_5_are_refused(self):
+        """The sampler checks a Pauli channel's weight sum as one row, named
+        by the base of the lowest drawn state."""
+        with pytest.raises(ValueError, match=r"^base-0 probabilities are not a distribution "
+                                             r"\(mass off by 1\.000e-05\)$"):
+            run_triplet_experiments(_scaled_pauli2(1 + 1e-5), EstimatorConfig(M=50, seed=3))
+
+    def test_pauli_weights_off_by_1e_8_are_logged_and_renormalized(self, caplog):
+        cfg = EstimatorConfig(M=50, seed=3)
+        with caplog.at_level(logging.DEBUG, logger="chitomo.estimator"):
+            got = run_triplet_experiments(_scaled_pauli2(1 + 1e-8), cfg)
+        assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+            (logging.DEBUG, "base-0 probability mass deviates by 1.000e-08")]
+        assert got == run_triplet_experiments(_scaled_pauli2(1), cfg)
 
 
 def _base_probabilities(rho, n, j):
@@ -1050,7 +1107,7 @@ def _random_record(n, m_count, seed):
 
 class TestSieveAgainstPairs:
     @pytest.mark.parametrize("make", [
-        lambda: run_triplet_experiments(MIX2, EstimatorConfig(M=60, seed=21)),
+        lambda: run_triplet_experiments(MIX2, EstimatorConfig(M=60, seed=22)),
         lambda: _random_record(2, 50, 22),
         lambda: _random_record(3, 90, 23),
         lambda: run_triplet_experiments(

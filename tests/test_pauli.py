@@ -74,6 +74,12 @@ class TestLabelBasics:
         assert label_strings(3, np.array([], dtype=np.int64)) == label_strings(2, []) == []
         assert str(L("xyzi" * 10)) == "XYZI" * 10  # 80 bits, read as a Python int
 
+    def test_label_strings_past_one_slice(self):
+        """A column of 2**16 + 1 labels, one more than a slice converts,
+        prints as its labels one at a time."""
+        labels = np.random.default_rng(16).integers(0, 4**12, size=2**16 + 1)
+        assert label_strings(12, labels) == [str(PauliLabel.from_packed(12, a)) for a in labels]
+
     def test_string_round_trip(self):
         for s in ("I", "X", "Y", "Z", "XIZ", "YYXZ", "IIII"):
             assert L(s).to_string() == s
